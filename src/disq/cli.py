@@ -125,6 +125,8 @@ def cmd_order(args: argparse.Namespace) -> int:
         raise UsageError(f"N must be >= 2, got {args.N}")
     if args.shots < 1:
         raise UsageError(f"shots must be >= 1, got {args.shots}")
+    if args.workers < 1:
+        raise UsageError(f"workers must be >= 1, got {args.workers}")
     a = args.a
     if a is None:
         a = _pick_base(args.N, np.random.default_rng(seed))

@@ -230,11 +230,7 @@ def run_monolithic_order_finding(
 ) -> OutcomeRecord:
     """Single-node order finding: one t_mono-bit phase estimate, then recovery."""
     _check_capacity(params.t_mono + params.L)
-    layout = RegisterLayout.of((_CTRL, params.t_mono), (_WORK, params.L))
-    st = statevec.init_basis(layout, {_WORK: 1})
-    st = statevec.apply_hadamard_register(st, _CTRL)
-    st = statevec.apply_controlled_modmul(st, _CTRL, _WORK, params.a, params.N)
-    st = statevec.apply_inverse_qft(st, _CTRL)
+    st = _first_estimate(params, _CTRL, params.t_mono)
     m, _ = statevec.measure_register(st, _CTRL, rng)
     return OutcomeRecord(
         engine=ENGINE_MONOLITHIC,
@@ -246,20 +242,27 @@ def run_monolithic_order_finding(
 def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
     """Exact outcome distribution of the single-node control register."""
     _check_capacity(params.t_mono + params.L)
-    layout = RegisterLayout.of((_CTRL, params.t_mono), (_WORK, params.L))
-    st = statevec.init_basis(layout, {_WORK: 1})
-    st = statevec.apply_hadamard_register(st, _CTRL)
-    st = statevec.apply_controlled_modmul(st, _CTRL, _WORK, params.a, params.N)
-    st = statevec.apply_inverse_qft(st, _CTRL)
+    st = _first_estimate(params, _CTRL, params.t_mono)
     return statevec.register_probabilities(st, _CTRL)
 
 
-def _a_stage(params: ProtocolParams) -> StateVector:
-    layout = RegisterLayout.of((_CTRL_A, params.t1), (_WORK, params.L))
+def _first_estimate(
+    params: ProtocolParams, ctrl: str, width: int, *idle: tuple[str, int]
+) -> StateVector:
+    """Phase estimation of a on a fresh state: control ``ctrl`` estimated, work = 1.
+
+    The layout is the control register, any ``idle`` registers (left in
+    |0..0> for a later stage), then the work register.
+    """
+    layout = RegisterLayout.of((ctrl, width), *idle, (_WORK, params.L))
     st = statevec.init_basis(layout, {_WORK: 1})
-    st = statevec.apply_hadamard_register(st, _CTRL_A)
-    st = statevec.apply_controlled_modmul(st, _CTRL_A, _WORK, params.a, params.N)
-    return statevec.apply_inverse_qft(st, _CTRL_A)
+    st = statevec.apply_hadamard_register(st, ctrl)
+    st = statevec.apply_controlled_modmul(st, ctrl, _WORK, params.a, params.N)
+    return statevec.apply_inverse_qft(st, ctrl)
+
+
+def _a_stage(params: ProtocolParams) -> StateVector:
+    return _first_estimate(params, _CTRL_A, params.t1)
 
 
 def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
@@ -301,13 +304,7 @@ def run_distributed_order_finding(
     """
     if mode == MODE_JOINT:
         _check_capacity(params.t1 + params.t2 + params.L)
-        layout = RegisterLayout.of(
-            (_CTRL_A, params.t1), (_CTRL_B, params.t2), (_WORK, params.L)
-        )
-        st = statevec.init_basis(layout, {_WORK: 1})
-        st = statevec.apply_hadamard_register(st, _CTRL_A)
-        st = statevec.apply_controlled_modmul(st, _CTRL_A, _WORK, params.a, params.N)
-        st = statevec.apply_inverse_qft(st, _CTRL_A)
+        st = _first_estimate(params, _CTRL_A, params.t1, (_CTRL_B, params.t2))
         st = _b_stage(st, params)
         m1, st = statevec.measure_register(st, _CTRL_A, rng)
         m2, _ = statevec.measure_register(st, _CTRL_B, rng)
@@ -355,13 +352,7 @@ def distributed_joint_distribution(
     """
     if mode == MODE_JOINT:
         _check_capacity(params.t1 + params.t2 + params.L)
-        layout = RegisterLayout.of(
-            (_CTRL_A, params.t1), (_CTRL_B, params.t2), (_WORK, params.L)
-        )
-        st = statevec.init_basis(layout, {_WORK: 1})
-        st = statevec.apply_hadamard_register(st, _CTRL_A)
-        st = statevec.apply_controlled_modmul(st, _CTRL_A, _WORK, params.a, params.N)
-        st = statevec.apply_inverse_qft(st, _CTRL_A)
+        st = _first_estimate(params, _CTRL_A, params.t1, (_CTRL_B, params.t2))
         st = _b_stage(st, params)
         return statevec.marginal_probabilities(st, [_CTRL_A, _CTRL_B])
 
@@ -385,24 +376,41 @@ def distributed_joint_distribution(
     return joint
 
 
+def _stitch_arrays(
+    m1: np.ndarray, m2: np.ndarray, params: ProtocolParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """``correct_results`` over arrays of measured values.
+
+    Returns (stitched value, ok) element-wise; where ok is False the overlap
+    values differ by 2 mod 4 and the stitched value is meaningless.
+    """
+    prefix_width = params.L // 2 + 1
+    tail = params.t2 - 2
+    prefix = m1 >> (params.t1 - prefix_width)  # ends in A's two overlap bits
+    diff = ((m2 >> tail) - prefix) & 3  # 0, 1 or 3 (= -1) is the correction bit
+    ok = diff != 2
+    bit = np.where(diff == 3, -1, diff)
+    prefix = (prefix + bit) & ((1 << prefix_width) - 1)
+    stitched = (prefix << tail) | (m2 & ((1 << tail) - 1))
+    return stitched, ok
+
+
 def stitched_value_distribution(
     joint: np.ndarray, params: ProtocolParams
 ) -> tuple[dict[int, float], float]:
     """Push a joint (m1, m2) distribution through the stitching step.
 
     Returns (mass per stitched integer value, mass with no correction bit).
+    Masses are added in row-major (m1, m2) order, one outcome at a time.
     """
-    values: dict[int, float] = {}
-    failed = 0.0
-    for m1_val, row in enumerate(joint):
-        m1 = BitString(params.t1, m1_val)
-        for m2_val in np.nonzero(row > 0)[0]:
-            stitched = correct_results(m1, BitString(params.t2, int(m2_val)), params)
-            p = float(row[m2_val])
-            if stitched is None:
-                failed += p
-            else:
-                values[stitched[1].value] = values.get(stitched[1].value, 0.0) + p
+    m1, m2 = np.nonzero(joint > 0)
+    p = joint[m1, m2]
+    stitched, ok = _stitch_arrays(m1, m2, params)
+    keys, slot = np.unique(np.where(ok, stitched, -1), return_inverse=True)
+    # bincount adds each weight to its slot in input order, as the loop over
+    # correct_results did; -1 collects the outcomes with no correction bit.
+    values = dict(zip(keys.tolist(), np.bincount(slot, weights=p).tolist()))
+    failed = values.pop(-1, 0.0)
     return values, failed
 
 
@@ -466,6 +474,8 @@ def run_shots(
     """Run independent classified shots; records come back in shot order."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     r_true = multiplicative_order(params.a, params.N)
 
     def one(i: int) -> OutcomeRecord:

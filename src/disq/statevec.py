@@ -6,12 +6,17 @@ so a measured register reads as the same integer the protocol notation
 assigns to it: with layout [("a", 2), ("c", 2)], global basis index
 0b0111 means register a holds 1 and register c holds 3.
 
-Controlled modular multiplication is applied as the basis permutation it
-semantically is (values >= the modulus are fixed points, which keeps the
-map a bijection and hence unitary); the Fourier transforms are applied as
-orthonormal FFTs along the register axis.  Gate-level decompositions are
-out of scope here -- circuit-cost questions are answered analytically by
-the resources module.
+A Hadamard layer on a register that holds |0..0> on every branch (a fresh
+phase-estimation control register) is written directly as the uniform
+superposition, one read and one write of the state; any other register
+state gets one butterfly pass per qubit.  Controlled modular multiplication
+is applied as the basis permutation it semantically is (values >= the
+modulus are fixed points, which keeps the map a bijection and hence
+unitary): a gather through an inverse-multiplier table that is built once
+per (widths, multiplier, modulus), cached and shared read-only.  The
+Fourier transforms are applied as orthonormal FFTs along the register axis.
+Gate-level decompositions are out of scope here -- circuit-cost questions
+are answered analytically by the resources module.
 
 Determinism: every random choice is drawn from the caller's
 ``numpy.random.Generator`` via inverse-CDF sampling, so a fixed generator
@@ -20,6 +25,7 @@ state fixes all outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +38,11 @@ from .bitstrings import BitString
 MAX_QUBITS = 26  # memory guard: at most 2^26 amplitudes (1 GiB complex128)
 
 NORM_GUARD = 1e-8  # measurement-time probability drift that trips an error
+
+# Modmul tables kept per (widths, multiplier, modulus).  One run touches at
+# most three (node A, node B, single node); the bound keeps a long sweep over
+# many (N, a) from holding every table it ever built.
+_TABLE_CACHE_SIZE = 8
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,10 +175,23 @@ def init_basis(layout: RegisterLayout, values: Mapping[str, int] | None = None) 
 
 
 def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
-    """Hadamard on every qubit of the register (|0..0> -> uniform superposition)."""
+    """Hadamard on every qubit of the register (|0..0> -> uniform superposition).
+
+    When the register holds |0..0> on every branch -- every amplitude with a
+    non-zero register value is exactly 0, as for a freshly prepared control
+    register -- the result is written directly: each branch's |0..0>
+    amplitude times 2^(-w/2) in all 2^w register slots.  Any other state goes
+    through the per-qubit butterfly passes.
+    """
+    a = _reg_axis(state, reg)
+    w = state.layout.width(reg)
+    if not a[:, 1:, :].any():
+        out = np.empty_like(a)
+        out[...] = a[:, :1, :] * (1 / math.sqrt(1 << w))
+        return StateVector(state.layout, out.reshape(-1))
     off = state.layout.offset(reg)
     amps = state.amps
-    for k in range(state.layout.width(reg)):
+    for k in range(w):
         amps = _apply_1q(amps, state.n, off + k, _H)
     return StateVector(state.layout, amps)
 
@@ -184,10 +208,12 @@ def apply_inverse_qft(state: StateVector, reg: str) -> StateVector:
     return StateVector(state.layout, np.fft.fft(a, axis=1, norm="ortho").reshape(-1))
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _modmul_inverse_table(w_ctrl: int, w_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
     """inv[j, y] = preimage of target value y under multiplication by multiplier^j.
 
-    Values y >= modulus are fixed points of the permutation.
+    Values y >= modulus are fixed points of the permutation.  The table is
+    cached and shared between callers, so it is returned read-only.
     """
     minv = pow(multiplier, -1, modulus)
     powers = np.empty(1 << w_ctrl, dtype=np.int64)
@@ -199,7 +225,30 @@ def _modmul_inverse_table(w_ctrl: int, w_tgt: int, multiplier: int, modulus: int
     table = np.broadcast_to(ys, (1 << w_ctrl, 1 << w_tgt)).copy()
     in_ring = ys < modulus
     table[:, in_ring] = powers[:, None] * ys[None, in_ring] % modulus
+    table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _modmul_gather_index(
+    w_ctrl: int, w_tgt: int, multiplier: int, modulus: int, ctrl_first: bool
+) -> np.ndarray:
+    """Flat source index into an adjacent (control, target) block, in block order.
+
+    With the control register first the block is read as (j, y) and the
+    source of (j, y) is j * 2^w_tgt + inv[j, y]; with the target first it is
+    read as (y, j) and the source is inv[j, y] * 2^w_ctrl + j.  Cached and
+    read-only, like the inverse table it is built from; that table is built
+    uncached here, so only the index stays in memory.
+    """
+    inv = _modmul_inverse_table.__wrapped__(w_ctrl, w_tgt, multiplier, modulus)
+    if ctrl_first:
+        index = inv + (np.arange(1 << w_ctrl, dtype=np.int64) << w_tgt)[:, None]
+    else:
+        index = (inv.T << w_ctrl) + np.arange(1 << w_ctrl, dtype=np.int64)
+    index = np.ascontiguousarray(index).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def apply_controlled_modmul(
@@ -210,6 +259,9 @@ def apply_controlled_modmul(
     Target values >= modulus are left unchanged, completing the map to a
     permutation of the basis (hence a unitary).  Requires
     gcd(multiplier, modulus) = 1, otherwise the map would not be a bijection.
+
+    Adjacent registers are permuted with one flat gather through a cached
+    index; registers with others between them gather along the target axis.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -220,17 +272,23 @@ def apply_controlled_modmul(
     if (1 << w_tgt) < modulus:
         raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
     oc, ot = state.layout.offset(control), state.layout.offset(target)
-    inv = _modmul_inverse_table(w_ctrl, w_tgt, multiplier % modulus, modulus)
+    multiplier %= modulus
 
     n = state.n
+    first, w_first = (oc, w_ctrl) if oc < ot else (ot, w_tgt)
+    last, w_last = (ot, w_tgt) if oc < ot else (oc, w_ctrl)
+    mid = last - (first + w_first)
+    pre, post = 1 << first, 1 << (n - last - w_last)
+    if mid == 0:
+        index = _modmul_gather_index(w_ctrl, w_tgt, multiplier, modulus, oc < ot)
+        block = state.amps.reshape(pre, index.size, post)
+        return StateVector(state.layout, np.take(block, index, axis=1).reshape(-1))
+    inv = _modmul_inverse_table(w_ctrl, w_tgt, multiplier, modulus)
+    shape = (pre, 1 << w_first, 1 << mid, 1 << w_last, post)
     if oc < ot:
-        mid = ot - (oc + w_ctrl)
-        shape = (1 << oc, 1 << w_ctrl, 1 << mid, 1 << w_tgt, 1 << (n - ot - w_tgt))
         idx = inv.reshape(1, 1 << w_ctrl, 1, 1 << w_tgt, 1)
         out = np.take_along_axis(state.amps.reshape(shape), idx, axis=3)
     else:
-        mid = oc - (ot + w_tgt)
-        shape = (1 << ot, 1 << w_tgt, 1 << mid, 1 << w_ctrl, 1 << (n - oc - w_ctrl))
         idx = inv.T.reshape(1, 1 << w_tgt, 1, 1 << w_ctrl, 1)
         out = np.take_along_axis(state.amps.reshape(shape), idx, axis=1)
     return StateVector(state.layout, out.reshape(-1))

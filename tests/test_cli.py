@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -62,6 +63,23 @@ class TestOrder:
         _, serial, _ = run_cli(capsys, *base)
         _, threaded, _ = run_cli(capsys, *base, "--workers", "3")
         assert serial == threaded
+
+    def test_seeded_output_is_pinned(self, capsys):
+        # Seeded records are part of the output contract: a faster kernel
+        # must reproduce them byte for byte.
+        _, out, _ = run_cli(
+            capsys, "order", "--N", "15", "--a", "7", "--shots", "20", "--seed", "11"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4d4959b5d15b973601b797c22009870f07a69f329fea98e4b123917306dfd4ab"
+        )
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        code, out, err = run_cli(
+            capsys, "order", "--N", "15", "--a", "7", "--shots", "2", "--workers", workers
+        )
+        assert code == 2 and out == "" and "workers" in err
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("DISQ_SEED", "123")

@@ -184,6 +184,39 @@ class TestDistributedDyadic:
             assert freq.get(v, 0) / 200 >= 0.25 - 3 * sigma
 
 
+class TestVectorizedStitching:
+    @pytest.mark.parametrize("N,a,p", [(3, 2, 1), (15, 7, 1), (33, 2, 1)])
+    def test_agrees_with_correct_results_on_every_pair(self, N, a, p):
+        params = ProtocolParams.with_padding(N, a, p)
+        m1, m2 = np.meshgrid(
+            np.arange(1 << params.t1), np.arange(1 << params.t2), indexing="ij"
+        )
+        stitched, ok = protocol._stitch_arrays(m1.ravel(), m2.ravel(), params)
+        for i, (v1, v2) in enumerate(zip(m1.ravel().tolist(), m2.ravel().tolist())):
+            ref = correct_results(BitString(params.t1, v1), BitString(params.t2, v2), params)
+            if ref is None:
+                assert not ok[i]
+            else:
+                assert ok[i] and int(stitched[i]) == ref[1].value
+
+    def test_distribution_equals_scalar_loop(self):
+        params = ProtocolParams.with_padding(33, 2, 1)
+        joint = distributed_joint_distribution(params, mode=MODE_JOINT)
+        values: dict[int, float] = {}
+        failed = 0.0
+        for m1_val, row in enumerate(joint):
+            for m2_val in np.nonzero(row > 0)[0]:
+                ref = correct_results(
+                    BitString(params.t1, m1_val), BitString(params.t2, int(m2_val)), params
+                )
+                if ref is None:
+                    failed += float(row[m2_val])
+                else:
+                    values[ref[1].value] = values.get(ref[1].value, 0.0) + float(row[m2_val])
+        assert failed > 0
+        assert stitched_value_distribution(joint, params) == (values, failed)
+
+
 class TestModeEquivalence:
     def test_exact_joint_distributions_match_at_small_padding(self):
         params = ProtocolParams.with_padding(15, 7, 1)
@@ -310,6 +343,12 @@ class TestDeterminism:
         serial = run_shots(params, 16, seed=9, workers=1)
         parallel = run_shots(params, 16, seed=9, workers=4)
         assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        params = ProtocolParams.derive(15, 7, Fraction(1, 4))
+        with pytest.raises(ValueError, match="workers"):
+            run_shots(params, 2, seed=1, workers=workers)
 
     def test_monolithic_and_joint_modes_run(self):
         params = ProtocolParams.derive(15, 7, Fraction(1, 4))

@@ -115,6 +115,41 @@ class TestHadamard:
         probs = register_probabilities(st, "b")
         assert probs[1] == pytest.approx(1.0, abs=ALGEBRA_TOL)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_direct_fill_matches_per_qubit_path(self, position, width):
+        # The other registers hold a random entangled state; r holds |0..0>.
+        regs = [("a", 2), ("b", 3)]
+        regs.insert(position, ("r", width))
+        layout = RegisterLayout.of(*regs)
+        amps = random_state(layout, np.random.default_rng(width + 10 * position)).amps
+        amps = amps.reshape(1 << layout.offset("r"), 1 << width, -1).copy()
+        amps[:, 1:, :] = 0
+        st = StateVector.from_amplitudes(layout, amps / np.linalg.norm(amps))
+        per_qubit = st
+        for k in range(1, width + 1):
+            per_qubit = statevec.apply_h_qubit(per_qubit, "r", k)
+        filled = apply_hadamard_register(st, "r")
+        assert np.max(np.abs(filled.amps - per_qubit.amps)) <= 1e-15
+
+    @pytest.mark.parametrize("values", [None, {"r": 2}])
+    def test_register_off_zero_takes_per_qubit_path(self, values):
+        layout = RegisterLayout.of(("a", 2), ("r", 3), ("b", 1))
+        if values is None:
+            st = random_state(layout, np.random.default_rng(4))
+        else:
+            st = init_basis(layout, values)
+        per_qubit = st
+        for k in (1, 2, 3):
+            per_qubit = statevec.apply_h_qubit(per_qubit, "r", k)
+        assert np.array_equal(apply_hadamard_register(st, "r").amps, per_qubit.amps)
+
+    def test_input_state_is_not_modified(self):
+        st = init_basis(RegisterLayout.of(("r", 3), ("w", 2)), {"w": 1})
+        before = st.amps.copy()
+        apply_hadamard_register(st, "r")
+        assert np.array_equal(st.amps, before)
+
 
 class TestControlledModMul:
     def test_power_of_control_value(self):
@@ -170,6 +205,40 @@ class TestControlledModMul:
             assert abs(st.amps[image]) == pytest.approx(1.0)
             seen.add(image)
         assert len(seen) == 1 << 5
+
+    @pytest.mark.parametrize(
+        "regs",
+        [
+            [("x", 1), ("ctrl", 3), ("work", 4), ("y", 1)],  # adjacent, control first
+            [("x", 1), ("work", 4), ("ctrl", 3), ("y", 1)],  # adjacent, target first
+            [("ctrl", 3), ("x", 2), ("work", 4)],  # separated, control first
+            [("work", 4), ("x", 2), ("ctrl", 3), ("y", 1)],  # separated, target first
+        ],
+    )
+    def test_matches_basis_by_basis_permutation(self, regs):
+        layout = RegisterLayout.of(*regs)
+        st = random_state(layout, np.random.default_rng(len(regs)))
+        names = [name for name, _ in regs]
+        shape = [1 << w for _, w in regs]
+        src = st.amps.reshape(shape)
+        expected = np.zeros_like(src)
+        c, w = names.index("ctrl"), names.index("work")
+        for idx in np.ndindex(*shape):
+            out = list(idx)
+            if idx[w] < 13:
+                out[w] = pow(7, idx[c], 13) * idx[w] % 13
+            expected[tuple(out)] = src[idx]
+        got = apply_controlled_modmul(st, "ctrl", "work", 7, 13)
+        assert np.array_equal(got.amps, expected.reshape(-1))
+
+    def test_cached_tables_are_read_only(self):
+        table = statevec._modmul_inverse_table(3, 4, 7, 15)
+        assert table is statevec._modmul_inverse_table(3, 4, 7, 15)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        for ctrl_first in (True, False):
+            assert not statevec._modmul_gather_index(3, 4, 7, 15, ctrl_first).flags.writeable
 
     def test_non_coprime_multiplier_rejected(self):
         layout = RegisterLayout.of(("ctrl", 2), ("work", 4))
