@@ -47,6 +47,7 @@ from .statevec import (
     project_register,
     register_probabilities,
     remove_register,
+    sample_register,
 )
 from .teleport import ClassicalChannel, EprPool, EprPoolError, teleport_register
 
@@ -97,6 +98,7 @@ __all__ = [
     "run_monolithic_order_finding",
     "run_shor_factoring",
     "run_shots",
+    "sample_register",
     "stitched_value_distribution",
     "summarize",
     "teleport_register",

@@ -97,7 +97,10 @@ def _check_factorable(N: int) -> None:
 def _open_output(path: str):
     if path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+    try:
+        return open(path, "w", encoding="utf-8", newline=""), True
+    except OSError as exc:
+        raise UsageError(f"cannot write output {path!r}: {exc.strerror}") from None
 
 
 def _summary_csv(summary: dict) -> str:
@@ -133,18 +136,18 @@ def cmd_order(args: argparse.Namespace) -> int:
     if not 1 <= a < args.N or math.gcd(a, args.N) != 1:
         raise UsageError(f"need 1 <= a < N with gcd(a, N) = 1, got a={a}, N={args.N}")
     params = ProtocolParams.derive(args.N, a, epsilon)
-    records = protocol.run_shots(
-        params,
-        args.shots,
-        seed=seed,
-        engine=args.engine,
-        mode=args.mode,
-        faithful_teleport=not args.relabel_teleport,
-        workers=args.workers,
-    )
-    summary = protocol.summarize(params, records)
     out, close = _open_output(args.output)
     try:
+        records = protocol.run_shots(
+            params,
+            args.shots,
+            seed=seed,
+            engine=args.engine,
+            mode=args.mode,
+            faithful_teleport=not args.relabel_teleport,
+            workers=args.workers,
+        )
+        summary = protocol.summarize(params, records)
         if args.format == "json":
             for record in records:
                 print(json.dumps(record.to_json_dict(), separators=(",", ":")), file=out)
@@ -161,6 +164,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
     epsilon = _parse_epsilon(args.epsilon)
     seed = _resolve_seed(args.seed)
     _check_factorable(args.N)
+    if args.max_attempts < 1:
+        raise UsageError(f"max-attempts must be >= 1, got {args.max_attempts}")
     rng = np.random.default_rng(seed if seed is None else [seed, 0x0F])
     result = protocol.run_shor_factoring(
         args.N,
@@ -204,6 +209,8 @@ def _parse_sweep(spec: str) -> range:
 
 def cmd_resources(args: argparse.Namespace) -> int:
     epsilon = _parse_epsilon(args.epsilon)
+    if args.b_constant < 0:
+        raise UsageError(f"b-constant must be >= 0, got {args.b_constant}")
     out, close = _open_output(args.output)
     try:
         if args.sweep_L:

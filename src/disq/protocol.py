@@ -231,7 +231,7 @@ def run_monolithic_order_finding(
     """Single-node order finding: one t_mono-bit phase estimate, then recovery."""
     _check_capacity(params.t_mono + params.L)
     st = _first_estimate(params, _CTRL, params.t_mono)
-    m, _ = statevec.measure_register(st, _CTRL, rng)
+    m = statevec.sample_register(st, _CTRL, rng)
     return OutcomeRecord(
         engine=ENGINE_MONOLITHIC,
         m=m,
@@ -307,7 +307,7 @@ def run_distributed_order_finding(
         st = _first_estimate(params, _CTRL_A, params.t1, (_CTRL_B, params.t2))
         st = _b_stage(st, params)
         m1, st = statevec.measure_register(st, _CTRL_A, rng)
-        m2, _ = statevec.measure_register(st, _CTRL_B, rng)
+        m2 = statevec.sample_register(st, _CTRL_B, rng)
         record = OutcomeRecord(engine=ENGINE_DISTRIBUTED, mode=mode)
         return _finish_distributed(record, m1, m2, params)
 
@@ -328,7 +328,7 @@ def run_distributed_order_finding(
     # Node B.
     st = statevec.append_register(st, _CTRL_B, params.t2)
     st = _b_stage(st, params)
-    m2, _ = statevec.measure_register(st, _CTRL_B, rng)
+    m2 = statevec.sample_register(st, _CTRL_B, rng)
 
     record = OutcomeRecord(
         engine=ENGINE_DISTRIBUTED,

@@ -6,17 +6,28 @@ so a measured register reads as the same integer the protocol notation
 assigns to it: with layout [("a", 2), ("c", 2)], global basis index
 0b0111 means register a holds 1 and register c holds 3.
 
+Viewed as (before, register, after), a state splits into *fibers*: the 2^w
+register amplitudes at one (before, after) index.  Order finding leaves
+most fibers exactly zero -- the work register only ever holds the r powers
+of the base -- so the register kernels find the live fibers with one read,
+work on those alone and write exact zeros elsewhere; when more than half
+the fibers are live they run dense.  Either way the result is bitwise the
+dense one (up to the sign of zeros).
+
 A Hadamard layer on a register that holds |0..0> on every branch (a fresh
 phase-estimation control register) is written directly as the uniform
-superposition, one read and one write of the state; any other register
-state gets one butterfly pass per qubit.  Controlled modular multiplication
-is applied as the basis permutation it semantically is (values >= the
-modulus are fixed points, which keeps the map a bijection and hence
-unitary): a gather through an inverse-multiplier table that is built once
-per (widths, multiplier, modulus), cached and shared read-only.  The
+superposition over the fibers whose |0..0> amplitude is non-zero; any
+other register state gets one butterfly pass per qubit.  Controlled modular
+multiplication is applied as the basis permutation it semantically is
+(values >= the modulus are fixed points, which keeps the map a bijection and
+hence unitary): a gather through an inverse-multiplier table that is built
+once per (widths, multiplier, modulus), cached and shared read-only.  The
 Fourier transforms are applied as orthonormal FFTs along the register axis.
 Gate-level decompositions are out of scope here -- circuit-cost questions
 are answered analytically by the resources module.
+
+Measuring is sampling plus projection: ``sample_register`` draws an outcome
+and leaves the state alone, ``measure_register`` also collapses it.
 
 Determinism: every random choice is drawn from the caller's
 ``numpy.random.Generator`` via inverse-CDF sampling, so a fixed generator
@@ -43,6 +54,11 @@ NORM_GUARD = 1e-8  # measurement-time probability drift that trips an error
 # most three (node A, node B, single node); the bound keeps a long sweep over
 # many (N, a) from holding every table it ever built.
 _TABLE_CACHE_SIZE = 8
+
+# Amplitudes per block when live fibers are transformed (256 KiB of
+# complex128): small beside a state, large enough that the per-call overhead
+# of the FFT stays out of sight.
+_FIBER_BLOCK = 1 << 14
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -146,6 +162,37 @@ def _reg_axis(state: StateVector, reg: str) -> np.ndarray:
     return state.amps.reshape(1 << off, 1 << w, 1 << post)
 
 
+def _sparse_fibers(live: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(before, after) indices of the live fibers, from a (before, after) mask.
+
+    None when more than half the fibers are live: the dense kernel then does
+    little extra work and needs no gathered copy of the fibers.
+    """
+    if 2 * np.count_nonzero(live) > live.size:
+        return None
+    return np.nonzero(live)
+
+
+def _transform_fibers(state: StateVector, reg: str, fft) -> StateVector:
+    """Orthonormal ``fft`` along the register axis, over the live fibers only.
+
+    The live fibers are gathered and transformed a block of about
+    _FIBER_BLOCK amplitudes at a time: gathered all at once, the copy and its
+    transform would sit beside the full-size input and output, and the
+    transform would need more memory than the dense one.
+    """
+    a = _reg_axis(state, reg)
+    fibers = _sparse_fibers(a.any(axis=1))
+    if fibers is None:
+        return StateVector(state.layout, fft(a, axis=1, norm="ortho").reshape(-1))
+    out = np.zeros(a.shape, a.dtype)
+    step = max(1, _FIBER_BLOCK // a.shape[1])
+    for start in range(0, fibers[0].size, step):
+        before, after = (f[start : start + step] for f in fibers)
+        out[before, :, after] = fft(a[before, :, after], axis=1, norm="ortho")
+    return StateVector(state.layout, out.reshape(-1))
+
+
 def _apply_1q(amps: np.ndarray, n: int, pos: int, u: np.ndarray) -> np.ndarray:
     post = 1 << (n - pos - 1)
     a = amps.reshape(-1, 2, post)
@@ -180,14 +227,23 @@ def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
     When the register holds |0..0> on every branch -- every amplitude with a
     non-zero register value is exactly 0, as for a freshly prepared control
     register -- the result is written directly: each branch's |0..0>
-    amplitude times 2^(-w/2) in all 2^w register slots.  Any other state goes
+    amplitude times 2^(-w/2) in all 2^w register slots, and only the fibers
+    whose |0..0> amplitude is non-zero are written.  Any other state goes
     through the per-qubit butterfly passes.
     """
     a = _reg_axis(state, reg)
     w = state.layout.width(reg)
     if not a[:, 1:, :].any():
-        out = np.empty_like(a)
-        out[...] = a[:, :1, :] * (1 / math.sqrt(1 << w))
+        scale = 1 / math.sqrt(1 << w)
+        zero = a[:, 0, :]
+        fibers = _sparse_fibers(zero != 0)
+        if fibers is None:
+            out = np.empty(a.shape, a.dtype)
+            out[...] = zero[:, None, :] * scale
+        else:
+            before, after = fibers
+            out = np.zeros(a.shape, a.dtype)
+            out[before, :, after] = (zero[before, after] * scale)[:, None]
         return StateVector(state.layout, out.reshape(-1))
     off = state.layout.offset(reg)
     amps = state.amps
@@ -198,14 +254,12 @@ def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
 
 def apply_qft(state: StateVector, reg: str) -> StateVector:
     """Fourier transform on the register: |j> -> 2^(-t/2) sum_k e^{2 pi i jk/2^t} |k>."""
-    a = _reg_axis(state, reg)
-    return StateVector(state.layout, np.fft.ifft(a, axis=1, norm="ortho").reshape(-1))
+    return _transform_fibers(state, reg, np.fft.ifft)
 
 
 def apply_inverse_qft(state: StateVector, reg: str) -> StateVector:
     """Adjoint of apply_qft; maps 2^(-t/2) sum_k e^{2 pi i jk/2^t} |k> back to |j>."""
-    a = _reg_axis(state, reg)
-    return StateVector(state.layout, np.fft.fft(a, axis=1, norm="ortho").reshape(-1))
+    return _transform_fibers(state, reg, np.fft.fft)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -251,6 +305,25 @@ def _modmul_gather_index(
     return index
 
 
+def _modmul_image_rows(
+    block: np.ndarray, index: np.ndarray, w_ctrl: int, w_tgt: int, modulus: int
+) -> np.ndarray | None:
+    """Target values the permutation can move amplitude onto, target-first block.
+
+    Row y of the output is live when some control value j maps a live input
+    row onto it: inv[j, y] = index[y, j] >> w_ctrl is live.  The live rows
+    need not be closed under the multiplier, so the image is taken over every
+    distinct power, and those all occur among the first ``modulus`` control
+    values (the powers of the multiplier repeat with a period below the
+    modulus).  None when more than half the target rows are in the image.
+    """
+    n_tgt, n_ctrl = 1 << w_tgt, 1 << w_ctrl
+    live = block.reshape(-1, n_tgt, n_ctrl, block.shape[2]).any(axis=(0, 2, 3))
+    preimage = index.reshape(n_tgt, n_ctrl)[:, :modulus] >> w_ctrl
+    rows = np.flatnonzero(live[preimage].any(axis=1))
+    return None if 2 * rows.size > n_tgt else rows
+
+
 def apply_controlled_modmul(
     state: StateVector, control: str, target: str, multiplier: int, modulus: int
 ) -> StateVector:
@@ -262,6 +335,9 @@ def apply_controlled_modmul(
 
     Adjacent registers are permuted with one flat gather through a cached
     index; registers with others between them gather along the target axis.
+    With the target register right before the control register, only the
+    target rows that some control value maps a live input row onto are
+    gathered; the other rows are exact zeros.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -282,6 +358,13 @@ def apply_controlled_modmul(
     if mid == 0:
         index = _modmul_gather_index(w_ctrl, w_tgt, multiplier, modulus, oc < ot)
         block = state.amps.reshape(pre, index.size, post)
+        if oc > ot:
+            rows = _modmul_image_rows(block, index, w_ctrl, w_tgt, modulus)
+            if rows is not None:
+                out = np.zeros((pre, 1 << w_tgt, 1 << w_ctrl, post), block.dtype)
+                src = index.reshape(1 << w_tgt, 1 << w_ctrl)[rows].reshape(-1)
+                out[:, rows] = np.take(block, src, axis=1).reshape(pre, rows.size, -1, post)
+                return StateVector(state.layout, out.reshape(-1))
         return StateVector(state.layout, np.take(block, index, axis=1).reshape(-1))
     inv = _modmul_inverse_table(w_ctrl, w_tgt, multiplier, modulus)
     shape = (pre, 1 << w_first, 1 << mid, 1 << w_last, post)
@@ -295,9 +378,21 @@ def apply_controlled_modmul(
 
 
 def register_probabilities(state: StateVector, reg: str) -> np.ndarray:
-    """Exact Born-rule marginal over the register, as a length-2^w float array."""
+    """Exact Born-rule marginal over the register, as a length-2^w float array.
+
+    When the register is the last one, the sum over fibers runs in fiber
+    order, so only the live fibers are summed: leaving out exact zeros changes
+    no bit.  Elsewhere numpy sums the trailing axis pairwise, grouping terms
+    by position, and the dense sum is kept.
+    """
     a = _reg_axis(state, reg)
-    return np.sum(np.abs(a) ** 2, axis=(0, 2))
+    if a.shape[2] > 1:
+        return np.sum(np.abs(a) ** 2, axis=(0, 2))
+    rows = a[:, :, 0]
+    fibers = _sparse_fibers(rows.any(axis=1))
+    if fibers is not None:
+        rows = rows[fibers[0]]
+    return np.sum(np.abs(rows) ** 2, axis=0)
 
 
 def marginal_probabilities(state: StateVector, regs: Sequence[str]) -> np.ndarray:
@@ -338,18 +433,17 @@ def project_register(
     p = float(np.sum(np.abs(a[:, value, :]) ** 2))
     if p == 0.0:
         return 0.0, None
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape, a.dtype)
     out[:, value, :] = a[:, value, :] / math.sqrt(p)
     return p, StateVector(state.layout, out.reshape(-1))
 
 
-def measure_register(
-    state: StateVector, reg: str, rng: np.random.Generator
-) -> tuple[BitString, StateVector]:
-    """Sample a register outcome (Born rule) and collapse the state.
+def sample_register(state: StateVector, reg: str, rng: np.random.Generator) -> BitString:
+    """Sample a register outcome (Born rule), leaving the state as it is.
 
-    Sampling is inverse-CDF over outcomes in increasing value, so the result
-    is a deterministic function of the generator state.
+    Sampling is inverse-CDF over outcomes in increasing value from one
+    ``rng.random()`` draw, so the result is a deterministic function of the
+    generator state.
     """
     w = state.layout.width(reg)
     probs = register_probabilities(state, reg)
@@ -358,10 +452,17 @@ def measure_register(
         raise RuntimeError(f"state norm drifted: probabilities sum to {total}")
     cdf = np.cumsum(probs)
     k = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-    k = min(k, (1 << w) - 1)
-    _, collapsed = project_register(state, reg, k)
+    return BitString(w, min(k, (1 << w) - 1))
+
+
+def measure_register(
+    state: StateVector, reg: str, rng: np.random.Generator
+) -> tuple[BitString, StateVector]:
+    """Sample a register outcome (as ``sample_register``) and collapse the state."""
+    m = sample_register(state, reg, rng)
+    _, collapsed = project_register(state, reg, m.value)
     assert collapsed is not None
-    return BitString(w, k), collapsed
+    return m, collapsed
 
 
 def measure_qubit(
@@ -376,7 +477,7 @@ def measure_qubit(
     if abs(p0 + p1 - 1.0) > NORM_GUARD:
         raise RuntimeError(f"state norm drifted: probabilities sum to {p0 + p1}")
     bit = 0 if rng.random() * (p0 + p1) < p0 else 1
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape, a.dtype)
     out[:, bit, :] = a[:, bit, :] / math.sqrt(p1 if bit else p0)
     return bit, StateVector(state.layout, out.reshape(-1))
 
@@ -439,15 +540,16 @@ def append_register(
     """
     layout = state.layout.appended(name, width)  # raises CapacityError when too big
     if amplitudes is None:
-        reg_amps = np.zeros(1 << width, dtype=complex)
         if not 0 <= value < (1 << width):
             raise ValueError(f"value {value} out of range for width {width}")
-        reg_amps[value] = 1.0
+        out = np.zeros((state.amps.size, 1 << width), dtype=complex)
+        out[:, value] = state.amps
     else:
         reg_amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if reg_amps.shape != (1 << width,):
             raise ValueError(f"expected {1 << width} amplitudes for register {name!r}")
-    return StateVector(layout, np.kron(state.amps, reg_amps))
+        out = np.multiply.outer(state.amps, reg_amps)
+    return StateVector(layout, out.reshape(-1))
 
 
 def remove_register(state: StateVector, reg: str) -> StateVector:

@@ -74,6 +74,30 @@ class TestOrder:
             "4d4959b5d15b973601b797c22009870f07a69f329fea98e4b123917306dfd4ab"
         )
 
+    @pytest.mark.parametrize(
+        "engine, digest",
+        [
+            ("distributed", "fb0b285a2466b490e17d5042649f69f5e73de71a4e9a4deea7fe80447efd213b"),
+            ("monolithic", "14484efb5e6fc2f27a13d70f24e7a39eaf5c12989b7a51ace92c114c4a3a69ec"),
+        ],
+    )
+    def test_seeded_n33_output_is_pinned(self, capsys, engine, digest):
+        # N=33 leaves 54 of node B's 64 work rows empty, so this run goes
+        # through the live-fiber kernels.
+        _, out, _ = run_cli(
+            capsys,
+            "order", "--N", "33", "--a", "2", "--shots", "20", "--seed", "11",
+            "--engine", engine,
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_unwritable_output_rejected(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "records.jsonl"
+        code, out, err = run_cli(
+            capsys, "order", "--N", "15", "--a", "7", "--shots", "2", "--output", str(path)
+        )
+        assert code == 2 and out == "" and "output" in err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, capsys, workers):
         code, out, err = run_cli(
@@ -161,6 +185,10 @@ class TestFactor:
             assert code == 2, bad
             assert err
 
+    def test_max_attempts_below_one_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "--N", "15", "--max-attempts", "0")
+        assert code == 2 and out == "" and "max-attempts" in err
+
 
 class TestResources:
     def test_table_output(self, capsys):
@@ -190,3 +218,7 @@ class TestResources:
     def test_odd_L_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "resources", "--L", "5")
         assert code == 2
+
+    def test_negative_b_constant_rejected_before_sweep_output(self, capsys):
+        code, out, err = run_cli(capsys, "resources", "--sweep-L", "2:6:2", "--b-constant", "-1")
+        assert code == 2 and out == "" and "b-constant" in err

@@ -23,6 +23,7 @@ from disq.statevec import (
     project_register,
     register_probabilities,
     remove_register,
+    sample_register,
 )
 
 ALGEBRA_TOL = 1e-10
@@ -446,3 +447,143 @@ class TestStructuralOps:
         st = init_basis(RegisterLayout.of(("a", statevec.MAX_QUBITS - 1)))
         with pytest.raises(CapacityError):
             statevec.append_register(st, "b", 2)
+
+
+def sparse_state(
+    regs: list[tuple[str, int]], reg: str, live: int, seed: int
+) -> StateVector:
+    """Random state in which only ``live`` fibers of ``reg`` hold amplitude.
+
+    The dead fibers hold a mix of +0.0 and -0.0, and so do some live entries.
+    """
+    layout = RegisterLayout.of(*regs)
+    rng = np.random.default_rng(seed)
+    a = random_state(layout, rng).amps.reshape(
+        1 << layout.offset(reg), 1 << layout.width(reg), -1
+    )
+    fibers = [(b, c) for b in range(a.shape[0]) for c in range(a.shape[2])]
+    keep = set(rng.permutation(len(fibers))[:live].tolist())
+    for i, (b, c) in enumerate(fibers):
+        if i not in keep:
+            a[b, :, c] = np.where(rng.random(a.shape[1]) < 0.5, -0.0, 0.0)
+    a = a / np.linalg.norm(a)
+    a.real[np.abs(a.real) < 0.05] = -0.0
+    return StateVector.from_amplitudes(layout, a / np.linalg.norm(a))
+
+
+LIVE_LAYOUTS = [
+    [("r", 5), ("a", 3), ("b", 2)],  # register first
+    [("a", 3), ("r", 5), ("b", 2)],  # register in the middle
+    [("a", 3), ("b", 2), ("r", 5)],  # register last
+]
+
+
+class TestLiveFibers:
+    """Each live-fiber kernel gives bitwise the dense computation."""
+
+    @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
+    @pytest.mark.parametrize("live", [1, 5, 20])
+    @pytest.mark.parametrize(
+        "op, fft", [(apply_qft, np.fft.ifft), (apply_inverse_qft, np.fft.fft)]
+    )
+    @pytest.mark.parametrize("block", [statevec._FIBER_BLOCK, 64])  # 64: 2 fibers a block
+    def test_transforms_match_dense_fft(self, regs, live, op, fft, block, monkeypatch):
+        monkeypatch.setattr(statevec, "_FIBER_BLOCK", block)
+        st = sparse_state(regs, "r", live, seed=live)
+        dense = fft(statevec._reg_axis(st, "r"), axis=1, norm="ortho").reshape(-1)
+        assert np.array_equal(op(st, "r").amps, dense)
+
+    @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
+    @pytest.mark.parametrize("live", [1, 5, 20])
+    def test_probabilities_match_dense_sum(self, regs, live):
+        st = sparse_state(regs, "r", live, seed=100 + live)
+        dense = np.sum(np.abs(statevec._reg_axis(st, "r")) ** 2, axis=(0, 2))
+        assert np.array_equal(register_probabilities(st, "r"), dense)
+
+    def test_negative_zero_entries(self):
+        # Every fiber but one holds only -0.0: it counts as dead.
+        layout = RegisterLayout.of(("a", 3), ("r", 4))
+        a = np.full((8, 16), -0.0, dtype=complex)
+        a[5] = random_state(RegisterLayout.of(("r", 4)), np.random.default_rng(3)).amps
+        a[5, ::3] = complex(-0.0, -0.0)
+        st = StateVector.from_amplitudes(layout, a / np.linalg.norm(a))
+        view = statevec._reg_axis(st, "r")
+        assert statevec._sparse_fibers(view.any(axis=1)) is not None
+        assert np.array_equal(
+            apply_inverse_qft(st, "r").amps,
+            np.fft.fft(view, axis=1, norm="ortho").reshape(-1),
+        )
+        assert np.array_equal(
+            register_probabilities(st, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
+        )
+
+    @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
+    def test_mostly_live_takes_dense_path(self, regs):
+        st = sparse_state(regs, "r", 25, seed=9)  # 25 of 32 fibers
+        view = statevec._reg_axis(st, "r")
+        assert statevec._sparse_fibers(view.any(axis=1)) is None
+        assert np.array_equal(
+            apply_qft(st, "r").amps, np.fft.ifft(view, axis=1, norm="ortho").reshape(-1)
+        )
+        assert np.array_equal(
+            register_probabilities(st, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
+        )
+
+    @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
+    def test_hadamard_fill_matches_dense_fill(self, regs):
+        st = sparse_state(regs, "r", 4, seed=12)
+        a = statevec._reg_axis(st, "r").copy()
+        a[:, 1:, :] = 0
+        st = StateVector(st.layout, a.reshape(-1))
+        dense = np.broadcast_to(a[:, :1, :] * (1 / math.sqrt(32)), a.shape).reshape(-1)
+        assert np.array_equal(apply_hadamard_register(st, "r").amps, dense)
+
+    @pytest.mark.parametrize("live_rows", [[1, 2], [1, 3, 9], [14, 5]])
+    def test_modmul_image_of_rows_not_closed_under_multiplier(self, live_rows):
+        # Target right before control.  3 has order 3 mod 13, so {1, 2} maps
+        # onto {1, 3, 9, 2, 6, 5}: an image larger than the live rows.
+        regs = [("x", 1), ("work", 4), ("ctrl", 3), ("y", 1)]
+        layout = RegisterLayout.of(*regs)
+        src = random_state(layout, np.random.default_rng(len(live_rows))).amps
+        src = src.reshape(2, 16, 8, 2).copy()
+        dead = [v for v in range(16) if v not in live_rows]
+        src[:, dead] = 0
+        st = StateVector.from_amplitudes(layout, src.reshape(-1) / np.linalg.norm(src))
+        src = st.amps.reshape(2, 16, 8, 2)
+        index = statevec._modmul_gather_index(3, 4, 3, 13, False)
+        assert statevec._modmul_image_rows(
+            src.reshape(2, -1, 2), index, 3, 4, 13
+        ) is not None
+        expected = np.zeros_like(src)
+        for idx in np.ndindex(*src.shape):
+            out = list(idx)
+            if idx[1] < 13:
+                out[1] = pow(3, idx[2], 13) * idx[1] % 13
+            expected[tuple(out)] = src[idx]
+        dense = np.take(src.reshape(2, -1, 2), index, axis=1).reshape(-1)
+        got = apply_controlled_modmul(st, "ctrl", "work", 3, 13).amps
+        assert np.array_equal(got, dense)
+        assert np.array_equal(got, expected.reshape(-1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sample_register_matches_measure_register(self, seed):
+        st = random_state(RegisterLayout.of(("a", 3), ("r", 4)), np.random.default_rng(seed))
+        rng_sample, rng_measure = np.random.default_rng(seed), np.random.default_rng(seed)
+        m = sample_register(st, "r", rng_sample)
+        assert m == measure_register(st, "r", rng_measure)[0]
+        assert rng_sample.bit_generator.state == rng_measure.bit_generator.state
+
+    @pytest.mark.parametrize("value", [0, 5, 7])
+    def test_append_basis_register_matches_kron(self, value):
+        st = sparse_state([("a", 2), ("b", 3)], "b", 2, seed=value)
+        basis = np.zeros(8, dtype=complex)
+        basis[value] = 1.0
+        got = statevec.append_register(st, "c", 3, value=value)
+        assert got.layout.names == ("a", "b", "c")
+        assert np.array_equal(got.amps, np.kron(st.amps, basis))
+
+    def test_append_amplitudes_register_matches_kron(self):
+        st = random_state(RegisterLayout.of(("a", 2), ("b", 3)), np.random.default_rng(6))
+        reg = random_state(RegisterLayout.of(("c", 2)), np.random.default_rng(7)).amps
+        got = statevec.append_register(st, "c", 2, amplitudes=reg)
+        assert np.array_equal(got.amps, np.kron(st.amps, reg))
