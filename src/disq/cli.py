@@ -131,10 +131,13 @@ def cmd_order(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise UsageError(f"workers must be >= 1, got {args.workers}")
     a = args.a
+    if a is not None and (not 1 <= a < args.N or math.gcd(a, args.N) != 1):
+        raise UsageError(f"need 1 <= a < N with gcd(a, N) = 1, got a={a}, N={args.N}")
+    # Register widths do not depend on the base, so base 1 stands in for it
+    # and an oversized run is refused before a base is drawn.
+    protocol.check_capacity(ProtocolParams.derive(args.N, 1, epsilon), args.engine, args.mode)
     if a is None:
         a = _pick_base(args.N, np.random.default_rng(seed))
-    if not 1 <= a < args.N or math.gcd(a, args.N) != 1:
-        raise UsageError(f"need 1 <= a < N with gcd(a, N) = 1, got a={a}, N={args.N}")
     params = ProtocolParams.derive(args.N, a, epsilon)
     out, close = _open_output(args.output)
     try:

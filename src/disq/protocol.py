@@ -83,12 +83,29 @@ class ProtocolParams:
         epsilon = Fraction(epsilon)
         if not 0 < epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        L = (N - 1).bit_length()
-        rounded = bool(L % 2)
-        L += L % 2
         eps_node = epsilon / 2  # each node may miss; half the budget per node
         p = ceil_log2(2 + Fraction(1, 2 * eps_node))
         p_mono = ceil_log2(2 + Fraction(1, 2 * epsilon))
+        return cls._sized(N, a, epsilon, p, p_mono)
+
+    @classmethod
+    def with_padding(cls, N: int, a: int, p: int) -> "ProtocolParams":
+        """Params with an explicit padding p instead of an epsilon budget.
+
+        Meant for size-controlled equivalence oracles (p below 2 is not
+        reachable from any epsilon); such params carry no failure budget.
+        """
+        _validate_modulus_and_base(N, a)
+        return cls._sized(N, a, None, p, p)
+
+    @classmethod
+    def _sized(
+        cls, N: int, a: int, epsilon: Fraction | None, p: int, p_mono: int
+    ) -> "ProtocolParams":
+        """The register widths for modulus N at paddings p and p_mono."""
+        L = (N - 1).bit_length()
+        rounded = bool(L % 2)
+        L += L % 2
         return cls(
             N=N,
             a=a,
@@ -103,30 +120,18 @@ class ProtocolParams:
             l_was_rounded=rounded,
         )
 
-    @classmethod
-    def with_padding(cls, N: int, a: int, p: int) -> "ProtocolParams":
-        """Params with an explicit padding p instead of an epsilon budget.
+    def peak_qubits(self, engine: str, mode: str = MODE_SEQUENTIAL) -> int:
+        """Qubits in the widest state a run of this engine and mode holds.
 
-        Meant for size-controlled equivalence oracles (p below 2 is not
-        reachable from any epsilon); such params carry no failure budget.
+        The sequential two-node run holds one node's control register and
+        the work register at a time; the joint oracle holds both control
+        registers at once.
         """
-        _validate_modulus_and_base(N, a)
-        L = (N - 1).bit_length()
-        rounded = bool(L % 2)
-        L += L % 2
-        return cls(
-            N=N,
-            a=a,
-            epsilon=None,
-            L=L,
-            p=p,
-            t1=L // 2 + 1 + p,
-            t2=3 * L // 2 + 2 + p,
-            m_width=2 * L + 1 + p,
-            p_mono=p,
-            t_mono=2 * L + 1 + p,
-            l_was_rounded=rounded,
-        )
+        if engine == ENGINE_MONOLITHIC:
+            return self.t_mono + self.L
+        if mode == MODE_JOINT:
+            return self.t1 + self.t2 + self.L
+        return max(self.t1, self.t2) + self.L
 
     @property
     def error_bound(self) -> Fraction:
@@ -218,7 +223,9 @@ def correct_results(
     return None
 
 
-def _check_capacity(qubits: int) -> None:
+def check_capacity(params: ProtocolParams, engine: str, mode: str = MODE_SEQUENTIAL) -> None:
+    """Raise CapacityError when the run would hold more than MAX_QUBITS qubits."""
+    qubits = params.peak_qubits(engine, mode)
     if qubits > statevec.MAX_QUBITS:
         raise statevec.CapacityError(
             f"run needs {qubits} simultaneous qubits, guard is {statevec.MAX_QUBITS}"
@@ -229,7 +236,7 @@ def run_monolithic_order_finding(
     params: ProtocolParams, rng: np.random.Generator
 ) -> OutcomeRecord:
     """Single-node order finding: one t_mono-bit phase estimate, then recovery."""
-    _check_capacity(params.t_mono + params.L)
+    check_capacity(params, ENGINE_MONOLITHIC)
     st = _first_estimate(params, _CTRL, params.t_mono)
     m = statevec.sample_register(st, _CTRL, rng)
     return OutcomeRecord(
@@ -241,7 +248,7 @@ def run_monolithic_order_finding(
 
 def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
     """Exact outcome distribution of the single-node control register."""
-    _check_capacity(params.t_mono + params.L)
+    check_capacity(params, ENGINE_MONOLITHIC)
     st = _first_estimate(params, _CTRL, params.t_mono)
     return statevec.register_probabilities(st, _CTRL)
 
@@ -303,7 +310,7 @@ def run_distributed_order_finding(
     path is checked against; its records carry no channel accounting.
     """
     if mode == MODE_JOINT:
-        _check_capacity(params.t1 + params.t2 + params.L)
+        check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
         st = _first_estimate(params, _CTRL_A, params.t1, (_CTRL_B, params.t2))
         st = _b_stage(st, params)
         m1, st = statevec.measure_register(st, _CTRL_A, rng)
@@ -313,7 +320,7 @@ def run_distributed_order_finding(
 
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
-    _check_capacity(max(params.t1, params.t2) + params.L)
+    check_capacity(params, ENGINE_DISTRIBUTED)
 
     # Node A.
     st = _a_stage(params)
@@ -325,9 +332,9 @@ def run_distributed_order_finding(
     pool = EprPool(allocated=params.L)
     st = teleport_register(st, _WORK, channel, pool, rng, faithful=faithful_teleport)
 
-    # Node B.
-    st = statevec.append_register(st, _CTRL_B, params.t2)
-    st = _b_stage(st, params)
+    # Node B.  Its widened state goes straight into _b_stage, which drops it
+    # once the Hadamard layer has read it.
+    st = _b_stage(statevec.append_register(st, _CTRL_B, params.t2), params)
     m2 = statevec.sample_register(st, _CTRL_B, rng)
 
     record = OutcomeRecord(
@@ -351,14 +358,14 @@ def distributed_joint_distribution(
     suffices.
     """
     if mode == MODE_JOINT:
-        _check_capacity(params.t1 + params.t2 + params.L)
+        check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
         st = _first_estimate(params, _CTRL_A, params.t1, (_CTRL_B, params.t2))
         st = _b_stage(st, params)
         return statevec.marginal_probabilities(st, [_CTRL_A, _CTRL_B])
 
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
-    _check_capacity(max(params.t1, params.t2) + params.L)
+    check_capacity(params, ENGINE_DISTRIBUTED)
     after_a = _a_stage(params)
     joint = np.zeros((1 << params.t1, 1 << params.t2))
     branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial
@@ -370,8 +377,7 @@ def distributed_joint_distribution(
         st = teleport_register(
             st, _WORK, ClassicalChannel(), EprPool(params.L), branch_rng
         )
-        st = statevec.append_register(st, _CTRL_B, params.t2)
-        st = _b_stage(st, params)
+        st = _b_stage(statevec.append_register(st, _CTRL_B, params.t2), params)
         joint[m1_val, :] = p1 * statevec.register_probabilities(st, _CTRL_B)
     return joint
 

@@ -1,18 +1,28 @@
-"""Dense state-vector simulation over named qubit registers.
+"""State-vector simulation over named qubit registers.
 
-A state is a flat array of 2^n complex amplitudes.  Registers occupy
-contiguous global qubit positions in layout order, most significant first,
-so a measured register reads as the same integer the protocol notation
-assigns to it: with layout [("a", 2), ("c", 2)], global basis index
-0b0111 means register a holds 1 and register c holds 3.
+Registers occupy contiguous global qubit positions in layout order, most
+significant first, so a measured register reads as the same integer the
+protocol notation assigns to it: with layout [("a", 2), ("c", 2)], global
+basis index 0b0111 means register a holds 1 and register c holds 3.
 
-Viewed as (before, register, after), a state splits into *fibers*: the 2^w
-register amplitudes at one (before, after) index.  Order finding leaves
-most fibers exactly zero -- the work register only ever holds the r powers
-of the base -- so the register kernels find the live fibers with one read,
-work on those alone and write exact zeros elsewhere; when more than half
-the fibers are live they run dense.  Either way the result is bitwise the
-dense one (up to the sign of zeros).
+A state is stored by the rows of its *leading* (first) register: the values
+of that register that can hold amplitude, in increasing order, and for each
+such row the 2^(n - w0) amplitudes of the other registers.  A dense state
+stores every row.  Order finding's second node starts from the teleported
+work register, which only ever holds the r powers of the base (10 of 64
+values for N=33 a=2), so ``append_register`` stores just those rows.
+Kernels on any other register keep the row set and work on the stored rows
+alone; a controlled modular multiplication that targets the leading
+register maps the row set onto its image; every other operation on the
+leading register works on the dense vector.  ``StateVector.amps`` is always
+the full 2^n vector, built on each read for a state that stores fewer rows.
+
+Viewed as (before, register, after), the stored amplitudes split into
+*fibers*: the 2^w register amplitudes at one (before, after) index.  The
+Fourier transforms find the live fibers with one read, transform those
+alone and write exact zeros elsewhere; when more than half the fibers are
+live they run dense.  Either way, and whichever rows are stored, the result
+is bitwise the dense one (up to the sign of zeros).
 
 A Hadamard layer on a register that holds |0..0> on every branch (a fresh
 phase-estimation control register) is written directly as the uniform
@@ -20,11 +30,11 @@ superposition over the fibers whose |0..0> amplitude is non-zero; any
 other register state gets one butterfly pass per qubit.  Controlled modular
 multiplication is applied as the basis permutation it semantically is
 (values >= the modulus are fixed points, which keeps the map a bijection and
-hence unitary): a gather through an inverse-multiplier table that is built
-once per (widths, multiplier, modulus), cached and shared read-only.  The
-Fourier transforms are applied as orthonormal FFTs along the register axis.
-Gate-level decompositions are out of scope here -- circuit-cost questions
-are answered analytically by the resources module.
+hence unitary): a gather through tables built once per (widths, multiplier,
+modulus), cached and shared read-only.  The Fourier transforms are applied
+as orthonormal FFTs along the register axis.  Gate-level decompositions are
+out of scope here -- circuit-cost questions are answered analytically by the
+resources module.
 
 Measuring is sampling plus projection: ``sample_register`` draws an outcome
 and leaves the state alone, ``measure_register`` also collapses it.
@@ -122,10 +132,31 @@ class RegisterLayout:
 
 @dataclass
 class StateVector:
-    """A register layout plus its 2^n complex amplitudes (always unit norm)."""
+    """A register layout plus its complex amplitudes (always unit norm).
+
+    ``block`` holds, row after row, the 2^(n - w0) amplitudes of each stored
+    value of the leading register; ``rows`` lists those values in increasing
+    order, or is None when every row is stored (then ``block`` is the dense
+    2^n vector).  Leading-register values outside ``rows`` have amplitude 0.
+    """
 
     layout: RegisterLayout
-    amps: np.ndarray
+    block: np.ndarray
+    rows: np.ndarray | None = None
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The full 2^n amplitude vector (a fresh array when rows are left out)."""
+        if self.rows is None:
+            return self.block
+        w0 = self.layout.registers[0][1]
+        out = np.zeros((1 << w0, 1 << (self.n - w0)), self.block.dtype)
+        out[self.rows] = self.block.reshape(self.rows.size, -1)
+        return out.reshape(-1)
+
+    @amps.setter
+    def amps(self, amps: np.ndarray) -> None:
+        self.block, self.rows = amps, None
 
     @classmethod
     def from_amplitudes(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
@@ -143,7 +174,7 @@ class StateVector:
 
     def norm_error(self) -> float:
         """|sum of probabilities - 1|; should stay below 1e-10 at all times."""
-        return abs(float(np.vdot(self.amps, self.amps).real) - 1.0)
+        return abs(float(np.vdot(self.block, self.block).real) - 1.0)
 
 
 def _global_pos(layout: RegisterLayout, reg: str, k: int) -> int:
@@ -154,12 +185,20 @@ def _global_pos(layout: RegisterLayout, reg: str, k: int) -> int:
     return layout.offset(reg) + k - 1
 
 
-def _reg_axis(state: StateVector, reg: str) -> np.ndarray:
-    """View of the amplitudes as (before, register, after)."""
+def _reg_axis(state: StateVector, reg: str) -> tuple[np.ndarray | None, np.ndarray]:
+    """The amplitudes a kernel on ``reg`` works on, as (before, register, after).
+
+    Returns (rows, view).  Off the leading register the view covers the
+    stored rows only and ``rows`` is the state's row set, which the result
+    keeps.  On the leading register the view is of the dense vector and
+    ``rows`` is None.
+    """
     off = state.layout.offset(reg)
     w = state.layout.width(reg)
     post = state.n - off - w
-    return state.amps.reshape(1 << off, 1 << w, 1 << post)
+    if off == 0:
+        return None, state.amps.reshape(1, 1 << w, 1 << post)
+    return state.rows, state.block.reshape(-1, 1 << w, 1 << post)
 
 
 def _sparse_fibers(live: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -181,16 +220,16 @@ def _transform_fibers(state: StateVector, reg: str, fft) -> StateVector:
     transform would sit beside the full-size input and output, and the
     transform would need more memory than the dense one.
     """
-    a = _reg_axis(state, reg)
+    rows, a = _reg_axis(state, reg)
     fibers = _sparse_fibers(a.any(axis=1))
     if fibers is None:
-        return StateVector(state.layout, fft(a, axis=1, norm="ortho").reshape(-1))
+        return StateVector(state.layout, fft(a, axis=1, norm="ortho").reshape(-1), rows)
     out = np.zeros(a.shape, a.dtype)
     step = max(1, _FIBER_BLOCK // a.shape[1])
     for start in range(0, fibers[0].size, step):
         before, after = (f[start : start + step] for f in fibers)
         out[before, :, after] = fft(a[before, :, after], axis=1, norm="ortho")
-    return StateVector(state.layout, out.reshape(-1))
+    return StateVector(state.layout, out.reshape(-1), rows)
 
 
 def _apply_1q(amps: np.ndarray, n: int, pos: int, u: np.ndarray) -> np.ndarray:
@@ -231,7 +270,7 @@ def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
     whose |0..0> amplitude is non-zero are written.  Any other state goes
     through the per-qubit butterfly passes.
     """
-    a = _reg_axis(state, reg)
+    rows, a = _reg_axis(state, reg)
     w = state.layout.width(reg)
     if not a[:, 1:, :].any():
         scale = 1 / math.sqrt(1 << w)
@@ -244,12 +283,12 @@ def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
             before, after = fibers
             out = np.zeros(a.shape, a.dtype)
             out[before, :, after] = (zero[before, after] * scale)[:, None]
-        return StateVector(state.layout, out.reshape(-1))
+        return StateVector(state.layout, out.reshape(-1), rows)
     off = state.layout.offset(reg)
-    amps = state.amps
+    amps = a.reshape(-1)
     for k in range(w):
         amps = _apply_1q(amps, state.n, off + k, _H)
-    return StateVector(state.layout, amps)
+    return StateVector(state.layout, amps, rows)
 
 
 def apply_qft(state: StateVector, reg: str) -> StateVector:
@@ -263,65 +302,98 @@ def apply_inverse_qft(state: StateVector, reg: str) -> StateVector:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _inverse_powers(multiplier: int, modulus: int) -> np.ndarray:
+    """multiplier^(-j) mod modulus for j below the multiplier's order; read-only.
+
+    The powers repeat with that order, so control value j acts through entry
+    j mod len(powers).
+    """
+    minv = pow(multiplier, -1, modulus)
+    powers = [1]
+    while (nxt := powers[-1] * minv % modulus) != 1:
+        powers.append(nxt)
+    table = np.array(powers, dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _preimage_cycle(ys: np.ndarray, multiplier: int, modulus: int) -> np.ndarray:
+    """cyc[i, j] = the target value that multiplier^j maps onto ys[i].
+
+    One column per power below the multiplier's order; control value j
+    reads column j mod cyc.shape[1].  Values >= modulus are fixed points of
+    the permutation.
+    """
+    powers = _inverse_powers(multiplier, modulus)
+    return np.where((ys < modulus)[:, None], np.multiply.outer(ys, powers) % modulus, ys[:, None])
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _modmul_inverse_table(w_ctrl: int, w_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
     """inv[j, y] = preimage of target value y under multiplication by multiplier^j.
 
-    Values y >= modulus are fixed points of the permutation.  The table is
-    cached and shared between callers, so it is returned read-only.
+    The table is cached and shared between callers, so it is returned
+    read-only.
     """
-    minv = pow(multiplier, -1, modulus)
-    powers = np.empty(1 << w_ctrl, dtype=np.int64)
-    acc = 1
-    for j in range(1 << w_ctrl):
-        powers[j] = acc
-        acc = acc * minv % modulus
-    ys = np.arange(1 << w_tgt, dtype=np.int64)
-    table = np.broadcast_to(ys, (1 << w_ctrl, 1 << w_tgt)).copy()
-    in_ring = ys < modulus
-    table[:, in_ring] = powers[:, None] * ys[None, in_ring] % modulus
+    cyc = _preimage_cycle(np.arange(1 << w_tgt, dtype=np.int64), multiplier, modulus)
+    table = np.ascontiguousarray(cyc[:, np.arange(1 << w_ctrl) % cyc.shape[1]].T)
     table.flags.writeable = False
     return table
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _modmul_gather_index(
-    w_ctrl: int, w_tgt: int, multiplier: int, modulus: int, ctrl_first: bool
-) -> np.ndarray:
+def _modmul_gather_index(w_ctrl: int, w_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
     """Flat source index into an adjacent (control, target) block, in block order.
 
-    With the control register first the block is read as (j, y) and the
-    source of (j, y) is j * 2^w_tgt + inv[j, y]; with the target first it is
-    read as (y, j) and the source is inv[j, y] * 2^w_ctrl + j.  Cached and
-    read-only, like the inverse table it is built from; that table is built
-    uncached here, so only the index stays in memory.
+    The block is read as (j, y) and the source of (j, y) is
+    j * 2^w_tgt + inv[j, y].  Cached and read-only, like the inverse table it
+    is built from; that table is built uncached here, so only the index stays
+    in memory.
     """
     inv = _modmul_inverse_table.__wrapped__(w_ctrl, w_tgt, multiplier, modulus)
-    if ctrl_first:
-        index = inv + (np.arange(1 << w_ctrl, dtype=np.int64) << w_tgt)[:, None]
-    else:
-        index = (inv.T << w_ctrl) + np.arange(1 << w_ctrl, dtype=np.int64)
-    index = np.ascontiguousarray(index).reshape(-1)
+    index = (inv + (np.arange(1 << w_ctrl, dtype=np.int64) << w_tgt)[:, None]).reshape(-1)
     index.flags.writeable = False
     return index
 
 
-def _modmul_image_rows(
-    block: np.ndarray, index: np.ndarray, w_ctrl: int, w_tgt: int, modulus: int
-) -> np.ndarray | None:
-    """Target values the permutation can move amplitude onto, target-first block.
+def _modmul_target_first(
+    state: StateVector, control: str, target: str, multiplier: int, modulus: int
+) -> StateVector:
+    """``apply_controlled_modmul`` with the target register before the control.
 
-    Row y of the output is live when some control value j maps a live input
-    row onto it: inv[j, y] = index[y, j] >> w_ctrl is live.  The live rows
-    need not be closed under the multiplier, so the image is taken over every
-    distinct power, and those all occur among the first ``modulus`` control
-    values (the powers of the multiplier repeat with a period below the
-    modulus).  None when more than half the target rows are in the image.
+    Output target value y holds amplitude only where some power of the
+    multiplier maps a stored target value onto it.  As the leading register
+    the target stores the state's rows, and the result stores their image (a
+    row set not closed under the multiplier grows); anywhere else every
+    target value is stored.  Control values that act through the same power
+    are copied together, a strided slice at a time; a source value that is
+    not stored gives exact zeros.
     """
+    w_tgt, w_ctrl = state.layout.width(target), state.layout.width(control)
     n_tgt, n_ctrl = 1 << w_tgt, 1 << w_ctrl
-    live = block.reshape(-1, n_tgt, n_ctrl, block.shape[2]).any(axis=(0, 2, 3))
-    preimage = index.reshape(n_tgt, n_ctrl)[:, :modulus] >> w_ctrl
-    rows = np.flatnonzero(live[preimage].any(axis=1))
-    return None if 2 * rows.size > n_tgt else rows
+    ot, oc = state.layout.offset(target), state.layout.offset(control)
+    stored = state.rows if ot == 0 and state.rows is not None else np.arange(n_tgt)
+    k = stored.size
+    slot = np.full(n_tgt, k, dtype=np.int64)  # position among the stored values; k: not stored
+    slot[stored] = np.arange(k)
+    # src[y, c]: slot of the value that the multiplier's power c maps onto y
+    ys = np.arange(n_tgt, dtype=np.int64)
+    src = slot[_preimage_cycle(ys, multiplier, modulus)[:, :n_ctrl]]
+    image = np.flatnonzero((src < k).any(axis=1))
+    src = src[image]
+    period = src.shape[1]
+    shape = (-1, k, 1 << (oc - ot - w_tgt), n_ctrl, 1 << (state.n - oc - w_ctrl))
+    a = state.block.reshape(shape)
+    out = np.empty((a.shape[0], image.size, *a.shape[2:]), a.dtype)
+    for c in range(period):  # slot k (not stored) reads slot k - 1 and is zeroed below
+        out[:, :, :, c::period] = a[:, np.minimum(src[:, c], k - 1), :, c::period]
+    for i, c in zip(*np.nonzero(src == k)):
+        out[:, i, :, c::period] = 0
+    if ot == 0:
+        rows = None if image.size == n_tgt else image
+    else:
+        rows = state.rows
+    return StateVector(state.layout, out.reshape(-1), rows)
 
 
 def apply_controlled_modmul(
@@ -333,11 +405,11 @@ def apply_controlled_modmul(
     permutation of the basis (hence a unitary).  Requires
     gcd(multiplier, modulus) = 1, otherwise the map would not be a bijection.
 
-    Adjacent registers are permuted with one flat gather through a cached
-    index; registers with others between them gather along the target axis.
-    With the target register right before the control register, only the
-    target rows that some control value maps a live input row onto are
-    gathered; the other rows are exact zeros.
+    With the target before the control, target values are gathered a power
+    of the multiplier at a time, and a leading target register's stored rows
+    are mapped onto their image.  With the control first, adjacent registers
+    are permuted with one flat gather through a cached index, and registers
+    with others between them gather along the target axis.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -349,50 +421,31 @@ def apply_controlled_modmul(
         raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
     oc, ot = state.layout.offset(control), state.layout.offset(target)
     multiplier %= modulus
-
-    n = state.n
-    first, w_first = (oc, w_ctrl) if oc < ot else (ot, w_tgt)
-    last, w_last = (ot, w_tgt) if oc < ot else (oc, w_ctrl)
-    mid = last - (first + w_first)
-    pre, post = 1 << first, 1 << (n - last - w_last)
+    if ot < oc:
+        return _modmul_target_first(state, control, target, multiplier, modulus)
+    rows, amps = (None, state.amps) if oc == 0 else (state.rows, state.block)
+    mid = ot - (oc + w_ctrl)
+    post = 1 << (state.n - ot - w_tgt)
     if mid == 0:
-        index = _modmul_gather_index(w_ctrl, w_tgt, multiplier, modulus, oc < ot)
-        block = state.amps.reshape(pre, index.size, post)
-        if oc > ot:
-            rows = _modmul_image_rows(block, index, w_ctrl, w_tgt, modulus)
-            if rows is not None:
-                out = np.zeros((pre, 1 << w_tgt, 1 << w_ctrl, post), block.dtype)
-                src = index.reshape(1 << w_tgt, 1 << w_ctrl)[rows].reshape(-1)
-                out[:, rows] = np.take(block, src, axis=1).reshape(pre, rows.size, -1, post)
-                return StateVector(state.layout, out.reshape(-1))
-        return StateVector(state.layout, np.take(block, index, axis=1).reshape(-1))
+        index = _modmul_gather_index(w_ctrl, w_tgt, multiplier, modulus)
+        block = amps.reshape(-1, index.size, post)
+        return StateVector(state.layout, np.take(block, index, axis=1).reshape(-1), rows)
     inv = _modmul_inverse_table(w_ctrl, w_tgt, multiplier, modulus)
-    shape = (pre, 1 << w_first, 1 << mid, 1 << w_last, post)
-    if oc < ot:
-        idx = inv.reshape(1, 1 << w_ctrl, 1, 1 << w_tgt, 1)
-        out = np.take_along_axis(state.amps.reshape(shape), idx, axis=3)
-    else:
-        idx = inv.T.reshape(1, 1 << w_tgt, 1, 1 << w_ctrl, 1)
-        out = np.take_along_axis(state.amps.reshape(shape), idx, axis=1)
-    return StateVector(state.layout, out.reshape(-1))
+    idx = inv.reshape(1, 1 << w_ctrl, 1, 1 << w_tgt, 1)
+    shape = (-1, 1 << w_ctrl, 1 << mid, 1 << w_tgt, post)
+    out = np.take_along_axis(amps.reshape(shape), idx, axis=3)
+    return StateVector(state.layout, out.reshape(-1), rows)
 
 
 def register_probabilities(state: StateVector, reg: str) -> np.ndarray:
     """Exact Born-rule marginal over the register, as a length-2^w float array.
 
-    When the register is the last one, the sum over fibers runs in fiber
-    order, so only the live fibers are summed: leaving out exact zeros changes
-    no bit.  Elsewhere numpy sums the trailing axis pairwise, grouping terms
-    by position, and the dense sum is kept.
+    Off the leading register only the stored rows are summed: the rows are
+    the outermost axis, which numpy sums in order, so leaving out rows of
+    exact zeros changes no bit.
     """
-    a = _reg_axis(state, reg)
-    if a.shape[2] > 1:
-        return np.sum(np.abs(a) ** 2, axis=(0, 2))
-    rows = a[:, :, 0]
-    fibers = _sparse_fibers(rows.any(axis=1))
-    if fibers is not None:
-        rows = rows[fibers[0]]
-    return np.sum(np.abs(rows) ** 2, axis=0)
+    _, a = _reg_axis(state, reg)
+    return np.sum(np.abs(a) ** 2, axis=(0, 2))
 
 
 def marginal_probabilities(state: StateVector, regs: Sequence[str]) -> np.ndarray:
@@ -424,12 +477,14 @@ def project_register(
 ) -> tuple[float, StateVector | None]:
     """Probability of the outcome and the renormalized post-projection state.
 
-    Returns (0.0, None) when the outcome has no support.
+    Returns (0.0, None) when the outcome has no support.  Works on the dense
+    vector: numpy may sum one register value's amplitudes pairwise across
+    rows, so leaving rows out could move the probability by an ulp.
     """
     w = state.layout.width(reg)
     if not 0 <= value < (1 << w):
         raise ValueError(f"value {value} out of range for register {reg!r}")
-    a = _reg_axis(state, reg)
+    a = state.amps.reshape(1 << state.layout.offset(reg), 1 << w, -1)
     p = float(np.sum(np.abs(a[:, value, :]) ** 2))
     if p == 0.0:
         return 0.0, None
@@ -536,20 +591,30 @@ def append_register(
     """Adjoin a fresh register (least significant block) in a product state.
 
     The new register starts in the basis state ``value`` or, if given, in
-    the normalized ``amplitudes`` state.
+    the normalized ``amplitudes`` state.  The result stores only the rows of
+    the leading register that hold amplitude.
     """
     layout = state.layout.appended(name, width)  # raises CapacityError when too big
+    rows, block = state.rows, state.block
+    if rows is None and state.layout.registers:
+        lead = block.reshape(1 << state.layout.registers[0][1], -1)
+        live = np.flatnonzero(lead.any(axis=1))
+        if live.size < lead.shape[0]:
+            rows, block = live, lead[live].reshape(-1)
     if amplitudes is None:
         if not 0 <= value < (1 << width):
             raise ValueError(f"value {value} out of range for width {width}")
-        out = np.zeros((state.amps.size, 1 << width), dtype=complex)
-        out[:, value] = state.amps
+        # Zeros written, not left to calloc: untouched zero pages would fault
+        # once when the next kernel reads them and again when reused.
+        out = np.empty((block.size, 1 << width), dtype=complex)
+        out[...] = 0
+        out[:, value] = block
     else:
         reg_amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if reg_amps.shape != (1 << width,):
             raise ValueError(f"expected {1 << width} amplitudes for register {name!r}")
-        out = np.multiply.outer(state.amps, reg_amps)
-    return StateVector(layout, out.reshape(-1))
+        out = np.multiply.outer(block, reg_amps)
+    return StateVector(layout, out.reshape(-1), rows)
 
 
 def remove_register(state: StateVector, reg: str) -> StateVector:
@@ -564,9 +629,9 @@ def remove_register(state: StateVector, reg: str) -> StateVector:
         raise ValueError(
             f"register {reg!r} is not in a basis state (max outcome mass {probs[v]:.6f})"
         )
-    a = _reg_axis(state, reg)
+    rows, a = _reg_axis(state, reg)
     kept = a[:, v, :] / math.sqrt(float(probs[v]))
-    return StateVector(state.layout.removed(reg), kept.reshape(-1))
+    return StateVector(state.layout.removed(reg), kept.reshape(-1), rows)
 
 
 def phase_superposition(t: int, omega: Fraction, name: str = "phase") -> StateVector:

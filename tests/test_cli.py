@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from disq import cli
 from disq.cli import main
 
 
@@ -152,6 +153,22 @@ class TestOrder:
         code, _, err = run_cli(capsys, "order", "--N", "4097", "--shots", "1")
         assert code == 1
         assert "qubits" in err
+
+    def test_oversized_run_refused_before_base_is_drawn(self, capsys, monkeypatch):
+        # Drawing a base lists every coprime below N; past the guard that
+        # list alone would take gigabytes.
+        def no_pick(*_):
+            raise AssertionError("_pick_base called")
+
+        monkeypatch.setattr(cli, "_pick_base", no_pick)
+        code, out, err = run_cli(
+            capsys, "order", "--N", "1000000007", "--shots", "1", "--seed", "1"
+        )
+        assert code == 1 and out == "" and "qubits" in err
+
+    def test_bad_base_is_a_usage_error_before_capacity(self, capsys):
+        code, _, err = run_cli(capsys, "order", "--N", "4097", "--a", "4097", "--shots", "1")
+        assert code == 2 and "gcd" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "records.jsonl"

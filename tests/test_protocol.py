@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,9 +62,45 @@ class TestParams:
         with pytest.raises(ValueError):
             ProtocolParams.derive(15, 7, Fraction(3, 2))
 
+    @pytest.mark.parametrize("N, a", [(15, 7), (33, 2), (2, 1)])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_with_padding_matches_derived_widths(self, N, a, p):
+        got = ProtocolParams.with_padding(N, a, p)
+        L = got.L
+        assert (got.t1, got.t2, got.m_width) == (L // 2 + 1 + p, 3 * L // 2 + 2 + p, 2 * L + 1 + p)
+        assert (got.p_mono, got.t_mono, got.epsilon) == (p, 2 * got.L + 1 + p, None)
+        derived = ProtocolParams.derive(N, a, Fraction(1, 4))
+        assert (got.L, got.l_was_rounded) == (derived.L, derived.l_was_rounded)
+
+    def test_peak_qubits(self):
+        p = ProtocolParams.derive(33, 2, Fraction(1, 4))  # L=6, t1=7, t2=14, t_mono=15
+        assert p.peak_qubits(ENGINE_MONOLITHIC) == 21
+        assert p.peak_qubits(ENGINE_MONOLITHIC, MODE_JOINT) == 21
+        assert p.peak_qubits(ENGINE_DISTRIBUTED) == 20
+        assert p.peak_qubits(ENGINE_DISTRIBUTED, MODE_SEQUENTIAL) == 20
+        assert p.peak_qubits(ENGINE_DISTRIBUTED, MODE_JOINT) == 27
+        with pytest.raises(protocol.statevec.CapacityError):
+            protocol.check_capacity(p, ENGINE_DISTRIBUTED, MODE_JOINT)
+        protocol.check_capacity(p, ENGINE_DISTRIBUTED)
+
     def test_b_stage_multiplier(self):
         assert ProtocolParams.derive(15, 7).b_stage_multiplier == 4  # 7^2 mod 15
         assert ProtocolParams.derive(33, 2).b_stage_multiplier == 16  # 2^4 mod 33
+
+
+class TestNodeBMemory:
+    def test_sequential_shot_never_holds_a_dense_node_b_state(self):
+        # Node B's dense state for N=33 a=2 is 2^20 amplitudes (16 MiB); it
+        # stores only the 10 work values that hold amplitude.
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        tracemalloc.start()
+        try:
+            record = run_distributed_order_finding(params, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.m2 is not None
+        assert peak < 16 << 20
 
 
 class TestCorrectResults:

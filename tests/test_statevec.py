@@ -6,6 +6,7 @@ import pytest
 
 from disq import statevec
 from disq.bitstrings import BitString, circular_distance, fraction_bits
+from disq.teleport import ClassicalChannel, EprPool, teleport_register
 from disq.numeric import ceil_log2
 from disq.statevec import (
     CapacityError,
@@ -238,8 +239,8 @@ class TestControlledModMul:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1
-        for ctrl_first in (True, False):
-            assert not statevec._modmul_gather_index(3, 4, 7, 15, ctrl_first).flags.writeable
+        assert not statevec._modmul_gather_index(3, 4, 7, 15).flags.writeable
+        assert not statevec._inverse_powers(7, 15).flags.writeable
 
     def test_non_coprime_multiplier_rejected(self):
         layout = RegisterLayout.of(("ctrl", 2), ("work", 4))
@@ -471,6 +472,13 @@ def sparse_state(
     return StateVector.from_amplitudes(layout, a / np.linalg.norm(a))
 
 
+def compact_twin(state: StateVector) -> StateVector:
+    """The same state, storing only the leading-register rows that hold amplitude."""
+    lead = state.amps.reshape(1 << state.layout.registers[0][1], -1)
+    rows = np.flatnonzero(lead.any(axis=1))
+    return StateVector(state.layout, lead[rows].reshape(-1), rows)
+
+
 LIVE_LAYOUTS = [
     [("r", 5), ("a", 3), ("b", 2)],  # register first
     [("a", 3), ("r", 5), ("b", 2)],  # register in the middle
@@ -490,14 +498,14 @@ class TestLiveFibers:
     def test_transforms_match_dense_fft(self, regs, live, op, fft, block, monkeypatch):
         monkeypatch.setattr(statevec, "_FIBER_BLOCK", block)
         st = sparse_state(regs, "r", live, seed=live)
-        dense = fft(statevec._reg_axis(st, "r"), axis=1, norm="ortho").reshape(-1)
+        dense = fft(statevec._reg_axis(st, "r")[1], axis=1, norm="ortho").reshape(-1)
         assert np.array_equal(op(st, "r").amps, dense)
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     @pytest.mark.parametrize("live", [1, 5, 20])
     def test_probabilities_match_dense_sum(self, regs, live):
         st = sparse_state(regs, "r", live, seed=100 + live)
-        dense = np.sum(np.abs(statevec._reg_axis(st, "r")) ** 2, axis=(0, 2))
+        dense = np.sum(np.abs(statevec._reg_axis(st, "r")[1]) ** 2, axis=(0, 2))
         assert np.array_equal(register_probabilities(st, "r"), dense)
 
     def test_negative_zero_entries(self):
@@ -507,7 +515,7 @@ class TestLiveFibers:
         a[5] = random_state(RegisterLayout.of(("r", 4)), np.random.default_rng(3)).amps
         a[5, ::3] = complex(-0.0, -0.0)
         st = StateVector.from_amplitudes(layout, a / np.linalg.norm(a))
-        view = statevec._reg_axis(st, "r")
+        view = statevec._reg_axis(st, "r")[1]
         assert statevec._sparse_fibers(view.any(axis=1)) is not None
         assert np.array_equal(
             apply_inverse_qft(st, "r").amps,
@@ -520,7 +528,7 @@ class TestLiveFibers:
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     def test_mostly_live_takes_dense_path(self, regs):
         st = sparse_state(regs, "r", 25, seed=9)  # 25 of 32 fibers
-        view = statevec._reg_axis(st, "r")
+        view = statevec._reg_axis(st, "r")[1]
         assert statevec._sparse_fibers(view.any(axis=1)) is None
         assert np.array_equal(
             apply_qft(st, "r").amps, np.fft.ifft(view, axis=1, norm="ortho").reshape(-1)
@@ -532,38 +540,44 @@ class TestLiveFibers:
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     def test_hadamard_fill_matches_dense_fill(self, regs):
         st = sparse_state(regs, "r", 4, seed=12)
-        a = statevec._reg_axis(st, "r").copy()
+        a = statevec._reg_axis(st, "r")[1].copy()
         a[:, 1:, :] = 0
         st = StateVector(st.layout, a.reshape(-1))
         dense = np.broadcast_to(a[:, :1, :] * (1 / math.sqrt(32)), a.shape).reshape(-1)
         assert np.array_equal(apply_hadamard_register(st, "r").amps, dense)
 
-    @pytest.mark.parametrize("live_rows", [[1, 2], [1, 3, 9], [14, 5]])
-    def test_modmul_image_of_rows_not_closed_under_multiplier(self, live_rows):
-        # Target right before control.  3 has order 3 mod 13, so {1, 2} maps
-        # onto {1, 3, 9, 2, 6, 5}: an image larger than the live rows.
-        regs = [("x", 1), ("work", 4), ("ctrl", 3), ("y", 1)]
+    @pytest.mark.parametrize("live_rows", [[1, 2], [1, 3, 9], [14, 5], [2, 15]])
+    @pytest.mark.parametrize(
+        "regs",
+        [
+            [("work", 4), ("ctrl", 3)],  # control right after the work register
+            [("work", 4), ("x", 1), ("ctrl", 3), ("y", 1)],  # registers in between and after
+        ],
+    )
+    def test_modmul_image_of_rows_not_closed_under_multiplier(self, live_rows, regs):
+        # The work register leads and only live_rows are stored.  3 has order
+        # 3 mod 13, so {1, 2} maps onto {1, 3, 9, 2, 6, 5}: an image larger
+        # than the stored rows; 15 >= 13 is a fixed point.
         layout = RegisterLayout.of(*regs)
         src = random_state(layout, np.random.default_rng(len(live_rows))).amps
-        src = src.reshape(2, 16, 8, 2).copy()
+        src = src.reshape(16, -1)
         dead = [v for v in range(16) if v not in live_rows]
-        src[:, dead] = 0
-        st = StateVector.from_amplitudes(layout, src.reshape(-1) / np.linalg.norm(src))
-        src = st.amps.reshape(2, 16, 8, 2)
-        index = statevec._modmul_gather_index(3, 4, 3, 13, False)
-        assert statevec._modmul_image_rows(
-            src.reshape(2, -1, 2), index, 3, 4, 13
-        ) is not None
-        expected = np.zeros_like(src)
-        for idx in np.ndindex(*src.shape):
+        src[dead] = 0
+        dense = StateVector.from_amplitudes(layout, src.reshape(-1) / np.linalg.norm(src))
+        st = compact_twin(dense)
+        assert st.rows.tolist() == sorted(live_rows)
+        a = dense.amps.reshape(16, -1, 8, 2 if len(regs) > 2 else 1)
+        expected = np.zeros_like(a)
+        for idx in np.ndindex(*a.shape):
             out = list(idx)
-            if idx[1] < 13:
-                out[1] = pow(3, idx[2], 13) * idx[1] % 13
-            expected[tuple(out)] = src[idx]
-        dense = np.take(src.reshape(2, -1, 2), index, axis=1).reshape(-1)
-        got = apply_controlled_modmul(st, "ctrl", "work", 3, 13).amps
-        assert np.array_equal(got, dense)
-        assert np.array_equal(got, expected.reshape(-1))
+            if idx[0] < 13:
+                out[0] = pow(3, idx[2], 13) * idx[0] % 13
+            expected[tuple(out)] = a[idx]
+        image = {pow(3, j, 13) * v % 13 if v < 13 else v for v in live_rows for j in range(8)}
+        got = apply_controlled_modmul(st, "ctrl", "work", 3, 13)
+        assert got.rows.tolist() == sorted(image)
+        assert np.array_equal(got.amps, expected.reshape(-1))
+        assert np.array_equal(got.amps, apply_controlled_modmul(dense, "ctrl", "work", 3, 13).amps)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sample_register_matches_measure_register(self, seed):
@@ -587,3 +601,129 @@ class TestLiveFibers:
         reg = random_state(RegisterLayout.of(("c", 2)), np.random.default_rng(7)).amps
         got = statevec.append_register(st, "c", 2, amplitudes=reg)
         assert np.array_equal(got.amps, np.kron(st.amps, reg))
+
+
+COMPACT_LAYOUTS = [
+    [("w", 4), ("r", 5), ("b", 2)],  # register in the middle
+    [("w", 4), ("b", 2), ("r", 5)],  # register last
+]
+
+
+def row_sparse_state(regs, live_rows, seed: int, live_fibers: int | None = None) -> StateVector:
+    """Dense random state whose leading register "w" holds only ``live_rows``.
+
+    With ``live_fibers``, only that many fibers of register "r" within those
+    rows hold amplitude.
+    """
+    layout = RegisterLayout.of(*regs)
+    rng = np.random.default_rng(seed)
+    a = random_state(layout, rng).amps.reshape(16, -1)
+    a[[v for v in range(16) if v not in live_rows]] = 0
+    if live_fibers is not None:
+        view = statevec._reg_axis(StateVector(layout, a.reshape(-1)), "r")[1]
+        per_row = view.shape[0] // 16
+        fibers = [
+            (b, c)
+            for b in range(view.shape[0])
+            if b // per_row in live_rows
+            for c in range(view.shape[2])
+        ]
+        keep = set(rng.permutation(len(fibers))[:live_fibers].tolist())
+        for i, (b, c) in enumerate(fibers):
+            if i not in keep:
+                view[b, :, c] = 0
+    return StateVector.from_amplitudes(layout, a.reshape(-1) / np.linalg.norm(a))
+
+
+class TestCompactRows:
+    """A state that stores only some leading-register rows gives bitwise the
+    dense results, and off the leading register it keeps its row set."""
+
+    @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
+    @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15], list(range(1, 15))])
+    @pytest.mark.parametrize("live_fibers", [None, 3, 20])
+    @pytest.mark.parametrize("op", [apply_qft, apply_inverse_qft])
+    def test_transforms(self, regs, live_rows, live_fibers, op):
+        dense = row_sparse_state(regs, live_rows, seed=len(live_rows), live_fibers=live_fibers)
+        st = compact_twin(dense)
+        got = op(st, "r")
+        assert np.array_equal(got.rows, st.rows)
+        assert np.array_equal(got.amps, op(dense, "r").amps)
+
+    @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
+    @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15], list(range(1, 15))])
+    @pytest.mark.parametrize("live_fibers", [None, 3])
+    def test_probabilities_and_sample(self, regs, live_rows, live_fibers):
+        dense = row_sparse_state(regs, live_rows, seed=7, live_fibers=live_fibers)
+        st = compact_twin(dense)
+        assert np.array_equal(register_probabilities(st, "r"), register_probabilities(dense, "r"))
+        for seed in range(5):
+            rng_c, rng_d = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_register(st, "r", rng_c) == sample_register(dense, "r", rng_d)
+            assert rng_c.bit_generator.state == rng_d.bit_generator.state
+
+    @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
+    @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15]])
+    def test_hadamard_fill(self, regs, live_rows):
+        dense = row_sparse_state(regs, live_rows, seed=11, live_fibers=6)
+        a = statevec._reg_axis(dense, "r")[1].copy()
+        a[:, 1:, :] = 0
+        dense = StateVector.from_amplitudes(dense.layout, a.reshape(-1) / np.linalg.norm(a))
+        st = compact_twin(dense)
+        got = apply_hadamard_register(st, "r")
+        assert np.array_equal(got.rows, st.rows)
+        assert np.array_equal(got.amps, apply_hadamard_register(dense, "r").amps)
+
+    def test_append_stores_live_rows(self):
+        dense = row_sparse_state([("w", 4), ("b", 2)], [2, 9], seed=3)
+        got = statevec.append_register(dense, "c", 3, value=5)
+        assert got.rows.tolist() == [2, 9] and got.block.size == 2 * 4 * 8
+        basis = np.zeros(8, dtype=complex)
+        basis[5] = 1.0
+        assert np.array_equal(got.amps, np.kron(dense.amps, basis))
+        again = statevec.append_register(got, "d", 1, amplitudes=np.array([0.6, 0.8]))
+        assert again.rows.tolist() == [2, 9]
+        assert np.array_equal(again.amps, np.kron(got.amps, [0.6, 0.8]))
+
+    def test_leading_register_ops_use_dense_vector(self):
+        regs = [("w", 4), ("b", 2), ("r", 3)]
+        dense = row_sparse_state(regs, [1, 4, 7, 13], seed=5)
+        st = compact_twin(dense)
+        assert st.rows.tolist() == [1, 4, 7, 13]
+        assert np.array_equal(st.amps, dense.amps)
+        assert st.norm_error() < 1e-12
+        assert np.array_equal(register_probabilities(st, "w"), register_probabilities(dense, "w"))
+        m_c, post_c = measure_register(st, "w", np.random.default_rng(2))
+        m_d, post_d = measure_register(dense, "w", np.random.default_rng(2))
+        assert m_c == m_d and np.array_equal(post_c.amps, post_d.amps)
+        p_c, proj_c = project_register(st, "w", 7)
+        p_d, proj_d = project_register(dense, "w", 7)
+        assert p_c == p_d and np.array_equal(proj_c.amps, proj_d.amps)
+        removed = remove_register(compact_twin(proj_d), "w")
+        assert removed.rows is None
+        assert np.array_equal(removed.amps, remove_register(proj_d, "w").amps)
+
+    def test_teleport_leading_register(self):
+        dense = row_sparse_state([("w", 4), ("b", 2)], [0, 6, 11], seed=8)
+        outs = []
+        for state in (compact_twin(dense), dense):
+            channel = ClassicalChannel()
+            out = teleport_register(state, "w", channel, EprPool(4), np.random.default_rng(4))
+            outs.append((out.amps, channel.transcript))
+        assert np.array_equal(outs[0][0], outs[1][0]) and outs[0][1] == outs[1][1]
+        assert np.max(np.abs(outs[0][0] - dense.amps)) < 1e-12
+
+    def test_off_leading_remove_and_modmul_keep_rows(self):
+        regs = [("w", 4), ("c", 2), ("x", 3)]
+        dense = row_sparse_state(regs, [2, 5], seed=9)
+        a = dense.amps.reshape(16, 4, 8).copy()
+        a[:, [0, 2, 3], :] = 0  # register c holds 1 on every branch
+        dense = StateVector.from_amplitudes(dense.layout, a.reshape(-1) / np.linalg.norm(a))
+        st = compact_twin(dense)
+        mod = apply_controlled_modmul(st, "c", "x", 3, 7)
+        assert mod.rows.tolist() == [2, 5]
+        assert np.array_equal(mod.amps, apply_controlled_modmul(dense, "c", "x", 3, 7).amps)
+        removed = remove_register(mod, "c")
+        assert removed.rows.tolist() == [2, 5]
+        dense_removed = remove_register(StateVector(mod.layout, mod.amps), "c")
+        assert np.array_equal(removed.amps, dense_removed.amps)
