@@ -9,7 +9,7 @@ module accounts for the qubit/depth/communication trade-offs.
 """
 
 from .bitstrings import BitString, circular_distance, fraction_bits
-from .numeric import ceil_log2, convergents, mod_pow, multiplicative_order, recover_order
+from .numeric import ceil_log2, convergents, multiplicative_order, recover_order
 from .protocol import (
     ENGINE_DISTRIBUTED,
     ENGINE_MONOLITHIC,
@@ -85,7 +85,6 @@ __all__ = [
     "init_basis",
     "marginal_probabilities",
     "measure_register",
-    "mod_pow",
     "monolithic_exact_distribution",
     "multiplicative_order",
     "outcome_distribution",

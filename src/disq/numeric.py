@@ -1,5 +1,5 @@
-"""Integer number theory: modular arithmetic, multiplicative order, and
-continued-fraction recovery of an order from a phase measurement.
+"""Integer number theory: multiplicative order and continued-fraction
+recovery of an order from a phase measurement.
 
 Everything here is exact integer / Fraction arithmetic (Python ints do not
 overflow), pure, and safe to call from any thread.
@@ -24,15 +24,6 @@ def ceil_log2(x: Fraction | int) -> int:
         v *= 2
         k += 1
     return k
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base^exponent mod modulus by square-and-multiply (O(log exponent))."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if base < 0 or exponent < 0:
-        raise ValueError("base and exponent must be non-negative")
-    return pow(base, exponent, modulus)
 
 
 def multiplicative_order(a: int, n: int) -> int:

@@ -44,6 +44,21 @@ _WORK = "work"
 _CTRL = "ctrl"
 
 
+def paddings(epsilon: Fraction) -> tuple[int, int]:
+    """(p, p_mono): the accuracy paddings for a failure budget epsilon in (0, 1).
+
+    Each of the two nodes may miss, so each gets half the budget; the single
+    node gets all of it.
+    """
+    eps_node = epsilon / 2
+    return ceil_log2(2 + Fraction(1, 2 * eps_node)), ceil_log2(2 + Fraction(1, 2 * epsilon))
+
+
+def control_widths(L: int, p: int, p_mono: int) -> tuple[int, int, int, int]:
+    """(t1, t2, m_width, t_mono) for an even modulus bit length L at paddings p, p_mono."""
+    return L // 2 + 1 + p, 3 * L // 2 + 2 + p, 2 * L + 1 + p, 2 * L + 1 + p_mono
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Derived sizes for one order-finding run.
@@ -83,10 +98,7 @@ class ProtocolParams:
         epsilon = Fraction(epsilon)
         if not 0 < epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        eps_node = epsilon / 2  # each node may miss; half the budget per node
-        p = ceil_log2(2 + Fraction(1, 2 * eps_node))
-        p_mono = ceil_log2(2 + Fraction(1, 2 * epsilon))
-        return cls._sized(N, a, epsilon, p, p_mono)
+        return cls._sized(N, a, epsilon, *paddings(epsilon))
 
     @classmethod
     def with_padding(cls, N: int, a: int, p: int) -> "ProtocolParams":
@@ -106,17 +118,18 @@ class ProtocolParams:
         L = (N - 1).bit_length()
         rounded = bool(L % 2)
         L += L % 2
+        t1, t2, m_width, t_mono = control_widths(L, p, p_mono)
         return cls(
             N=N,
             a=a,
             epsilon=epsilon,
             L=L,
             p=p,
-            t1=L // 2 + 1 + p,
-            t2=3 * L // 2 + 2 + p,
-            m_width=2 * L + 1 + p,
+            t1=t1,
+            t2=t2,
+            m_width=m_width,
             p_mono=p_mono,
-            t_mono=2 * L + 1 + p_mono,
+            t_mono=t_mono,
             l_was_rounded=rounded,
         )
 
@@ -253,16 +266,14 @@ def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
     return statevec.register_probabilities(st, _CTRL)
 
 
-def _first_estimate(
-    params: ProtocolParams, ctrl: str, width: int, *idle: tuple[str, int]
-) -> StateVector:
-    """Phase estimation of a on a fresh state: control ``ctrl`` estimated, work = 1.
+def _first_estimate(params: ProtocolParams, ctrl: str, width: int) -> StateVector:
+    """Phase estimation of a on a fresh state: work = 1, control ``ctrl`` estimated.
 
-    The layout is the control register, any ``idle`` registers (left in
-    |0..0> for a later stage), then the work register.
+    The work register leads, so the state stores one row (work = 1) until
+    the modular multiplication maps it onto the powers of a.
     """
-    layout = RegisterLayout.of((ctrl, width), *idle, (_WORK, params.L))
-    st = statevec.init_basis(layout, {_WORK: 1})
+    st = statevec.init_basis(RegisterLayout.of((_WORK, params.L)), {_WORK: 1})
+    st = statevec.append_register(st, ctrl, width)
     st = statevec.apply_hadamard_register(st, ctrl)
     st = statevec.apply_controlled_modmul(st, ctrl, _WORK, params.a, params.N)
     return statevec.apply_inverse_qft(st, ctrl)
@@ -278,6 +289,16 @@ def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
         st, _CTRL_B, _WORK, params.b_stage_multiplier, params.N
     )
     return statevec.apply_inverse_qft(st, _CTRL_B)
+
+
+def _joint_state(params: ProtocolParams) -> StateVector:
+    """Both nodes' estimates in one state, measurements deferred.
+
+    Node A runs first; its operations never touch ctrl_b, which is still
+    |0..0>, so appending ctrl_b afterwards gives the same state.
+    """
+    st = statevec.append_register(_a_stage(params), _CTRL_B, params.t2)
+    return _b_stage(st, params)
 
 
 def _finish_distributed(
@@ -311,9 +332,7 @@ def run_distributed_order_finding(
     """
     if mode == MODE_JOINT:
         check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
-        st = _first_estimate(params, _CTRL_A, params.t1, (_CTRL_B, params.t2))
-        st = _b_stage(st, params)
-        m1, st = statevec.measure_register(st, _CTRL_A, rng)
+        m1, st = statevec.measure_register(_joint_state(params), _CTRL_A, rng)
         m2 = statevec.sample_register(st, _CTRL_B, rng)
         record = OutcomeRecord(engine=ENGINE_DISTRIBUTED, mode=mode)
         return _finish_distributed(record, m1, m2, params)
@@ -359,9 +378,7 @@ def distributed_joint_distribution(
     """
     if mode == MODE_JOINT:
         check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
-        st = _first_estimate(params, _CTRL_A, params.t1, (_CTRL_B, params.t2))
-        st = _b_stage(st, params)
-        return statevec.marginal_probabilities(st, [_CTRL_A, _CTRL_B])
+        return statevec.marginal_probabilities(_joint_state(params), [_CTRL_A, _CTRL_B])
 
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")

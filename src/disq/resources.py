@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import ceil_log2
+from .protocol import control_widths, paddings
 
 GATE_COUNT_ORDER = "O(L^3)"
 DEPTH_STAGE_ORDER = "O(L^2) per controlled-multiplier stage"
@@ -108,11 +108,10 @@ def account(L: int, epsilon: Fraction, b_constant: int = 0) -> ResourceReport:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if b_constant < 0:
         raise ValueError(f"b_constant must be >= 0, got {b_constant}")
-    p_node = ceil_log2(2 + 1 / epsilon)
-    p_mono = ceil_log2(2 + Fraction(1, 2) / epsilon)
-    qubits_mono = 3 * L + 1 + p_mono + b_constant
-    qubits_a = 5 * L // 2 + 1 + p_node + b_constant
-    qubits_b = 5 * L // 2 + 2 + p_node + b_constant
+    t1, t2, _, t_mono = control_widths(L, *paddings(epsilon))
+    qubits_mono = t_mono + L + b_constant  # control and work register
+    qubits_a = t1 + 2 * L + b_constant  # control, work register and L pair halves
+    qubits_b = t2 + L + b_constant  # control and the L pair halves that become the work register
     return ResourceReport(
         L=L,
         epsilon=epsilon,
@@ -121,8 +120,8 @@ def account(L: int, epsilon: Fraction, b_constant: int = 0) -> ResourceReport:
         qubits_node_a=qubits_a,
         qubits_node_b=qubits_b,
         qubit_savings=qubits_mono - max(qubits_a, qubits_b),
-        ctrl_len_monolithic=2 * L + 1 + p_mono,
-        ctrl_len_node_a=L // 2 + 1 + p_node,
-        ctrl_len_node_b=3 * L // 2 + 2 + p_node,
+        ctrl_len_monolithic=t_mono,
+        ctrl_len_node_a=t1,
+        ctrl_len_node_b=t2,
         classical_bits_distributed=2 * L,
     )

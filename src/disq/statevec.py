@@ -8,32 +8,25 @@ basis index 0b0111 means register a holds 1 and register c holds 3.
 A state is stored by the rows of its *leading* (first) register: the values
 of that register that can hold amplitude, in increasing order, and for each
 such row the 2^(n - w0) amplitudes of the other registers.  A dense state
-stores every row.  Order finding's second node starts from the teleported
-work register, which only ever holds the r powers of the base (10 of 64
-values for N=33 a=2), so ``append_register`` stores just those rows.
-Kernels on any other register keep the row set and work on the stored rows
-alone; a controlled modular multiplication that targets the leading
-register maps the row set onto its image; every other operation on the
-leading register works on the dense vector.  ``StateVector.amps`` is always
-the full 2^n vector, built on each read for a state that stores fewer rows.
-
-Viewed as (before, register, after), the stored amplitudes split into
-*fibers*: the 2^w register amplitudes at one (before, after) index.  The
-Fourier transforms find the live fibers with one read, transform those
-alone and write exact zeros elsewhere; when more than half the fibers are
-live they run dense.  Either way, and whichever rows are stored, the result
-is bitwise the dense one (up to the sign of zeros).
+stores every row.  Every state order finding builds is led by its work
+register, which only ever holds the r powers of the base (10 of 64 values
+for N=33 a=2), and ``append_register`` stores just those rows.  Kernels on
+any other register keep the row set and work on the stored rows alone; a
+controlled modular multiplication that targets the leading register maps
+the row set onto its image; every other operation on the leading register
+works on the dense vector.  ``StateVector.amps`` is always the full 2^n
+vector, built on each read for a state that stores fewer rows.
 
 A Hadamard layer on a register that holds |0..0> on every branch (a fresh
 phase-estimation control register) is written directly as the uniform
-superposition over the fibers whose |0..0> amplitude is non-zero; any
-other register state gets one butterfly pass per qubit.  Controlled modular
-multiplication is applied as the basis permutation it semantically is
-(values >= the modulus are fixed points, which keeps the map a bijection and
-hence unitary): a gather through tables built once per (widths, multiplier,
-modulus), cached and shared read-only.  The Fourier transforms are applied
-as orthonormal FFTs along the register axis.  Gate-level decompositions are
-out of scope here -- circuit-cost questions are answered analytically by the
+superposition; any other register state gets one butterfly pass per qubit.
+Controlled modular multiplication is applied as the basis permutation it
+semantically is (values >= the modulus are fixed points, which keeps the map
+a bijection and hence unitary): one gather that copies the control values
+sharing a power of the multiplier together, through a cached table of the
+multiplier's inverse powers.  The Fourier transforms are applied as
+orthonormal FFTs along the register axis.  Gate-level decompositions are out
+of scope here -- circuit-cost questions are answered analytically by the
 resources module.
 
 Measuring is sampling plus projection: ``sample_register`` draws an outcome
@@ -60,15 +53,10 @@ MAX_QUBITS = 26  # memory guard: at most 2^26 amplitudes (1 GiB complex128)
 
 NORM_GUARD = 1e-8  # measurement-time probability drift that trips an error
 
-# Modmul tables kept per (widths, multiplier, modulus).  One run touches at
-# most three (node A, node B, single node); the bound keeps a long sweep over
-# many (N, a) from holding every table it ever built.
+# Inverse-power tables kept per (multiplier, modulus).  One run touches at
+# most two (the base and node B's multiplier); the bound keeps a long sweep
+# over many (N, a) from holding every table it ever built.
 _TABLE_CACHE_SIZE = 8
-
-# Amplitudes per block when live fibers are transformed (256 KiB of
-# complex128): small beside a state, large enough that the per-call overhead
-# of the FFT stays out of sight.
-_FIBER_BLOCK = 1 << 14
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,7 +152,7 @@ class StateVector:
         if amps.shape != (1 << layout.n,):
             raise ValueError(f"expected {1 << layout.n} amplitudes, got {amps.shape}")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_GUARD:
+        if not abs(nrm - 1.0) <= NORM_GUARD:  # NaN fails too
             raise ValueError(f"amplitudes are not normalized (norm {nrm})")
         return cls(layout, amps)
 
@@ -201,35 +189,10 @@ def _reg_axis(state: StateVector, reg: str) -> tuple[np.ndarray | None, np.ndarr
     return state.rows, state.block.reshape(-1, 1 << w, 1 << post)
 
 
-def _sparse_fibers(live: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(before, after) indices of the live fibers, from a (before, after) mask.
-
-    None when more than half the fibers are live: the dense kernel then does
-    little extra work and needs no gathered copy of the fibers.
-    """
-    if 2 * np.count_nonzero(live) > live.size:
-        return None
-    return np.nonzero(live)
-
-
-def _transform_fibers(state: StateVector, reg: str, fft) -> StateVector:
-    """Orthonormal ``fft`` along the register axis, over the live fibers only.
-
-    The live fibers are gathered and transformed a block of about
-    _FIBER_BLOCK amplitudes at a time: gathered all at once, the copy and its
-    transform would sit beside the full-size input and output, and the
-    transform would need more memory than the dense one.
-    """
+def _transform(state: StateVector, reg: str, fft) -> StateVector:
+    """Orthonormal ``fft`` along the register axis of the stored amplitudes."""
     rows, a = _reg_axis(state, reg)
-    fibers = _sparse_fibers(a.any(axis=1))
-    if fibers is None:
-        return StateVector(state.layout, fft(a, axis=1, norm="ortho").reshape(-1), rows)
-    out = np.zeros(a.shape, a.dtype)
-    step = max(1, _FIBER_BLOCK // a.shape[1])
-    for start in range(0, fibers[0].size, step):
-        before, after = (f[start : start + step] for f in fibers)
-        out[before, :, after] = fft(a[before, :, after], axis=1, norm="ortho")
-    return StateVector(state.layout, out.reshape(-1), rows)
+    return StateVector(state.layout, fft(a, axis=1, norm="ortho").reshape(-1), rows)
 
 
 def _apply_1q(amps: np.ndarray, n: int, pos: int, u: np.ndarray) -> np.ndarray:
@@ -266,23 +229,14 @@ def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
     When the register holds |0..0> on every branch -- every amplitude with a
     non-zero register value is exactly 0, as for a freshly prepared control
     register -- the result is written directly: each branch's |0..0>
-    amplitude times 2^(-w/2) in all 2^w register slots, and only the fibers
-    whose |0..0> amplitude is non-zero are written.  Any other state goes
-    through the per-qubit butterfly passes.
+    amplitude times 2^(-w/2) in all 2^w register slots.  Any other state
+    goes through the per-qubit butterfly passes.
     """
     rows, a = _reg_axis(state, reg)
     w = state.layout.width(reg)
     if not a[:, 1:, :].any():
-        scale = 1 / math.sqrt(1 << w)
-        zero = a[:, 0, :]
-        fibers = _sparse_fibers(zero != 0)
-        if fibers is None:
-            out = np.empty(a.shape, a.dtype)
-            out[...] = zero[:, None, :] * scale
-        else:
-            before, after = fibers
-            out = np.zeros(a.shape, a.dtype)
-            out[before, :, after] = (zero[before, after] * scale)[:, None]
+        out = np.empty(a.shape, a.dtype)
+        out[...] = a[:, :1, :] * (1 / math.sqrt(1 << w))
         return StateVector(state.layout, out.reshape(-1), rows)
     off = state.layout.offset(reg)
     amps = a.reshape(-1)
@@ -293,12 +247,12 @@ def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
 
 def apply_qft(state: StateVector, reg: str) -> StateVector:
     """Fourier transform on the register: |j> -> 2^(-t/2) sum_k e^{2 pi i jk/2^t} |k>."""
-    return _transform_fibers(state, reg, np.fft.ifft)
+    return _transform(state, reg, np.fft.ifft)
 
 
 def apply_inverse_qft(state: StateVector, reg: str) -> StateVector:
     """Adjoint of apply_qft; maps 2^(-t/2) sum_k e^{2 pi i jk/2^t} |k> back to |j>."""
-    return _transform_fibers(state, reg, np.fft.fft)
+    return _transform(state, reg, np.fft.fft)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -317,83 +271,16 @@ def _inverse_powers(multiplier: int, modulus: int) -> np.ndarray:
     return table
 
 
-def _preimage_cycle(ys: np.ndarray, multiplier: int, modulus: int) -> np.ndarray:
-    """cyc[i, j] = the target value that multiplier^j maps onto ys[i].
+def _preimage_cycle(n_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
+    """cyc[y, j] = the target value that multiplier^j maps onto y, for y < n_tgt.
 
     One column per power below the multiplier's order; control value j
     reads column j mod cyc.shape[1].  Values >= modulus are fixed points of
     the permutation.
     """
+    ys = np.arange(n_tgt, dtype=np.int64)
     powers = _inverse_powers(multiplier, modulus)
     return np.where((ys < modulus)[:, None], np.multiply.outer(ys, powers) % modulus, ys[:, None])
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _modmul_inverse_table(w_ctrl: int, w_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
-    """inv[j, y] = preimage of target value y under multiplication by multiplier^j.
-
-    The table is cached and shared between callers, so it is returned
-    read-only.
-    """
-    cyc = _preimage_cycle(np.arange(1 << w_tgt, dtype=np.int64), multiplier, modulus)
-    table = np.ascontiguousarray(cyc[:, np.arange(1 << w_ctrl) % cyc.shape[1]].T)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _modmul_gather_index(w_ctrl: int, w_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
-    """Flat source index into an adjacent (control, target) block, in block order.
-
-    The block is read as (j, y) and the source of (j, y) is
-    j * 2^w_tgt + inv[j, y].  Cached and read-only, like the inverse table it
-    is built from; that table is built uncached here, so only the index stays
-    in memory.
-    """
-    inv = _modmul_inverse_table.__wrapped__(w_ctrl, w_tgt, multiplier, modulus)
-    index = (inv + (np.arange(1 << w_ctrl, dtype=np.int64) << w_tgt)[:, None]).reshape(-1)
-    index.flags.writeable = False
-    return index
-
-
-def _modmul_target_first(
-    state: StateVector, control: str, target: str, multiplier: int, modulus: int
-) -> StateVector:
-    """``apply_controlled_modmul`` with the target register before the control.
-
-    Output target value y holds amplitude only where some power of the
-    multiplier maps a stored target value onto it.  As the leading register
-    the target stores the state's rows, and the result stores their image (a
-    row set not closed under the multiplier grows); anywhere else every
-    target value is stored.  Control values that act through the same power
-    are copied together, a strided slice at a time; a source value that is
-    not stored gives exact zeros.
-    """
-    w_tgt, w_ctrl = state.layout.width(target), state.layout.width(control)
-    n_tgt, n_ctrl = 1 << w_tgt, 1 << w_ctrl
-    ot, oc = state.layout.offset(target), state.layout.offset(control)
-    stored = state.rows if ot == 0 and state.rows is not None else np.arange(n_tgt)
-    k = stored.size
-    slot = np.full(n_tgt, k, dtype=np.int64)  # position among the stored values; k: not stored
-    slot[stored] = np.arange(k)
-    # src[y, c]: slot of the value that the multiplier's power c maps onto y
-    ys = np.arange(n_tgt, dtype=np.int64)
-    src = slot[_preimage_cycle(ys, multiplier, modulus)[:, :n_ctrl]]
-    image = np.flatnonzero((src < k).any(axis=1))
-    src = src[image]
-    period = src.shape[1]
-    shape = (-1, k, 1 << (oc - ot - w_tgt), n_ctrl, 1 << (state.n - oc - w_ctrl))
-    a = state.block.reshape(shape)
-    out = np.empty((a.shape[0], image.size, *a.shape[2:]), a.dtype)
-    for c in range(period):  # slot k (not stored) reads slot k - 1 and is zeroed below
-        out[:, :, :, c::period] = a[:, np.minimum(src[:, c], k - 1), :, c::period]
-    for i, c in zip(*np.nonzero(src == k)):
-        out[:, i, :, c::period] = 0
-    if ot == 0:
-        rows = None if image.size == n_tgt else image
-    else:
-        rows = state.rows
-    return StateVector(state.layout, out.reshape(-1), rows)
 
 
 def apply_controlled_modmul(
@@ -405,35 +292,52 @@ def apply_controlled_modmul(
     permutation of the basis (hence a unitary).  Requires
     gcd(multiplier, modulus) = 1, otherwise the map would not be a bijection.
 
-    With the target before the control, target values are gathered a power
-    of the multiplier at a time, and a leading target register's stored rows
-    are mapped onto their image.  With the control first, adjacent registers
-    are permuted with one flat gather through a cached index, and registers
-    with others between them gather along the target axis.
+    Output target value y holds amplitude only where some power of the
+    multiplier maps a stored target value onto it.  As the leading register
+    the target stores the state's rows, and the result stores their image (a
+    row set not closed under the multiplier grows); anywhere else every
+    target value is stored, and a leading control reads the dense vector.
+    Control values that act through the same power are copied together, a
+    strided slice at a time; a source value that is not stored gives exact
+    zeros.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if math.gcd(multiplier % modulus, modulus) != 1:
         raise ValueError(f"multiplier {multiplier} is not invertible mod {modulus}")
-    w_tgt = state.layout.width(target)
-    w_ctrl = state.layout.width(control)
-    if (1 << w_tgt) < modulus:
+    w_tgt, w_ctrl = state.layout.width(target), state.layout.width(control)
+    n_tgt, n_ctrl = 1 << w_tgt, 1 << w_ctrl
+    if n_tgt < modulus:
         raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
-    oc, ot = state.layout.offset(control), state.layout.offset(target)
+    ot, oc = state.layout.offset(target), state.layout.offset(control)
     multiplier %= modulus
-    if ot < oc:
-        return _modmul_target_first(state, control, target, multiplier, modulus)
     rows, amps = (None, state.amps) if oc == 0 else (state.rows, state.block)
-    mid = ot - (oc + w_ctrl)
-    post = 1 << (state.n - ot - w_tgt)
-    if mid == 0:
-        index = _modmul_gather_index(w_ctrl, w_tgt, multiplier, modulus)
-        block = amps.reshape(-1, index.size, post)
-        return StateVector(state.layout, np.take(block, index, axis=1).reshape(-1), rows)
-    inv = _modmul_inverse_table(w_ctrl, w_tgt, multiplier, modulus)
-    idx = inv.reshape(1, 1 << w_ctrl, 1, 1 << w_tgt, 1)
-    shape = (-1, 1 << w_ctrl, 1 << mid, 1 << w_tgt, post)
-    out = np.take_along_axis(amps.reshape(shape), idx, axis=3)
+    stored = rows if ot == 0 and rows is not None else np.arange(n_tgt)
+    k = stored.size
+    slot = np.full(n_tgt, k, dtype=np.int64)  # position among the stored values; k: not stored
+    slot[stored] = np.arange(k)
+    # src[y, c]: slot of the value that the multiplier's power c maps onto y
+    src = slot[_preimage_cycle(n_tgt, multiplier, modulus)[:, :n_ctrl]]
+    image = np.flatnonzero((src < k).any(axis=1))
+    src = src[image]
+    period = src.shape[1]
+    # View both registers as (before, first, between, second, after) and put
+    # the target on axis 1 and the control on axis 3 of both views.
+    post = 1 << (state.n - max(ot + w_tgt, oc + w_ctrl))
+    if ot < oc:
+        a = amps.reshape(-1, k, 1 << (oc - ot - w_tgt), n_ctrl, post)
+        out = np.empty((a.shape[0], image.size, *a.shape[2:]), a.dtype)
+        a_t, out_t = a, out
+    else:
+        a = amps.reshape(-1, n_ctrl, 1 << (ot - oc - w_ctrl), k, post)
+        out = np.empty((*a.shape[:3], image.size, post), a.dtype)
+        a_t, out_t = a.swapaxes(1, 3), out.swapaxes(1, 3)
+    for c in range(period):  # slot k (not stored) reads slot k - 1 and is zeroed below
+        out_t[:, :, :, c::period] = a_t[:, np.minimum(src[:, c], k - 1), :, c::period]
+    for i, c in zip(*np.nonzero(src == k)):
+        out_t[:, i, :, c::period] = 0
+    if ot == 0:
+        rows = None if image.size == n_tgt else image
     return StateVector(state.layout, out.reshape(-1), rows)
 
 
@@ -503,7 +407,7 @@ def sample_register(state: StateVector, reg: str, rng: np.random.Generator) -> B
     w = state.layout.width(reg)
     probs = register_probabilities(state, reg)
     total = float(probs.sum())
-    if abs(total - 1.0) > NORM_GUARD:
+    if not abs(total - 1.0) <= NORM_GUARD:  # NaN fails too
         raise RuntimeError(f"state norm drifted: probabilities sum to {total}")
     cdf = np.cumsum(probs)
     k = int(np.searchsorted(cdf, rng.random() * total, side="right"))
@@ -529,7 +433,7 @@ def measure_qubit(
     a = state.amps.reshape(-1, 2, post)
     p0 = float(np.sum(np.abs(a[:, 0, :]) ** 2))
     p1 = float(np.sum(np.abs(a[:, 1, :]) ** 2))
-    if abs(p0 + p1 - 1.0) > NORM_GUARD:
+    if not abs(p0 + p1 - 1.0) <= NORM_GUARD:  # NaN fails too
         raise RuntimeError(f"state norm drifted: probabilities sum to {p0 + p1}")
     bit = 0 if rng.random() * (p0 + p1) < p0 else 1
     out = np.zeros(a.shape, a.dtype)
@@ -625,7 +529,7 @@ def remove_register(state: StateVector, reg: str) -> StateVector:
     """
     probs = register_probabilities(state, reg)
     v = int(np.argmax(probs))
-    if probs[v] < 1.0 - 1e-9:
+    if not probs[v] >= 1.0 - 1e-9:  # NaN fails too
         raise ValueError(
             f"register {reg!r} is not in a basis state (max outcome mass {probs[v]:.6f})"
         )

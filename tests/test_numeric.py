@@ -5,32 +5,7 @@ import numpy as np
 import pytest
 
 from disq.bitstrings import BitString
-from disq.numeric import ceil_log2, convergents, mod_pow, multiplicative_order, recover_order
-
-
-class TestModPow:
-    def test_examples(self):
-        # 7*7*7*7 mod 15 walked by hand: 49->4, 28->13, 91->1
-        assert mod_pow(7, 4, 15) == 1
-        assert mod_pow(2, 10, 33) == 1
-        assert mod_pow(123, 0, 77) == 1
-
-    def test_matches_iterated_multiplication(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(rng.integers(2, 500))
-            base = int(rng.integers(0, n))
-            exp = int(rng.integers(0, 40))
-            acc = 1
-            for _ in range(exp):
-                acc = acc * base % n
-            assert mod_pow(base, exp, n) == acc
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 7)
+from disq.numeric import ceil_log2, convergents, multiplicative_order, recover_order
 
 
 def _totient(n: int) -> int:

@@ -103,6 +103,27 @@ class TestNodeBMemory:
         assert peak < 16 << 20
 
 
+class TestWorkRegisterLeads:
+    def test_first_estimate_stores_the_powers_of_the_base(self):
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        st = protocol._first_estimate(params, "ctrl", params.t_mono)
+        assert st.layout.names == ("work", "ctrl")
+        assert st.rows.tolist() == sorted(pow(2, j, 33) for j in range(10))
+        assert st.block.size == 10 << params.t_mono
+
+    def test_monolithic_shot_never_holds_a_dense_state(self):
+        # The dense single-node state for N=33 a=2 is 2^21 amplitudes (32 MiB).
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        tracemalloc.start()
+        try:
+            record = run_monolithic_order_finding(params, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.m is not None
+        assert peak < 16 << 20
+
+
 class TestCorrectResults:
     def test_worked_example(self):
         params = ProtocolParams.derive(15, 7, Fraction(1, 4))  # L=4, p=3

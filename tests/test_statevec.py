@@ -209,17 +209,24 @@ class TestControlledModMul:
         assert len(seen) == 1 << 5
 
     @pytest.mark.parametrize(
-        "regs",
+        "regs, live_rows",
         [
-            [("x", 1), ("ctrl", 3), ("work", 4), ("y", 1)],  # adjacent, control first
-            [("x", 1), ("work", 4), ("ctrl", 3), ("y", 1)],  # adjacent, target first
-            [("ctrl", 3), ("x", 2), ("work", 4)],  # separated, control first
-            [("work", 4), ("x", 2), ("ctrl", 3), ("y", 1)],  # separated, target first
+            ([("x", 1), ("ctrl", 3), ("work", 4), ("y", 1)], None),  # adjacent, control first
+            ([("x", 1), ("work", 4), ("ctrl", 3), ("y", 1)], None),  # adjacent, target first
+            ([("ctrl", 3), ("x", 2), ("work", 4)], None),  # separated, control first
+            ([("work", 4), ("x", 2), ("ctrl", 3), ("y", 1)], None),  # separated, target first
+            ([("ctrl", 3), ("x", 1), ("work", 4)], [1, 4, 6]),  # leading control, rows left out
+            ([("work", 4), ("ctrl", 3), ("y", 1)], [0, 2, 9, 14]),  # leading target, rows left out
         ],
     )
-    def test_matches_basis_by_basis_permutation(self, regs):
+    def test_matches_basis_by_basis_permutation(self, regs, live_rows):
         layout = RegisterLayout.of(*regs)
         st = random_state(layout, np.random.default_rng(len(regs)))
+        if live_rows is not None:
+            lead = st.amps.reshape(1 << regs[0][1], -1).copy()
+            lead[[v for v in range(lead.shape[0]) if v not in live_rows]] = 0
+            st = compact_twin(StateVector.from_amplitudes(layout, lead / np.linalg.norm(lead)))
+            assert st.rows.tolist() == live_rows
         names = [name for name, _ in regs]
         shape = [1 << w for _, w in regs]
         src = st.amps.reshape(shape)
@@ -234,13 +241,12 @@ class TestControlledModMul:
         assert np.array_equal(got.amps, expected.reshape(-1))
 
     def test_cached_tables_are_read_only(self):
-        table = statevec._modmul_inverse_table(3, 4, 7, 15)
-        assert table is statevec._modmul_inverse_table(3, 4, 7, 15)
+        table = statevec._inverse_powers(7, 15)
+        assert table is statevec._inverse_powers(7, 15)
+        assert table.tolist() == [1, 13, 4, 7]  # 7^-1 = 13 mod 15
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 1
-        assert not statevec._modmul_gather_index(3, 4, 7, 15).flags.writeable
-        assert not statevec._inverse_powers(7, 15).flags.writeable
+            table[0] = 1
 
     def test_non_coprime_multiplier_rejected(self):
         layout = RegisterLayout.of(("ctrl", 2), ("work", 4))
@@ -450,6 +456,32 @@ class TestStructuralOps:
             statevec.append_register(st, "b", 2)
 
 
+class TestNormGuards:
+    """A non-finite state fails every norm check instead of being sampled."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_from_amplitudes_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            StateVector.from_amplitudes(RegisterLayout.of(("r", 2)), [bad] * 4)
+        with pytest.raises(ValueError):
+            StateVector.from_amplitudes(RegisterLayout.of(("r", 2)), [bad, 0, 0, 0])
+
+    def nan_state(self) -> StateVector:
+        return StateVector(RegisterLayout.of(("a", 1), ("r", 2)), np.full(8, np.nan, complex))
+
+    def test_sample_register_raises(self):
+        with pytest.raises(RuntimeError):
+            sample_register(self.nan_state(), "r", np.random.default_rng(0))
+
+    def test_measure_qubit_raises(self):
+        with pytest.raises(RuntimeError):
+            statevec.measure_qubit(self.nan_state(), "r", 1, np.random.default_rng(0))
+
+    def test_remove_register_raises(self):
+        with pytest.raises(ValueError):
+            remove_register(self.nan_state(), "r")
+
+
 def sparse_state(
     regs: list[tuple[str, int]], reg: str, live: int, seed: int
 ) -> StateVector:
@@ -487,16 +519,15 @@ LIVE_LAYOUTS = [
 
 
 class TestLiveFibers:
-    """Each live-fiber kernel gives bitwise the dense computation."""
+    """Kernels on a register whose slices are mostly exact zeros give bitwise
+    the dense computation."""
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     @pytest.mark.parametrize("live", [1, 5, 20])
     @pytest.mark.parametrize(
         "op, fft", [(apply_qft, np.fft.ifft), (apply_inverse_qft, np.fft.fft)]
     )
-    @pytest.mark.parametrize("block", [statevec._FIBER_BLOCK, 64])  # 64: 2 fibers a block
-    def test_transforms_match_dense_fft(self, regs, live, op, fft, block, monkeypatch):
-        monkeypatch.setattr(statevec, "_FIBER_BLOCK", block)
+    def test_transforms_match_dense_fft(self, regs, live, op, fft):
         st = sparse_state(regs, "r", live, seed=live)
         dense = fft(statevec._reg_axis(st, "r")[1], axis=1, norm="ortho").reshape(-1)
         assert np.array_equal(op(st, "r").amps, dense)
@@ -507,35 +538,6 @@ class TestLiveFibers:
         st = sparse_state(regs, "r", live, seed=100 + live)
         dense = np.sum(np.abs(statevec._reg_axis(st, "r")[1]) ** 2, axis=(0, 2))
         assert np.array_equal(register_probabilities(st, "r"), dense)
-
-    def test_negative_zero_entries(self):
-        # Every fiber but one holds only -0.0: it counts as dead.
-        layout = RegisterLayout.of(("a", 3), ("r", 4))
-        a = np.full((8, 16), -0.0, dtype=complex)
-        a[5] = random_state(RegisterLayout.of(("r", 4)), np.random.default_rng(3)).amps
-        a[5, ::3] = complex(-0.0, -0.0)
-        st = StateVector.from_amplitudes(layout, a / np.linalg.norm(a))
-        view = statevec._reg_axis(st, "r")[1]
-        assert statevec._sparse_fibers(view.any(axis=1)) is not None
-        assert np.array_equal(
-            apply_inverse_qft(st, "r").amps,
-            np.fft.fft(view, axis=1, norm="ortho").reshape(-1),
-        )
-        assert np.array_equal(
-            register_probabilities(st, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
-        )
-
-    @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
-    def test_mostly_live_takes_dense_path(self, regs):
-        st = sparse_state(regs, "r", 25, seed=9)  # 25 of 32 fibers
-        view = statevec._reg_axis(st, "r")[1]
-        assert statevec._sparse_fibers(view.any(axis=1)) is None
-        assert np.array_equal(
-            apply_qft(st, "r").amps, np.fft.ifft(view, axis=1, norm="ortho").reshape(-1)
-        )
-        assert np.array_equal(
-            register_probabilities(st, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
-        )
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     def test_hadamard_fill_matches_dense_fill(self, regs):
