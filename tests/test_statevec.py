@@ -209,24 +209,36 @@ class TestControlledModMul:
         assert len(seen) == 1 << 5
 
     @pytest.mark.parametrize(
-        "regs, live_rows",
+        "regs",
         [
-            ([("x", 1), ("ctrl", 3), ("work", 4), ("y", 1)], None),  # adjacent, control first
-            ([("x", 1), ("work", 4), ("ctrl", 3), ("y", 1)], None),  # adjacent, target first
-            ([("ctrl", 3), ("x", 2), ("work", 4)], None),  # separated, control first
-            ([("work", 4), ("x", 2), ("ctrl", 3), ("y", 1)], None),  # separated, target first
-            ([("ctrl", 3), ("x", 1), ("work", 4)], [1, 4, 6]),  # leading control, rows left out
-            ([("work", 4), ("ctrl", 3), ("y", 1)], [0, 2, 9, 14]),  # leading target, rows left out
+            [("x", 1), ("ctrl", 3), ("work", 4), ("y", 1)],  # adjacent, control first
+            [("x", 1), ("work", 4), ("ctrl", 3), ("y", 1)],  # adjacent, target first
+            [("ctrl", 3), ("x", 2), ("work", 4)],  # separated, control first
+            [("work", 4), ("x", 2), ("ctrl", 3), ("y", 1)],  # separated, target first
         ],
     )
-    def test_matches_basis_by_basis_permutation(self, regs, live_rows):
+    def test_matches_basis_by_basis_permutation(self, regs):
+        st = random_state(RegisterLayout.of(*regs), np.random.default_rng(len(regs)))
+        self.check_basis_by_basis(st, regs)
+
+    @pytest.mark.parametrize(
+        "regs, live_rows",
+        [
+            ([("ctrl", 3), ("x", 1), ("work", 4)], [1, 4, 6]),  # leading control
+            ([("work", 4), ("ctrl", 3), ("y", 1)], [0, 2, 9, 14]),  # leading target
+        ],
+    )
+    def test_row_compact_matches_basis_by_basis_permutation(self, regs, live_rows):
         layout = RegisterLayout.of(*regs)
-        st = random_state(layout, np.random.default_rng(len(regs)))
-        if live_rows is not None:
-            lead = st.amps.reshape(1 << regs[0][1], -1).copy()
-            lead[[v for v in range(lead.shape[0]) if v not in live_rows]] = 0
-            st = compact_twin(StateVector.from_amplitudes(layout, lead / np.linalg.norm(lead)))
-            assert st.rows.tolist() == live_rows
+        lead = random_state(layout, np.random.default_rng(len(regs))).amps
+        lead = lead.reshape(1 << regs[0][1], -1)
+        lead[[v for v in range(lead.shape[0]) if v not in live_rows]] = 0
+        st = compact_twin(StateVector.from_amplitudes(layout, lead / np.linalg.norm(lead)))
+        assert st.rows.tolist() == live_rows
+        self.check_basis_by_basis(st, regs)
+
+    @staticmethod
+    def check_basis_by_basis(st: StateVector, regs) -> None:
         names = [name for name, _ in regs]
         shape = [1 << w for _, w in regs]
         src = st.amps.reshape(shape)
@@ -527,9 +539,12 @@ class TestLiveFibers:
     @pytest.mark.parametrize(
         "op, fft", [(apply_qft, np.fft.ifft), (apply_inverse_qft, np.fft.fft)]
     )
-    def test_transforms_match_dense_fft(self, regs, live, op, fft):
+    @pytest.mark.parametrize("stored", ["dense", "compact"])
+    def test_transforms_match_dense_fft(self, regs, live, op, fft, stored):
         st = sparse_state(regs, "r", live, seed=live)
         dense = fft(statevec._reg_axis(st, "r")[1], axis=1, norm="ortho").reshape(-1)
+        if stored == "compact":
+            st = compact_twin(st)
         assert np.array_equal(op(st, "r").amps, dense)
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
@@ -538,6 +553,36 @@ class TestLiveFibers:
         st = sparse_state(regs, "r", live, seed=100 + live)
         dense = np.sum(np.abs(statevec._reg_axis(st, "r")[1]) ** 2, axis=(0, 2))
         assert np.array_equal(register_probabilities(st, "r"), dense)
+
+    def test_negative_zero_entries(self):
+        # Every fiber but one holds only -0.0, and so does every third entry
+        # of the live one; the compact twin leaves the -0.0 rows out.
+        layout = RegisterLayout.of(("a", 3), ("r", 4))
+        a = np.full((8, 16), -0.0, dtype=complex)
+        a[5] = random_state(RegisterLayout.of(("r", 4)), np.random.default_rng(3)).amps
+        a[5, ::3] = complex(-0.0, -0.0)
+        st = StateVector.from_amplitudes(layout, a / np.linalg.norm(a))
+        view = statevec._reg_axis(st, "r")[1]
+        assert compact_twin(st).rows.tolist() == [5]
+        for s in (st, compact_twin(st)):
+            assert np.array_equal(
+                apply_inverse_qft(s, "r").amps,
+                np.fft.fft(view, axis=1, norm="ortho").reshape(-1),
+            )
+            assert np.array_equal(
+                register_probabilities(s, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
+            )
+
+    @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
+    def test_mostly_live_takes_dense_path(self, regs):
+        st = sparse_state(regs, "r", 25, seed=9)  # 25 of 32 fibers
+        view = statevec._reg_axis(st, "r")[1]
+        assert np.array_equal(
+            apply_qft(st, "r").amps, np.fft.ifft(view, axis=1, norm="ortho").reshape(-1)
+        )
+        assert np.array_equal(
+            register_probabilities(st, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
+        )
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     def test_hadamard_fill_matches_dense_fill(self, regs):
