@@ -147,7 +147,6 @@ def cmd_order(args: argparse.Namespace) -> int:
             seed=seed,
             engine=args.engine,
             mode=args.mode,
-            faithful_teleport=not args.relabel_teleport,
             workers=args.workers,
         )
         summary = protocol.summarize(params, records)
@@ -284,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("--format", choices=["json", "csv"], default="json")
     order.add_argument("--output", default="-", help="output path, '-' for stdout")
     order.add_argument("--workers", type=int, default=1)
-    order.add_argument(
-        "--relabel-teleport",
-        action="store_true",
-        help="skip the faithful teleport simulation (accounting only)",
-    )
     order.set_defaults(handler=cmd_order)
 
     factor = sub.add_parser("factor", help="factor an odd composite modulus")

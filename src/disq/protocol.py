@@ -316,7 +316,6 @@ def run_distributed_order_finding(
     params: ProtocolParams,
     rng: np.random.Generator,
     mode: str = MODE_SEQUENTIAL,
-    faithful_teleport: bool = True,
 ) -> OutcomeRecord:
     """Two-node order finding.
 
@@ -349,7 +348,7 @@ def run_distributed_order_finding(
     # Hand the work register to node B.
     channel = ClassicalChannel()
     pool = EprPool(allocated=params.L)
-    st = teleport_register(st, _WORK, channel, pool, rng, faithful=faithful_teleport)
+    st = teleport_register(st, _WORK, channel, pool, rng)
 
     # Node B.  Its widened state goes straight into _b_stage, which drops it
     # once the Hadamard layer has read it.
@@ -462,14 +461,11 @@ def _run_one_shot(
     rng: np.random.Generator,
     engine: str,
     mode: str,
-    faithful_teleport: bool,
 ) -> OutcomeRecord:
     if engine == ENGINE_MONOLITHIC:
         return run_monolithic_order_finding(params, rng)
     if engine == ENGINE_DISTRIBUTED:
-        return run_distributed_order_finding(
-            params, rng, mode=mode, faithful_teleport=faithful_teleport
-        )
+        return run_distributed_order_finding(params, rng, mode=mode)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -491,7 +487,6 @@ def run_shots(
     seed: int | None = None,
     engine: str = ENGINE_DISTRIBUTED,
     mode: str = MODE_SEQUENTIAL,
-    faithful_teleport: bool = True,
     workers: int = 1,
 ) -> list[OutcomeRecord]:
     """Run independent classified shots; records come back in shot order."""
@@ -502,7 +497,7 @@ def run_shots(
     r_true = multiplicative_order(params.a, params.N)
 
     def one(i: int) -> OutcomeRecord:
-        record = _run_one_shot(params, shot_rng(seed, i), engine, mode, faithful_teleport)
+        record = _run_one_shot(params, shot_rng(seed, i), engine, mode)
         return classify_outcome(record, params, r_true)
 
     if workers > 1:
@@ -599,7 +594,7 @@ def run_shor_factoring(
             attempt.factor = g
             return FactoringResult(g, attempts)
         params = ProtocolParams.derive(N, a, epsilon)
-        record = _run_one_shot(params, rng, engine, mode, faithful_teleport=True)
+        record = _run_one_shot(params, rng, engine, mode)
         attempt.record = classify_outcome(record, params, multiplicative_order(a, N))
         r = record.recovered_r
         if r is None or r % 2:

@@ -13,9 +13,10 @@ register, which only ever holds the r powers of the base (10 of 64 values
 for N=33 a=2), and ``append_register`` stores just those rows.  Kernels on
 any other register keep the row set and work on the stored rows alone; a
 controlled modular multiplication that targets the leading register maps
-the row set onto its image; every other operation on the leading register
-works on the dense vector.  ``StateVector.amps`` is always the full 2^n
-vector, built on each read for a state that stores fewer rows.
+the row set onto its image; a joint marginal sums or scatters the stored
+rows; every other operation on the leading register works on the dense
+vector.  ``StateVector.amps`` is always the full 2^n vector, built on each
+read for a state that stores fewer rows.
 
 A Hadamard layer on a register that holds |0..0> on every branch (a fresh
 phase-estimation control register) is written directly as the uniform
@@ -59,8 +60,6 @@ NORM_GUARD = 1e-8  # measurement-time probability drift that trips an error
 _TABLE_CACHE_SIZE = 8
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class CapacityError(RuntimeError):
@@ -141,10 +140,6 @@ class StateVector:
         out = np.zeros((1 << w0, 1 << (self.n - w0)), self.block.dtype)
         out[self.rows] = self.block.reshape(self.rows.size, -1)
         return out.reshape(-1)
-
-    @amps.setter
-    def amps(self, amps: np.ndarray) -> None:
-        self.block, self.rows = amps, None
 
     @classmethod
     def from_amplitudes(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
@@ -353,18 +348,30 @@ def register_probabilities(state: StateVector, reg: str) -> np.ndarray:
 
 
 def marginal_probabilities(state: StateVector, regs: Sequence[str]) -> np.ndarray:
-    """Joint Born-rule marginal over several registers, axes in the given order."""
+    """Joint Born-rule marginal over several registers, axes in the given order.
+
+    Only the stored rows are summed: a dropped leading register is the
+    outermost axis, which numpy sums in order, so leaving out rows of exact
+    zeros changes no bit; a kept one gets its stored rows scattered into
+    zeros.
+    """
     if len(set(regs)) != len(regs):
         raise ValueError(f"duplicate registers in {regs}")
     for r in regs:
         state.layout.width(r)  # raises on unknown name
-    shape = tuple(1 << w for _, w in state.layout.registers)
-    probs = np.abs(state.amps.reshape(shape)) ** 2
+    shape = [1 << w for _, w in state.layout.registers]
+    if state.rows is not None:
+        shape[0] = state.rows.size
+    probs = np.abs(state.block.reshape(shape)) ** 2
     names = list(state.layout.names)
     keep = [names.index(r) for r in regs]
     drop = tuple(i for i in range(len(names)) if i not in keep)
     if drop:
         probs = probs.sum(axis=drop)
+    if state.rows is not None and 0 in keep:
+        full = np.zeros((1 << state.layout.registers[0][1], *probs.shape[1:]))
+        full[state.rows] = probs
+        probs = full
     kept_order = [i for i in range(len(names)) if i not in drop]
     return probs.transpose([kept_order.index(i) for i in keep])
 
@@ -424,64 +431,9 @@ def measure_register(
     return m, collapsed
 
 
-def measure_qubit(
-    state: StateVector, reg: str, k: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Measure one qubit (1-based, MSB-first within its register) and collapse."""
-    pos = _global_pos(state.layout, reg, k)
-    post = 1 << (state.n - pos - 1)
-    a = state.amps.reshape(-1, 2, post)
-    p0 = float(np.sum(np.abs(a[:, 0, :]) ** 2))
-    p1 = float(np.sum(np.abs(a[:, 1, :]) ** 2))
-    if not abs(p0 + p1 - 1.0) <= NORM_GUARD:  # NaN fails too
-        raise RuntimeError(f"state norm drifted: probabilities sum to {p0 + p1}")
-    bit = 0 if rng.random() * (p0 + p1) < p0 else 1
-    out = np.zeros(a.shape, a.dtype)
-    out[:, bit, :] = a[:, bit, :] / math.sqrt(p1 if bit else p0)
-    return bit, StateVector(state.layout, out.reshape(-1))
-
-
 def apply_h_qubit(state: StateVector, reg: str, k: int) -> StateVector:
     pos = _global_pos(state.layout, reg, k)
     return StateVector(state.layout, _apply_1q(state.amps, state.n, pos, _H))
-
-
-def apply_x_qubit(state: StateVector, reg: str, k: int) -> StateVector:
-    pos = _global_pos(state.layout, reg, k)
-    return StateVector(state.layout, _apply_1q(state.amps, state.n, pos, _X))
-
-
-def apply_z_qubit(state: StateVector, reg: str, k: int) -> StateVector:
-    pos = _global_pos(state.layout, reg, k)
-    return StateVector(state.layout, _apply_1q(state.amps, state.n, pos, _Z))
-
-
-def apply_cnot(
-    state: StateVector, control: tuple[str, int], target: tuple[str, int]
-) -> StateVector:
-    """CNOT between two individual qubits, each addressed as (register, index)."""
-    cpos = _global_pos(state.layout, *control)
-    tpos = _global_pos(state.layout, *target)
-    if cpos == tpos:
-        raise ValueError("control and target are the same qubit")
-    n = state.n
-    a = state.amps.reshape([2] * n).copy()
-    i10: list = [slice(None)] * n
-    i11: list = [slice(None)] * n
-    i10[cpos], i10[tpos] = 1, 0
-    i11[cpos], i11[tpos] = 1, 1
-    a[tuple(i10)], a[tuple(i11)] = a[tuple(i11)].copy(), a[tuple(i10)].copy()
-    return StateVector(state.layout, a.reshape(-1))
-
-
-def swap_qubits(state: StateVector, q1: tuple[str, int], q2: tuple[str, int]) -> StateVector:
-    """Swap two individual qubits, each addressed as (register, index)."""
-    p1 = _global_pos(state.layout, *q1)
-    p2 = _global_pos(state.layout, *q2)
-    if p1 == p2:
-        return state
-    a = np.swapaxes(state.amps.reshape([2] * state.n), p1, p2)
-    return StateVector(state.layout, np.ascontiguousarray(a).reshape(-1))
 
 
 def append_register(

@@ -2,11 +2,10 @@
 
 Each teleported qubit consumes one entangled pair from the pool and puts two
 classical bits on the channel, so moving an L-qubit register costs exactly
-L pairs and 2L bits.  The faithful path really executes the protocol
-(entangled ancilla pair, basis-change measurement, conditioned X/Z fixups);
-a relabel fast path skips the state manipulation for large runs but keeps
-the accounting, and is distribution-identical because the post-fixup state
-equals the input state on every measurement branch.
+L pairs and 2L bits (Bennett et al., PRL 70, 1895 (1993)).  Each qubit
+really goes through the protocol: a Bell measurement of the qubit and its
+half of the pair, whose two bits are drawn from the four branches' masses,
+and the conditioned X/Z fix-up on the other half, which returns the state.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ import numpy as np
 
 from . import statevec
 from .statevec import StateVector
-
-_PAIR_REG = "_tp_pair"  # transient ancilla register name, reserved during teleport
-
-_EPR = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
 
 class EprPoolError(RuntimeError):
@@ -63,26 +58,37 @@ class EprPool:
         self.consumed += k
 
 
-def _teleport_qubit(state: StateVector, reg: str, k: int, rng: np.random.Generator):
-    """Teleport qubit k of the register onto a fresh ancilla, in place of itself.
+def _draw_bit(p0: float, p1: float, rng: np.random.Generator) -> int:
+    """One measured bit by inverse CDF over outcomes 0, 1 from one draw."""
+    total = p0 + p1
+    if not abs(total - 1.0) <= statevec.NORM_GUARD:  # NaN fails too
+        raise RuntimeError(f"state norm drifted: probabilities sum to {total}")
+    return 0 if rng.random() * total < p0 else 1
 
-    Returns (state, z, x): the two classical bits are the measurement results
-    that condition the remote Z/X fixups.
+
+def _teleport_qubit(state: StateVector, reg: str, k: int, rng: np.random.Generator):
+    """Teleport qubit k of the register onto a pair half, in place of itself.
+
+    The Bell measurement of qubit q and the near pair half leaves the far
+    half in one of four branches: branch (z, x) holds
+    1/2 sum_q (-1)^(qz) a_q at q xor x.  z is drawn first, then x given z,
+    and the fix-up X^x then Z^z on the far half restores a_q.
+
+    Returns (state, z, x): the two classical bits sent to the far node.
     """
-    state = statevec.append_register(state, _PAIR_REG, 2, amplitudes=_EPR)
-    state = statevec.apply_cnot(state, (reg, k), (_PAIR_REG, 1))
-    state = statevec.apply_h_qubit(state, reg, k)
-    z, state = statevec.measure_qubit(state, reg, k, rng)
-    x, state = statevec.measure_qubit(state, _PAIR_REG, 1, rng)
+    a = state.amps.reshape(1 << (state.layout.offset(reg) + k - 1), 2, -1)
+    sign = np.array([1, -1])[:, None]  # (-1)^q along the qubit axis
+    phased = 0.5 * np.stack([a, a * sign])  # [z]: the x = 0 branch
+    branches = np.stack([phased, phased[:, :, ::-1]], axis=1)  # [z, x]
+    p = np.sum(np.abs(branches) ** 2, axis=(2, 3, 4))
+    z = _draw_bit(p[0].sum(), p[1].sum(), rng)
+    x = _draw_bit(*(p[z] / p[z].sum()), rng)
+    out = branches[z, x]
     if x:
-        state = statevec.apply_x_qubit(state, _PAIR_REG, 2)
+        out = out[:, ::-1]
     if z:
-        state = statevec.apply_z_qubit(state, _PAIR_REG, 2)
-    # The second ancilla half now carries the payload; swap it back into the
-    # register slot and drop the two spent qubits (both in known basis states).
-    state = statevec.swap_qubits(state, (reg, k), (_PAIR_REG, 2))
-    state = statevec.remove_register(state, _PAIR_REG)
-    return state, z, x
+        out = out * sign
+    return StateVector(state.layout, (out / math.sqrt(p[z, x])).reshape(-1)), z, x
 
 
 def teleport_register(
@@ -91,29 +97,21 @@ def teleport_register(
     channel: ClassicalChannel,
     pool: EprPool,
     rng: np.random.Generator,
-    faithful: bool = True,
 ) -> StateVector:
     """Move a register from one node's ownership to the other's.
 
-    The returned state has the same layout and, on every branch, exactly the
-    same amplitudes (teleportation is exact); what changes is the accounting:
+    The returned state has the same layout and, on every branch, the same
+    amplitudes (teleportation is exact); what changes is the accounting:
     width(reg) pairs consumed and 2*width(reg) bits on the channel, in
-    (z, x) order per qubit.  ``faithful=False`` selects the relabel fast
-    path: the state is untouched and the transcript bits are drawn uniformly,
-    which is the exact distribution of the measurement results.
+    (z, x) order per qubit.
     """
     width = state.layout.width(reg)
-    if _PAIR_REG in state.layout.names:
-        raise ValueError(f"layout already contains reserved register {_PAIR_REG!r}")
     if pool.available < width:
         raise EprPoolError(
             f"register {reg!r} needs {width} pair(s), pool has {pool.available}"
         )
     for k in range(1, width + 1):
-        if faithful:
-            state, z, x = _teleport_qubit(state, reg, k, rng)
-        else:
-            z, x = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+        state, z, x = _teleport_qubit(state, reg, k, rng)
         channel.send(z)
         channel.send(x)
         pool.consume(1)

@@ -132,15 +132,6 @@ class TestOrder:
         assert all(o["m1"] is None and o["m2"] is None for o in shots)
         assert all(len(o["m"]) == 11 for o in shots)  # t_mono for N=15, eps=1/4
 
-    def test_relabel_teleport_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "order", "--N", "15", "--a", "7", "--shots", "10", "--seed", "3",
-            "--relabel-teleport",
-        )
-        assert code == 0
-        assert parse_jsonl(out)[-1]["success_rate"] == 1.0
-
     def test_usage_errors(self, capsys):
         code, _, err = run_cli(capsys, "order", "--N", "15", "--a", "6", "--shots", "5")
         assert code == 2 and "gcd" in err

@@ -123,6 +123,20 @@ class TestWorkRegisterLeads:
         assert record.m is not None
         assert peak < 16 << 20
 
+    def test_joint_oracle_never_holds_a_dense_state(self):
+        # The dense joint state for N=16 a=3 is 2^21 amplitudes (32 MiB); it
+        # stores the 4 work values that hold amplitude (8 MiB), and the
+        # marginal sums those rows alone.
+        params = ProtocolParams.derive(16, 3, Fraction(1, 4))
+        tracemalloc.start()
+        try:
+            joint = distributed_joint_distribution(params, MODE_JOINT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert joint.shape == (1 << params.t1, 1 << params.t2)
+        assert peak < 32 << 20
+
 
 class TestCorrectResults:
     def test_worked_example(self):

@@ -348,7 +348,7 @@ class TestMeasurement:
 
     def test_norm_drift_guard(self):
         st = init_basis(RegisterLayout.of(("r", 2)))
-        st.amps = st.amps * 2.0  # deliberately corrupt
+        st = StateVector(st.layout, st.amps * 2.0)  # deliberately corrupt
         with pytest.raises(RuntimeError):
             measure_register(st, "r", np.random.default_rng(0))
 
@@ -485,9 +485,11 @@ class TestNormGuards:
         with pytest.raises(RuntimeError):
             sample_register(self.nan_state(), "r", np.random.default_rng(0))
 
-    def test_measure_qubit_raises(self):
+    def test_teleport_register_raises(self):
         with pytest.raises(RuntimeError):
-            statevec.measure_qubit(self.nan_state(), "r", 1, np.random.default_rng(0))
+            teleport_register(
+                self.nan_state(), "r", ClassicalChannel(), EprPool(2), np.random.default_rng(0)
+            )
 
     def test_remove_register_raises(self):
         with pytest.raises(ValueError):
@@ -708,6 +710,22 @@ class TestCompactRows:
             rng_c, rng_d = np.random.default_rng(seed), np.random.default_rng(seed)
             assert sample_register(st, "r", rng_c) == sample_register(dense, "r", rng_d)
             assert rng_c.bit_generator.state == rng_d.bit_generator.state
+
+    @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
+    @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15], list(range(1, 15))])
+    @pytest.mark.parametrize(
+        "kept",
+        [["r", "b"], ["b", "r"], ["r"], ["w"], ["r", "w"], ["w", "b", "r"]],
+        ids=["drop-w", "drop-w-swapped", "drop-w-and-b", "keep-w", "keep-w-last", "keep-all"],
+    )
+    def test_marginal_probabilities(self, regs, live_rows, kept):
+        dense = row_sparse_state(regs, live_rows, seed=13, live_fibers=5)
+        names = list(dense.layout.names)
+        probs = np.abs(dense.amps.reshape([1 << w for _, w in regs])) ** 2
+        probs = probs.sum(axis=tuple(i for i, name in enumerate(names) if name not in kept))
+        order = [name for name in names if name in kept]
+        expected = probs.transpose([order.index(name) for name in kept])
+        assert np.array_equal(marginal_probabilities(compact_twin(dense), kept), expected)
 
     @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
     @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15]])

@@ -1,9 +1,8 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
 
-from disq import statevec
 from disq.statevec import RegisterLayout, StateVector, init_basis, marginal_probabilities
 from disq.teleport import ClassicalChannel, EprPool, EprPoolError, teleport_register
 
@@ -117,42 +116,15 @@ class TestEntanglementPreservation:
 
 
 class TestBellOutcomeLaw:
-    def test_measurement_pair_is_uniform_regardless_of_state(self):
-        # the two measured qubits are uniform over 4 outcomes for any input;
-        # checked on the exact pre-measurement distribution
-        for seed in (31, 37, 41):
-            st = random_state(RegisterLayout.of(("c", 1)), seed)
-            st = statevec.append_register(
-                st, "pair", 2, amplitudes=np.array([1, 0, 0, 1]) / math.sqrt(2)
-            )
-            st = statevec.apply_cnot(st, ("c", 1), ("pair", 1))
-            st = statevec.apply_h_qubit(st, "c", 1)
-            joint = marginal_probabilities(st, ["c", "pair"])  # (2, 4)
-            # outcome (z, x) has mass summed over pair's second qubit
-            for z in (0, 1):
-                for x in (0, 1):
-                    mass = joint[z, 2 * x] + joint[z, 2 * x + 1]
-                    assert mass == pytest.approx(0.25, abs=1e-12)
-
-
-class TestRelabelFastPath:
-    def test_state_and_accounting_match_faithful_mode(self):
-        layout = RegisterLayout.of(("a", 2), ("c", 3))
-        st = random_state(layout, 43)
-        ch_fast, pool_fast = ClassicalChannel(), EprPool(3)
-        fast = teleport_register(st, "c", ch_fast, pool_fast,
-                                 np.random.default_rng(47), faithful=False)
-        ch_full, pool_full = ClassicalChannel(), EprPool(3)
-        full = teleport_register(st, "c", ch_full, pool_full, np.random.default_rng(47))
-        # identical exact distributions (amplitudes, even) and identical costs
-        assert np.max(np.abs(fast.amps - full.amps)) < 1e-12
-        assert ch_fast.bit_count == ch_full.bit_count == 6
-        assert pool_fast.consumed == pool_full.consumed == 3
-
-    def test_fast_path_transcript_bits_are_bits(self):
-        st = random_state(RegisterLayout.of(("c", 4)), 53)
-        ch = ClassicalChannel()
-        teleport_register(st, "c", ch, EprPool(4), np.random.default_rng(59),
-                          faithful=False)
-        assert len(ch.transcript) == 8
-        assert set(ch.transcript) <= {0, 1}
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [31, 37, 41])
+    def test_every_branch_has_mass_one_quarter(self, width, seed):
+        # z = 0 is drawn when u * total < P(z = 0), so a uniform just below
+        # 0.5 picking 0 and one just above picking 1 puts P(z = 0) within
+        # 1e-9 of 1/2, and likewise P(x = 0 | z): every (z, x) has mass 1/4.
+        st = random_state(RegisterLayout.of(("c", width)), seed)
+        for bits in itertools.product((0, 1), repeat=2 * width):
+            ch = ClassicalChannel()
+            forced = _ForcedRng([0.5 + (2 * b - 1) * 1e-9 for b in bits])
+            teleport_register(st, "c", ch, EprPool(width), forced)
+            assert ch.transcript == list(bits)
