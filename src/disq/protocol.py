@@ -248,10 +248,11 @@ def check_capacity(params: ProtocolParams, engine: str, mode: str = MODE_SEQUENT
 def run_monolithic_order_finding(
     params: ProtocolParams, rng: np.random.Generator
 ) -> OutcomeRecord:
-    """Single-node order finding: one t_mono-bit phase estimate, then recovery."""
-    check_capacity(params, ENGINE_MONOLITHIC)
-    st = _first_estimate(params, _CTRL, params.t_mono)
-    m = statevec.sample_register(st, _CTRL, rng)
+    """Single-node order finding: one t_mono-bit phase estimate, then recovery.
+
+    The estimate is drawn from ``monolithic_exact_distribution``.
+    """
+    m = BitString(params.t_mono, statevec.draw(monolithic_exact_distribution(params), rng))
     return OutcomeRecord(
         engine=ENGINE_MONOLITHIC,
         m=m,
@@ -301,11 +302,36 @@ def _joint_state(params: ProtocolParams) -> StateVector:
     return _b_stage(st, params)
 
 
+def _node_b(
+    after_a: StateVector,
+    m1: int,
+    params: ProtocolParams,
+    channel: ClassicalChannel,
+    rng: np.random.Generator,
+) -> tuple[float, np.ndarray | None]:
+    """Node B's run after node A measured m1: (P(m1), P(m2 | m1)).
+
+    Projects node A's state onto m1 and drops ctrl_a, teleports the work
+    register (its bits go on ``channel``, its branches are drawn from
+    ``rng``), then runs B's estimate.  Returns (P(m1), None) when m1 has no
+    mass.
+    """
+    p1, st = statevec.project_register(after_a, _CTRL_A, m1)
+    if st is None or p1 < 1e-300:
+        return p1, None
+    st = statevec.remove_register(st, _CTRL_A)
+    st = teleport_register(st, _WORK, channel, EprPool(params.L), rng)
+    # The widened state goes straight into _b_stage, which drops it once the
+    # Hadamard layer has read it.
+    st = _b_stage(statevec.append_register(st, _CTRL_B, params.t2), params)
+    return p1, statevec.register_probabilities(st, _CTRL_B)
+
+
 def _finish_distributed(
-    record: OutcomeRecord, m1: BitString, m2: BitString, params: ProtocolParams
+    record: OutcomeRecord, m1: int, m2: int, params: ProtocolParams
 ) -> OutcomeRecord:
-    record.m1, record.m2 = m1, m2
-    stitched = correct_results(m1, m2, params)
+    record.m1, record.m2 = BitString(params.t1, m1), BitString(params.t2, m2)
+    stitched = correct_results(record.m1, record.m2, params)
     if stitched is not None:
         record.correction_bit, record.m = stitched
         record.recovered_r = recover_order(record.m, params.N, params.a)
@@ -324,37 +350,28 @@ def run_distributed_order_finding(
     register, and it halves the peak qubit count); the work register is
     then teleported into node B's space, which runs its own estimate.
 
-    joint-oracle: all three registers are held in one state vector, all
-    unitaries run with measurements deferred to the end, and no
-    communication happens.  This is the reference execution the sequential
-    path is checked against; its records carry no channel accounting.
+    joint-oracle: m1 and then m2 given m1 are drawn from
+    ``distributed_joint_distribution(params, MODE_JOINT)``, the law of the
+    three registers held in one state with measurements deferred and no
+    communication.  This is the reference execution the sequential path is
+    checked against; its records carry no channel accounting.
     """
     if mode == MODE_JOINT:
-        check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
-        m1, st = statevec.measure_register(_joint_state(params), _CTRL_A, rng)
-        m2 = statevec.sample_register(st, _CTRL_B, rng)
+        joint = distributed_joint_distribution(params, MODE_JOINT)
+        m1 = statevec.draw(joint.sum(axis=1), rng)
+        m2 = statevec.draw(joint[m1] / joint[m1].sum(), rng)
         record = OutcomeRecord(engine=ENGINE_DISTRIBUTED, mode=mode)
         return _finish_distributed(record, m1, m2, params)
 
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED)
-
-    # Node A.
-    st = _a_stage(params)
-    m1, st = statevec.measure_register(st, _CTRL_A, rng)
-    st = statevec.remove_register(st, _CTRL_A)
-
-    # Hand the work register to node B.
+    after_a = _a_stage(params)
+    m1 = statevec.draw(statevec.register_probabilities(after_a, _CTRL_A), rng)
     channel = ClassicalChannel()
-    pool = EprPool(allocated=params.L)
-    st = teleport_register(st, _WORK, channel, pool, rng)
-
-    # Node B.  Its widened state goes straight into _b_stage, which drops it
-    # once the Hadamard layer has read it.
-    st = _b_stage(statevec.append_register(st, _CTRL_B, params.t2), params)
-    m2 = statevec.sample_register(st, _CTRL_B, rng)
-
+    _, cond = _node_b(after_a, m1, params, channel, rng)
+    assert cond is not None  # a drawn outcome has mass
+    m2 = statevec.draw(cond, rng)
     record = OutcomeRecord(
         engine=ENGINE_DISTRIBUTED,
         mode=mode,
@@ -370,10 +387,9 @@ def distributed_joint_distribution(
     """Exact joint distribution over (m1, m2) as a (2^t1, 2^t2) array.
 
     The joint-oracle path marginalizes the final three-register state; the
-    sequential path chains exactly: project each m1 outcome, teleport, run
-    node B, and weight B's distribution by the outcome probability.  Any
-    teleport branch gives the same conditional state, so one branch per m1
-    suffices.
+    sequential path runs ``_node_b`` once for each m1 outcome and weights
+    B's distribution by the outcome probability.  Any teleport branch gives
+    the same conditional state, so one branch per m1 suffices.
     """
     if mode == MODE_JOINT:
         check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
@@ -385,16 +401,10 @@ def distributed_joint_distribution(
     after_a = _a_stage(params)
     joint = np.zeros((1 << params.t1, 1 << params.t2))
     branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial
-    for m1_val in range(1 << params.t1):
-        p1, st = statevec.project_register(after_a, _CTRL_A, m1_val)
-        if st is None or p1 < 1e-300:
-            continue
-        st = statevec.remove_register(st, _CTRL_A)
-        st = teleport_register(
-            st, _WORK, ClassicalChannel(), EprPool(params.L), branch_rng
-        )
-        st = _b_stage(statevec.append_register(st, _CTRL_B, params.t2), params)
-        joint[m1_val, :] = p1 * statevec.register_probabilities(st, _CTRL_B)
+    for m1 in range(1 << params.t1):
+        p1, cond = _node_b(after_a, m1, params, ClassicalChannel(), branch_rng)
+        if cond is not None:
+            joint[m1, :] = p1 * cond
     return joint
 
 

@@ -33,9 +33,9 @@ resources module.
 Measuring is sampling plus projection: ``sample_register`` draws an outcome
 and leaves the state alone, ``measure_register`` also collapses it.
 
-Determinism: every random choice is drawn from the caller's
-``numpy.random.Generator`` via inverse-CDF sampling, so a fixed generator
-state fixes all outcomes.
+Determinism: every random choice is one ``draw``, an inverse-CDF sample from
+one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
+generator state fixes all outcomes.
 """
 
 from __future__ import annotations
@@ -388,37 +388,38 @@ def project_register(
 ) -> tuple[float, StateVector | None]:
     """Probability of the outcome and the renormalized post-projection state.
 
-    Returns (0.0, None) when the outcome has no support.  Works on the dense
-    vector: numpy may sum one register value's amplitudes pairwise across
-    rows, so leaving rows out could move the probability by an ulp.
+    Returns (0.0, None) when the outcome has no support.  Off the leading
+    register only the stored rows are read and the result keeps the row set.
     """
     w = state.layout.width(reg)
     if not 0 <= value < (1 << w):
         raise ValueError(f"value {value} out of range for register {reg!r}")
-    a = state.amps.reshape(1 << state.layout.offset(reg), 1 << w, -1)
+    rows, a = _reg_axis(state, reg)
     p = float(np.sum(np.abs(a[:, value, :]) ** 2))
     if p == 0.0:
         return 0.0, None
     out = np.zeros(a.shape, a.dtype)
     out[:, value, :] = a[:, value, :] / math.sqrt(p)
-    return p, StateVector(state.layout, out.reshape(-1))
+    return p, StateVector(state.layout, out.reshape(-1), rows)
 
 
-def sample_register(state: StateVector, reg: str, rng: np.random.Generator) -> BitString:
-    """Sample a register outcome (Born rule), leaving the state as it is.
+def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Outcome index drawn by inverse CDF over ``probs`` from one ``rng.random()``.
 
-    Sampling is inverse-CDF over outcomes in increasing value from one
-    ``rng.random()`` draw, so the result is a deterministic function of the
-    generator state.
+    Outcome k is drawn for a uniform u with cdf[k-1] <= u * total < cdf[k],
+    so an outcome of zero mass is never drawn; the last index takes what
+    rounding leaves above the cumulative sum.
     """
-    w = state.layout.width(reg)
-    probs = register_probabilities(state, reg)
     total = float(probs.sum())
     if not abs(total - 1.0) <= NORM_GUARD:  # NaN fails too
         raise RuntimeError(f"state norm drifted: probabilities sum to {total}")
-    cdf = np.cumsum(probs)
-    k = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-    return BitString(w, min(k, (1 << w) - 1))
+    k = int(np.searchsorted(np.cumsum(probs), rng.random() * total, side="right"))
+    return min(k, probs.size - 1)
+
+
+def sample_register(state: StateVector, reg: str, rng: np.random.Generator) -> BitString:
+    """Sample a register outcome (Born rule) with ``draw``, leaving the state as it is."""
+    return BitString(state.layout.width(reg), draw(register_probabilities(state, reg), rng))
 
 
 def measure_register(
@@ -436,19 +437,11 @@ def apply_h_qubit(state: StateVector, reg: str, k: int) -> StateVector:
     return StateVector(state.layout, _apply_1q(state.amps, state.n, pos, _H))
 
 
-def append_register(
-    state: StateVector,
-    name: str,
-    width: int,
-    *,
-    value: int = 0,
-    amplitudes: np.ndarray | None = None,
-) -> StateVector:
-    """Adjoin a fresh register (least significant block) in a product state.
+def append_register(state: StateVector, name: str, width: int) -> StateVector:
+    """Adjoin a fresh register (least significant block) in |0..0>.
 
-    The new register starts in the basis state ``value`` or, if given, in
-    the normalized ``amplitudes`` state.  The result stores only the rows of
-    the leading register that hold amplitude.
+    The result stores only the rows of the leading register that hold
+    amplitude.
     """
     layout = state.layout.appended(name, width)  # raises CapacityError when too big
     rows, block = state.rows, state.block
@@ -457,19 +450,11 @@ def append_register(
         live = np.flatnonzero(lead.any(axis=1))
         if live.size < lead.shape[0]:
             rows, block = live, lead[live].reshape(-1)
-    if amplitudes is None:
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"value {value} out of range for width {width}")
-        # Zeros written, not left to calloc: untouched zero pages would fault
-        # once when the next kernel reads them and again when reused.
-        out = np.empty((block.size, 1 << width), dtype=complex)
-        out[...] = 0
-        out[:, value] = block
-    else:
-        reg_amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if reg_amps.shape != (1 << width,):
-            raise ValueError(f"expected {1 << width} amplitudes for register {name!r}")
-        out = np.multiply.outer(block, reg_amps)
+    # Zeros written, not left to calloc: untouched zero pages would fault
+    # once when the next kernel reads them and again when reused.
+    out = np.empty((block.size, 1 << width), dtype=complex)
+    out[...] = 0
+    out[:, 0] = block
     return StateVector(layout, out.reshape(-1), rows)
 
 

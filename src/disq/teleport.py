@@ -58,14 +58,6 @@ class EprPool:
         self.consumed += k
 
 
-def _draw_bit(p0: float, p1: float, rng: np.random.Generator) -> int:
-    """One measured bit by inverse CDF over outcomes 0, 1 from one draw."""
-    total = p0 + p1
-    if not abs(total - 1.0) <= statevec.NORM_GUARD:  # NaN fails too
-        raise RuntimeError(f"state norm drifted: probabilities sum to {total}")
-    return 0 if rng.random() * total < p0 else 1
-
-
 def _teleport_qubit(state: StateVector, reg: str, k: int, rng: np.random.Generator):
     """Teleport qubit k of the register onto a pair half, in place of itself.
 
@@ -81,8 +73,8 @@ def _teleport_qubit(state: StateVector, reg: str, k: int, rng: np.random.Generat
     phased = 0.5 * np.stack([a, a * sign])  # [z]: the x = 0 branch
     branches = np.stack([phased, phased[:, :, ::-1]], axis=1)  # [z, x]
     p = np.sum(np.abs(branches) ** 2, axis=(2, 3, 4))
-    z = _draw_bit(p[0].sum(), p[1].sum(), rng)
-    x = _draw_bit(*(p[z] / p[z].sum()), rng)
+    z = statevec.draw(p.sum(axis=1), rng)
+    x = statevec.draw(p[z] / p[z].sum(), rng)
     out = branches[z, x]
     if x:
         out = out[:, ::-1]

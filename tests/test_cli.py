@@ -75,6 +75,16 @@ class TestOrder:
             "4d4959b5d15b973601b797c22009870f07a69f329fea98e4b123917306dfd4ab"
         )
 
+    def test_seeded_joint_oracle_output_is_pinned(self, capsys):
+        _, out, _ = run_cli(
+            capsys,
+            "order", "--N", "15", "--a", "7", "--shots", "20", "--seed", "11",
+            "--mode", "joint-oracle",
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3d415daaf7a2dfacb2113ad6d8c1a78937a829b09da31d5c255f3503243a956a"
+        )
+
     @pytest.mark.parametrize(
         "engine, digest",
         [

@@ -137,6 +137,96 @@ class TestWorkRegisterLeads:
         assert joint.shape == (1 << params.t1, 1 << params.t2)
         assert peak < 32 << 20
 
+    def test_joint_oracle_shot_never_holds_a_dense_state(self):
+        # The shot draws from the joint oracle's marginal, so it peaks no
+        # higher than the oracle: below the 32 MiB dense joint state.
+        params = ProtocolParams.derive(16, 3, Fraction(1, 4))
+        tracemalloc.start()
+        try:
+            record = run_distributed_order_finding(params, np.random.default_rng(3), MODE_JOINT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.m2 is not None
+        assert peak < 32 << 20
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Every distribution ``statevec.draw`` samples from, in draw order."""
+    seen = []
+    draw = protocol.statevec.draw
+
+    def recording(probs, rng):
+        seen.append(np.array(probs))
+        return draw(probs, rng)
+
+    monkeypatch.setattr(protocol.statevec, "draw", recording)
+    return seen
+
+
+class TestShotsSampleTheirOracle:
+    """Each shot draws from the exact law its oracle computes."""
+
+    def test_monolithic_shot(self, draws):
+        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
+        run_monolithic_order_finding(params, np.random.default_rng(1))
+        assert len(draws) == 1
+        assert np.array_equal(draws[0], monolithic_exact_distribution(params))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_joint_oracle_shot(self, draws, seed):
+        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
+        record = run_distributed_order_finding(params, np.random.default_rng(seed), MODE_JOINT)
+        joint = distributed_joint_distribution(params, MODE_JOINT)
+        m1 = record.m1.value
+        assert len(draws) == 2
+        assert np.array_equal(draws[0], joint.sum(axis=1))
+        assert np.array_equal(draws[1], joint[m1] / joint[m1].sum())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sequential_shot_draws_m2_from_node_b(self, draws, seed):
+        # Draw order: A's measurement, the 2L teleport bits, B's measurement.
+        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
+        record = run_distributed_order_finding(params, np.random.default_rng(seed))
+        after_a = protocol._a_stage(params)
+        m1 = record.m1.value
+        assert len(draws) == 2 + 2 * params.L
+        assert np.array_equal(draws[0], protocol.statevec.register_probabilities(after_a, "ctrl_a"))
+        assert all(d.shape == (2,) for d in draws[1:-1])
+        p_m1, shot_cond = draws[0][m1], draws[-1]
+        p1, cond = protocol._node_b(
+            after_a, m1, params, protocol.ClassicalChannel(), np.random.default_rng(seed)
+        )
+        assert np.allclose(cond, shot_cond, rtol=0, atol=1e-15)
+        joint = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        assert np.allclose(joint[m1], p1 * shot_cond, rtol=0, atol=1e-15)
+        assert p1 == pytest.approx(p_m1, rel=1e-12)
+
+    def test_node_b_without_mass(self):
+        params = ProtocolParams.derive(15, 7, Fraction(1, 4))
+        after_a = protocol._a_stage(params)
+        probs = protocol.statevec.register_probabilities(after_a, "ctrl_a")
+        m1 = int(np.flatnonzero(probs == 0)[0])
+        channel = protocol.ClassicalChannel()
+        p1, cond = protocol._node_b(after_a, m1, params, channel, np.random.default_rng(0))
+        assert (p1, cond) == (0.0, None)
+        assert channel.bit_count == 0
+
+    @pytest.mark.parametrize(
+        "engine, mode",
+        [(ENGINE_MONOLITHIC, MODE_SEQUENTIAL), (ENGINE_DISTRIBUTED, MODE_SEQUENTIAL),
+         (ENGINE_DISTRIBUTED, MODE_JOINT)],
+    )
+    def test_no_shot_collapses_a_state(self, monkeypatch, engine, mode):
+        def refuse(*_args):
+            raise AssertionError("measure_register called")
+
+        monkeypatch.setattr(protocol.statevec, "measure_register", refuse)
+        params = ProtocolParams.derive(15, 7, Fraction(1, 4))
+        records = run_shots(params, 3, seed=4, engine=engine, mode=mode)
+        assert all(r.m is not None for r in records)
+
 
 class TestCorrectResults:
     def test_worked_example(self):

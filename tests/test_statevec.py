@@ -428,7 +428,7 @@ class TestNormPreservation:
             lambda s: apply_qft(s, "ctrl"),
             lambda s: apply_inverse_qft(s, "ctrl"),
             lambda s: measure_register(s, "ctrl", np.random.default_rng(1))[1],
-            lambda s: statevec.append_register(s, "extra", 2, value=3),
+            lambda s: statevec.append_register(s, "extra", 2),
             lambda s: remove_register(s, "extra"),
         ]
         for step in steps:
@@ -452,15 +452,6 @@ class TestStructuralOps:
             remove_register(st, "a")
         ok = remove_register(st, "b")
         assert ok.layout.names == ("a",)
-
-    def test_append_register_amplitudes(self):
-        st = init_basis(RegisterLayout.of(("a", 1)), {"a": 1})
-        st = statevec.append_register(
-            st, "pair", 2, amplitudes=np.array([1, 0, 0, 1]) / math.sqrt(2)
-        )
-        assert st.layout.names == ("a", "pair")
-        assert st.amps[0b100] == pytest.approx(1 / math.sqrt(2))
-        assert st.amps[0b111] == pytest.approx(1 / math.sqrt(2))
 
     def test_append_respects_capacity(self):
         st = init_basis(RegisterLayout.of(("a", statevec.MAX_QUBITS - 1)))
@@ -494,6 +485,57 @@ class TestNormGuards:
     def test_remove_register_raises(self):
         with pytest.raises(ValueError):
             remove_register(self.nan_state(), "r")
+
+
+class FixedUniform:
+    """Stands in for a Generator whose ``random()`` returns the given values."""
+
+    def __init__(self, *values: float):
+        self.values = list(values)
+
+    def random(self) -> float:
+        return self.values.pop(0)
+
+
+class TestDraw:
+    def test_boundary_belongs_to_the_next_outcome(self):
+        probs = np.array([0.25, 0.75])
+        assert statevec.draw(probs, FixedUniform(0.25)) == 1
+        assert statevec.draw(probs, FixedUniform(np.nextafter(0.25, 0))) == 0
+        assert statevec.draw(probs, FixedUniform(0.0)) == 0
+
+    def test_boundary_scales_with_the_total(self):
+        # u * total == p0 exactly: u = 0.5, total = 1 - 2^-30, p0 = total / 2
+        total = 1 - 2.0**-30
+        probs = np.array([total / 2, total / 2])
+        assert float(probs.sum()) == total
+        assert statevec.draw(probs, FixedUniform(0.5)) == 1
+        assert statevec.draw(probs, FixedUniform(np.nextafter(0.5, 0))) == 0
+
+    def test_zero_mass_is_never_drawn(self):
+        probs = np.array([0.0, 0.5, 0.0, 0.0, 0.5, 0.0])
+        uniforms = [0.0, np.nextafter(0.5, 0), 0.5, np.nextafter(1.0, 0)]
+        got = [statevec.draw(probs, FixedUniform(u)) for u in uniforms]
+        assert got == [1, 1, 4, 4]
+
+    def test_last_index_is_clamped(self):
+        # u * total at or past the last cumulative sum still names an outcome
+        probs = np.array([0.5, 0.5])
+        assert statevec.draw(probs, FixedUniform(1.0)) == 1
+        assert statevec.draw(np.array([1.0]), FixedUniform(np.nextafter(1.0, 0))) == 0
+
+    @pytest.mark.parametrize(
+        "probs", [[0.5, math.nan], [0.5, 0.5 + 2e-8], [0.25, 0.25], [math.inf, 0.0]]
+    )
+    def test_bad_masses_raise(self, probs):
+        with pytest.raises(RuntimeError):
+            statevec.draw(np.array(probs), FixedUniform(0.5))
+
+    def test_one_uniform_per_draw(self):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        statevec.draw(np.full(8, 0.125), rng)
+        ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def sparse_state(
@@ -636,20 +678,14 @@ class TestLiveFibers:
         assert m == measure_register(st, "r", rng_measure)[0]
         assert rng_sample.bit_generator.state == rng_measure.bit_generator.state
 
-    @pytest.mark.parametrize("value", [0, 5, 7])
-    def test_append_basis_register_matches_kron(self, value):
-        st = sparse_state([("a", 2), ("b", 3)], "b", 2, seed=value)
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_append_basis_register_matches_kron(self, seed):
+        st = sparse_state([("a", 2), ("b", 3)], "b", 2, seed=seed)
         basis = np.zeros(8, dtype=complex)
-        basis[value] = 1.0
-        got = statevec.append_register(st, "c", 3, value=value)
+        basis[0] = 1.0
+        got = statevec.append_register(st, "c", 3)
         assert got.layout.names == ("a", "b", "c")
         assert np.array_equal(got.amps, np.kron(st.amps, basis))
-
-    def test_append_amplitudes_register_matches_kron(self):
-        st = random_state(RegisterLayout.of(("a", 2), ("b", 3)), np.random.default_rng(6))
-        reg = random_state(RegisterLayout.of(("c", 2)), np.random.default_rng(7)).amps
-        got = statevec.append_register(st, "c", 2, amplitudes=reg)
-        assert np.array_equal(got.amps, np.kron(st.amps, reg))
 
 
 COMPACT_LAYOUTS = [
@@ -741,14 +777,14 @@ class TestCompactRows:
 
     def test_append_stores_live_rows(self):
         dense = row_sparse_state([("w", 4), ("b", 2)], [2, 9], seed=3)
-        got = statevec.append_register(dense, "c", 3, value=5)
+        got = statevec.append_register(dense, "c", 3)
         assert got.rows.tolist() == [2, 9] and got.block.size == 2 * 4 * 8
         basis = np.zeros(8, dtype=complex)
-        basis[5] = 1.0
+        basis[0] = 1.0
         assert np.array_equal(got.amps, np.kron(dense.amps, basis))
-        again = statevec.append_register(got, "d", 1, amplitudes=np.array([0.6, 0.8]))
+        again = statevec.append_register(got, "d", 1)
         assert again.rows.tolist() == [2, 9]
-        assert np.array_equal(again.amps, np.kron(got.amps, [0.6, 0.8]))
+        assert np.array_equal(again.amps, np.kron(got.amps, [1, 0]))
 
     def test_leading_register_ops_use_dense_vector(self):
         regs = [("w", 4), ("b", 2), ("r", 3)]
@@ -767,6 +803,23 @@ class TestCompactRows:
         removed = remove_register(compact_twin(proj_d), "w")
         assert removed.rows is None
         assert np.array_equal(removed.amps, remove_register(proj_d, "w").amps)
+
+    @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
+    @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15]])
+    def test_project_off_leading_register_keeps_rows(self, regs, live_rows):
+        dense = row_sparse_state(regs, live_rows, seed=12)
+        st = compact_twin(dense)
+        for value in (0, 2):
+            p_c, proj_c = project_register(st, "b", value)
+            p_d, proj_d = project_register(dense, "b", value)
+            assert proj_c.rows.tolist() == live_rows
+            assert p_c == pytest.approx(p_d, rel=1e-14, abs=0)
+            assert np.allclose(proj_c.amps, proj_d.amps, rtol=0, atol=1e-15)
+        zero = apply_hadamard_register(st, "r")  # any state; b = 3 gets no mass below
+        a = statevec._reg_axis(zero, "b")[1].copy()
+        a[:, 3, :] = 0
+        zero = StateVector(zero.layout, a.reshape(-1) / np.linalg.norm(a), zero.rows)
+        assert project_register(zero, "b", 3) == (0.0, None)
 
     def test_teleport_leading_register(self):
         dense = row_sparse_state([("w", 4), ("b", 2)], [0, 6, 11], seed=8)
