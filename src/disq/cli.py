@@ -14,8 +14,8 @@ byte-identical across runs, including with --workers > 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -38,7 +38,22 @@ EXIT_OK = 0
 EXIT_FAILURE = 1  # capacity exceeded, factoring gave up, etc.
 EXIT_USAGE = 2
 
+# Each summary column names its summary key, with "-" written as "_".
 CSV_SUMMARY_COLUMNS = ["N", "a", "epsilon", "shots", "success-rate", "theorem2-bound", "mean-error"]
+
+# (column, ResourceReport field) for each column of the --sweep-L CSV.
+CSV_SWEEP_COLUMNS = [
+    ("L", "L"),
+    ("epsilon", "epsilon"),
+    ("qubits-monolithic", "qubits_monolithic"),
+    ("qubits-node-A", "qubits_node_a"),
+    ("qubits-node-B", "qubits_node_b"),
+    ("qubit-savings", "qubit_savings"),
+    ("ctrl-len-monolithic", "ctrl_len_monolithic"),
+    ("ctrl-len-node-A", "ctrl_len_node_a"),
+    ("ctrl-len-node-B", "ctrl_len_node_b"),
+    ("classical-bits-distributed", "classical_bits_distributed"),
+]
 
 
 class UsageError(Exception):
@@ -81,9 +96,13 @@ def _smallest_prime_factor(n: int) -> int | None:
     return None
 
 
+def _check_size(args: argparse.Namespace, epsilon: Fraction) -> None:
+    # Register widths do not depend on the base, so base 1 stands in for it
+    # and an oversized run is refused before any work that grows with N.
+    protocol.check_capacity(ProtocolParams.derive(args.N, 1, epsilon), args.engine, args.mode)
+
+
 def _check_factorable(N: int) -> None:
-    if N < 3 or N % 2 == 0:
-        raise UsageError(f"N must be odd and >= 3, got {N}")
     spf = _smallest_prime_factor(N)
     if spf is None:
         raise UsageError(f"N={N} is prime; nothing to factor")
@@ -95,30 +114,13 @@ def _check_factorable(N: int) -> None:
 
 
 def _open_output(path: str):
+    """The output stream as a context manager: stdout for '-', else the file."""
     if path == "-":
-        return sys.stdout, False
+        return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8", newline=""), True
+        return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write output {path!r}: {exc.strerror}") from None
-
-
-def _summary_csv(summary: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_SUMMARY_COLUMNS)
-    writer.writerow(
-        [
-            summary["N"],
-            summary["a"],
-            summary["epsilon"],
-            summary["shots"],
-            summary["success_rate"],
-            summary["theorem2_bound"],
-            summary["mean_error"],
-        ]
-    )
-    return buf.getvalue()
 
 
 def cmd_order(args: argparse.Namespace) -> int:
@@ -133,14 +135,11 @@ def cmd_order(args: argparse.Namespace) -> int:
     a = args.a
     if a is not None and (not 1 <= a < args.N or math.gcd(a, args.N) != 1):
         raise UsageError(f"need 1 <= a < N with gcd(a, N) = 1, got a={a}, N={args.N}")
-    # Register widths do not depend on the base, so base 1 stands in for it
-    # and an oversized run is refused before a base is drawn.
-    protocol.check_capacity(ProtocolParams.derive(args.N, 1, epsilon), args.engine, args.mode)
+    _check_size(args, epsilon)
     if a is None:
         a = _pick_base(args.N, np.random.default_rng(seed))
     params = ProtocolParams.derive(args.N, a, epsilon)
-    out, close = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         records = protocol.run_shots(
             params,
             args.shots,
@@ -155,19 +154,21 @@ def cmd_order(args: argparse.Namespace) -> int:
                 print(json.dumps(record.to_json_dict(), separators=(",", ":")), file=out)
             print(json.dumps(summary, separators=(",", ":")), file=out)
         else:
-            out.write(_summary_csv(summary))
-    finally:
-        if close:
-            out.close()
+            writer = csv.writer(out)
+            writer.writerow(CSV_SUMMARY_COLUMNS)
+            writer.writerow([summary[column.replace("-", "_")] for column in CSV_SUMMARY_COLUMNS])
     return EXIT_OK
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
     epsilon = _parse_epsilon(args.epsilon)
     seed = _resolve_seed(args.seed)
-    _check_factorable(args.N)
+    if args.N < 3 or args.N % 2 == 0:
+        raise UsageError(f"N must be odd and >= 3, got {args.N}")
     if args.max_attempts < 1:
         raise UsageError(f"max-attempts must be >= 1, got {args.max_attempts}")
+    _check_size(args, epsilon)
+    _check_factorable(args.N)
     rng = np.random.default_rng(seed if seed is None else [seed, 0x0F])
     result = protocol.run_shor_factoring(
         args.N,
@@ -213,42 +214,15 @@ def cmd_resources(args: argparse.Namespace) -> int:
     epsilon = _parse_epsilon(args.epsilon)
     if args.b_constant < 0:
         raise UsageError(f"b-constant must be >= 0, got {args.b_constant}")
-    out, close = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         if args.sweep_L:
             writer = csv.writer(out)
-            writer.writerow(
-                [
-                    "L",
-                    "epsilon",
-                    "qubits-monolithic",
-                    "qubits-node-A",
-                    "qubits-node-B",
-                    "qubit-savings",
-                    "ctrl-len-monolithic",
-                    "ctrl-len-node-A",
-                    "ctrl-len-node-B",
-                    "classical-bits-distributed",
-                ]
-            )
+            writer.writerow([column for column, _ in CSV_SWEEP_COLUMNS])
             for L in _parse_sweep(args.sweep_L):
                 if L % 2:
                     continue
                 rep = resources.account(L, epsilon, args.b_constant)
-                writer.writerow(
-                    [
-                        rep.L,
-                        str(rep.epsilon),
-                        rep.qubits_monolithic,
-                        rep.qubits_node_a,
-                        rep.qubits_node_b,
-                        rep.qubit_savings,
-                        rep.ctrl_len_monolithic,
-                        rep.ctrl_len_node_a,
-                        rep.ctrl_len_node_b,
-                        rep.classical_bits_distributed,
-                    ]
-                )
+                writer.writerow([getattr(rep, field) for _, field in CSV_SWEEP_COLUMNS])
             return EXIT_OK
         if args.L is None:
             raise UsageError("resources needs --L or --sweep-L")
@@ -258,9 +232,6 @@ def cmd_resources(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from None
         print(rep.to_json() if args.format == "json" else rep.table(), file=out)
         return EXIT_OK
-    finally:
-        if close:
-            out.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,29 +241,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    order = sub.add_parser("order", help="run order-finding shots")
-    order.add_argument("--N", type=int, required=True, help="modulus")
-    order.add_argument("--a", type=int, default=None, help="base (random coprime if omitted)")
-    order.add_argument("--epsilon", default="1/4", help="failure budget, e.g. 0.25 or 1/4")
-    order.add_argument("--shots", type=int, default=100)
-    order.add_argument("--seed", type=int, default=None, help="falls back to DISQ_SEED")
-    order.add_argument(
+    # Flags shared by order and factor, which run the same engines.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--N", type=int, required=True, help="modulus")
+    run.add_argument("--epsilon", default="1/4", help="failure budget, e.g. 0.25 or 1/4")
+    run.add_argument("--seed", type=int, default=None, help="falls back to DISQ_SEED")
+    run.add_argument(
         "--engine", choices=[ENGINE_MONOLITHIC, ENGINE_DISTRIBUTED], default=ENGINE_DISTRIBUTED
     )
-    order.add_argument("--mode", choices=[MODE_SEQUENTIAL, MODE_JOINT], default=MODE_SEQUENTIAL)
+    run.add_argument("--mode", choices=[MODE_SEQUENTIAL, MODE_JOINT], default=MODE_SEQUENTIAL)
+
+    order = sub.add_parser("order", parents=[run], help="run order-finding shots")
+    order.add_argument("--a", type=int, default=None, help="base (random coprime if omitted)")
+    order.add_argument("--shots", type=int, default=100)
     order.add_argument("--format", choices=["json", "csv"], default="json")
     order.add_argument("--output", default="-", help="output path, '-' for stdout")
     order.add_argument("--workers", type=int, default=1)
     order.set_defaults(handler=cmd_order)
 
-    factor = sub.add_parser("factor", help="factor an odd composite modulus")
-    factor.add_argument("--N", type=int, required=True)
-    factor.add_argument("--epsilon", default="1/4")
-    factor.add_argument("--seed", type=int, default=None, help="falls back to DISQ_SEED")
-    factor.add_argument(
-        "--engine", choices=[ENGINE_MONOLITHIC, ENGINE_DISTRIBUTED], default=ENGINE_DISTRIBUTED
-    )
-    factor.add_argument("--mode", choices=[MODE_SEQUENTIAL, MODE_JOINT], default=MODE_SEQUENTIAL)
+    factor = sub.add_parser("factor", parents=[run], help="factor an odd composite modulus")
     factor.add_argument("--max-attempts", type=int, default=10)
     factor.set_defaults(handler=cmd_factor)
 

@@ -34,21 +34,17 @@ class ResourceReport:
     qubits_monolithic: int
     qubits_node_a: int
     qubits_node_b: int
-    qubit_savings: int
     ctrl_len_monolithic: int
     ctrl_len_node_a: int
     ctrl_len_node_b: int
     classical_bits_distributed: int
-    gate_count_order: str = GATE_COUNT_ORDER
-    depth_stage_order: str = DEPTH_STAGE_ORDER
-    aux_qubits_order: str = AUX_QUBITS_ORDER
-    classical_bits_reference: str = REFERENCE_COMM_ORDER
 
     def __post_init__(self) -> None:
-        assert self.qubit_savings == self.qubits_monolithic - max(
-            self.qubits_node_a, self.qubits_node_b
-        )
         assert min(self.qubits_monolithic, self.qubits_node_a, self.qubits_node_b) > 0
+
+    @property
+    def qubit_savings(self) -> int:
+        return self.qubits_monolithic - max(self.qubits_node_a, self.qubits_node_b)
 
     def to_json_dict(self) -> dict:
         return {
@@ -57,7 +53,7 @@ class ResourceReport:
             "L": self.L,
             "epsilon": str(self.epsilon),
             "b_aux": self.b_aux,
-            "aux_qubits_order": self.aux_qubits_order,
+            "aux_qubits_order": AUX_QUBITS_ORDER,
             "qubits_monolithic": self.qubits_monolithic,
             "qubits_node_a": self.qubits_node_a,
             "qubits_node_b": self.qubits_node_b,
@@ -65,27 +61,27 @@ class ResourceReport:
             "ctrl_len_monolithic": self.ctrl_len_monolithic,
             "ctrl_len_node_a": self.ctrl_len_node_a,
             "ctrl_len_node_b": self.ctrl_len_node_b,
-            "depth_stage_order": self.depth_stage_order,
-            "gate_count_order": self.gate_count_order,
+            "depth_stage_order": DEPTH_STAGE_ORDER,
+            "gate_count_order": GATE_COUNT_ORDER,
             "classical_bits_distributed": self.classical_bits_distributed,
-            "classical_bits_reference": self.classical_bits_reference,
+            "classical_bits_reference": REFERENCE_COMM_ORDER,
         }
 
     def table(self) -> str:
         rows = [
             ("modulus bit length L", self.L, ""),
             ("failure budget epsilon", str(self.epsilon), ""),
-            ("auxiliary qubits b", self.b_aux, f"({self.aux_qubits_order} class)"),
+            ("auxiliary qubits b", self.b_aux, f"({AUX_QUBITS_ORDER} class)"),
             ("qubits, single node", self.qubits_monolithic, ""),
             ("qubits, node A", self.qubits_node_a, ""),
             ("qubits, node B", self.qubits_node_b, ""),
             ("qubit savings", self.qubit_savings, "vs widest node"),
-            ("ctrl stages, single node", self.ctrl_len_monolithic, self.depth_stage_order),
-            ("ctrl stages, node A", self.ctrl_len_node_a, self.depth_stage_order),
-            ("ctrl stages, node B", self.ctrl_len_node_b, self.depth_stage_order),
-            ("gate count", self.gate_count_order, "both engines"),
+            ("ctrl stages, single node", self.ctrl_len_monolithic, DEPTH_STAGE_ORDER),
+            ("ctrl stages, node A", self.ctrl_len_node_a, DEPTH_STAGE_ORDER),
+            ("ctrl stages, node B", self.ctrl_len_node_b, DEPTH_STAGE_ORDER),
+            ("gate count", GATE_COUNT_ORDER, "both engines"),
             ("classical bits, two-node", self.classical_bits_distributed, ""),
-            ("classical bits, reference scheme", self.classical_bits_reference, ""),
+            ("classical bits, reference scheme", REFERENCE_COMM_ORDER, ""),
         ]
         width = max(len(r[0]) for r in rows)
         return "\n".join(f"{name:<{width}}  {value}  {note}".rstrip() for name, value, note in rows)
@@ -119,7 +115,6 @@ def account(L: int, epsilon: Fraction, b_constant: int = 0) -> ResourceReport:
         qubits_monolithic=qubits_mono,
         qubits_node_a=qubits_a,
         qubits_node_b=qubits_b,
-        qubit_savings=qubits_mono - max(qubits_a, qubits_b),
         ctrl_len_monolithic=t_mono,
         ctrl_len_node_a=t1,
         ctrl_len_node_b=t2,

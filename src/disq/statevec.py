@@ -24,11 +24,11 @@ superposition; any other register state gets one butterfly pass per qubit.
 Controlled modular multiplication is applied as the basis permutation it
 semantically is (values >= the modulus are fixed points, which keeps the map
 a bijection and hence unitary): one gather that copies the control values
-sharing a power of the multiplier together, through a cached table of the
-multiplier's inverse powers.  The Fourier transforms are applied as
-orthonormal FFTs along the register axis.  Gate-level decompositions are out
-of scope here -- circuit-cost questions are answered analytically by the
-resources module.
+sharing a power of the multiplier together, through a table of the
+multiplier's inverse powers built by each call.  The Fourier transforms are
+applied as orthonormal FFTs along the register axis.  Gate-level
+decompositions are out of scope here -- circuit-cost questions are answered
+analytically by the resources module.
 
 Measuring is sampling plus projection: ``sample_register`` draws an outcome
 and leaves the state alone, ``measure_register`` also collapses it.
@@ -40,7 +40,6 @@ generator state fixes all outcomes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,11 +52,6 @@ from .bitstrings import BitString
 MAX_QUBITS = 26  # memory guard: at most 2^26 amplitudes (1 GiB complex128)
 
 NORM_GUARD = 1e-8  # measurement-time probability drift that trips an error
-
-# Inverse-power tables kept per (multiplier, modulus).  One run touches at
-# most two (the base and node B's multiplier); the bound keeps a long sweep
-# over many (N, a) from holding every table it ever built.
-_TABLE_CACHE_SIZE = 8
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -250,31 +244,19 @@ def apply_inverse_qft(state: StateVector, reg: str) -> StateVector:
     return _transform(state, reg, np.fft.fft)
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _inverse_powers(multiplier: int, modulus: int) -> np.ndarray:
-    """multiplier^(-j) mod modulus for j below the multiplier's order; read-only.
+def _preimage_cycle(n_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
+    """cyc[y, j] = the target value that multiplier^j maps onto y, for y < n_tgt.
 
-    The powers repeat with that order, so control value j acts through entry
-    j mod len(powers).
+    One column per power below the multiplier's order, built from the powers
+    of its inverse; control value j reads column j mod cyc.shape[1].  Values
+    >= modulus are fixed points of the permutation.
     """
     minv = pow(multiplier, -1, modulus)
     powers = [1]
     while (nxt := powers[-1] * minv % modulus) != 1:
         powers.append(nxt)
-    table = np.array(powers, dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
-def _preimage_cycle(n_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
-    """cyc[y, j] = the target value that multiplier^j maps onto y, for y < n_tgt.
-
-    One column per power below the multiplier's order; control value j
-    reads column j mod cyc.shape[1].  Values >= modulus are fixed points of
-    the permutation.
-    """
+    powers = np.array(powers, dtype=np.int64)
     ys = np.arange(n_tgt, dtype=np.int64)
-    powers = _inverse_powers(multiplier, modulus)
     return np.where((ys < modulus)[:, None], np.multiply.outer(ys, powers) % modulus, ys[:, None])
 
 

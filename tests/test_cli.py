@@ -93,8 +93,8 @@ class TestOrder:
         ],
     )
     def test_seeded_n33_output_is_pinned(self, capsys, engine, digest):
-        # N=33 leaves 54 of node B's 64 work rows empty, so this run goes
-        # through the live-fiber kernels.
+        # N=33 a=2 holds only the 10 powers of 2 among node B's 64 work
+        # values, so node B stores 10 of its 64 work rows.
         _, out, _ = run_cli(
             capsys,
             "order", "--N", "33", "--a", "2", "--shots", "20", "--seed", "11",
@@ -171,6 +171,14 @@ class TestOrder:
         code, _, err = run_cli(capsys, "order", "--N", "4097", "--a", "4097", "--shots", "1")
         assert code == 2 and "gcd" in err
 
+    def test_seeded_csv_output_is_pinned(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "order", "--N", "35", "--shots", "10", "--seed", "11", "--format", "csv"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a897ac28505baa81d2bb07916d64b4a80eb8ef3e61a3f66e2b4298b90681890b"
+        )
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "records.jsonl"
         code, out, _ = run_cli(
@@ -207,6 +215,31 @@ class TestFactor:
         code, out, err = run_cli(capsys, "factor", "--N", "15", "--max-attempts", "0")
         assert code == 2 and out == "" and "max-attempts" in err
 
+    @staticmethod
+    def forbid_trial_division(monkeypatch):
+        # Trial division takes O(sqrt(N)) steps; past the guard it would not end.
+        def no_division(*_):
+            raise AssertionError("_smallest_prime_factor called")
+
+        monkeypatch.setattr(cli, "_smallest_prime_factor", no_division)
+
+    def test_oversized_run_refused_before_trial_division(self, capsys, monkeypatch):
+        self.forbid_trial_division(monkeypatch)
+        code, out, err = run_cli(capsys, "factor", "--N", "1000000016000000063", "--seed", "1")
+        assert code == 1 and out == "" and "qubits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--N", "1000000016000000064"),
+            ("--N", "1000000016000000063", "--max-attempts", "0"),
+        ],
+    )
+    def test_usage_errors_come_before_size_check(self, capsys, monkeypatch, argv):
+        self.forbid_trial_division(monkeypatch)
+        code, out, err = run_cli(capsys, "factor", *argv)
+        assert code == 2 and out == "" and "qubits" not in err
+
 
 class TestResources:
     def test_table_output(self, capsys):
@@ -228,6 +261,24 @@ class TestResources:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [int(r["L"]) for r in rows] == list(range(4, 65, 4))
         assert all(int(r["classical-bits-distributed"]) == 2 * int(r["L"]) for r in rows)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--sweep-L", "2:40:2", "--b-constant", "3", "--epsilon", "0.1"),
+                "f233c4f1ce52398b3e52c9c7317db6f93b2146be42e5cc9dd238a14a4f12d98b",
+            ),
+            (
+                ("--L", "10", "--format", "json", "--epsilon", "1/100"),
+                "2585876dc716fbe46c873e1f58b283d024d3d6ce164a8ebaed88426249f83850",
+            ),
+            (("--L", "8"), "a200ae92b0df86d5304d7de9f1a16d5a384e71927c28c072f37c912dc35f04d6"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, argv, digest):
+        _, out, _ = run_cli(capsys, "resources", *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_requires_L_or_sweep(self, capsys):
         code, _, err = run_cli(capsys, "resources")

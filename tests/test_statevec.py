@@ -252,13 +252,10 @@ class TestControlledModMul:
         got = apply_controlled_modmul(st, "ctrl", "work", 7, 13)
         assert np.array_equal(got.amps, expected.reshape(-1))
 
-    def test_cached_tables_are_read_only(self):
-        table = statevec._inverse_powers(7, 15)
-        assert table is statevec._inverse_powers(7, 15)
-        assert table.tolist() == [1, 13, 4, 7]  # 7^-1 = 13 mod 15
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 1
+    def test_preimage_cycle_holds_inverse_powers(self):
+        table = statevec._preimage_cycle(16, 7, 15)
+        assert table[1].tolist() == [1, 13, 4, 7]  # 7^-1 = 13 mod 15
+        assert table[15].tolist() == [15, 15, 15, 15]  # values >= modulus are fixed
 
     def test_non_coprime_multiplier_rejected(self):
         layout = RegisterLayout.of(("ctrl", 2), ("work", 4))
