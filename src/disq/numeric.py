@@ -18,12 +18,8 @@ def ceil_log2(x: Fraction | int) -> int:
     x = Fraction(x)
     if x < 1:
         raise ValueError(f"ceil_log2 needs x >= 1, got {x}")
-    k = 0
-    v = Fraction(1)
-    while v < x:
-        v *= 2
-        k += 1
-    return k
+    # 2^k is an integer, so 2^k >= x exactly when 2^k >= ceil(x).
+    return (-(-x.numerator // x.denominator) - 1).bit_length()
 
 
 def multiplicative_order(a: int, n: int) -> int:

@@ -61,31 +61,24 @@ def control_widths(L: int, p: int, p_mono: int) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Derived sizes for one order-finding run.
+    """The inputs of one order-finding run and the sizes derived from them.
 
-    L is the modulus bit length rounded up to even so the half-split
-    formulas apply verbatim; p is the accuracy padding of each node's
-    estimate, t1/t2 the two control-register widths, and m_width the width
-    of the stitched estimate.  The single-node engine uses its own padding
-    p_mono and control width t_mono derived from the same target failure
-    budget epsilon.
+    p is the accuracy padding of each node's estimate and p_mono that of
+    the single-node estimate, both derived from the target failure budget
+    epsilon.  L is the modulus bit length rounded up to even so the
+    half-split formulas apply verbatim; t1/t2 are the two control-register
+    widths, m_width the width of the stitched estimate and t_mono the
+    single node's control width.
     """
 
     N: int
     a: int
     epsilon: Fraction | None
-    L: int
     p: int
-    t1: int
-    t2: int
-    m_width: int
     p_mono: int
-    t_mono: int
-    l_was_rounded: bool
 
     def __post_init__(self) -> None:
-        if self.t1 < 3:
-            raise ValueError(f"control width t1 must be >= 3, got {self.t1}")
+        _validate_modulus_and_base(self.N, self.a)
         if self.p < 1:
             raise ValueError(f"padding p must be >= 1, got {self.p}")
         # Stitching identity: the kept prefix (L/2 + 1 bits) plus B's bits
@@ -94,11 +87,10 @@ class ProtocolParams:
 
     @classmethod
     def derive(cls, N: int, a: int, epsilon: Fraction = Fraction(1, 4)) -> "ProtocolParams":
-        _validate_modulus_and_base(N, a)
         epsilon = Fraction(epsilon)
         if not 0 < epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        return cls._sized(N, a, epsilon, *paddings(epsilon))
+        return cls(N, a, epsilon, *paddings(epsilon))
 
     @classmethod
     def with_padding(cls, N: int, a: int, p: int) -> "ProtocolParams":
@@ -107,31 +99,31 @@ class ProtocolParams:
         Meant for size-controlled equivalence oracles (p below 2 is not
         reachable from any epsilon); such params carry no failure budget.
         """
-        _validate_modulus_and_base(N, a)
-        return cls._sized(N, a, None, p, p)
+        return cls(N, a, None, p, p)
 
-    @classmethod
-    def _sized(
-        cls, N: int, a: int, epsilon: Fraction | None, p: int, p_mono: int
-    ) -> "ProtocolParams":
-        """The register widths for modulus N at paddings p and p_mono."""
-        L = (N - 1).bit_length()
-        rounded = bool(L % 2)
-        L += L % 2
-        t1, t2, m_width, t_mono = control_widths(L, p, p_mono)
-        return cls(
-            N=N,
-            a=a,
-            epsilon=epsilon,
-            L=L,
-            p=p,
-            t1=t1,
-            t2=t2,
-            m_width=m_width,
-            p_mono=p_mono,
-            t_mono=t_mono,
-            l_was_rounded=rounded,
-        )
+    @property
+    def l_was_rounded(self) -> bool:
+        return bool((self.N - 1).bit_length() % 2)
+
+    @property
+    def L(self) -> int:
+        return (self.N - 1).bit_length() + self.l_was_rounded
+
+    @property
+    def t1(self) -> int:
+        return control_widths(self.L, self.p, self.p_mono)[0]
+
+    @property
+    def t2(self) -> int:
+        return control_widths(self.L, self.p, self.p_mono)[1]
+
+    @property
+    def m_width(self) -> int:
+        return control_widths(self.L, self.p, self.p_mono)[2]
+
+    @property
+    def t_mono(self) -> int:
+        return control_widths(self.L, self.p, self.p_mono)[3]
 
     def peak_qubits(self, engine: str, mode: str = MODE_SEQUENTIAL) -> int:
         """Qubits in the widest state a run of this engine and mode holds.
@@ -518,6 +510,8 @@ def run_shots(
 
 def summarize(params: ProtocolParams, records: list[OutcomeRecord]) -> dict:
     """Aggregate shot records into the summary object the CLI emits."""
+    if not records:
+        raise ValueError("summarize needs at least one shot record")
     shots = len(records)
     with_estimate = [r for r in records if r.m is not None]
     histogram: dict[str, int] = {}
@@ -542,8 +536,8 @@ def summarize(params: ProtocolParams, records: list[OutcomeRecord]) -> dict:
         "t2": params.t2,
         "m_width": params.m_width,
         "t_mono": params.t_mono,
-        "engine": records[0].engine if records else None,
-        "mode": records[0].mode if records else None,
+        "engine": records[0].engine,
+        "mode": records[0].mode,
         "shots": shots,
         "success_rate": sum(r.estimate_within_bound for r in records) / shots,
         "theorem2_bound": None if params.epsilon is None else float(1 - params.epsilon),

@@ -7,16 +7,18 @@ basis index 0b0111 means register a holds 1 and register c holds 3.
 
 A state is stored by the rows of its *leading* (first) register: the values
 of that register that can hold amplitude, in increasing order, and for each
-such row the 2^(n - w0) amplitudes of the other registers.  A dense state
-stores every row.  Every state order finding builds is led by its work
-register, which only ever holds the r powers of the base (10 of 64 values
-for N=33 a=2), and ``append_register`` stores just those rows.  Kernels on
-any other register keep the row set and work on the stored rows alone; a
-controlled modular multiplication that targets the leading register maps
-the row set onto its image; a joint marginal sums or scatters the stored
-rows; every other operation on the leading register works on the dense
-vector.  ``StateVector.amps`` is always the full 2^n vector, built on each
-read for a state that stores fewer rows.
+such row the 2^(n - w0) amplitudes of the other registers; a dense state
+stores every row.  Only this module reads or builds that format, and each
+state's rows are set where it is built: ``init_basis`` stores the one row it
+sets, ``append_register`` keeps the rows it is given, kernels on any other
+register keep them, and a controlled modular multiplication that targets the
+leading register maps them onto their image.  Order finding leads every
+state with its work register, which holds only the r powers of the base (10
+of 64 values for N=33 a=2).  The Born marginals sum the stored rows alone;
+every other operation on the leading register reads the dense vector, and
+of those only ``teleport_qubits`` gives back the stored rows.
+``StateVector.amps`` is always the full 2^n vector, built on each read for a
+state that stores fewer rows.
 
 A Hadamard layer on a register that holds |0..0> on every branch (a fresh
 phase-estimation control register) is written directly as the uniform
@@ -196,7 +198,8 @@ def _apply_1q(amps: np.ndarray, n: int, pos: int, u: np.ndarray) -> np.ndarray:
 def init_basis(layout: RegisterLayout, values: Mapping[str, int] | None = None) -> StateVector:
     """Computational basis state with each register set to its given value.
 
-    Registers missing from ``values`` start at 0.
+    Registers missing from ``values`` start at 0.  The state stores the one
+    row of the leading register that it sets.
     """
     values = dict(values or {})
     for name in values:
@@ -207,9 +210,12 @@ def init_basis(layout: RegisterLayout, values: Mapping[str, int] | None = None) 
         if not 0 <= v < (1 << width):
             raise ValueError(f"value {v} out of range for register {name!r} ({width} wide)")
         index = (index << width) | v
-    amps = np.zeros(1 << layout.n, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(layout, amps)
+    if not layout.registers:
+        return StateVector(layout, np.ones(1, dtype=complex))
+    post = layout.n - layout.registers[0][1]
+    block = np.zeros(1 << post, dtype=complex)
+    block[index & (block.size - 1)] = 1.0
+    return StateVector(layout, block, np.array([index >> post]))
 
 
 def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
@@ -275,8 +281,8 @@ def apply_controlled_modmul(
     row set not closed under the multiplier grows); anywhere else every
     target value is stored, and a leading control reads the dense vector.
     Control values that act through the same power are copied together, a
-    strided slice at a time; a source value that is not stored gives exact
-    zeros.
+    strided slice at a time; a source value that is not stored reads one
+    zero row appended to the stored ones.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -309,33 +315,22 @@ def apply_controlled_modmul(
         a = amps.reshape(-1, n_ctrl, 1 << (ot - oc - w_ctrl), k, post)
         out = np.empty((*a.shape[:3], image.size, post), a.dtype)
         a_t, out_t = a.swapaxes(1, 3), out.swapaxes(1, 3)
-    for c in range(period):  # slot k (not stored) reads slot k - 1 and is zeroed below
-        out_t[:, :, :, c::period] = a_t[:, np.minimum(src[:, c], k - 1), :, c::period]
-    for i, c in zip(*np.nonzero(src == k)):
-        out_t[:, i, :, c::period] = 0
+    if (src == k).any():  # slot k (not stored) reads one zero row
+        a_t = np.concatenate([a_t, np.zeros_like(a_t[:, :1])], axis=1)
+    for c in range(period):
+        out_t[:, :, :, c::period] = a_t[:, src[:, c], :, c::period]
     if ot == 0:
         rows = None if image.size == n_tgt else image
     return StateVector(state.layout, out.reshape(-1), rows)
 
 
-def register_probabilities(state: StateVector, reg: str) -> np.ndarray:
-    """Exact Born-rule marginal over the register, as a length-2^w float array.
-
-    Off the leading register only the stored rows are summed: the rows are
-    the outermost axis, which numpy sums in order, so leaving out rows of
-    exact zeros changes no bit.
-    """
-    _, a = _reg_axis(state, reg)
-    return np.sum(np.abs(a) ** 2, axis=(0, 2))
-
-
-def marginal_probabilities(state: StateVector, regs: Sequence[str]) -> np.ndarray:
-    """Joint Born-rule marginal over several registers, axes in the given order.
+def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
+    """Exact Born-rule marginal over the registers, axes in the given order.
 
     Only the stored rows are summed: a dropped leading register is the
     outermost axis, which numpy sums in order, so leaving out rows of exact
-    zeros changes no bit; a kept one gets its stored rows scattered into
-    zeros.
+    zeros changes no bit; a kept one is summed row by row and its stored
+    rows are scattered into zeros.
     """
     if len(set(regs)) != len(regs):
         raise ValueError(f"duplicate registers in {regs}")
@@ -345,17 +340,24 @@ def marginal_probabilities(state: StateVector, regs: Sequence[str]) -> np.ndarra
     if state.rows is not None:
         shape[0] = state.rows.size
     probs = np.abs(state.block.reshape(shape)) ** 2
-    names = list(state.layout.names)
-    keep = [names.index(r) for r in regs]
-    drop = tuple(i for i in range(len(names)) if i not in keep)
-    if drop:
-        probs = probs.sum(axis=drop)
+    keep = [state.layout.names.index(r) for r in regs]
+    drop = tuple(i for i in range(len(shape)) if i not in keep)
+    probs = probs.sum(axis=drop)
     if state.rows is not None and 0 in keep:
         full = np.zeros((1 << state.layout.registers[0][1], *probs.shape[1:]))
         full[state.rows] = probs
         probs = full
-    kept_order = [i for i in range(len(names)) if i not in drop]
-    return probs.transpose([kept_order.index(i) for i in keep])
+    return probs.transpose([sorted(keep).index(i) for i in keep])
+
+
+def register_probabilities(state: StateVector, reg: str) -> np.ndarray:
+    """Exact Born-rule marginal over the register, as a length-2^w float array."""
+    return _born_marginal(state, [reg])
+
+
+def marginal_probabilities(state: StateVector, regs: Sequence[str]) -> np.ndarray:
+    """Joint Born-rule marginal over several registers, axes in the given order."""
+    return _born_marginal(state, regs)
 
 
 def outcome_distribution(state: StateVector, reg: str) -> dict[BitString, float]:
@@ -414,6 +416,43 @@ def measure_register(
     return m, collapsed
 
 
+def teleport_qubits(
+    state: StateVector, reg: str, rng: np.random.Generator
+) -> tuple[StateVector, list[tuple[int, int]]]:
+    """Teleport each qubit of the register, MSB first, onto a pair half in its place.
+
+    The Bell measurement of qubit q and the near pair half leaves the far
+    half in one of four branches: branch (z, x) holds
+    1/2 sum_q (-1)^(qz) a_q at q xor x.  z is drawn first, then x given z,
+    and the fix-up X^x then Z^z on the far half restores a_q.  The register
+    is read once, and the result stores the input's rows.
+
+    Returns (state, bits): the (z, x) pair sent to the far node per qubit.
+    """
+    rows, a = _reg_axis(state, reg)
+    before = a.shape[0]
+    sign = np.array([1, -1])[:, None]  # (-1)^q along the qubit axis
+    bits = []
+    for k in range(state.layout.width(reg)):
+        a = a.reshape(before << k, 2, -1)
+        phased = 0.5 * np.stack([a, a * sign])  # [z]: the x = 0 branch
+        branches = np.stack([phased, phased[:, :, ::-1]], axis=1)  # [z, x]
+        p = np.sum(np.abs(branches) ** 2, axis=(2, 3, 4))
+        z = draw(p.sum(axis=1), rng)
+        x = draw(p[z] / p[z].sum(), rng)
+        out = branches[z, x]
+        if x:
+            out = out[:, ::-1]
+        if z:
+            out = out * sign
+        a = out / math.sqrt(p[z, x])
+        bits.append((z, x))
+    if rows is None and state.rows is not None:  # the leading register, read dense
+        rows = state.rows
+        a = a.reshape(1 << state.layout.registers[0][1], -1)[rows]
+    return StateVector(state.layout, a.reshape(-1), rows), bits
+
+
 def apply_h_qubit(state: StateVector, reg: str, k: int) -> StateVector:
     pos = _global_pos(state.layout, reg, k)
     return StateVector(state.layout, _apply_1q(state.amps, state.n, pos, _H))
@@ -422,22 +461,15 @@ def apply_h_qubit(state: StateVector, reg: str, k: int) -> StateVector:
 def append_register(state: StateVector, name: str, width: int) -> StateVector:
     """Adjoin a fresh register (least significant block) in |0..0>.
 
-    The result stores only the rows of the leading register that hold
-    amplitude.
+    The result stores the rows the input stores.
     """
     layout = state.layout.appended(name, width)  # raises CapacityError when too big
-    rows, block = state.rows, state.block
-    if rows is None and state.layout.registers:
-        lead = block.reshape(1 << state.layout.registers[0][1], -1)
-        live = np.flatnonzero(lead.any(axis=1))
-        if live.size < lead.shape[0]:
-            rows, block = live, lead[live].reshape(-1)
     # Zeros written, not left to calloc: untouched zero pages would fault
     # once when the next kernel reads them and again when reused.
-    out = np.empty((block.size, 1 << width), dtype=complex)
+    out = np.empty((state.block.size, 1 << width), dtype=complex)
     out[...] = 0
-    out[:, 0] = block
-    return StateVector(layout, out.reshape(-1), rows)
+    out[:, 0] = state.block
+    return StateVector(layout, out.reshape(-1), state.rows)
 
 
 def remove_register(state: StateVector, reg: str) -> StateVector:

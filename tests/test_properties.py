@@ -1,4 +1,4 @@
-"""Property tests over drawn sizes: result stitching and order recovery.
+"""Property tests over drawn sizes: result stitching, order recovery and ceil_log2.
 
 Examples are derandomized so every run checks the same cases.
 """
@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disq.bitstrings import MAX_WIDTH, BitString
-from disq.numeric import multiplicative_order, recover_order
+from disq.numeric import ceil_log2, multiplicative_order, recover_order
 from disq.protocol import ProtocolParams, _stitch_arrays, control_widths, correct_results
 
 fixed = settings(derandomize=True, deadline=None)
@@ -69,3 +69,13 @@ def test_recover_order_from_nearest_estimate(pair, p, data):
     w = params.m_width
     nearest = round(Fraction(s << w, r))  # within 2^-(w+1) of s/r, below 1/(2r^2)
     assert recover_order(BitString(w, nearest), N, a) == r
+
+
+@fixed
+@given(x=st.fractions(min_value=1, max_denominator=1 << 70))
+def test_ceil_log2_brackets_x(x):
+    k = ceil_log2(x)
+    if x == 1:
+        assert k == 0
+    else:
+        assert Fraction(1 << k, 2) < x <= 1 << k

@@ -532,6 +532,11 @@ class TestSummary:
         assert summary["mode"] == MODE_SEQUENTIAL
         assert sum(summary["per_s_histogram"].values()) == 50
 
+    def test_no_records_rejected(self):
+        params = ProtocolParams.derive(15, 7, Fraction(1, 4))
+        with pytest.raises(ValueError, match="at least one"):
+            summarize(params, [])
+
 
 class TestFactoring:
     def test_n15_finds_factor(self):
@@ -573,3 +578,42 @@ class TestFactoring:
             for attempt in result.attempts:
                 if attempt.record is not None and attempt.record.recovered_r is not None:
                     assert attempt.record.recovered_r == multiplicative_order(attempt.a, 15)
+
+
+def within_bound(v: int, params: ProtocolParams, r: int) -> bool:
+    """Whether the stitched estimate v/2^w lies within 2^-(2L+1) of some s/r, s < r.
+
+    Exact integers: the nearest such s is min(round(v r / 2^w), r - 1), and
+    |v/2^w - s/r| <= 2^-(2L+1) iff |v r - s 2^w| 2^(2L+1) <= r 2^w.
+    """
+    w = params.m_width
+    s = min((2 * v * r + (1 << w)) >> (w + 1), r - 1)
+    return abs(v * r - (s << w)) << (2 * params.L + 1) <= r << w
+
+
+SMALL_CASES = [(N, a) for N in range(3, 17) for a in range(1, N) if math.gcd(a, N) == 1]
+
+
+class TestTheorem2Exact:
+    """The stitched success mass of the exact sequential law is at least
+    1 - epsilon on every small case, not only within sampling slack."""
+
+    @pytest.mark.parametrize("N, a", SMALL_CASES)
+    def test_success_mass_meets_bound(self, N, a):
+        params = ProtocolParams.derive(N, a, Fraction(1, 4))
+        r = multiplicative_order(a, N)
+        joint = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        values, _ = stitched_value_distribution(joint, params)
+        success = sum(p for v, p in values.items() if within_bound(v, params, r))
+        assert success >= 1 - params.epsilon
+
+    @pytest.mark.parametrize("N, a", [(11, 4), (15, 7)])
+    def test_integer_rule_matches_classify_outcome(self, N, a):
+        params = ProtocolParams.derive(N, a, Fraction(1, 4))
+        r = multiplicative_order(a, N)
+        joint = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        values, _ = stitched_value_distribution(joint, params)
+        for v in values:
+            record = OutcomeRecord(engine=ENGINE_DISTRIBUTED, m=BitString(params.m_width, v))
+            expected = classify_outcome(record, params, r).estimate_within_bound
+            assert within_bound(v, params, r) == expected

@@ -94,6 +94,27 @@ class TestInitBasis:
         with pytest.raises(ValueError):
             init_basis(RegisterLayout.of(("a", 2)), {"a": 4})
 
+    @pytest.mark.parametrize(
+        "regs, values",
+        [([("a", 2), ("c", 3)], {"a": 2, "c": 5}), ([("c", 4)], {"c": 9}), ([("a", 1)], {})],
+    )
+    def test_stores_the_one_row_it_sets(self, regs, values):
+        layout = RegisterLayout.of(*regs)
+        st = init_basis(layout, values)
+        lead, width = regs[0]
+        assert st.rows.tolist() == [values.get(lead, 0)]
+        assert st.block.size == 1 << (layout.n - width)
+        index = 0
+        for name, w in regs:
+            index = (index << w) | values.get(name, 0)
+        dense = np.zeros(1 << layout.n, dtype=complex)
+        dense[index] = 1.0
+        assert np.array_equal(st.amps, dense)
+
+    def test_empty_layout_is_one_dense_amplitude(self):
+        st = init_basis(RegisterLayout.of())
+        assert st.rows is None and st.amps.tolist() == [1.0]
+
 
 class TestHadamard:
     def test_uniform_superposition(self):
@@ -772,9 +793,10 @@ class TestCompactRows:
         assert np.array_equal(got.rows, st.rows)
         assert np.array_equal(got.amps, apply_hadamard_register(dense, "r").amps)
 
-    def test_append_stores_live_rows(self):
+    def test_append_keeps_input_rows(self):
         dense = row_sparse_state([("w", 4), ("b", 2)], [2, 9], seed=3)
-        got = statevec.append_register(dense, "c", 3)
+        assert statevec.append_register(dense, "c", 3).rows is None
+        got = statevec.append_register(compact_twin(dense), "c", 3)
         assert got.rows.tolist() == [2, 9] and got.block.size == 2 * 4 * 8
         basis = np.zeros(8, dtype=complex)
         basis[0] = 1.0
@@ -824,9 +846,30 @@ class TestCompactRows:
         for state in (compact_twin(dense), dense):
             channel = ClassicalChannel()
             out = teleport_register(state, "w", channel, EprPool(4), np.random.default_rng(4))
-            outs.append((out.amps, channel.transcript))
-        assert np.array_equal(outs[0][0], outs[1][0]) and outs[0][1] == outs[1][1]
-        assert np.max(np.abs(outs[0][0] - dense.amps)) < 1e-12
+            outs.append((out, channel.transcript))
+        (compact, compact_bits), (full, full_bits) = outs
+        assert compact.rows.tolist() == [0, 6, 11] and full.rows is None
+        assert np.array_equal(compact.amps, full.amps) and compact_bits == full_bits
+        assert np.max(np.abs(compact.amps - dense.amps)) < 1e-12
+
+    @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
+    @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15]])
+    def test_probabilities_never_read_the_dense_vector(self, regs, live_rows, monkeypatch):
+        dense = row_sparse_state(regs, live_rows, seed=21, live_fibers=4)
+        names = [name for name, _ in regs]
+        subsets = [[name] for name in names] + [names[::-1], names[1:], ["r", "w"]]
+        expected = [register_probabilities(dense, name) for name in names]
+        expected += [marginal_probabilities(dense, kept) for kept in subsets]
+        st = compact_twin(dense)
+
+        def no_dense(_self):
+            raise AssertionError("a Born marginal read StateVector.amps")
+
+        monkeypatch.setattr(StateVector, "amps", property(no_dense))
+        got = [register_probabilities(st, name) for name in names]
+        got += [marginal_probabilities(st, kept) for kept in subsets]
+        for g, e in zip(got, expected, strict=True):
+            assert np.array_equal(g, e)
 
     def test_off_leading_remove_and_modmul_keep_rows(self):
         regs = [("w", 4), ("c", 2), ("x", 3)]
