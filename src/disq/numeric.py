@@ -67,29 +67,6 @@ def convergents(x: Fraction) -> list[Fraction]:
     return out
 
 
-def _reduce_to_order(a: int, n: int, e: int) -> int:
-    """Shrink a verified exponent (a^e = 1 mod n) to the actual order.
-
-    The order divides any verified exponent, so strip prime factors while
-    the power stays 1.
-    """
-    rem = e
-    f = 2
-    factors = []
-    while f * f <= rem:
-        if rem % f == 0:
-            factors.append(f)
-            while rem % f == 0:
-                rem //= f
-        f += 1
-    if rem > 1:
-        factors.append(rem)
-    for f in factors:
-        while e % f == 0 and pow(a, e // f, n) == 1:
-            e //= f
-    return e
-
-
 def recover_order(m: BitString, n: int, a: int) -> int | None:
     """Recover the order of a mod n from a measured phase estimate m/2^w.
 
@@ -100,8 +77,9 @@ def recover_order(m: BitString, n: int, a: int) -> int | None:
     only a divisor of it).  The 0/1 convergent contributes the single
     candidate 1 -- an all-zero measurement carries no order information,
     so it must not degenerate into a brute-force sweep.  Candidates are
-    tried in increasing value; the first verified one is reduced to the
-    exact order before being returned.
+    tried in increasing value.  The order divides every verified exponent,
+    so the first verified candidate is reduced to its least divisor that
+    also verifies, which is the exact order.
 
     Returns None when no candidate verifies; the caller retries the whole
     protocol shot in that case.
@@ -118,5 +96,5 @@ def recover_order(m: BitString, n: int, a: int) -> int | None:
             candidates.update(range(q, n + 1, q))
     for cand in sorted(candidates):
         if pow(a, cand, n) == 1:
-            return _reduce_to_order(a, n, cand)
+            return next(d for d in range(1, cand + 1) if cand % d == 0 and pow(a, d, n) == 1)
     return None

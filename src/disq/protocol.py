@@ -259,6 +259,20 @@ def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
     return statevec.register_probabilities(st, _CTRL)
 
 
+def _estimate(st: StateVector, ctrl: str, width: int, multiplier: int, N: int) -> StateVector:
+    """One node's phase estimation of ``multiplier`` on the work register of ``st``.
+
+    Appends the control register ``ctrl`` in |0..0>, applies the Hadamard
+    layer, the controlled multiplication and the inverse QFT.  Only the one
+    local holds the widened state, so rebinding it frees the appended zeros
+    as soon as the Hadamard layer has read them.
+    """
+    st = statevec.append_register(st, ctrl, width)
+    st = statevec.apply_hadamard_register(st, ctrl)
+    st = statevec.apply_controlled_modmul(st, ctrl, _WORK, multiplier, N)
+    return statevec.apply_inverse_qft(st, ctrl)
+
+
 def _first_estimate(params: ProtocolParams, ctrl: str, width: int) -> StateVector:
     """Phase estimation of a on a fresh state: work = 1, control ``ctrl`` estimated.
 
@@ -266,10 +280,7 @@ def _first_estimate(params: ProtocolParams, ctrl: str, width: int) -> StateVecto
     the modular multiplication maps it onto the powers of a.
     """
     st = statevec.init_basis(RegisterLayout.of((_WORK, params.L)), {_WORK: 1})
-    st = statevec.append_register(st, ctrl, width)
-    st = statevec.apply_hadamard_register(st, ctrl)
-    st = statevec.apply_controlled_modmul(st, ctrl, _WORK, params.a, params.N)
-    return statevec.apply_inverse_qft(st, ctrl)
+    return _estimate(st, ctrl, width, params.a, params.N)
 
 
 def _a_stage(params: ProtocolParams) -> StateVector:
@@ -277,21 +288,18 @@ def _a_stage(params: ProtocolParams) -> StateVector:
 
 
 def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
-    st = statevec.apply_hadamard_register(st, _CTRL_B)
-    st = statevec.apply_controlled_modmul(
-        st, _CTRL_B, _WORK, params.b_stage_multiplier, params.N
-    )
-    return statevec.apply_inverse_qft(st, _CTRL_B)
+    """Node B's estimate: appends ctrl_b to ``st`` and estimates a^(2^(L/2-1))."""
+    return _estimate(st, _CTRL_B, params.t2, params.b_stage_multiplier, params.N)
 
 
 def _joint_state(params: ProtocolParams) -> StateVector:
     """Both nodes' estimates in one state, measurements deferred.
 
-    Node A runs first; its operations never touch ctrl_b, which is still
-    |0..0>, so appending ctrl_b afterwards gives the same state.
+    Node B's stage runs on node A's unmeasured state: A's operations never
+    touch ctrl_b, so appending ctrl_b after them gives the same state as
+    holding it from the start.
     """
-    st = statevec.append_register(_a_stage(params), _CTRL_B, params.t2)
-    return _b_stage(st, params)
+    return _b_stage(_a_stage(params), params)
 
 
 def _node_b(
@@ -312,10 +320,7 @@ def _node_b(
     if st is None or p1 < 1e-300:
         return p1, None
     st = statevec.remove_register(st, _CTRL_A)
-    st = teleport_register(st, _WORK, channel, EprPool(params.L), rng)
-    # The widened state goes straight into _b_stage, which drops it once the
-    # Hadamard layer has read it.
-    st = _b_stage(statevec.append_register(st, _CTRL_B, params.t2), params)
+    st = _b_stage(teleport_register(st, _WORK, channel, EprPool(params.L), rng), params)
     return p1, statevec.register_probabilities(st, _CTRL_B)
 
 
@@ -430,12 +435,13 @@ def stitched_value_distribution(
     m1, m2 = np.nonzero(joint > 0)
     p = joint[m1, m2]
     stitched, ok = _stitch_arrays(m1, m2, params)
-    keys, slot = np.unique(np.where(ok, stitched, -1), return_inverse=True)
     # bincount adds each weight to its slot in input order, as the loop over
-    # correct_results did; -1 collects the outcomes with no correction bit.
-    values = dict(zip(keys.tolist(), np.bincount(slot, weights=p).tolist()))
-    failed = values.pop(-1, 0.0)
-    return values, failed
+    # correct_results did; the slot past every stitched value collects the
+    # outcomes with no correction bit.
+    no_bit = 1 << params.m_width
+    sums = np.bincount(np.where(ok, stitched, no_bit), weights=p, minlength=no_bit + 1)
+    keys = np.flatnonzero(sums[:no_bit])  # a used slot sums positive masses
+    return dict(zip(keys.tolist(), sums[keys].tolist())), float(sums[no_bit])
 
 
 def classify_outcome(

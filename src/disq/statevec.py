@@ -391,14 +391,16 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Outcome index drawn by inverse CDF over ``probs`` from one ``rng.random()``.
 
     Outcome k is drawn for a uniform u with cdf[k-1] <= u * total < cdf[k],
-    so an outcome of zero mass is never drawn; the last index takes what
-    rounding leaves above the cumulative sum.
+    so an outcome of zero mass is never drawn; the last outcome with mass
+    takes what rounding leaves above the cumulative sum.
     """
     total = float(probs.sum())
     if not abs(total - 1.0) <= NORM_GUARD:  # NaN fails too
         raise RuntimeError(f"state norm drifted: probabilities sum to {total}")
     k = int(np.searchsorted(np.cumsum(probs), rng.random() * total, side="right"))
-    return min(k, probs.size - 1)
+    if k < probs.size:
+        return k
+    return int(np.flatnonzero(probs > 0)[-1])
 
 
 def sample_register(state: StateVector, reg: str, rng: np.random.Generator) -> BitString:

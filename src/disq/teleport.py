@@ -5,7 +5,8 @@ classical bits on the channel, so moving an L-qubit register costs exactly
 L pairs and 2L bits (Bennett et al., PRL 70, 1895 (1993)).  Each qubit
 really goes through the protocol in ``statevec.teleport_qubits`` (a Bell
 measurement whose two bits are drawn from the four branches' masses, then
-the X/Z fix-up); this module checks the pool and does the accounting.
+the X/Z fix-up); this module spends the register's pairs from the pool
+before the kernel runs and puts each qubit's two bits on the channel.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ class EprPool:
         return self.allocated - self.consumed
 
     def consume(self, k: int = 1) -> None:
+        if k < 1:
+            raise ValueError(f"pairs are consumed one or more at a time, got {k}")
         if self.consumed + k > self.allocated:
             raise EprPoolError(
                 f"requested {k} pair(s) with only {self.available} of {self.allocated} left"
@@ -68,17 +71,12 @@ def teleport_register(
 
     The returned state has the same layout and, on every branch, the same
     amplitudes (teleportation is exact); what changes is the accounting:
-    width(reg) pairs consumed and 2*width(reg) bits on the channel, in
-    (z, x) order per qubit.
+    width(reg) pairs consumed, all at once before the state is touched, and
+    2*width(reg) bits on the channel, in (z, x) order per qubit.
     """
-    width = state.layout.width(reg)
-    if pool.available < width:
-        raise EprPoolError(
-            f"register {reg!r} needs {width} pair(s), pool has {pool.available}"
-        )
+    pool.consume(state.layout.width(reg))
     state, bits = statevec.teleport_qubits(state, reg, rng)
     for z, x in bits:
         channel.send(z)
         channel.send(x)
-        pool.consume(1)
     return state

@@ -137,6 +137,19 @@ class TestWorkRegisterLeads:
         assert joint.shape == (1 << params.t1, 1 << params.t2)
         assert peak < 32 << 20
 
+    def test_joint_oracle_frees_the_appended_zero_state(self):
+        # The N=13 a=2 joint state stores 12 work rows (24 MiB).  Node B's
+        # Hadamard layer reads ctrl_b appended in |0..0> and nothing keeps
+        # that state, so at most the Hadamard and modmul outputs coexist.
+        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
+        tracemalloc.start()
+        try:
+            distributed_joint_distribution(params, MODE_JOINT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 << 20
+
     def test_joint_oracle_shot_never_holds_a_dense_state(self):
         # The shot draws from the joint oracle's marginal, so it peaks no
         # higher than the oracle: below the 32 MiB dense joint state.
@@ -598,9 +611,10 @@ class TestTheorem2Exact:
     """The stitched success mass of the exact sequential law is at least
     1 - epsilon on every small case, not only within sampling slack."""
 
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
-    def test_success_mass_meets_bound(self, N, a):
-        params = ProtocolParams.derive(N, a, Fraction(1, 4))
+    def test_success_mass_meets_bound(self, N, a, inverse_epsilon):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         r = multiplicative_order(a, N)
         joint = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         values, _ = stitched_value_distribution(joint, params)

@@ -542,6 +542,13 @@ class TestDraw:
         assert statevec.draw(probs, FixedUniform(1.0)) == 1
         assert statevec.draw(np.array([1.0]), FixedUniform(np.nextafter(1.0, 0))) == 0
 
+    def test_clamp_skips_trailing_outcomes_without_mass(self):
+        # Ten 0.1s cumulate to 1 - 2^-53 but sum pairwise to 1.0, so the
+        # largest u lands past the last cumulative sum.
+        probs = np.array([0.1] * 10 + [0.0, 0.0])
+        assert np.cumsum(probs)[-1] < float(probs.sum()) == 1.0
+        assert statevec.draw(probs, FixedUniform(np.nextafter(1.0, 0))) == 9
+
     @pytest.mark.parametrize(
         "probs", [[0.5, math.nan], [0.5, 0.5 + 2e-8], [0.25, 0.25], [math.inf, 0.0]]
     )

@@ -50,6 +50,13 @@ class TestAccounting:
         with pytest.raises(EprPoolError):
             pool.consume(1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_pool_rejects_counts_below_one(self, k):
+        pool = EprPool(allocated=2)
+        with pytest.raises(ValueError):
+            pool.consume(k)
+        assert pool.available == 2
+
     def test_register_costs_width_pairs_and_twice_width_bits(self):
         st = random_state(RegisterLayout.of(("c", 4)), 3)
         ch, pool = ClassicalChannel(), EprPool(allocated=4)
