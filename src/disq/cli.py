@@ -71,15 +71,15 @@ def _parse_epsilon(text: str) -> Fraction:
 
 
 def _resolve_seed(seed: int | None) -> int | None:
-    if seed is not None:
-        return seed
     env = os.environ.get("DISQ_SEED")
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"DISQ_SEED must be an integer, got {env!r}") from None
-    return None
+    if seed is not None and seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _pick_base(N: int, rng: np.random.Generator) -> int:

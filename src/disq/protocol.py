@@ -244,12 +244,8 @@ def run_monolithic_order_finding(
 
     The estimate is drawn from ``monolithic_exact_distribution``.
     """
-    m = BitString(params.t_mono, statevec.draw(monolithic_exact_distribution(params), rng))
-    return OutcomeRecord(
-        engine=ENGINE_MONOLITHIC,
-        m=m,
-        recovered_r=recover_order(m, params.N, params.a),
-    )
+    law = _shot_law(params, ENGINE_MONOLITHIC, MODE_SEQUENTIAL)
+    return _run_one_shot(params, rng, ENGINE_MONOLITHIC, MODE_SEQUENTIAL, law)
 
 
 def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
@@ -262,14 +258,14 @@ def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
 def _estimate(st: StateVector, ctrl: str, width: int, multiplier: int, N: int) -> StateVector:
     """One node's phase estimation of ``multiplier`` on the work register of ``st``.
 
-    Appends the control register ``ctrl`` in |0..0>, applies the Hadamard
-    layer, the controlled multiplication and the inverse QFT.  Only the one
-    local holds the widened state, so rebinding it frees the appended zeros
-    as soon as the Hadamard layer has read them.
+    The control register ``ctrl`` is prepared alone, in uniform superposition
+    (2^width amplitudes), and joined to ``st`` as its last register by the
+    controlled multiplication; it is dropped before the inverse QFT.
     """
-    st = statevec.append_register(st, ctrl, width)
-    st = statevec.apply_hadamard_register(st, ctrl)
-    st = statevec.apply_controlled_modmul(st, ctrl, _WORK, multiplier, N)
+    control = statevec.init_basis(RegisterLayout.of((ctrl, width)))
+    control = statevec.apply_hadamard_register(control, ctrl)
+    st = statevec.apply_controlled_modmul(st, control, _WORK, multiplier, N)
+    del control
     return statevec.apply_inverse_qft(st, ctrl)
 
 
@@ -288,18 +284,8 @@ def _a_stage(params: ProtocolParams) -> StateVector:
 
 
 def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
-    """Node B's estimate: appends ctrl_b to ``st`` and estimates a^(2^(L/2-1))."""
+    """Node B's estimate: joins ctrl_b to ``st`` and estimates a^(2^(L/2-1))."""
     return _estimate(st, _CTRL_B, params.t2, params.b_stage_multiplier, params.N)
-
-
-def _joint_state(params: ProtocolParams) -> StateVector:
-    """Both nodes' estimates in one state, measurements deferred.
-
-    Node B's stage runs on node A's unmeasured state: A's operations never
-    touch ctrl_b, so appending ctrl_b after them gives the same state as
-    holding it from the start.
-    """
-    return _b_stage(_a_stage(params), params)
 
 
 def _node_b(
@@ -353,29 +339,27 @@ def run_distributed_order_finding(
     communication.  This is the reference execution the sequential path is
     checked against; its records carry no channel accounting.
     """
+    law = _shot_law(params, ENGINE_DISTRIBUTED, mode)
+    return _run_one_shot(params, rng, ENGINE_DISTRIBUTED, mode, law)
+
+
+def _shot_law(params: ProtocolParams, engine: str, mode: str) -> tuple[np.ndarray, ...]:
+    """The exact laws every shot of a run draws from, computed once per run.
+
+    Monolithic: (P(m),).  Joint oracle: (P(m1), P(m1, m2)).  Sequential: (),
+    as each shot runs both nodes itself.
+    """
+    if engine == ENGINE_MONOLITHIC:
+        return (monolithic_exact_distribution(params),)
+    if engine != ENGINE_DISTRIBUTED:
+        raise ValueError(f"unknown engine {engine!r}")
     if mode == MODE_JOINT:
         joint = distributed_joint_distribution(params, MODE_JOINT)
-        m1 = statevec.draw(joint.sum(axis=1), rng)
-        m2 = statevec.draw(joint[m1] / joint[m1].sum(), rng)
-        record = OutcomeRecord(engine=ENGINE_DISTRIBUTED, mode=mode)
-        return _finish_distributed(record, m1, m2, params)
-
+        return joint.sum(axis=1), joint
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED)
-    after_a = _a_stage(params)
-    m1 = statevec.draw(statevec.register_probabilities(after_a, _CTRL_A), rng)
-    channel = ClassicalChannel()
-    _, cond = _node_b(after_a, m1, params, channel, rng)
-    assert cond is not None  # a drawn outcome has mass
-    m2 = statevec.draw(cond, rng)
-    record = OutcomeRecord(
-        engine=ENGINE_DISTRIBUTED,
-        mode=mode,
-        classical_bits_used=channel.bit_count,
-        channel_transcript=list(channel.transcript),
-    )
-    return _finish_distributed(record, m1, m2, params)
+    return ()
 
 
 def distributed_joint_distribution(
@@ -389,8 +373,11 @@ def distributed_joint_distribution(
     the same conditional state, so one branch per m1 suffices.
     """
     if mode == MODE_JOINT:
+        # Node B's stage runs on node A's unmeasured state: A's operations
+        # never touch ctrl_b, so joining ctrl_b after them gives the same state.
         check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
-        return statevec.marginal_probabilities(_joint_state(params), [_CTRL_A, _CTRL_B])
+        joint = _b_stage(_a_stage(params), params)
+        return statevec.marginal_probabilities(joint, [_CTRL_A, _CTRL_B])
 
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
@@ -469,12 +456,27 @@ def _run_one_shot(
     rng: np.random.Generator,
     engine: str,
     mode: str,
+    law: tuple[np.ndarray, ...],
 ) -> OutcomeRecord:
+    """One shot of the engine and mode, drawn with ``rng`` from the run's ``_shot_law``."""
     if engine == ENGINE_MONOLITHIC:
-        return run_monolithic_order_finding(params, rng)
-    if engine == ENGINE_DISTRIBUTED:
-        return run_distributed_order_finding(params, rng, mode=mode)
-    raise ValueError(f"unknown engine {engine!r}")
+        m = BitString(params.t_mono, statevec.draw(law[0], rng))
+        return OutcomeRecord(engine, m=m, recovered_r=recover_order(m, params.N, params.a))
+    record = OutcomeRecord(engine, mode)
+    if mode == MODE_JOINT:
+        m1_law, joint = law
+        m1 = statevec.draw(m1_law, rng)
+        m2 = statevec.draw(joint[m1] / joint[m1].sum(), rng)
+        return _finish_distributed(record, m1, m2, params)
+    after_a = _a_stage(params)
+    m1 = statevec.draw(statevec.register_probabilities(after_a, _CTRL_A), rng)
+    channel = ClassicalChannel()
+    _, cond = _node_b(after_a, m1, params, channel, rng)
+    assert cond is not None  # a drawn outcome has mass
+    m2 = statevec.draw(cond, rng)
+    record.classical_bits_used = channel.bit_count
+    record.channel_transcript = channel.transcript
+    return _finish_distributed(record, m1, m2, params)
 
 
 def shot_rng(seed: int | None, shot_index: int) -> np.random.Generator:
@@ -503,9 +505,10 @@ def run_shots(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     r_true = multiplicative_order(params.a, params.N)
+    law = _shot_law(params, engine, mode)
 
     def one(i: int) -> OutcomeRecord:
-        record = _run_one_shot(params, shot_rng(seed, i), engine, mode)
+        record = _run_one_shot(params, shot_rng(seed, i), engine, mode, law)
         return classify_outcome(record, params, r_true)
 
     if workers > 1:
@@ -604,7 +607,8 @@ def run_shor_factoring(
             attempt.factor = g
             return FactoringResult(g, attempts)
         params = ProtocolParams.derive(N, a, epsilon)
-        record = _run_one_shot(params, rng, engine, mode)
+        law = _shot_law(params, engine, mode)
+        record = _run_one_shot(params, rng, engine, mode, law)
         attempt.record = classify_outcome(record, params, multiplicative_order(a, N))
         r = record.recovered_r
         if r is None or r % 2:

@@ -11,8 +11,8 @@ such row the 2^(n - w0) amplitudes of the other registers; a dense state
 stores every row.  Only this module reads or builds that format, and each
 state's rows are set where it is built: ``init_basis`` stores the one row it
 sets, ``append_register`` keeps the rows it is given, kernels on any other
-register keep them, and a controlled modular multiplication that targets the
-leading register maps them onto their image.  Order finding leads every
+register keep them, and the controlled modular multiplication, which targets
+the leading register, maps them onto their image.  Order finding leads every
 state with its work register, which holds only the r powers of the base (10
 of 64 values for N=33 a=2).  The Born marginals sum the stored rows alone;
 every other operation on the leading register reads the dense vector, and
@@ -20,17 +20,18 @@ of those only ``teleport_qubits`` gives back the stored rows.
 ``StateVector.amps`` is always the full 2^n vector, built on each read for a
 state that stores fewer rows.
 
-A Hadamard layer on a register that holds |0..0> on every branch (a fresh
-phase-estimation control register) is written directly as the uniform
-superposition; any other register state gets one butterfly pass per qubit.
-Controlled modular multiplication is applied as the basis permutation it
-semantically is (values >= the modulus are fixed points, which keeps the map
-a bijection and hence unitary): one gather that copies the control values
-sharing a power of the multiplier together, through a table of the
-multiplier's inverse powers built by each call.  The Fourier transforms are
-applied as orthonormal FFTs along the register axis.  Gate-level
-decompositions are out of scope here -- circuit-cost questions are answered
-analytically by the resources module.
+Phase estimation prepares its control register as a state of its own: a
+Hadamard layer on a register that holds |0..0> on every branch is written
+directly as the uniform superposition (any other register state gets one
+butterfly pass per qubit), a vector of 2^t amplitudes.  The controlled
+modular multiplication joins that state to the work state as the last
+register and applies the basis permutation it semantically is (values >= the
+modulus are fixed points, which keeps the map a bijection and hence
+unitary), writing each joined amplitude once from the work state's stored
+rows through a table of the multiplier's inverse powers built by each call.
+The Fourier transforms are applied as orthonormal FFTs along the register
+axis.  Gate-level decompositions are out of scope here -- circuit-cost
+questions are answered analytically by the resources module.
 
 Measuring is sampling plus projection: ``sample_register`` draws an outcome
 and leaves the state alone, ``measure_register`` also collapses it.
@@ -267,35 +268,36 @@ def _preimage_cycle(n_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
 
 
 def apply_controlled_modmul(
-    state: StateVector, control: str, target: str, multiplier: int, modulus: int
+    state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
 ) -> StateVector:
-    """For each basis component |j>|x|: x -> multiplier^j * x mod modulus (x < modulus).
+    """Join ``control`` as the last register, then |x>|j> -> |multiplier^j * x mod modulus>|j>.
 
+    ``control`` is a one-register state and ``target`` must lead ``state``.
     Target values >= modulus are left unchanged, completing the map to a
     permutation of the basis (hence a unitary).  Requires
     gcd(multiplier, modulus) = 1, otherwise the map would not be a bijection.
 
-    Output target value y holds amplitude only where some power of the
-    multiplier maps a stored target value onto it.  As the leading register
-    the target stores the state's rows, and the result stores their image (a
-    row set not closed under the multiplier grows); anywhere else every
-    target value is stored, and a leading control reads the dense vector.
-    Control values that act through the same power are copied together, a
-    strided slice at a time; a source value that is not stored reads one
-    zero row appended to the stored ones.
+    The joined state is written in one pass: output row y, control value j
+    holds the stored row that multiplier^(j mod period) maps onto y, times
+    control[j].  The rows for one period of control values are gathered
+    once and multiplied by the control a period at a time.  The result
+    stores the image of the state's rows (a row set not closed under the
+    multiplier grows), and a source value that is not stored reads one zero
+    row.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if math.gcd(multiplier % modulus, modulus) != 1:
         raise ValueError(f"multiplier {multiplier} is not invertible mod {modulus}")
-    w_tgt, w_ctrl = state.layout.width(target), state.layout.width(control)
-    n_tgt, n_ctrl = 1 << w_tgt, 1 << w_ctrl
+    if state.layout.offset(target) != 0:
+        raise ValueError(f"target register {target!r} must lead the state {state.layout.names}")
+    if len(control.layout.registers) != 1:
+        raise ValueError(f"control must be a one-register state, got {control.layout.names}")
+    layout = state.layout.appended(*control.layout.registers[0])  # may raise CapacityError
+    n_tgt, n_ctrl = 1 << state.layout.width(target), 1 << control.n
     if n_tgt < modulus:
         raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
-    ot, oc = state.layout.offset(target), state.layout.offset(control)
-    multiplier %= modulus
-    rows, amps = (None, state.amps) if oc == 0 else (state.rows, state.block)
-    stored = rows if ot == 0 and rows is not None else np.arange(n_tgt)
+    stored = np.arange(n_tgt) if state.rows is None else state.rows
     k = stored.size
     slot = np.full(n_tgt, k, dtype=np.int64)  # position among the stored values; k: not stored
     slot[stored] = np.arange(k)
@@ -303,25 +305,19 @@ def apply_controlled_modmul(
     src = slot[_preimage_cycle(n_tgt, multiplier, modulus)[:, :n_ctrl]]
     image = np.flatnonzero((src < k).any(axis=1))
     src = src[image]
-    period = src.shape[1]
-    # View both registers as (before, first, between, second, after) and put
-    # the target on axis 1 and the control on axis 3 of both views.
-    post = 1 << (state.n - max(ot + w_tgt, oc + w_ctrl))
-    if ot < oc:
-        a = amps.reshape(-1, k, 1 << (oc - ot - w_tgt), n_ctrl, post)
-        out = np.empty((a.shape[0], image.size, *a.shape[2:]), a.dtype)
-        a_t, out_t = a, out
-    else:
-        a = amps.reshape(-1, n_ctrl, 1 << (ot - oc - w_ctrl), k, post)
-        out = np.empty((*a.shape[:3], image.size, post), a.dtype)
-        a_t, out_t = a.swapaxes(1, 3), out.swapaxes(1, 3)
+    block = state.block.reshape(k, -1)
     if (src == k).any():  # slot k (not stored) reads one zero row
-        a_t = np.concatenate([a_t, np.zeros_like(a_t[:, :1])], axis=1)
-    for c in range(period):
-        out_t[:, :, :, c::period] = a_t[:, src[:, c], :, c::period]
-    if ot == 0:
-        rows = None if image.size == n_tgt else image
-    return StateVector(state.layout, out.reshape(-1), rows)
+        block = np.concatenate([block, np.zeros_like(block[:1])])
+    period = src.shape[1]
+    whole = n_ctrl - n_ctrl % period  # control values in whole periods
+    one = block[src].transpose(0, 2, 1)[:, :, None, :]  # [y, m, 0, c]: sources of c mod period
+    ctrl = control.amps
+    out = np.empty((image.size, block.shape[1], n_ctrl), block.dtype)
+    # Splitting the last axis of a slice never copies: the product lands in out.
+    periods = out[:, :, :whole].reshape(image.size, -1, whole // period, period)
+    np.multiply(one, ctrl[:whole].reshape(-1, period), out=periods)
+    np.multiply(one[:, :, 0, : n_ctrl - whole], ctrl[whole:], out=out[:, :, whole:])
+    return StateVector(layout, out.reshape(-1), None if image.size == n_tgt else image)
 
 
 def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
@@ -339,7 +335,8 @@ def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
     shape = [1 << w for _, w in state.layout.registers]
     if state.rows is not None:
         shape[0] = state.rows.size
-    probs = np.abs(state.block.reshape(shape)) ** 2
+    probs = np.abs(state.block.reshape(shape))
+    np.square(probs, out=probs)
     keep = [state.layout.names.index(r) for r in regs]
     drop = tuple(i for i in range(len(shape)) if i not in keep)
     probs = probs.sum(axis=drop)
@@ -466,10 +463,7 @@ def append_register(state: StateVector, name: str, width: int) -> StateVector:
     The result stores the rows the input stores.
     """
     layout = state.layout.appended(name, width)  # raises CapacityError when too big
-    # Zeros written, not left to calloc: untouched zero pages would fault
-    # once when the next kernel reads them and again when reused.
-    out = np.empty((state.block.size, 1 << width), dtype=complex)
-    out[...] = 0
+    out = np.zeros((state.block.size, 1 << width), dtype=complex)
     out[:, 0] = state.block
     return StateVector(layout, out.reshape(-1), state.rows)
 

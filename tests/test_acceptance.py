@@ -323,11 +323,11 @@ def test_criterion_9_simulator_algebra():
     norm_ok = True
     rng = np.random.default_rng(77)
     for t, L, mult, modulus in ((5, 4, 7, 15), (8, 6, 2, 33)):
-        layout = RegisterLayout.of(("ctrl", t), ("work", L))
-        st = init_basis(layout, {"work": 1})
+        st = init_basis(RegisterLayout.of(("work", L)), {"work": 1})
+        control = apply_hadamard_register(init_basis(RegisterLayout.of(("ctrl", t))), "ctrl")
         for op in (
+            lambda s: apply_controlled_modmul(s, control, "work", mult, modulus),
             lambda s: apply_hadamard_register(s, "ctrl"),
-            lambda s: apply_controlled_modmul(s, "ctrl", "work", mult, modulus),
             lambda s: apply_inverse_qft(s, "ctrl"),
             lambda s: apply_qft(s, "ctrl"),
             lambda s: measure_register(s, "ctrl", rng)[1],

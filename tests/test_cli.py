@@ -20,6 +20,24 @@ def parse_jsonl(out: str) -> list[dict]:
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("order", "--N", "15", "--a", "7", "--seed", "-1"), None),
+        (("factor", "--N", "15", "--seed", "-3"), None),
+        (("order", "--N", "15", "--a", "7"), "-2"),
+    ],
+    ids=["order-flag", "factor-flag", "env"],
+)
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("DISQ_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DISQ_SEED", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "seed" in err
+
+
 class TestOrder:
     def test_dyadic_run_is_fully_successful(self, capsys):
         code, out, _ = run_cli(
@@ -59,11 +77,15 @@ class TestOrder:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_workers_preserve_output(self, capsys):
-        base = ("order", "--N", "15", "--a", "7", "--shots", "12", "--seed", "31")
-        _, serial, _ = run_cli(capsys, *base)
-        _, threaded, _ = run_cli(capsys, *base, "--workers", "3")
-        assert serial == threaded
+    @pytest.mark.parametrize(
+        "flags", [(), ("--mode", "joint-oracle"), ("--engine", "monolithic")]
+    )
+    def test_workers_preserve_output(self, capsys, flags):
+        base = ("order", "--N", "15", "--a", "7", "--shots", "12", "--seed", "31", *flags)
+        _, serial, _ = run_cli(capsys, *base, "--workers", "1")
+        for workers in ("2", "3"):
+            _, threaded, _ = run_cli(capsys, *base, "--workers", workers)
+            assert serial == threaded
 
     def test_seeded_output_is_pinned(self, capsys):
         # Seeded records are part of the output contract: a faster kernel

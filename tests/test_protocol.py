@@ -88,6 +88,9 @@ class TestParams:
         assert ProtocolParams.derive(33, 2).b_stage_multiplier == 16  # 2^4 mod 33
 
 
+PEAK_SLACK = 64 << 10  # index tables and other small arrays, far below one control vector
+
+
 class TestNodeBMemory:
     def test_sequential_shot_never_holds_a_dense_node_b_state(self):
         # Node B's dense state for N=33 a=2 is 2^20 amplitudes (16 MiB); it
@@ -101,6 +104,31 @@ class TestNodeBMemory:
             tracemalloc.stop()
         assert record.m2 is not None
         assert peak < 16 << 20
+
+    def test_node_b_stage_holds_two_blocks(self):
+        # Node B's joined state for N=33 a=2 stores 10 work rows of 2^14
+        # amplitudes (2.5 MiB).  Its stage holds at most that state and its
+        # inverse QFT; the Born marginal squares its magnitudes in place.
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        after_a = protocol._a_stage(params)
+        m1 = int(np.argmax(protocol.statevec.register_probabilities(after_a, "ctrl_a")))
+        _, st = protocol.statevec.project_register(after_a, "ctrl_a", m1)
+        st = protocol.statevec.remove_register(st, "ctrl_a")
+        block = 16 * 10 << params.t2
+        tracemalloc.start()
+        try:
+            st = protocol._b_stage(st, params)
+            stage_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            protocol.statevec.register_probabilities(st, "ctrl_b")
+            marginal_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert st.block.size * 16 == block
+        assert stage_peak < 2 * block + PEAK_SLACK
+        # One float per stored amplitude, squared in place, and the marginal.
+        assert marginal_peak < block // 2 + (8 << params.t2) + PEAK_SLACK
 
 
 class TestWorkRegisterLeads:
@@ -123,6 +151,19 @@ class TestWorkRegisterLeads:
         assert record.m is not None
         assert peak < 16 << 20
 
+    def test_monolithic_oracle_holds_two_blocks(self):
+        # The joined state (10 work rows of 2^15 amplitudes, 5 MiB) and its
+        # inverse QFT; the 2^15 control vector is gone before the QFT.
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        block = 16 * 10 << params.t_mono
+        tracemalloc.start()
+        try:
+            monolithic_exact_distribution(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block + PEAK_SLACK
+
     def test_joint_oracle_never_holds_a_dense_state(self):
         # The dense joint state for N=16 a=3 is 2^21 amplitudes (32 MiB); it
         # stores the 4 work values that hold amplitude (8 MiB), and the
@@ -138,9 +179,9 @@ class TestWorkRegisterLeads:
         assert peak < 32 << 20
 
     def test_joint_oracle_frees_the_appended_zero_state(self):
-        # The N=13 a=2 joint state stores 12 work rows (24 MiB).  Node B's
-        # Hadamard layer reads ctrl_b appended in |0..0> and nothing keeps
-        # that state, so at most the Hadamard and modmul outputs coexist.
+        # The N=13 a=2 joint state stores 12 work rows (24 MiB).  No
+        # zero-filled widened state is built: node B's stage holds at most
+        # the joined state and its inverse QFT.
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
         tracemalloc.start()
         try:
@@ -239,6 +280,69 @@ class TestShotsSampleTheirOracle:
         params = ProtocolParams.derive(15, 7, Fraction(1, 4))
         records = run_shots(params, 3, seed=4, engine=engine, mode=mode)
         assert all(r.m is not None for r in records)
+
+
+class TestLawOncePerRun:
+    """Monolithic and joint-oracle runs compute their law once and draw every
+    shot from it, as a shot that computes the law itself would."""
+
+    CASES = [(ENGINE_MONOLITHIC, MODE_SEQUENTIAL), (ENGINE_DISTRIBUTED, MODE_JOINT)]
+
+    @pytest.mark.parametrize(
+        "engine, mode, oracle",
+        [(*CASES[0], "monolithic_exact_distribution"), (*CASES[1], "distributed_joint_distribution")],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_law_is_built_once(self, monkeypatch, engine, mode, oracle, workers):
+        calls = []
+        original = getattr(protocol, oracle)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, oracle, counting)
+        records = run_shots(
+            ProtocolParams.derive(15, 7), 12, seed=5, engine=engine, mode=mode, workers=workers
+        )
+        assert len(records) == 12 and len(calls) == 1
+
+    @pytest.mark.parametrize("engine, mode", CASES)
+    def test_shots_match_single_shot_runs(self, engine, mode):
+        params = ProtocolParams.derive(13, 2)
+        r = multiplicative_order(2, 13)
+        single = (
+            run_monolithic_order_finding
+            if engine == ENGINE_MONOLITHIC
+            else lambda p, rng: run_distributed_order_finding(p, rng, mode)
+        )
+        expected = [
+            classify_outcome(single(params, protocol.shot_rng(4, i)), params, r).to_json_dict()
+            for i in range(6)
+        ]
+        got = run_shots(params, 6, seed=4, engine=engine, mode=mode)
+        assert [rec.to_json_dict() for rec in got] == expected
+
+    @pytest.mark.parametrize("engine, mode", CASES)
+    def test_workers_leave_records_unchanged(self, engine, mode):
+        params = ProtocolParams.derive(15, 2)
+        serial = run_shots(params, 16, seed=9, engine=engine, mode=mode, workers=1)
+        parallel = run_shots(params, 16, seed=9, engine=engine, mode=mode, workers=2)
+        assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
+
+    def test_factoring_builds_one_law_per_base(self, monkeypatch):
+        calls = []
+        original = protocol.monolithic_exact_distribution
+
+        def counting(params):
+            calls.append(params.a)
+            return original(params)
+
+        monkeypatch.setattr(protocol, "monolithic_exact_distribution", counting)
+        result = run_shor_factoring(
+            15, Fraction(1, 4), np.random.default_rng(3), engine=ENGINE_MONOLITHIC
+        )
+        assert calls == [a.a for a in result.attempts if a.gcd_shortcut is None]
 
 
 class TestCorrectResults:
