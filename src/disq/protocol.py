@@ -260,7 +260,9 @@ def _estimate(st: StateVector, ctrl: str, width: int, multiplier: int, N: int) -
 
     The control register ``ctrl`` is prepared alone, in uniform superposition
     (2^width amplitudes), and joined to ``st`` as its last register by the
-    controlled multiplication; it is dropped before the inverse QFT.
+    controlled multiplication; it is dropped before the inverse QFT, which
+    writes over the joined state, so the stage then holds one state-sized
+    block.
     """
     control = statevec.init_basis(RegisterLayout.of((ctrl, width)))
     control = statevec.apply_hadamard_register(control, ctrl)

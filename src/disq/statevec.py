@@ -30,8 +30,9 @@ modulus are fixed points, which keeps the map a bijection and hence
 unitary), writing each joined amplitude once from the work state's stored
 rows through a table of the multiplier's inverse powers built by each call.
 The Fourier transforms are applied as orthonormal FFTs along the register
-axis.  Gate-level decompositions are out of scope here -- circuit-cost
-questions are answered analytically by the resources module.
+axis, written over the state they are given.  Gate-level decompositions are
+out of scope here -- circuit-cost questions are answered analytically by the
+resources module.
 
 Measuring is sampling plus projection: ``sample_register`` draws an outcome
 and leaves the state alone, ``measure_register`` also collapses it.
@@ -122,6 +123,8 @@ class StateVector:
     value of the leading register; ``rows`` lists those values in increasing
     order, or is None when every row is stored (then ``block`` is the dense
     2^n vector).  Leading-register values outside ``rows`` have amplitude 0.
+    The state owns ``block``: the Fourier transforms write over it, so a
+    caller that keeps the array passes a copy (``from_amplitudes`` copies).
     """
 
     layout: RegisterLayout
@@ -140,7 +143,8 @@ class StateVector:
 
     @classmethod
     def from_amplitudes(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex).reshape(-1)
+        """A dense state over a copy of ``amps``, which must have unit norm."""
+        amps = np.array(amps, dtype=complex).reshape(-1)
         if amps.shape != (1 << layout.n,):
             raise ValueError(f"expected {1 << layout.n} amplitudes, got {amps.shape}")
         nrm = np.linalg.norm(amps)
@@ -182,9 +186,15 @@ def _reg_axis(state: StateVector, reg: str) -> tuple[np.ndarray | None, np.ndarr
 
 
 def _transform(state: StateVector, reg: str, fft) -> StateVector:
-    """Orthonormal ``fft`` along the register axis of the stored amplitudes."""
+    """Orthonormal ``fft`` along the register axis, written over the amplitudes it reads.
+
+    Off the leading register, and on the leading register of a dense state,
+    the result's block is the input's block, overwritten; on the leading
+    register of a state that stores fewer rows, ``_reg_axis`` reads a fresh
+    dense vector, which becomes the result's block.
+    """
     rows, a = _reg_axis(state, reg)
-    return StateVector(state.layout, fft(a, axis=1, norm="ortho").reshape(-1), rows)
+    return StateVector(state.layout, fft(a, axis=1, norm="ortho", out=a).reshape(-1), rows)
 
 
 def _apply_1q(amps: np.ndarray, n: int, pos: int, u: np.ndarray) -> np.ndarray:
@@ -242,12 +252,18 @@ def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
 
 
 def apply_qft(state: StateVector, reg: str) -> StateVector:
-    """Fourier transform on the register: |j> -> 2^(-t/2) sum_k e^{2 pi i jk/2^t} |k>."""
+    """Fourier transform on the register: |j> -> 2^(-t/2) sum_k e^{2 pi i jk/2^t} |k>.
+
+    Consumes ``state``: its amplitudes are overwritten, so use only the result.
+    """
     return _transform(state, reg, np.fft.ifft)
 
 
 def apply_inverse_qft(state: StateVector, reg: str) -> StateVector:
-    """Adjoint of apply_qft; maps 2^(-t/2) sum_k e^{2 pi i jk/2^t} |k> back to |j>."""
+    """Adjoint of apply_qft; maps 2^(-t/2) sum_k e^{2 pi i jk/2^t} |k> back to |j>.
+
+    Consumes ``state`` as ``apply_qft`` does.
+    """
     return _transform(state, reg, np.fft.fft)
 
 

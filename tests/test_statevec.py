@@ -376,8 +376,22 @@ class TestFourier:
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(4)
         st = random_state(RegisterLayout.of(("a", 3), ("r", 4)), rng)
+        before = st.amps.copy()  # the transforms write over st
         back = apply_inverse_qft(apply_qft(st, "r"), "r")
-        assert np.allclose(back.amps, st.amps, atol=ALGEBRA_TOL)
+        assert np.allclose(back.amps, before, atol=ALGEBRA_TOL)
+
+    @pytest.mark.parametrize("op", [apply_qft, apply_inverse_qft])
+    @pytest.mark.parametrize("reg", ["a", "r"])
+    def test_transform_leaves_from_amplitudes_input_alone(self, op, reg):
+        # from_amplitudes copies, so the transform overwrites the state's
+        # block and not the caller's array.
+        rng = np.random.default_rng(6)
+        arr = rng.normal(size=128) + 1j * rng.normal(size=128)
+        arr /= np.linalg.norm(arr)
+        before = arr.tobytes()
+        st = StateVector.from_amplitudes(RegisterLayout.of(("a", 3), ("r", 4)), arr)
+        op(st, reg)
+        assert arr.tobytes() == before
 
     def test_single_qubit_case_is_hadamard(self):
         for v in (0, 1):
@@ -685,10 +699,16 @@ class TestLiveFibers:
     @pytest.mark.parametrize("stored", ["dense", "compact"])
     def test_transforms_match_dense_fft(self, regs, live, op, fft, stored):
         st = sparse_state(regs, "r", live, seed=live)
-        dense = fft(statevec._reg_axis(st, "r")[1], axis=1, norm="ortho").reshape(-1)
+        copy = StateVector(st.layout, st.amps.copy())
+        dense = fft(statevec._reg_axis(copy, "r")[1], axis=1, norm="ortho").reshape(-1)
         if stored == "compact":
             st = compact_twin(st)
-        assert np.array_equal(op(st, "r").amps, dense)
+        got = op(st, "r")
+        assert np.array_equal(got.amps, dense)
+        # The transform writes over the block it reads; only the leading
+        # register of a compact state is read into a fresh dense vector.
+        in_place = regs[0][0] != "r" or stored == "dense"
+        assert np.shares_memory(got.block, st.block) == in_place
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     @pytest.mark.parametrize("live", [1, 5, 20])
@@ -705,26 +725,27 @@ class TestLiveFibers:
         a[5] = random_state(RegisterLayout.of(("r", 4)), np.random.default_rng(3)).amps
         a[5, ::3] = complex(-0.0, -0.0)
         st = StateVector.from_amplitudes(layout, a / np.linalg.norm(a))
-        view = statevec._reg_axis(st, "r")[1]
-        assert compact_twin(st).rows.tolist() == [5]
-        for s in (st, compact_twin(st)):
+        view = statevec._reg_axis(st, "r")[1].copy()  # the transform writes over st
+        twin = compact_twin(st)
+        assert twin.rows.tolist() == [5]
+        for s in (st, twin):
+            assert np.array_equal(
+                register_probabilities(s, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
+            )
             assert np.array_equal(
                 apply_inverse_qft(s, "r").amps,
                 np.fft.fft(view, axis=1, norm="ortho").reshape(-1),
-            )
-            assert np.array_equal(
-                register_probabilities(s, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
             )
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     def test_mostly_live_takes_dense_path(self, regs):
         st = sparse_state(regs, "r", 25, seed=9)  # 25 of 32 fibers
-        view = statevec._reg_axis(st, "r")[1]
-        assert np.array_equal(
-            apply_qft(st, "r").amps, np.fft.ifft(view, axis=1, norm="ortho").reshape(-1)
-        )
+        view = statevec._reg_axis(st, "r")[1].copy()  # the transform writes over st
         assert np.array_equal(
             register_probabilities(st, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
+        )
+        assert np.array_equal(
+            apply_qft(st, "r").amps, np.fft.ifft(view, axis=1, norm="ortho").reshape(-1)
         )
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
@@ -796,9 +817,13 @@ class TestCompactRows:
     @pytest.mark.parametrize("op", [apply_qft, apply_inverse_qft])
     def test_transforms(self, regs, live_rows, live_fibers, op):
         dense = row_sparse_state(regs, live_rows, seed=len(live_rows), live_fibers=live_fibers)
-        st = compact_twin(dense)
+        st = compact_twin(dense)  # a copy: transforming st leaves dense alone
+        fft = np.fft.ifft if op is apply_qft else np.fft.fft
+        expected = fft(statevec._reg_axis(dense, "r")[1], axis=1, norm="ortho").reshape(-1)
         got = op(st, "r")
         assert np.array_equal(got.rows, st.rows)
+        assert np.shares_memory(got.block, st.block)  # written over the stored rows
+        assert np.array_equal(got.amps, expected)
         assert np.array_equal(got.amps, op(dense, "r").amps)
 
     @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
