@@ -394,10 +394,11 @@ class TestFourier:
         assert arr.tobytes() == before
 
     def test_single_qubit_case_is_hadamard(self):
+        # Each operation gets its own state: the transform consumes its input.
+        layout = RegisterLayout.of(("r", 1))
         for v in (0, 1):
-            st = init_basis(RegisterLayout.of(("r", 1)), {"r": v})
-            viaq = apply_inverse_qft(st, "r")
-            viah = apply_hadamard_register(st, "r")
+            viaq = apply_inverse_qft(init_basis(layout, {"r": v}), "r")
+            viah = apply_hadamard_register(init_basis(layout, {"r": v}), "r")
             assert np.allclose(viaq.amps, viah.amps, atol=1e-12)
 
     @pytest.mark.parametrize("t", range(1, 9))
