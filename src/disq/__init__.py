@@ -38,6 +38,7 @@ from .statevec import (
     apply_controlled_modmul,
     apply_hadamard_register,
     apply_inverse_qft,
+    apply_phase_estimation,
     apply_qft,
     init_basis,
     marginal_probabilities,
@@ -74,6 +75,7 @@ __all__ = [
     "apply_controlled_modmul",
     "apply_hadamard_register",
     "apply_inverse_qft",
+    "apply_phase_estimation",
     "apply_qft",
     "ceil_log2",
     "circular_distance",

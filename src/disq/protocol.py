@@ -259,16 +259,13 @@ def _estimate(st: StateVector, ctrl: str, width: int, multiplier: int, N: int) -
     """One node's phase estimation of ``multiplier`` on the work register of ``st``.
 
     The control register ``ctrl`` is prepared alone, in uniform superposition
-    (2^width amplitudes), and joined to ``st`` as its last register by the
-    controlled multiplication; it is dropped before the inverse QFT, which
-    writes over the joined state, so the stage then holds one state-sized
-    block.
+    (2^width amplitudes), and joined to ``st`` as its last register by
+    ``statevec.apply_phase_estimation``, which also applies the inverse QFT
+    to it; the stage holds one state-sized block.
     """
     control = statevec.init_basis(RegisterLayout.of((ctrl, width)))
     control = statevec.apply_hadamard_register(control, ctrl)
-    st = statevec.apply_controlled_modmul(st, control, _WORK, multiplier, N)
-    del control
-    return statevec.apply_inverse_qft(st, ctrl)
+    return statevec.apply_phase_estimation(st, control, _WORK, multiplier, N)
 
 
 def _first_estimate(params: ProtocolParams, ctrl: str, width: int) -> StateVector:

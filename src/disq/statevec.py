@@ -30,7 +30,14 @@ modulus are fixed points, which keeps the map a bijection and hence
 unitary), writing each joined amplitude once from the work state's stored
 rows through a table of the multiplier's inverse powers built by each call.
 The Fourier transforms are applied as orthonormal FFTs along the register
-axis, written over the state they are given.  Gate-level decompositions are
+axis, written over the state they are given.  ``apply_phase_estimation`` is
+that multiplication followed by the inverse QFT on the joined control.  Each
+joined row repeats one period of P source amplitudes along the control axis
+(P the multiplier's order), so when the product costs no more than the FFTs
+it saves -- P * F <= (F - P) * t for F joined rows and a t-qubit control --
+it transforms the control's P residue classes mod P once and writes every
+row as a sum of P of them; otherwise, and always for an estimate that starts
+from one row (F = P), it runs the two kernels.  Gate-level decompositions are
 out of scope here -- circuit-cost questions are answered analytically by the
 resources module.
 
@@ -283,6 +290,44 @@ def _preimage_cycle(n_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
     return np.where((ys < modulus)[:, None], np.multiply.outer(ys, powers) % modulus, ys[:, None])
 
 
+def _period_sources(
+    state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
+) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray]:
+    """Check a controlled multiplication and gather one period of its sources.
+
+    Returns (layout, rows, one): the layout with ``control`` joined last,
+    the row set of the joined state (None when every target value holds
+    amplitude), and one[y, m, c]: the amplitude, at index m of the other
+    registers, of the stored row that multiplier^c maps onto the y-th
+    output row, for c below the multiplier's order (or below 2^t when that
+    is smaller).
+    """
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if math.gcd(multiplier % modulus, modulus) != 1:
+        raise ValueError(f"multiplier {multiplier} is not invertible mod {modulus}")
+    if state.layout.offset(target) != 0:
+        raise ValueError(f"target register {target!r} must lead the state {state.layout.names}")
+    if len(control.layout.registers) != 1:
+        raise ValueError(f"control must be a one-register state, got {control.layout.names}")
+    layout = state.layout.appended(*control.layout.registers[0])  # may raise CapacityError
+    n_tgt = 1 << state.layout.width(target)
+    if n_tgt < modulus:
+        raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
+    stored = np.arange(n_tgt) if state.rows is None else state.rows
+    k = stored.size
+    slot = np.full(n_tgt, k, dtype=np.int64)  # position among the stored values; k: not stored
+    slot[stored] = np.arange(k)
+    # src[y, c]: slot of the value that the multiplier's power c maps onto y
+    src = slot[_preimage_cycle(n_tgt, multiplier, modulus)[:, : 1 << control.n]]
+    image = np.flatnonzero((src < k).any(axis=1))
+    src = src[image]
+    block = state.block.reshape(k, -1)
+    if (src == k).any():  # slot k (not stored) reads one zero row
+        block = np.concatenate([block, np.zeros_like(block[:1])])
+    return layout, None if image.size == n_tgt else image, block[src].transpose(0, 2, 1)
+
+
 def apply_controlled_modmul(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
 ) -> StateVector:
@@ -301,39 +346,69 @@ def apply_controlled_modmul(
     multiplier grows), and a source value that is not stored reads one zero
     row.
     """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if math.gcd(multiplier % modulus, modulus) != 1:
-        raise ValueError(f"multiplier {multiplier} is not invertible mod {modulus}")
-    if state.layout.offset(target) != 0:
-        raise ValueError(f"target register {target!r} must lead the state {state.layout.names}")
-    if len(control.layout.registers) != 1:
-        raise ValueError(f"control must be a one-register state, got {control.layout.names}")
-    layout = state.layout.appended(*control.layout.registers[0])  # may raise CapacityError
-    n_tgt, n_ctrl = 1 << state.layout.width(target), 1 << control.n
-    if n_tgt < modulus:
-        raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
-    stored = np.arange(n_tgt) if state.rows is None else state.rows
-    k = stored.size
-    slot = np.full(n_tgt, k, dtype=np.int64)  # position among the stored values; k: not stored
-    slot[stored] = np.arange(k)
-    # src[y, c]: slot of the value that the multiplier's power c maps onto y
-    src = slot[_preimage_cycle(n_tgt, multiplier, modulus)[:, :n_ctrl]]
-    image = np.flatnonzero((src < k).any(axis=1))
-    src = src[image]
-    block = state.block.reshape(k, -1)
-    if (src == k).any():  # slot k (not stored) reads one zero row
-        block = np.concatenate([block, np.zeros_like(block[:1])])
-    period = src.shape[1]
+    layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
+    n_out, middle, period = sources.shape
+    n_ctrl = 1 << control.n
     whole = n_ctrl - n_ctrl % period  # control values in whole periods
-    one = block[src].transpose(0, 2, 1)[:, :, None, :]  # [y, m, 0, c]: sources of c mod period
+    one = sources[:, :, None, :]  # [y, m, 0, c]: sources of c mod period
     ctrl = control.amps
-    out = np.empty((image.size, block.shape[1], n_ctrl), block.dtype)
+    out = np.empty((n_out, middle, n_ctrl), sources.dtype)
     # Splitting the last axis of a slice never copies: the product lands in out.
-    periods = out[:, :, :whole].reshape(image.size, -1, whole // period, period)
+    periods = out[:, :, :whole].reshape(n_out, -1, whole // period, period)
     np.multiply(one, ctrl[:whole].reshape(-1, period), out=periods)
     np.multiply(one[:, :, 0, : n_ctrl - whole], ctrl[whole:], out=out[:, :, whole:])
-    return StateVector(layout, out.reshape(-1), None if image.size == n_tgt else image)
+    return StateVector(layout, out.reshape(-1), rows)
+
+
+_FOLD_CHUNK = 1024  # control values per product of the fold
+
+
+def apply_phase_estimation(
+    state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
+) -> StateVector:
+    """``apply_controlled_modmul``, then ``apply_inverse_qft`` on the joined control.
+
+    Takes the same arguments, and gives the same state up to rounding, as
+    those two kernels in turn.  Each joined row repeats, along the control
+    axis, one period of P sources times the control, where P is the
+    multiplier's order; so its transform is sum_q one[q] * G_q, where G_q
+    is the transform of the control amplitudes of residue class q (mod P).
+    Over F = rows * (other-register values) joined rows and a t-qubit
+    control, the fold runs P FFTs of 2^t and a product of P * F
+    multiply-adds per control value, in place of F FFTs of about t
+    multiply-adds per value each.  It is taken when it costs no more, i.e.
+    when P * F <= (F - P) * t; otherwise (always for an estimate that starts
+    from one row, where F = P) the two kernels run as they are.
+
+    The G_q are built and transformed in the output's last P rows.  The
+    output is then written ``_FOLD_CHUNK`` control values at a time: the
+    rows before the last P straight into place, then the last P through a
+    P-row temporary, so the stage holds the output block and no second one.
+    The bounded products also keep node B's small ones on the calling
+    thread: OpenBLAS runs a product of a few hundred thousand multiply-adds
+    or fewer there, instead of waking its thread pool, whose threads then
+    spin between calls.
+    """
+    layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
+    n_out, middle, period = sources.shape
+    joined = n_out * middle
+    t = control.n
+    if period * joined > (joined - period) * t:  # the public kernels, which gather again
+        st = apply_controlled_modmul(state, control, target, multiplier, modulus)
+        return apply_inverse_qft(st, control.layout.names[0])
+    one = sources.reshape(joined, period)
+    out = np.empty((joined, 1 << t), sources.dtype)
+    rest, g = out[: joined - period], out[joined - period :]
+    ctrl = control.amps
+    g.fill(0)
+    for q in range(period):
+        g[q, q::period] = ctrl[q::period]
+    np.fft.fft(g, axis=1, norm="ortho", out=g)
+    for c in range(0, 1 << t, _FOLD_CHUNK):
+        cols = slice(c, c + _FOLD_CHUNK)
+        np.matmul(one[: joined - period], g[:, cols], out=rest[:, cols])
+        g[:, cols] = one[joined - period :] @ g[:, cols]
+    return StateVector(layout, out.reshape(-1), rows)
 
 
 def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
@@ -439,28 +514,24 @@ def teleport_qubits(
     The Bell measurement of qubit q and the near pair half leaves the far
     half in one of four branches: branch (z, x) holds
     1/2 sum_q (-1)^(qz) a_q at q xor x.  z is drawn first, then x given z,
-    and the fix-up X^x then Z^z on the far half restores a_q.  The register
-    is read once, and the result stores the input's rows.
+    and the fix-up X^x then Z^z on the far half restores a_q, so the kept
+    branch is written once, as 0.5 * a / sqrt(p[z, x]).  z only flips signs,
+    so p[1, x] equals p[0, x] bit for bit and only the two masses of z = 0
+    are summed, each in its branch's order.  The register is read once, and
+    the result stores the input's rows.
 
     Returns (state, bits): the (z, x) pair sent to the far node per qubit.
     """
     rows, a = _reg_axis(state, reg)
     before = a.shape[0]
-    sign = np.array([1, -1])[:, None]  # (-1)^q along the qubit axis
     bits = []
     for k in range(state.layout.width(reg)):
-        a = a.reshape(before << k, 2, -1)
-        phased = 0.5 * np.stack([a, a * sign])  # [z]: the x = 0 branch
-        branches = np.stack([phased, phased[:, :, ::-1]], axis=1)  # [z, x]
-        p = np.sum(np.abs(branches) ** 2, axis=(2, 3, 4))
-        z = draw(p.sum(axis=1), rng)
-        x = draw(p[z] / p[z].sum(), rng)
-        out = branches[z, x]
-        if x:
-            out = out[:, ::-1]
-        if z:
-            out = out * sign
-        a = out / math.sqrt(p[z, x])
+        half = 0.5 * a.reshape(before << k, 2, -1)
+        # p[x]: the mass of branch (z, x) for either z
+        p = np.array([np.sum(np.abs(b) ** 2) for b in (half, half[:, ::-1].copy())])
+        z = draw(np.full(2, p.sum()), rng)
+        x = draw(p / p.sum(), rng)
+        a = half / math.sqrt(p[x])
         bits.append((z, x))
     if rows is None and state.rows is not None:  # the leading register, read dense
         rows = state.rows

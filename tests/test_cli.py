@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +39,42 @@ def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv, env):
         monkeypatch.setenv("DISQ_SEED", env)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "seed" in err
+
+
+# One argv per exit path: a run, a capacity failure, usage errors found by
+# the handler and by argparse itself.
+REPEATED_ARGV = [
+    (["order", "--N", "15", "--a", "7", "--shots", "3", "--seed", "1"], 0),
+    (["order", "--N", "33", "--a", "2", "--shots", "2", "--seed", "3",
+      "--engine", "monolithic", "--format", "csv"], 0),
+    (["resources", "--L", "4"], 0),
+    (["order", "--N", "4097", "--shots", "1"], 1),
+    (["factor", "--N", "13"], 2),
+    (["order", "--N", "15", "--a", "7", "--epsilon", "2"], 2),
+    (["order", "--a", "7"], 2),
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # main reuses one parser per process; each call must still print and
+    # return what the same argv gives a process of its own.
+    monkeypatch.delenv("DISQ_SEED", raising=False)
+    env = {k: v for k, v in os.environ.items() if k != "DISQ_SEED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh = [
+        subprocess.run([sys.executable, "-m", "disq.cli", *argv], capture_output=True,
+                       env=env, timeout=120)
+        for argv, _ in REPEATED_ARGV
+    ]
+    for _ in range(2):
+        for (argv, code), proc in zip(REPEATED_ARGV, fresh):
+            try:
+                got = main(list(argv))
+            except SystemExit as exc:  # argparse's own usage errors
+                got = exc.code
+            out, err = capsys.readouterr()
+            assert got == proc.returncode == code
+            assert (out, err) == (proc.stdout.decode(), proc.stderr.decode())
 
 
 class TestOrder:

@@ -737,3 +737,56 @@ class TestTheorem2Exact:
             record = OutcomeRecord(engine=ENGINE_DISTRIBUTED, m=BitString(params.m_width, v))
             expected = classify_outcome(record, params, r).estimate_within_bound
             assert within_bound(v, params, r) == expected
+
+
+def plain_estimate(state, control, target, multiplier, modulus):
+    """The two kernels that ``statevec.apply_phase_estimation`` stands for, in turn."""
+    statevec = protocol.statevec
+    joined = statevec.apply_controlled_modmul(state, control, target, multiplier, modulus)
+    return statevec.apply_inverse_qft(joined, control.layout.names[0])
+
+
+FOLD_TOL = 1e-15  # the fold and the per-row FFT round differently
+
+
+class TestFoldedEstimates:
+    """Every law from ``apply_phase_estimation`` against the same law with
+    each estimate run as a controlled multiplication, then an inverse QFT."""
+
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
+    @pytest.mark.parametrize("N, a", [(2, 1), *SMALL_CASES])
+    def test_laws_match_the_two_kernels(self, N, a, inverse_epsilon, monkeypatch):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+
+        def laws():
+            after_a = protocol._a_stage(params)
+            return (
+                protocol.statevec.register_probabilities(after_a, "ctrl_a"),
+                monolithic_exact_distribution(params),
+                distributed_joint_distribution(params, MODE_JOINT),
+                distributed_joint_distribution(params, MODE_SEQUENTIAL),
+            )
+
+        node_a, mono, joint, seq = laws()
+        monkeypatch.setattr(protocol.statevec, "apply_phase_estimation", plain_estimate)
+        want = laws()
+        # Every first estimate starts from one row, so it takes the plain path.
+        assert np.array_equal(node_a, want[0]) and np.array_equal(mono, want[1])
+        for got, ref in ((joint, want[2]), (seq, want[3])):
+            assert np.max(np.abs(got - ref)) <= FOLD_TOL
+            assert np.array_equal(got == 0, ref == 0)
+
+    def test_node_b_at_33_matches_the_two_kernels(self, monkeypatch):
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        after_a = protocol._a_stage(params)
+        m1_law = protocol.statevec.register_probabilities(after_a, "ctrl_a")
+        for m1 in np.flatnonzero(m1_law > 1e-3)[:4]:
+            got = protocol._node_b(after_a, int(m1), params, protocol.ClassicalChannel(),
+                                   np.random.default_rng(1))
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol.statevec, "apply_phase_estimation", plain_estimate)
+                want = protocol._node_b(after_a, int(m1), params, protocol.ClassicalChannel(),
+                                        np.random.default_rng(1))
+            assert got[0] == want[0]
+            assert np.max(np.abs(got[1] - want[1])) <= FOLD_TOL
+            assert np.array_equal(got[1] == 0, want[1] == 0)

@@ -7,7 +7,7 @@ import pytest
 from disq import statevec
 from disq.bitstrings import BitString, circular_distance, fraction_bits
 from disq.teleport import ClassicalChannel, EprPool, teleport_register
-from disq.numeric import ceil_log2
+from disq.numeric import ceil_log2, multiplicative_order
 from disq.statevec import (
     CapacityError,
     RegisterLayout,
@@ -15,6 +15,7 @@ from disq.statevec import (
     apply_controlled_modmul,
     apply_hadamard_register,
     apply_inverse_qft,
+    apply_phase_estimation,
     apply_qft,
     init_basis,
     marginal_probabilities,
@@ -364,6 +365,115 @@ class TestControlledModMul:
         monkeypatch.setattr(statevec, "_preimage_cycle", no_table)
         with pytest.raises(CapacityError):
             apply_controlled_modmul(st, control, "work", 3, 7)
+
+
+def plain_estimate(state, control, target, multiplier, modulus):
+    """The two kernels that ``apply_phase_estimation`` stands for, in turn."""
+    joined = apply_controlled_modmul(state, control, target, multiplier, modulus)
+    return apply_inverse_qft(joined, control.layout.names[0])
+
+
+FOLD_TOL = 1e-15  # the fold and the per-row FFT round differently
+
+
+@pytest.fixture
+def modmul_calls(monkeypatch):
+    """Counts the ``apply_controlled_modmul`` calls: one per plain-path estimate."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply_controlled_modmul(*args)
+
+    monkeypatch.setattr(statevec, "apply_controlled_modmul", counting)
+    return calls
+
+
+@pytest.fixture
+def fft_rows(monkeypatch):
+    """Rows each ``np.fft.fft`` call transforms, in call order."""
+    rows = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        rows.append(a.size // a.shape[kwargs.get("axis", -1)])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    return rows
+
+
+class TestPhaseEstimation:
+    """``apply_phase_estimation`` against the controlled multiplication and
+    inverse QFT it replaces: the fold when P * F <= (F - P) * t, for period P,
+    F joined rows and a t-qubit control, else those two kernels as they are."""
+
+    @pytest.mark.parametrize("multiplier", [3, 5, 12, 4, 7])  # orders 3, 4, 2, 6, 12 mod 13
+    @pytest.mark.parametrize("t", [3, 5, 6])
+    @pytest.mark.parametrize("control", ["uniform", "random"])
+    @pytest.mark.parametrize("live_rows", [list(range(13)), [1, 5, 8], [2, 15]])
+    def test_matches_the_two_kernels(self, multiplier, t, control, live_rows, modmul_calls):
+        # [2, 15] maps onto rows not stored (which read the zero row) and onto
+        # a fixed point; periods 3, 6 and 12 leave a partial last period.
+        dense = row_sparse_state([("work", 4), ("x", 2)], live_rows, seed=t)
+        ctrl = uniform_control(t) if control == "uniform" else random_control(t, seed=multiplier)
+        period = min(multiplicative_order(multiplier, 13), 1 << t)
+        for st in (dense, compact_twin(dense)):
+            want = plain_estimate(st, ctrl, "work", multiplier, 13)
+            del modmul_calls[:]
+            got = apply_phase_estimation(st, ctrl, "work", multiplier, 13)
+            assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
+            assert np.max(np.abs(got.block - want.block)) <= FOLD_TOL
+            joined = want.block.size >> t  # rows times the values of x
+            assert len(modmul_calls) == (period * joined > (joined - period) * t)
+
+    def test_node_b_at_33_transforms_one_row_per_residue_class(self, fft_rows, modmul_calls):
+        # Node B of N=33 a=2 holds the 10 powers of 2; its multiplier 16 has
+        # order 5, so the fold transforms 5 rows of 2^14, not 10.
+        rows = np.array(sorted(pow(2, j, 33) for j in range(10)))
+        amps = np.random.default_rng(4).normal(size=10) + 0j
+        st = StateVector(RegisterLayout.of(("work", 6)), amps / np.linalg.norm(amps), rows)
+        got = apply_phase_estimation(st, uniform_control(14), "work", 16, 33)
+        assert fft_rows == [5] and modmul_calls == []
+        want = plain_estimate(st, uniform_control(14), "work", 16, 33)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.max(np.abs(got.block - want.block)) <= FOLD_TOL
+
+    @pytest.mark.parametrize("multiplier, modulus", [(7, 15), (2, 33), (1, 13)])
+    @pytest.mark.parametrize("t", [3, 9])
+    def test_first_estimate_is_bitwise_the_two_kernels(self, multiplier, modulus, t, modmul_calls):
+        # One stored row maps onto as many rows as the period: F = P.
+        st = init_basis(RegisterLayout.of(("work", 6)), {"work": 1})
+        got = apply_phase_estimation(st, uniform_control(t), "work", multiplier, modulus)
+        assert len(modmul_calls) == 1
+        want = plain_estimate(st, uniform_control(t), "work", multiplier, modulus)
+        assert np.array_equal(got.rows, want.rows) and np.array_equal(got.block, want.block)
+
+    def test_large_period_takes_the_plain_path(self, modmul_calls):
+        # Period 100 (3 mod 101) maps the 40 stored rows onto F = 101 rows:
+        # 100 * 101 multiply-adds per control value against (101 - 100) * 7.
+        amps = np.where(np.arange(128) < 40, 1 / math.sqrt(40), 0) + 0j
+        st = compact_twin(StateVector.from_amplitudes(RegisterLayout.of(("work", 7)), amps))
+        got = apply_phase_estimation(st, uniform_control(7), "work", 3, 101)  # order 100
+        assert len(modmul_calls) == 1
+        want = plain_estimate(st, uniform_control(7), "work", 3, 101)
+        assert np.array_equal(got.block, want.block)
+
+    def test_input_states_are_not_modified(self):
+        st = row_sparse_state([("work", 4), ("x", 2)], list(range(13)), seed=2)
+        control = random_control(5, seed=2)
+        before = (st.block.copy(), control.amps.copy())
+        apply_phase_estimation(st, control, "work", 5, 13)
+        assert np.array_equal(st.block, before[0]) and np.array_equal(control.amps, before[1])
+
+    def test_rejects_what_the_multiplication_rejects(self):
+        st = init_basis(RegisterLayout.of(("work", 4)), {"work": 1})
+        with pytest.raises(ValueError, match="not invertible"):
+            apply_phase_estimation(st, uniform_control(2), "work", 6, 15)
+        with pytest.raises(ValueError, match="must lead"):
+            apply_phase_estimation(
+                init_basis(RegisterLayout.of(("x", 1), ("work", 4))), uniform_control(2), "work", 7, 15
+            )
 
 
 class TestFourier:

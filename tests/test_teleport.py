@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from disq import statevec
 from disq.statevec import RegisterLayout, StateVector, init_basis, marginal_probabilities
 from disq.teleport import ClassicalChannel, EprPool, EprPoolError, teleport_register
 
@@ -135,3 +137,62 @@ class TestBellOutcomeLaw:
             forced = _ForcedRng([0.5 + (2 * b - 1) * 1e-9 for b in bits])
             teleport_register(st, "c", ch, EprPool(width), forced)
             assert ch.transcript == list(bits)
+
+
+def four_branch_teleport(state: StateVector, reg: str, rng: np.random.Generator):
+    """Reference Bell-measurement kernel: builds all four (z, x) branches of
+    each qubit, draws one, and undoes its fix-up on the kept branch."""
+    rows, a = statevec._reg_axis(state, reg)
+    before = a.shape[0]
+    sign = np.array([1, -1])[:, None]  # (-1)^q along the qubit axis
+    bits = []
+    for k in range(state.layout.width(reg)):
+        a = a.reshape(before << k, 2, -1)
+        phased = 0.5 * np.stack([a, a * sign])  # [z]: the x = 0 branch
+        branches = np.stack([phased, phased[:, :, ::-1]], axis=1)  # [z, x]
+        p = np.sum(np.abs(branches) ** 2, axis=(2, 3, 4))
+        z = statevec.draw(p.sum(axis=1), rng)
+        x = statevec.draw(p[z] / p[z].sum(), rng)
+        out = branches[z, x]
+        if x:
+            out = out[:, ::-1]
+        if z:
+            out = out * sign
+        a = out / math.sqrt(p[z, x])
+        bits.append((z, x))
+    if rows is None and state.rows is not None:
+        rows = state.rows
+        a = a.reshape(1 << state.layout.registers[0][1], -1)[rows]
+    return StateVector(state.layout, a.reshape(-1), rows), bits
+
+
+class TestTwoMassKernel:
+    """``teleport_qubits`` sums two branch masses per qubit and gives bitwise
+    the amplitudes, bits and generator state of the four-branch reference."""
+
+    @pytest.mark.parametrize(
+        "regs, compact",
+        [
+            ([("c", 1)], False),
+            ([("c", 2)], False),
+            ([("c", 3)], False),
+            ([("a", 2), ("c", 4), ("b", 3)], False),
+            ([("a", 3), ("c", 6)], False),
+            ([("c", 3)], True),
+            ([("c", 4), ("a", 5)], True),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_four_branch_reference(self, regs, compact, seed):
+        st = random_state(RegisterLayout.of(*regs), seed)
+        if compact:  # c leads and stores rows 1, 3, 4 and 7
+            rows = np.array([1, 3, 4, 7])
+            lead = st.amps.reshape(1 << regs[0][1], -1)[rows]
+            st = StateVector(st.layout, (lead / np.linalg.norm(lead)).reshape(-1), rows)
+        rngs = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+        got, bits = statevec.teleport_qubits(st, "c", rngs[0])
+        want, want_bits = four_branch_teleport(st, "c", rngs[1])
+        assert bits == want_bits
+        assert np.array_equal(got.block, want.block)
+        assert np.array_equal(got.rows, want.rows)
+        assert rngs[0].random() == rngs[1].random()
