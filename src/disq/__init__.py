@@ -43,7 +43,6 @@ from .statevec import (
     init_basis,
     marginal_probabilities,
     measure_register,
-    outcome_distribution,
     phase_superposition,
     project_register,
     register_probabilities,
@@ -89,7 +88,6 @@ __all__ = [
     "measure_register",
     "monolithic_exact_distribution",
     "multiplicative_order",
-    "outcome_distribution",
     "phase_superposition",
     "project_register",
     "recover_order",

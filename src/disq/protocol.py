@@ -19,6 +19,7 @@ without changing results.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -510,6 +511,8 @@ def run_shots(
         record = _run_one_shot(params, shot_rng(seed, i), engine, mode, law)
         return classify_outcome(record, params, r_true)
 
+    # pool.map submits every shot up front; bound the threads that it starts
+    workers = min(workers, shots, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(shots)))

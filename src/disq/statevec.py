@@ -14,16 +14,16 @@ sets, ``append_register`` keeps the rows it is given, kernels on any other
 register keep them, and the controlled modular multiplication, which targets
 the leading register, maps them onto their image.  Order finding leads every
 state with its work register, which holds only the r powers of the base (10
-of 64 values for N=33 a=2).  The Born marginals sum the stored rows alone;
-every other operation on the leading register reads the dense vector, and
-of those only ``teleport_qubits`` gives back the stored rows.
+of 64 values for N=33 a=2).  The Born marginals sum the stored rows alone,
+and the Hadamard layer reads the one row of a fresh register; every other
+operation on the leading register reads the dense vector, and of those only
+``teleport_qubits`` gives back the stored rows.
 ``StateVector.amps`` is always the full 2^n vector, built on each read for a
 state that stores fewer rows.
 
-Phase estimation prepares its control register as a state of its own: a
-Hadamard layer on a register that holds |0..0> on every branch is written
-directly as the uniform superposition (any other register state gets one
-butterfly pass per qubit), a vector of 2^t amplitudes.  The controlled
+Phase estimation prepares its control register as a state of its own: the
+Hadamard layer takes a fresh register in |0..0> to the uniform
+superposition, a vector of 2^t amplitudes.  The controlled
 modular multiplication joins that state to the work state as the last
 register and applies the basis permutation it semantically is (values >= the
 modulus are fixed points, which keeps the map a bijection and hence
@@ -63,9 +63,6 @@ from .bitstrings import BitString
 MAX_QUBITS = 26  # memory guard: at most 2^26 amplitudes (1 GiB complex128)
 
 NORM_GUARD = 1e-8  # measurement-time probability drift that trips an error
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
 
 class CapacityError(RuntimeError):
     """A layout (or an operation's extension of one) would exceed MAX_QUBITS."""
@@ -168,14 +165,6 @@ class StateVector:
         return abs(float(np.vdot(self.block, self.block).real) - 1.0)
 
 
-def _global_pos(layout: RegisterLayout, reg: str, k: int) -> int:
-    """Global qubit position of bit k (1-based, MSB-first) of a register."""
-    width = layout.width(reg)
-    if not 1 <= k <= width:
-        raise ValueError(f"qubit index {k} out of range for register {reg!r} ({width} wide)")
-    return layout.offset(reg) + k - 1
-
-
 def _reg_axis(state: StateVector, reg: str) -> tuple[np.ndarray | None, np.ndarray]:
     """The amplitudes a kernel on ``reg`` works on, as (before, register, after).
 
@@ -204,15 +193,6 @@ def _transform(state: StateVector, reg: str, fft) -> StateVector:
     return StateVector(state.layout, fft(a, axis=1, norm="ortho", out=a).reshape(-1), rows)
 
 
-def _apply_1q(amps: np.ndarray, n: int, pos: int, u: np.ndarray) -> np.ndarray:
-    post = 1 << (n - pos - 1)
-    a = amps.reshape(-1, 2, post)
-    out = np.empty_like(a)
-    out[:, 0, :] = u[0, 0] * a[:, 0, :] + u[0, 1] * a[:, 1, :]
-    out[:, 1, :] = u[1, 0] * a[:, 0, :] + u[1, 1] * a[:, 1, :]
-    return out.reshape(-1)
-
-
 def init_basis(layout: RegisterLayout, values: Mapping[str, int] | None = None) -> StateVector:
     """Computational basis state with each register set to its given value.
 
@@ -237,25 +217,21 @@ def init_basis(layout: RegisterLayout, values: Mapping[str, int] | None = None) 
 
 
 def apply_hadamard_register(state: StateVector, reg: str) -> StateVector:
-    """Hadamard on every qubit of the register (|0..0> -> uniform superposition).
+    """Hadamard on every qubit of a fresh register: |0..0> -> uniform superposition.
 
-    When the register holds |0..0> on every branch -- every amplitude with a
-    non-zero register value is exactly 0, as for a freshly prepared control
-    register -- the result is written directly: each branch's |0..0>
-    amplitude times 2^(-w/2) in all 2^w register slots.  Any other state
-    goes through the per-qubit butterfly passes.
+    ``reg`` must lead ``state``, and ``state`` must store only its row 0, as
+    ``init_basis`` builds it; anything else raises ValueError before an
+    amplitude is read.  The result is dense: the stored row times 2^(-w/2)
+    in all 2^w rows.
     """
-    rows, a = _reg_axis(state, reg)
+    if state.layout.offset(reg) != 0:
+        raise ValueError(f"register {reg!r} must lead the state {state.layout.names}")
+    if state.rows is None or list(state.rows) != [0]:
+        raise ValueError(f"register {reg!r} must hold |0..0>: the state must store only row 0")
     w = state.layout.width(reg)
-    if not a[:, 1:, :].any():
-        out = np.empty(a.shape, a.dtype)
-        out[...] = a[:, :1, :] * (1 / math.sqrt(1 << w))
-        return StateVector(state.layout, out.reshape(-1), rows)
-    off = state.layout.offset(reg)
-    amps = a.reshape(-1)
-    for k in range(w):
-        amps = _apply_1q(amps, state.n, off + k, _H)
-    return StateVector(state.layout, amps, rows)
+    out = np.empty((1 << w, state.block.size), state.block.dtype)
+    out[...] = state.block * (1 / math.sqrt(1 << w))
+    return StateVector(state.layout, out.reshape(-1))
 
 
 def apply_qft(state: StateVector, reg: str) -> StateVector:
@@ -448,13 +424,6 @@ def marginal_probabilities(state: StateVector, regs: Sequence[str]) -> np.ndarra
     return _born_marginal(state, regs)
 
 
-def outcome_distribution(state: StateVector, reg: str) -> dict[BitString, float]:
-    """Exact outcome distribution for measuring the register."""
-    w = state.layout.width(reg)
-    probs = register_probabilities(state, reg)
-    return {BitString(w, k): float(p) for k, p in enumerate(probs)}
-
-
 def project_register(
     state: StateVector, reg: str, value: int
 ) -> tuple[float, StateVector | None]:
@@ -537,11 +506,6 @@ def teleport_qubits(
         rows = state.rows
         a = a.reshape(1 << state.layout.registers[0][1], -1)[rows]
     return StateVector(state.layout, a.reshape(-1), rows), bits
-
-
-def apply_h_qubit(state: StateVector, reg: str, k: int) -> StateVector:
-    pos = _global_pos(state.layout, reg, k)
-    return StateVector(state.layout, _apply_1q(state.amps, state.n, pos, _H))
 
 
 def append_register(state: StateVector, name: str, width: int) -> StateVector:

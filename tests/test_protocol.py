@@ -625,6 +625,44 @@ class TestDeterminism:
         parallel = run_shots(params, 16, seed=9, workers=4)
         assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
 
+    @pytest.mark.parametrize(
+        "workers, shots, cpus, pool",
+        [
+            (100_000, 100_000, 4, 4),  # bounded by the CPUs
+            (100_000, 3, 4, 3),  # by the shots
+            (3, 100_000, 4, 3),  # by the workers asked for
+            (100_000, 2, None, None),  # unknown CPU count: one thread, no pool
+            (4, 1, 4, None),  # one shot: no pool
+        ],
+    )
+    def test_pool_is_bounded_by_shots_and_cpus(self, monkeypatch, workers, shots, cpus, pool):
+        # A recording stand-in for the executor that starts no thread: its
+        # map reports how many shots were submitted and runs none of them.
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append([max_workers, 0])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                made[-1][1] = len(items)
+                return []
+
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
+        params = ProtocolParams.derive(15, 7, Fraction(1, 4))
+        records = run_shots(params, shots, seed=1, workers=workers)
+        if pool is None:
+            assert made == [] and len(records) == shots
+        else:
+            assert made == [[pool, shots]] and records == []
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         params = ProtocolParams.derive(15, 7, Fraction(1, 4))

@@ -20,7 +20,6 @@ from disq.statevec import (
     init_basis,
     marginal_probabilities,
     measure_register,
-    outcome_distribution,
     phase_superposition,
     project_register,
     register_probabilities,
@@ -42,6 +41,30 @@ def fourier_matrix(t: int) -> np.ndarray:
     dim = 1 << t
     j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="xy")
     return np.exp(2j * np.pi * j * k / dim) / math.sqrt(dim)
+
+
+def hadamard_reference(state: StateVector, reg: str) -> np.ndarray:
+    """Independent dense oracle: H^(x)w built by kron, applied along the register axis."""
+    w = state.layout.width(reg)
+    h = np.ones((1, 1))
+    for _ in range(w):
+        h = np.kron(h, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    a = state.amps.reshape(1 << state.layout.offset(reg), 1 << w, -1)
+    return np.einsum("kj,bjc->bkc", h, a).reshape(-1)
+
+
+def fresh_lead(layout: RegisterLayout, rest: np.ndarray) -> StateVector:
+    """The leading register in |0..0>, the others holding ``rest``: row 0 stored alone."""
+    return StateVector(layout, np.array(rest, dtype=complex), np.array([0]))
+
+
+def test_public_names_resolve():
+    import disq
+
+    for name in disq.__all__:
+        assert getattr(disq, name) is not None
+    for gone in ("outcome_distribution", "apply_h_qubit"):
+        assert not hasattr(disq, gone) and not hasattr(statevec, gone)
 
 
 def op_as_matrix(op, t: int) -> np.ndarray:
@@ -118,20 +141,54 @@ class TestInitBasis:
 
 
 class TestHadamard:
+    """The Hadamard layer takes a fresh leading register, as ``init_basis``
+    builds it, to the uniform superposition and refuses every other state;
+    the layer on any other state is ``hadamard_reference``."""
+
     def test_uniform_superposition(self):
         st = apply_hadamard_register(init_basis(RegisterLayout.of(("r", 2))), "r")
-        assert np.allclose(st.amps, 0.5, atol=ALGEBRA_TOL)
+        assert st.rows is None and st.amps.tolist() == [0.5] * 4
 
     def test_single_qubit_column(self):
-        st = apply_hadamard_register(init_basis(RegisterLayout.of(("r", 1)), {"r": 1}), "r")
         s = 1 / math.sqrt(2)
-        assert np.allclose(st.amps, [s, -s], atol=ALGEBRA_TOL)
+        st = apply_hadamard_register(init_basis(RegisterLayout.of(("r", 1))), "r")
+        assert st.amps.tolist() == [s, s]
+        one = init_basis(RegisterLayout.of(("r", 1)), {"r": 1})
+        assert np.allclose(hadamard_reference(one, "r"), [s, -s], atol=ALGEBRA_TOL)
+        with pytest.raises(ValueError, match="only row 0"):
+            apply_hadamard_register(one, "r")
 
     def test_involution(self):
+        # The kron-built layer undoes the fill, whatever the other registers hold.
         rng = np.random.default_rng(2)
-        st = random_state(RegisterLayout.of(("a", 3), ("b", 2)), rng)
-        back = apply_hadamard_register(apply_hadamard_register(st, "a"), "a")
-        assert np.allclose(back.amps, st.amps, atol=1e-12)
+        rest = random_state(RegisterLayout.of(("b", 2)), rng).amps
+        layout = RegisterLayout.of(("a", 3), ("b", 2))
+        filled = apply_hadamard_register(fresh_lead(layout, rest), "a")
+        back = hadamard_reference(filled, "a")
+        assert np.allclose(back, fresh_lead(layout, rest).amps, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 5, 14])
+    def test_fresh_control_never_reads_the_dense_vector(self, t, monkeypatch):
+        def no_dense(_self):
+            raise AssertionError("the Hadamard layer read StateVector.amps")
+
+        monkeypatch.setattr(StateVector, "amps", property(no_dense))
+        st = apply_hadamard_register(init_basis(RegisterLayout.of(("ctrl", t))), "ctrl")
+        assert st.rows is None and st.block.shape == (1 << t,)
+        # 2^(-t/2) as the fill rounds it: for odd t, pow(2, -t/2) is one ulp off
+        assert (st.block == 1 / math.sqrt(1 << t)).all()
+
+    @pytest.mark.parametrize("case", ["not-leading", "dense", "other-rows"])
+    def test_refuses_before_allocating(self, case, monkeypatch):
+        layout = RegisterLayout.of(("a", 2), ("r", 3))
+        state, reg = {
+            "not-leading": (init_basis(layout), "r"),
+            "dense": (StateVector(layout, init_basis(layout).amps.copy()), "a"),
+            "other-rows": (StateVector(layout, np.ones(8, complex) / 8**0.5, np.array([1])), "a"),
+        }[case]
+        monkeypatch.setattr(statevec, "np", None)  # a numpy call raises AttributeError
+        with pytest.raises(ValueError, match="must lead|only row 0"):
+            apply_hadamard_register(state, reg)
 
     def test_acts_only_on_named_register(self):
         st = init_basis(RegisterLayout.of(("a", 1), ("b", 1)), {"b": 1})
@@ -143,30 +200,35 @@ class TestHadamard:
     @pytest.mark.parametrize("width", [3, 4])
     def test_direct_fill_matches_per_qubit_path(self, position, width):
         # The other registers hold a random entangled state; r holds |0..0>.
-        regs = [("a", 2), ("b", 3)]
-        regs.insert(position, ("r", width))
-        layout = RegisterLayout.of(*regs)
-        amps = random_state(layout, np.random.default_rng(width + 10 * position)).amps
-        amps = amps.reshape(1 << layout.offset("r"), 1 << width, -1).copy()
-        amps[:, 1:, :] = 0
-        st = StateVector.from_amplitudes(layout, amps / np.linalg.norm(amps))
-        per_qubit = st
-        for k in range(1, width + 1):
-            per_qubit = statevec.apply_h_qubit(per_qubit, "r", k)
-        filled = apply_hadamard_register(st, "r")
-        assert np.max(np.abs(filled.amps - per_qubit.amps)) <= 1e-15
+        # r is filled where it leads, as a register prepared alone is, and
+        # moved into place; the per-qubit reference works in place.
+        others = [("a", 2), ("b", 3)]
+        regs = others[:position] + [("r", width)] + others[position:]
+        rng = np.random.default_rng(width + 10 * position)
+        rest = random_state(RegisterLayout.of(*others), rng)
+        fresh = fresh_lead(RegisterLayout.of(("r", width), *others), rest.amps)
+        filled = apply_hadamard_register(fresh, "r")
+        split = 1 << sum(w for _, w in others[:position])
+        moved = filled.amps.reshape(1 << width, split, -1).transpose(1, 0, 2).reshape(-1)
+        zero = np.zeros((split, 1 << width, rest.amps.size // split), complex)
+        zero[:, 0, :] = rest.amps.reshape(split, -1)
+        per_qubit = hadamard_reference(StateVector(RegisterLayout.of(*regs), zero.reshape(-1)), "r")
+        assert np.max(np.abs(moved - per_qubit)) <= 1e-15
 
     @pytest.mark.parametrize("values", [None, {"r": 2}])
-    def test_register_off_zero_takes_per_qubit_path(self, values):
+    def test_register_off_zero_is_refused(self, values):
+        # Off the lead, off |0..0> or dense: the layer on these is the reference's.
         layout = RegisterLayout.of(("a", 2), ("r", 3), ("b", 1))
         if values is None:
             st = random_state(layout, np.random.default_rng(4))
         else:
             st = init_basis(layout, values)
-        per_qubit = st
-        for k in (1, 2, 3):
-            per_qubit = statevec.apply_h_qubit(per_qubit, "r", k)
-        assert np.array_equal(apply_hadamard_register(st, "r").amps, per_qubit.amps)
+        with pytest.raises(ValueError, match="must lead"):
+            apply_hadamard_register(st, "r")
+        lead = RegisterLayout.of(("r", 3), ("a", 2), ("b", 1))
+        moved = st.amps.reshape(4, 8, 2).transpose(1, 0, 2).reshape(-1)
+        with pytest.raises(ValueError, match="only row 0"):
+            apply_hadamard_register(StateVector(lead, moved.copy()), "r")
 
     def test_input_state_is_not_modified(self):
         st = init_basis(RegisterLayout.of(("r", 3), ("w", 2)), {"w": 1})
@@ -213,19 +275,19 @@ class TestControlledModMul:
         st = init_basis(RegisterLayout.of(("work", 4)), {"work": 1})
         st = apply_controlled_modmul(st, basis_control(3, 2), "work", 7, 15)
         assert st.layout.names == ("work", "ctrl")
-        assert outcome_distribution(st, "work")[BitString(4, 4)] == pytest.approx(1.0)
-        assert outcome_distribution(st, "ctrl")[BitString(3, 2)] == pytest.approx(1.0)
+        assert register_probabilities(st, "work")[4] == pytest.approx(1.0)
+        assert register_probabilities(st, "ctrl")[2] == pytest.approx(1.0)
 
     def test_zero_control_is_identity(self):
         st = init_basis(RegisterLayout.of(("work", 4)), {"work": 6})
         st = apply_controlled_modmul(st, basis_control(3, 0), "work", 7, 15)
-        assert outcome_distribution(st, "work")[BitString(4, 6)] == pytest.approx(1.0)
+        assert register_probabilities(st, "work")[6] == pytest.approx(1.0)
 
     def test_node_b_style_multiplier(self):
         # multiplier 4 on target 1 mod 33
         st = init_basis(RegisterLayout.of(("work", 6)), {"work": 1})
         st = apply_controlled_modmul(st, basis_control(2, 1), "work", 4, 33)
-        assert outcome_distribution(st, "work")[BitString(6, 4)] == pytest.approx(1.0)
+        assert register_probabilities(st, "work")[4] == pytest.approx(1.0)
 
     def test_values_at_or_above_modulus_are_fixed(self):
         for x in (15,):
@@ -233,7 +295,7 @@ class TestControlledModMul:
             control = random_control(2, seed=x)
             got = apply_controlled_modmul(st, control, "work", 7, 15)
             assert got.rows.tolist() == [x]
-            assert outcome_distribution(got, "work")[BitString(4, x)] == pytest.approx(1.0)
+            assert register_probabilities(got, "work")[x] == pytest.approx(1.0)
             assert np.array_equal(got.amps, np.kron(st.amps, control.amps))
 
     def test_inverse_multiplier_undoes(self):
@@ -254,8 +316,8 @@ class TestControlledModMul:
         st = init_basis(RegisterLayout.of(("work", 4), ("x", 2)), {"work": 1, "x": 3})
         got = apply_controlled_modmul(st, basis_control(3, 2), "work", 7, 15)
         assert got.layout.registers == (("work", 4), ("x", 2), ("ctrl", 3))
-        assert outcome_distribution(got, "work")[BitString(4, 4)] == pytest.approx(1.0)
-        assert outcome_distribution(got, "x")[BitString(2, 3)] == pytest.approx(1.0)
+        assert register_probabilities(got, "work")[4] == pytest.approx(1.0)
+        assert register_probabilities(got, "x")[3] == pytest.approx(1.0)
 
     def test_is_a_permutation(self):
         # column-by-column image of the basis is a permutation of the basis
@@ -508,8 +570,10 @@ class TestFourier:
         layout = RegisterLayout.of(("r", 1))
         for v in (0, 1):
             viaq = apply_inverse_qft(init_basis(layout, {"r": v}), "r")
-            viah = apply_hadamard_register(init_basis(layout, {"r": v}), "r")
-            assert np.allclose(viaq.amps, viah.amps, atol=1e-12)
+            viah = hadamard_reference(init_basis(layout, {"r": v}), "r")
+            assert np.allclose(viaq.amps, viah, atol=1e-12)
+        viah = apply_hadamard_register(init_basis(layout), "r")
+        assert np.allclose(apply_inverse_qft(init_basis(layout), "r").amps, viah.amps, atol=1e-12)
 
     @pytest.mark.parametrize("t", range(1, 9))
     def test_dense_matrix_against_explicit_oracle(self, t):
@@ -574,21 +638,18 @@ class TestMeasurement:
 class TestDistributions:
     def test_dyadic_phase_is_a_point_mass(self):
         st = apply_inverse_qft(phase_superposition(5, Fraction(12, 32), name="r"), "r")
-        dist = outcome_distribution(st, "r")
-        assert dist[BitString(5, 12)] == pytest.approx(1.0, abs=ALGEBRA_TOL)
+        assert register_probabilities(st, "r")[12] == pytest.approx(1.0, abs=ALGEBRA_TOL)
 
     def test_uniform_register(self):
         st = apply_hadamard_register(init_basis(RegisterLayout.of(("r", 3))), "r")
-        for p in outcome_distribution(st, "r").values():
+        for p in register_probabilities(st, "r"):
             assert p == pytest.approx(1 / 8, abs=ALGEBRA_TOL)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
             st = random_state(RegisterLayout.of(("a", 3), ("b", 2)), rng)
-            assert sum(outcome_distribution(st, "a").values()) == pytest.approx(
-                1.0, abs=ALGEBRA_TOL
-            )
+            assert register_probabilities(st, "a").sum() == pytest.approx(1.0, abs=ALGEBRA_TOL)
 
     def test_marginal_ordering(self):
         st = init_basis(RegisterLayout.of(("a", 1), ("b", 2)), {"a": 1, "b": 2})
@@ -637,11 +698,11 @@ class TestDistributions:
 
 class TestNormPreservation:
     def test_all_operations_preserve_norm(self):
+        assert uniform_control(4).norm_error() < ALGEBRA_TOL
         rng = np.random.default_rng(29)
         st = random_state(RegisterLayout.of(("work", 4)), rng)
         steps = [
             lambda s: apply_controlled_modmul(s, random_control(4, seed=29), "work", 7, 15),
-            lambda s: apply_hadamard_register(s, "ctrl"),
             lambda s: apply_qft(s, "ctrl"),
             lambda s: apply_inverse_qft(s, "ctrl"),
             lambda s: measure_register(s, "ctrl", np.random.default_rng(1))[1],
@@ -861,12 +922,16 @@ class TestLiveFibers:
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
     def test_hadamard_fill_matches_dense_fill(self, regs):
+        # The other registers hold mostly exact zeros; r is filled where it
+        # leads, as a fresh register is, and moved into place.
         st = sparse_state(regs, "r", 4, seed=12)
-        a = statevec._reg_axis(st, "r")[1].copy()
-        a[:, 1:, :] = 0
-        st = StateVector(st.layout, a.reshape(-1))
-        dense = np.broadcast_to(a[:, :1, :] * (1 / math.sqrt(32)), a.shape).reshape(-1)
-        assert np.array_equal(apply_hadamard_register(st, "r").amps, dense)
+        a = statevec._reg_axis(st, "r")[1]
+        others = [reg for reg in regs if reg[0] != "r"]
+        fresh = fresh_lead(RegisterLayout.of(("r", 5), *others), a[:, 0, :].reshape(-1))
+        filled = apply_hadamard_register(fresh, "r").amps
+        moved = filled.reshape(32, a.shape[0], -1).transpose(1, 0, 2)
+        dense = np.broadcast_to(a[:, :1, :] * (1 / math.sqrt(32)), a.shape)
+        assert np.array_equal(moved, dense)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sample_register_matches_measure_register(self, seed):
@@ -968,14 +1033,17 @@ class TestCompactRows:
     @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
     @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15]])
     def test_hadamard_fill(self, regs, live_rows):
+        # Only a state that stores row 0 alone holds a fresh leading register:
+        # the compact state and its dense twin are refused on either register.
         dense = row_sparse_state(regs, live_rows, seed=11, live_fibers=6)
-        a = statevec._reg_axis(dense, "r")[1].copy()
-        a[:, 1:, :] = 0
-        dense = StateVector.from_amplitudes(dense.layout, a.reshape(-1) / np.linalg.norm(a))
         st = compact_twin(dense)
-        got = apply_hadamard_register(st, "r")
-        assert np.array_equal(got.rows, st.rows)
-        assert np.array_equal(got.amps, apply_hadamard_register(dense, "r").amps)
+        for state, reg in ((st, "w"), (st, "r"), (dense, "w")):
+            with pytest.raises(ValueError):
+                apply_hadamard_register(state, reg)
+        row = st.block.reshape(len(live_rows), -1)[0]
+        got = apply_hadamard_register(fresh_lead(st.layout, row), "w")
+        assert got.rows is None
+        assert np.array_equal(got.amps, np.tile(row * (1 / math.sqrt(16)), 16))
 
     def test_append_keeps_input_rows(self):
         dense = row_sparse_state([("w", 4), ("b", 2)], [2, 9], seed=3)
@@ -1018,7 +1086,7 @@ class TestCompactRows:
             assert proj_c.rows.tolist() == live_rows
             assert p_c == pytest.approx(p_d, rel=1e-14, abs=0)
             assert np.allclose(proj_c.amps, proj_d.amps, rtol=0, atol=1e-15)
-        zero = apply_hadamard_register(st, "r")  # any state; b = 3 gets no mass below
+        zero = compact_twin(dense)  # any compact state; b = 3 gets no mass below
         a = statevec._reg_axis(zero, "b")[1].copy()
         a[:, 3, :] = 0
         zero = StateVector(zero.layout, a.reshape(-1) / np.linalg.norm(a), zero.rows)
