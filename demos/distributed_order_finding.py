@@ -10,15 +10,7 @@ the pieces into one 2L+1+p bit estimate.
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from disq import (
-    ProtocolParams,
-    multiplicative_order,
-    run_distributed_order_finding,
-    run_shots,
-    summarize,
-)
+from disq import ProtocolParams, multiplicative_order, run_shots, summarize
 
 N, a = 33, 2
 params = ProtocolParams.derive(N, a, Fraction(1, 4))
@@ -30,7 +22,7 @@ print(
     f"node B control {params.t2} qubits, stitched width {params.m_width}\n"
 )
 
-rec = run_distributed_order_finding(params, np.random.default_rng(12))
+rec = run_shots(params, 1, seed=12)[0]
 print("one shot, step by step:")
 print(f"  node A measures   m1 = {rec.m1}")
 print(f"  teleport moves the {params.L}-qubit work register using "
@@ -41,9 +33,8 @@ print(f"  overlap check: A's bits {params.L // 2}..{params.L // 2 + 1} = "
       f"B's bits 1..2 = {rec.m2.slice(1, 2)}  ->  correction {rec.correction_bit:+d}")
 print(f"  stitched estimate m = {rec.m}")
 estimate = Fraction(rec.m.value, 1 << params.m_width)
-nearest = min(range(r_true), key=lambda s: abs(estimate - Fraction(s, r_true)))
-print(f"  m/2^{params.m_width} = {float(estimate):.6f}, nearest s/r = {nearest}/{r_true} "
-      f"= {nearest / r_true:.6f}")
+print(f"  m/2^{params.m_width} = {float(estimate):.6f}, nearest s/r = {rec.nearest_s}/{r_true} "
+      f"= {rec.nearest_s / r_true:.6f}")
 print(f"  continued fractions recover r = {rec.recovered_r}\n")
 
 shots = 100

@@ -11,10 +11,11 @@ from fractions import Fraction
 import numpy as np
 
 from disq import (
+    ENGINE_MONOLITHIC,
     ProtocolParams,
     monolithic_exact_distribution,
     multiplicative_order,
-    run_monolithic_order_finding,
+    run_shots,
 )
 
 N, a = 15, 7
@@ -30,11 +31,10 @@ for m in np.nonzero(dist > 1e-12)[0]:
     print(f"  m = {int(m):>5}  m/2^t = {Fraction(int(m), len(dist))}  prob = {dist[m]:.4f}")
 
 print("\n12 seeded shots:")
-for seed in range(12):
-    rec = run_monolithic_order_finding(params, np.random.default_rng(seed))
+for shot, rec in enumerate(run_shots(params, 12, seed=0, engine=ENGINE_MONOLITHIC)):
     estimate = Fraction(rec.m.value, 1 << rec.m.width)
     verdict = f"r = {rec.recovered_r}" if rec.recovered_r else "no candidate verified"
-    print(f"  seed {seed:>2}: m = {rec.m}  ({str(estimate):>4})  ->  {verdict}")
+    print(f"  shot {shot:>2}: m = {rec.m}  ({str(estimate):>4})  ->  {verdict}")
 
 print("\nA measurement of m = 0 (the s = 0 branch) is uninformative and the")
 print("recovery correctly gives up on it; any other branch lands the order.")

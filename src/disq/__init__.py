@@ -22,8 +22,6 @@ from .protocol import (
     correct_results,
     distributed_joint_distribution,
     monolithic_exact_distribution,
-    run_distributed_order_finding,
-    run_monolithic_order_finding,
     run_shor_factoring,
     run_shots,
     stitched_value_distribution,
@@ -47,7 +45,6 @@ from .statevec import (
     project_register,
     register_probabilities,
     remove_register,
-    sample_register,
 )
 from .teleport import ClassicalChannel, EprPool, EprPoolError, teleport_register
 
@@ -93,11 +90,8 @@ __all__ = [
     "recover_order",
     "register_probabilities",
     "remove_register",
-    "run_distributed_order_finding",
-    "run_monolithic_order_finding",
     "run_shor_factoring",
     "run_shots",
-    "sample_register",
     "stitched_value_distribution",
     "summarize",
     "teleport_register",

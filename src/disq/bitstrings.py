@@ -48,12 +48,6 @@ class BitString:
     def __str__(self) -> str:
         return self.text
 
-    def bit(self, i: int) -> int:
-        """Bit i, 1-based from the most significant."""
-        if not 1 <= i <= self.width:
-            raise ValueError(f"bit index {i} out of range for width {self.width}")
-        return (self.value >> (self.width - i)) & 1
-
     def slice(self, i: int, j: int) -> "BitString":
         """Bits i..j inclusive, 1-based from the most significant."""
         if not 1 <= i <= j <= self.width:

@@ -97,6 +97,12 @@ def _smallest_prime_factor(n: int) -> int | None:
     return None
 
 
+def _check_engine_mode(args: argparse.Namespace) -> None:
+    # The single node has no second estimate to defer, so it has no joint oracle.
+    if args.engine == ENGINE_MONOLITHIC and args.mode == MODE_JOINT:
+        raise UsageError(f"--mode {MODE_JOINT} needs --engine {ENGINE_DISTRIBUTED}")
+
+
 def _check_size(args: argparse.Namespace, epsilon: Fraction) -> None:
     # Register widths do not depend on the base, so base 1 stands in for it
     # and an oversized run is refused before any work that grows with N.
@@ -136,6 +142,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     a = args.a
     if a is not None and (not 1 <= a < args.N or math.gcd(a, args.N) != 1):
         raise UsageError(f"need 1 <= a < N with gcd(a, N) = 1, got a={a}, N={args.N}")
+    _check_engine_mode(args)
     _check_size(args, epsilon)
     if a is None:
         a = _pick_base(args.N, np.random.default_rng(seed))
@@ -168,6 +175,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         raise UsageError(f"N must be odd and >= 3, got {args.N}")
     if args.max_attempts < 1:
         raise UsageError(f"max-attempts must be >= 1, got {args.max_attempts}")
+    _check_engine_mode(args)
     _check_size(args, epsilon)
     _check_factorable(args.N)
     rng = np.random.default_rng(seed if seed is None else [seed, 0x0F])

@@ -238,17 +238,6 @@ def check_capacity(params: ProtocolParams, engine: str, mode: str = MODE_SEQUENT
         )
 
 
-def run_monolithic_order_finding(
-    params: ProtocolParams, rng: np.random.Generator
-) -> OutcomeRecord:
-    """Single-node order finding: one t_mono-bit phase estimate, then recovery.
-
-    The estimate is drawn from ``monolithic_exact_distribution``.
-    """
-    law = _shot_law(params, ENGINE_MONOLITHIC, MODE_SEQUENTIAL)
-    return _run_one_shot(params, rng, ENGINE_MONOLITHIC, MODE_SEQUENTIAL, law)
-
-
 def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
     """Exact outcome distribution of the single-node control register."""
     check_capacity(params, ENGINE_MONOLITHIC)
@@ -319,28 +308,6 @@ def _finish_distributed(
         record.correction_bit, record.m = stitched
         record.recovered_r = recover_order(record.m, params.N, params.a)
     return record
-
-
-def run_distributed_order_finding(
-    params: ProtocolParams,
-    rng: np.random.Generator,
-    mode: str = MODE_SEQUENTIAL,
-) -> OutcomeRecord:
-    """Two-node order finding.
-
-    sequential-teleport: node A prepares, estimates, and measures first
-    (measuring early is harmless because later operations never touch its
-    register, and it halves the peak qubit count); the work register is
-    then teleported into node B's space, which runs its own estimate.
-
-    joint-oracle: m1 and then m2 given m1 are drawn from
-    ``distributed_joint_distribution(params, MODE_JOINT)``, the law of the
-    three registers held in one state with measurements deferred and no
-    communication.  This is the reference execution the sequential path is
-    checked against; its records carry no channel accounting.
-    """
-    law = _shot_law(params, ENGINE_DISTRIBUTED, mode)
-    return _run_one_shot(params, rng, ENGINE_DISTRIBUTED, mode, law)
 
 
 def _shot_law(params: ProtocolParams, engine: str, mode: str) -> tuple[np.ndarray, ...]:
@@ -499,7 +466,22 @@ def run_shots(
     mode: str = MODE_SEQUENTIAL,
     workers: int = 1,
 ) -> list[OutcomeRecord]:
-    """Run independent classified shots; records come back in shot order."""
+    """Run independent classified shots; records come back in shot order.
+
+    Monolithic shots draw from ``monolithic_exact_distribution``; distributed
+    shots run in one of two modes.
+
+    sequential-teleport: node A prepares, estimates, and measures first
+    (measuring early is harmless because later operations never touch its
+    register, and it halves the peak qubit count); the work register is
+    then teleported into node B's space, which runs its own estimate.
+
+    joint-oracle: m1 and then m2 given m1 are drawn from
+    ``distributed_joint_distribution(params, MODE_JOINT)``, the law of the
+    three registers held in one state with measurements deferred and no
+    communication.  This is the reference execution the sequential path is
+    checked against; its records carry no channel accounting.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if workers < 1:

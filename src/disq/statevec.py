@@ -41,8 +41,8 @@ from one row (F = P), it runs the two kernels.  Gate-level decompositions are
 out of scope here -- circuit-cost questions are answered analytically by the
 resources module.
 
-Measuring is sampling plus projection: ``sample_register`` draws an outcome
-and leaves the state alone, ``measure_register`` also collapses it.
+Measuring is sampling plus projection: ``measure_register`` draws an outcome
+from the register's Born marginal and collapses the state onto it.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
@@ -460,19 +460,14 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.flatnonzero(probs > 0)[-1])
 
 
-def sample_register(state: StateVector, reg: str, rng: np.random.Generator) -> BitString:
-    """Sample a register outcome (Born rule) with ``draw``, leaving the state as it is."""
-    return BitString(state.layout.width(reg), draw(register_probabilities(state, reg), rng))
-
-
 def measure_register(
     state: StateVector, reg: str, rng: np.random.Generator
 ) -> tuple[BitString, StateVector]:
-    """Sample a register outcome (as ``sample_register``) and collapse the state."""
-    m = sample_register(state, reg, rng)
-    _, collapsed = project_register(state, reg, m.value)
+    """Draw a register outcome (Born rule) with ``draw`` and collapse the state."""
+    m = draw(register_probabilities(state, reg), rng)
+    _, collapsed = project_register(state, reg, m)
     assert collapsed is not None
-    return m, collapsed
+    return BitString(state.layout.width(reg), m), collapsed
 
 
 def teleport_qubits(

@@ -41,6 +41,28 @@ def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv, env):
     assert code == 2 and out == "" and "seed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("order", "--N", "15", "--a", "7", "--shots", "2", "--seed", "1"),
+        ("factor", "--N", "15", "--seed", "1"),
+        # Refused as usage before the size check, which would exit 1.
+        ("order", "--N", "1000000007", "--shots", "1"),
+        ("factor", "--N", "1000000016000000063"),
+    ],
+    ids=["order", "factor", "order-oversized", "factor-oversized"],
+)
+def test_monolithic_engine_has_no_joint_oracle(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--engine", "monolithic", "--mode", "joint-oracle")
+    assert code == 2 and out == "" and "joint-oracle" in err
+
+
+def test_monolithic_engine_accepts_the_sequential_mode(capsys):
+    argv = ("order", "--N", "33", "--a", "2", "--shots", "5", "--seed", "3",
+            "--engine", "monolithic")
+    assert run_cli(capsys, *argv, "--mode", "sequential-teleport") == run_cli(capsys, *argv)
+
+
 # One argv per exit path: a run, a capacity failure, usage errors found by
 # the handler and by argparse itself.
 REPEATED_ARGV = [

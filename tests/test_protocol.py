@@ -19,8 +19,6 @@ from disq.protocol import (
     correct_results,
     distributed_joint_distribution,
     monolithic_exact_distribution,
-    run_distributed_order_finding,
-    run_monolithic_order_finding,
     run_shor_factoring,
     run_shots,
     stitched_value_distribution,
@@ -98,7 +96,7 @@ class TestNodeBMemory:
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
         tracemalloc.start()
         try:
-            record = run_distributed_order_finding(params, np.random.default_rng(3))
+            [record] = run_shots(params, 1, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -145,7 +143,7 @@ class TestWorkRegisterLeads:
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
         tracemalloc.start()
         try:
-            record = run_monolithic_order_finding(params, np.random.default_rng(3))
+            [record] = run_shots(params, 1, seed=3, engine=ENGINE_MONOLITHIC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -199,7 +197,7 @@ class TestWorkRegisterLeads:
         params = ProtocolParams.derive(16, 3, Fraction(1, 4))
         tracemalloc.start()
         try:
-            record = run_distributed_order_finding(params, np.random.default_rng(3), MODE_JOINT)
+            [record] = run_shots(params, 1, seed=3, mode=MODE_JOINT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -226,14 +224,14 @@ class TestShotsSampleTheirOracle:
 
     def test_monolithic_shot(self, draws):
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
-        run_monolithic_order_finding(params, np.random.default_rng(1))
+        run_shots(params, 1, seed=1, engine=ENGINE_MONOLITHIC)
         assert len(draws) == 1
         assert np.array_equal(draws[0], monolithic_exact_distribution(params))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_joint_oracle_shot(self, draws, seed):
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
-        record = run_distributed_order_finding(params, np.random.default_rng(seed), MODE_JOINT)
+        [record] = run_shots(params, 1, seed=seed, mode=MODE_JOINT)
         joint = distributed_joint_distribution(params, MODE_JOINT)
         m1 = record.m1.value
         assert len(draws) == 2
@@ -244,7 +242,7 @@ class TestShotsSampleTheirOracle:
     def test_sequential_shot_draws_m2_from_node_b(self, draws, seed):
         # Draw order: A's measurement, the 2L teleport bits, B's measurement.
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
-        record = run_distributed_order_finding(params, np.random.default_rng(seed))
+        [record] = run_shots(params, 1, seed=seed)
         after_a = protocol._a_stage(params)
         m1 = record.m1.value
         assert len(draws) == 2 + 2 * params.L
@@ -313,15 +311,12 @@ class TestLawOncePerRun:
     def test_shots_match_single_shot_runs(self, engine, mode):
         params = ProtocolParams.derive(13, 2)
         r = multiplicative_order(2, 13)
-        single = (
-            run_monolithic_order_finding
-            if engine == ENGINE_MONOLITHIC
-            else lambda p, rng: run_distributed_order_finding(p, rng, mode)
-        )
-        expected = [
-            classify_outcome(single(params, protocol.shot_rng(4, i)), params, r).to_json_dict()
-            for i in range(6)
-        ]
+
+        def single(i):
+            law = protocol._shot_law(params, engine, mode)  # a fresh law for every shot
+            return protocol._run_one_shot(params, protocol.shot_rng(4, i), engine, mode, law)
+
+        expected = [classify_outcome(single(i), params, r).to_json_dict() for i in range(6)]
         got = run_shots(params, 6, seed=4, engine=engine, mode=mode)
         assert [rec.to_json_dict() for rec in got] == expected
 
@@ -429,7 +424,7 @@ class TestMonolithic:
 
     def test_identity_base(self):
         params = ProtocolParams.derive(15, 1, Fraction(1, 4))
-        rec = run_monolithic_order_finding(params, np.random.default_rng(0))
+        [rec] = run_shots(params, 1, seed=0, engine=ENGINE_MONOLITHIC)
         assert rec.m.value == 0
         assert rec.recovered_r == 1
 
@@ -671,7 +666,7 @@ class TestDeterminism:
 
     def test_monolithic_and_joint_modes_run(self):
         params = ProtocolParams.derive(15, 7, Fraction(1, 4))
-        rec = run_distributed_order_finding(params, np.random.default_rng(1), mode=MODE_JOINT)
+        [rec] = run_shots(params, 1, seed=1, mode=MODE_JOINT)
         assert rec.m1 is not None and rec.m2 is not None
         assert rec.classical_bits_used == 0  # reference execution, no channel
 

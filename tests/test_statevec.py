@@ -24,7 +24,6 @@ from disq.statevec import (
     project_register,
     register_probabilities,
     remove_register,
-    sample_register,
 )
 
 ALGEBRA_TOL = 1e-10
@@ -63,8 +62,11 @@ def test_public_names_resolve():
 
     for name in disq.__all__:
         assert getattr(disq, name) is not None
-    for gone in ("outcome_distribution", "apply_h_qubit"):
+    for gone in ("outcome_distribution", "apply_h_qubit", "sample_register"):
         assert not hasattr(disq, gone) and not hasattr(statevec, gone)
+    for gone in ("run_monolithic_order_finding", "run_distributed_order_finding"):
+        assert not hasattr(disq, gone) and not hasattr(disq.protocol, gone)
+    assert not hasattr(BitString, "bit")
 
 
 def op_as_matrix(op, t: int) -> np.ndarray:
@@ -750,9 +752,9 @@ class TestNormGuards:
     def nan_state(self) -> StateVector:
         return StateVector(RegisterLayout.of(("a", 1), ("r", 2)), np.full(8, np.nan, complex))
 
-    def test_sample_register_raises(self):
+    def test_measure_register_raises(self):
         with pytest.raises(RuntimeError):
-            sample_register(self.nan_state(), "r", np.random.default_rng(0))
+            measure_register(self.nan_state(), "r", np.random.default_rng(0))
 
     def test_teleport_register_raises(self):
         with pytest.raises(RuntimeError):
@@ -935,10 +937,12 @@ class TestLiveFibers:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sample_register_matches_measure_register(self, seed):
+        # Sampling a register, as the protocol does, draws from its Born
+        # marginal; measuring it draws the same outcome with the same randomness.
         st = random_state(RegisterLayout.of(("a", 3), ("r", 4)), np.random.default_rng(seed))
         rng_sample, rng_measure = np.random.default_rng(seed), np.random.default_rng(seed)
-        m = sample_register(st, "r", rng_sample)
-        assert m == measure_register(st, "r", rng_measure)[0]
+        m = statevec.draw(register_probabilities(st, "r"), rng_sample)
+        assert m == measure_register(st, "r", rng_measure)[0].value
         assert rng_sample.bit_generator.state == rng_measure.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 5, 7])
@@ -1011,7 +1015,7 @@ class TestCompactRows:
         assert np.array_equal(register_probabilities(st, "r"), register_probabilities(dense, "r"))
         for seed in range(5):
             rng_c, rng_d = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert sample_register(st, "r", rng_c) == sample_register(dense, "r", rng_d)
+            assert measure_register(st, "r", rng_c)[0] == measure_register(dense, "r", rng_d)[0]
             assert rng_c.bit_generator.state == rng_d.bit_generator.state
 
     @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
