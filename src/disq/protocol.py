@@ -277,6 +277,22 @@ def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
     return _estimate(st, _CTRL_B, params.t2, params.b_stage_multiplier, params.N)
 
 
+def _keep_node_b_transforms(params: ProtocolParams, other: int) -> None:
+    """Keep node B's class transforms for a run whose node-B stage will fold.
+
+    Node B's state stores the r' = min(r, 2^t1) powers a^j with j < r' (r
+    the order of a), each beside ``other`` values of the registers after
+    work.  Its multiplier a^(2^(L/2-1)) has order P = r / g, and multiplying
+    by its powers adds the multiples of g to j mod r, so the joined state
+    stores P * min(r', g) rows.  ``statevec.keep_uniform_transforms`` keeps
+    G when that size takes the fold and keeps none otherwise.
+    """
+    r = multiplicative_order(params.a, params.N)
+    period = multiplicative_order(params.b_stage_multiplier, params.N)
+    rows = period * min(r, 1 << params.t1, r // period)
+    statevec.keep_uniform_transforms(params.t2, min(period, 1 << params.t2), rows * other)
+
+
 def _node_b(
     after_a: StateVector,
     m1: int,
@@ -314,9 +330,13 @@ def _shot_law(params: ProtocolParams, engine: str, mode: str) -> tuple[np.ndarra
     """The exact laws every shot of a run draws from, computed once per run.
 
     Monolithic: (P(m),).  Joint oracle: (P(m1), P(m1, m2)).  Sequential: (),
-    as each shot runs both nodes itself.
+    as each shot runs both nodes itself; node B's class transforms are kept
+    for the run's shots first.  The single node has no joint oracle, so the
+    monolithic engine with the joint-oracle mode raises ValueError.
     """
     if engine == ENGINE_MONOLITHIC:
+        if mode == MODE_JOINT:
+            raise ValueError(f"mode {MODE_JOINT!r} needs engine {ENGINE_DISTRIBUTED!r}")
         return (monolithic_exact_distribution(params),)
     if engine != ENGINE_DISTRIBUTED:
         raise ValueError(f"unknown engine {engine!r}")
@@ -326,6 +346,7 @@ def _shot_law(params: ProtocolParams, engine: str, mode: str) -> tuple[np.ndarra
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED)
+    _keep_node_b_transforms(params, 1)
     return ()
 
 
@@ -337,18 +358,21 @@ def distributed_joint_distribution(
     The joint-oracle path marginalizes the final three-register state; the
     sequential path runs ``_node_b`` once for each m1 outcome and weights
     B's distribution by the outcome probability.  Any teleport branch gives
-    the same conditional state, so one branch per m1 suffices.
+    the same conditional state, so one branch per m1 suffices.  Either way
+    node B's class transforms are kept before node A's stage runs.
     """
     if mode == MODE_JOINT:
         # Node B's stage runs on node A's unmeasured state: A's operations
         # never touch ctrl_b, so joining ctrl_b after them gives the same state.
         check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
+        _keep_node_b_transforms(params, 1 << params.t1)
         joint = _b_stage(_a_stage(params), params)
         return statevec.marginal_probabilities(joint, [_CTRL_A, _CTRL_B])
 
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED)
+    _keep_node_b_transforms(params, 1)
     after_a = _a_stage(params)
     joint = np.zeros((1 << params.t1, 1 << params.t2))
     branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial

@@ -37,9 +37,16 @@ joined row repeats one period of P source amplitudes along the control axis
 it saves -- P * F <= (F - P) * t for F joined rows and a t-qubit control --
 it transforms the control's P residue classes mod P once and writes every
 row as a sum of P of them; otherwise, and always for an estimate that starts
-from one row (F = P), it runs the two kernels.  Gate-level decompositions are
-out of scope here -- circuit-cost questions are answered analytically by the
-resources module.
+from one row (F = P), it runs the two kernels.  Every estimate's control is
+the uniform fill the Hadamard layer writes, so those transforms depend only
+on (t, P).  ``keep_uniform_transforms`` keeps them process-wide for one
+(t, P) at a time: one read-only array of P * 2^t amplitudes, built once and
+held until a later call replaces or drops it (the protocol calls it before
+a run's first estimate).  The fold copies the kept array into its output
+when its (t, P) matches and its control is bitwise the uniform fill, and
+builds the transforms there itself otherwise; the bits are the same either
+way.  Gate-level decompositions are out of scope here -- circuit-cost
+questions are answered analytically by the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
@@ -338,6 +345,51 @@ def apply_controlled_modmul(
 
 _FOLD_CHUNK = 1024  # control values per product of the fold
 
+# ((t, P), G): the class transforms of the uniform t-qubit control for period
+# P, read-only; None when none are kept.  One tuple, so a reader on another
+# thread sees a key and its G together.
+_kept_transforms: tuple[tuple[int, int], np.ndarray] | None = None
+
+
+def _folds(period: int, joined: int, t: int) -> bool:
+    """Whether the fold costs no more than the per-row FFTs it replaces."""
+    return period * joined <= (joined - period) * t
+
+
+def _class_transforms(ctrl: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """G_q, the inverse QFT of ``ctrl``'s residue class q mod P, in row q of ``g`` (P rows)."""
+    period = g.shape[0]
+    g.fill(0)
+    for q in range(period):
+        g[q, q::period] = ctrl[q::period]
+    return np.fft.fft(g, axis=1, norm="ortho", out=g)
+
+
+def _is_uniform(ctrl: np.ndarray, t: int) -> bool:
+    """Whether ``ctrl`` is bitwise the fill ``apply_hadamard_register`` writes on |0..0>."""
+    fill = np.array([1 / math.sqrt(1 << t)], dtype=complex).view(np.int64)
+    return ctrl.dtype == np.complex128 and bool((ctrl.view(np.int64).reshape(-1, 2) == fill).all())
+
+
+def keep_uniform_transforms(t: int, period: int, joined: int) -> None:
+    """Keep the G_q that ``apply_phase_estimation`` reads for a uniform t-qubit control.
+
+    Sized for an estimate of ``joined`` joined rows whose multiplier has
+    period ``period`` (its order, or 2^t when that is smaller): when that
+    estimate takes the fold, the G_q of (t, period) replace whatever was
+    kept (P * 2^t amplitudes, built once while the key stays the same);
+    otherwise nothing is kept.  The kept array is read-only and lives until
+    another call replaces or drops it.
+    """
+    global _kept_transforms
+    if not _folds(period, joined, t):
+        _kept_transforms = None
+    elif _kept_transforms is None or _kept_transforms[0] != (t, period):
+        ctrl = np.full(1 << t, 1 / math.sqrt(1 << t), dtype=complex)
+        g = _class_transforms(ctrl, np.empty((period, 1 << t), complex))
+        g.flags.writeable = False
+        _kept_transforms = (t, period), g
+
 
 def apply_phase_estimation(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
@@ -356,30 +408,34 @@ def apply_phase_estimation(
     when P * F <= (F - P) * t; otherwise (always for an estimate that starts
     from one row, where F = P) the two kernels run as they are.
 
-    The G_q are built and transformed in the output's last P rows.  The
-    output is then written ``_FOLD_CHUNK`` control values at a time: the
-    rows before the last P straight into place, then the last P through a
-    P-row temporary, so the stage holds the output block and no second one.
-    The bounded products also keep node B's small ones on the calling
-    thread: OpenBLAS runs a product of a few hundred thousand multiply-adds
-    or fewer there, instead of waking its thread pool, whose threads then
-    spin between calls.
+    The G_q are built and transformed in the output's last P rows, or, when
+    ``keep_uniform_transforms`` has kept them process-wide for this (t, P)
+    and the control is bitwise the uniform fill, copied there from the kept
+    read-only array; the result has the same bits either way.  The output
+    is then written ``_FOLD_CHUNK`` control values at a time: the rows
+    before the last P straight into place, then the last P through a P-row
+    temporary, so the stage holds the output block and no second one.  The
+    bounded products also keep node B's small ones on the calling thread:
+    OpenBLAS runs a product of a few hundred thousand multiply-adds or fewer
+    there, instead of waking its thread pool, whose threads then spin
+    between calls.
     """
     layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
     n_out, middle, period = sources.shape
     joined = n_out * middle
     t = control.n
-    if period * joined > (joined - period) * t:  # the public kernels, which gather again
+    if not _folds(period, joined, t):  # the public kernels, which gather again
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)
         return apply_inverse_qft(st, control.layout.names[0])
     one = sources.reshape(joined, period)
     out = np.empty((joined, 1 << t), sources.dtype)
     rest, g = out[: joined - period], out[joined - period :]
     ctrl = control.amps
-    g.fill(0)
-    for q in range(period):
-        g[q, q::period] = ctrl[q::period]
-    np.fft.fft(g, axis=1, norm="ortho", out=g)
+    kept = _kept_transforms
+    if kept is not None and kept[0] == (t, period) and _is_uniform(ctrl, t):
+        g[...] = kept[1]
+    else:
+        _class_transforms(ctrl, g)
     for c in range(0, 1 << t, _FOLD_CHUNK):
         cols = slice(c, c + _FOLD_CHUNK)
         np.matmul(one[: joined - period], g[:, cols], out=rest[:, cols])

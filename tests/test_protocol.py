@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -89,6 +91,21 @@ class TestParams:
 PEAK_SLACK = 64 << 10  # index tables and other small arrays, far below one control vector
 
 
+def node_b_input(params: ProtocolParams):
+    """Node A's state projected onto its likeliest m1, ctrl_a dropped: what node B joins."""
+    after_a = protocol._a_stage(params)
+    m1 = int(np.argmax(protocol.statevec.register_probabilities(after_a, "ctrl_a")))
+    _, st = protocol.statevec.project_register(after_a, "ctrl_a", m1)
+    return protocol.statevec.remove_register(st, "ctrl_a")
+
+
+def set_kept_transforms(monkeypatch, params: ProtocolParams | None) -> None:
+    """Start from no kept transforms, then keep node B's for ``params`` if given."""
+    monkeypatch.setattr(protocol.statevec, "_kept_transforms", None)
+    if params is not None:
+        protocol._keep_node_b_transforms(params, 1)
+
+
 class TestNodeBMemory:
     def test_sequential_shot_never_holds_a_dense_node_b_state(self):
         # Node B's dense state for N=33 a=2 is 2^20 amplitudes (16 MiB); it
@@ -103,31 +120,33 @@ class TestNodeBMemory:
         assert record.m2 is not None
         assert peak < 16 << 20
 
-    def test_node_b_stage_holds_one_block(self):
+    def test_node_b_stage_holds_one_block(self, monkeypatch):
         # Node B's joined state for N=33 a=2 stores 10 work rows of 2^14
         # amplitudes (2.5 MiB).  Its stage holds that state and the 2^t2
-        # control vector (0.25 MiB): the inverse QFT writes over the state.
-        # The Born marginal squares its magnitudes in place.
+        # control vector (0.25 MiB): the inverse QFT writes over the state,
+        # and its class transforms are built in the state's last rows (cold)
+        # or copied there from the kept ones (warm, kept before tracing).
+        # Each case sets the kept state itself.  The Born marginal squares
+        # its magnitudes in place.
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
-        after_a = protocol._a_stage(params)
-        m1 = int(np.argmax(protocol.statevec.register_probabilities(after_a, "ctrl_a")))
-        _, st = protocol.statevec.project_register(after_a, "ctrl_a", m1)
-        st = protocol.statevec.remove_register(st, "ctrl_a")
         block = 16 * 10 << params.t2
-        tracemalloc.start()
-        try:
-            st = protocol._b_stage(st, params)
-            stage_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            protocol.statevec.register_probabilities(st, "ctrl_b")
-            marginal_peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert st.block.size * 16 == block
-        assert stage_peak < block + block // 4
-        # One float per stored amplitude, squared in place, and the marginal.
-        assert marginal_peak < block // 2 + (8 << params.t2) + PEAK_SLACK
+        for case in ("cold", "warm"):
+            st = node_b_input(params)
+            set_kept_transforms(monkeypatch, params if case == "warm" else None)
+            tracemalloc.start()
+            try:
+                st = protocol._b_stage(st, params)
+                stage_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                protocol.statevec.register_probabilities(st, "ctrl_b")
+                marginal_peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert st.block.size * 16 == block
+            assert stage_peak < block + block // 4, case
+            # One float per stored amplitude, squared in place, and the marginal.
+            assert marginal_peak < block // 2 + (8 << params.t2) + PEAK_SLACK, case
 
 
 class TestWorkRegisterLeads:
@@ -732,6 +751,27 @@ class TestFactoring:
                     assert attempt.record.recovered_r == multiplicative_order(attempt.a, 15)
 
 
+class TestMonolithicHasNoJointOracle:
+    """The single node has no second estimate to defer: every entry point
+    refuses the monolithic engine with the joint-oracle mode."""
+
+    def test_run_shots_refuses(self):
+        params = ProtocolParams.derive(15, 7, Fraction(1, 4))
+        with pytest.raises(ValueError, match="joint-oracle"):
+            run_shots(params, 1, seed=1, engine=ENGINE_MONOLITHIC, mode=MODE_JOINT)
+
+    def test_run_shor_factoring_refuses(self):
+        class FixedBase:
+            def integers(self, low, high):
+                return 7  # coprime to 15, so order finding runs
+
+        with pytest.raises(ValueError, match="joint-oracle"):
+            run_shor_factoring(
+                15, Fraction(1, 4), FixedBase(), max_attempts=1,
+                engine=ENGINE_MONOLITHIC, mode=MODE_JOINT,
+            )
+
+
 def within_bound(v: int, params: ProtocolParams, r: int) -> bool:
     """Whether the stitched estimate v/2^w lies within 2^-(2L+1) of some s/r, s < r.
 
@@ -746,6 +786,21 @@ def within_bound(v: int, params: ProtocolParams, r: int) -> bool:
 SMALL_CASES = [(N, a) for N in range(3, 17) for a in range(1, N) if math.gcd(a, N) == 1]
 
 
+@functools.cache
+def sequential_law_summary(N: int, a: int, inverse_epsilon: int) -> tuple[bytes, float]:
+    """(sha256 of the exact sequential law's bytes, its stitched success mass).
+
+    Built once per session for the tests that share it; the laws themselves
+    (up to 4 MiB each) are not kept.
+    """
+    params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+    law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+    values, _ = stitched_value_distribution(law, params)
+    r = multiplicative_order(a, N)
+    success = sum(p for v, p in values.items() if within_bound(v, params, r))
+    return hashlib.sha256(law.tobytes()).digest(), success
+
+
 class TestTheorem2Exact:
     """The stitched success mass of the exact sequential law is at least
     1 - epsilon on every small case, not only within sampling slack."""
@@ -753,12 +808,8 @@ class TestTheorem2Exact:
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
     def test_success_mass_meets_bound(self, N, a, inverse_epsilon):
-        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
-        r = multiplicative_order(a, N)
-        joint = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        values, _ = stitched_value_distribution(joint, params)
-        success = sum(p for v, p in values.items() if within_bound(v, params, r))
-        assert success >= 1 - params.epsilon
+        _, success = sequential_law_summary(N, a, inverse_epsilon)
+        assert success >= 1 - Fraction(1, inverse_epsilon)
 
     @pytest.mark.parametrize("N, a", [(11, 4), (15, 7)])
     def test_integer_rule_matches_classify_outcome(self, N, a):
@@ -823,3 +874,67 @@ class TestFoldedEstimates:
             assert got[0] == want[0]
             assert np.max(np.abs(got[1] - want[1])) <= FOLD_TOL
             assert np.array_equal(got[1] == 0, want[1] == 0)
+
+
+class TestKeptTransforms:
+    """Node B's class transforms, kept once per (t2, P), give the bits the
+    stage builds for itself, and a run keeps them before its first stage."""
+
+    def test_node_b_stage_is_bitwise_the_same_cold_and_warm(self, monkeypatch):
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        st = node_b_input(params)
+        set_kept_transforms(monkeypatch, None)
+        cold = protocol._b_stage(st, params)  # the stage reads its input without writing it
+        set_kept_transforms(monkeypatch, params)
+        assert protocol.statevec._kept_transforms[0] == (params.t2, 5)  # 16 has order 5 mod 33
+
+        def no_build(*_args):
+            raise AssertionError("built the class transforms that are kept")
+
+        monkeypatch.setattr(protocol.statevec, "_class_transforms", no_build)
+        warm = protocol._b_stage(st, params)
+        assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
+
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
+    @pytest.mark.parametrize("N, a", SMALL_CASES)
+    def test_sequential_law_is_bitwise_the_same_cold(self, N, a, inverse_epsilon, monkeypatch):
+        warm, _ = sequential_law_summary(N, a, inverse_epsilon)  # kept by the oracle itself
+        set_kept_transforms(monkeypatch, None)
+        monkeypatch.setattr(protocol, "_keep_node_b_transforms", lambda *_args: None)
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+        cold = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        assert protocol.statevec._kept_transforms is None
+        assert hashlib.sha256(cold.tobytes()).digest() == warm
+
+    def test_a_run_builds_the_transforms_once(self, monkeypatch):
+        # 20 shots at N=21 a=2 run node B 20 times; the sequential oracle runs
+        # it once for each of the 2^t1 = 128 values of m1 that has mass.
+        params = ProtocolParams.derive(21, 2, Fraction(1, 4))
+        builds, stages = [], []
+        build, stage = protocol.statevec._class_transforms, protocol._b_stage
+        monkeypatch.setattr(
+            protocol.statevec, "_class_transforms", lambda *args: builds.append(1) or build(*args)
+        )
+        monkeypatch.setattr(protocol, "_b_stage", lambda *args: stages.append(1) or stage(*args))
+        set_kept_transforms(monkeypatch, None)
+        run_shots(params, 20, seed=5)
+        assert (len(builds), len(stages)) == (1, 20)
+        set_kept_transforms(monkeypatch, None)
+        del builds[:], stages[:]
+        law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        assert len(builds) == 1 and len(stages) == np.count_nonzero(law.sum(axis=1)) > 20
+
+    @pytest.mark.parametrize("N, a", [(15, 1), (7, 2)])
+    def test_a_run_that_cannot_fold_keeps_none(self, N, a, monkeypatch):
+        # Node B's multiplier has the order r of a (1, and 3 for 4 = 2^2 mod
+        # 7), so it maps its r rows onto F = P = r rows: the estimate runs
+        # the two kernels.
+        set_kept_transforms(monkeypatch, ProtocolParams.derive(33, 2, Fraction(1, 4)))
+        run_shots(ProtocolParams.derive(N, a, Fraction(1, 4)), 1, seed=1)
+        assert protocol.statevec._kept_transforms is None
+
+    def test_monolithic_run_leaves_the_kept_transforms(self, monkeypatch):
+        set_kept_transforms(monkeypatch, ProtocolParams.derive(33, 2, Fraction(1, 4)))
+        kept = protocol.statevec._kept_transforms
+        run_shots(ProtocolParams.derive(15, 7, Fraction(1, 4)), 1, seed=1, engine=ENGINE_MONOLITHIC)
+        assert protocol.statevec._kept_transforms is kept

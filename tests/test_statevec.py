@@ -467,6 +467,13 @@ def fft_rows(monkeypatch):
     return rows
 
 
+def node_b_at_33() -> StateVector:
+    """A random state on the 10 powers of 2 mod 33, the rows node B of N=33 a=2 joins."""
+    rows = np.array(sorted(pow(2, j, 33) for j in range(10)))
+    amps = np.random.default_rng(4).normal(size=10) + 0j
+    return StateVector(RegisterLayout.of(("work", 6)), amps / np.linalg.norm(amps), rows)
+
+
 class TestPhaseEstimation:
     """``apply_phase_estimation`` against the controlled multiplication and
     inverse QFT it replaces: the fold when P * F <= (F - P) * t, for period P,
@@ -491,12 +498,13 @@ class TestPhaseEstimation:
             joined = want.block.size >> t  # rows times the values of x
             assert len(modmul_calls) == (period * joined > (joined - period) * t)
 
-    def test_node_b_at_33_transforms_one_row_per_residue_class(self, fft_rows, modmul_calls):
+    def test_node_b_at_33_transforms_one_row_per_residue_class(
+        self, fft_rows, modmul_calls, monkeypatch
+    ):
         # Node B of N=33 a=2 holds the 10 powers of 2; its multiplier 16 has
         # order 5, so the fold transforms 5 rows of 2^14, not 10.
-        rows = np.array(sorted(pow(2, j, 33) for j in range(10)))
-        amps = np.random.default_rng(4).normal(size=10) + 0j
-        st = StateVector(RegisterLayout.of(("work", 6)), amps / np.linalg.norm(amps), rows)
+        monkeypatch.setattr(statevec, "_kept_transforms", None)
+        st = node_b_at_33()
         got = apply_phase_estimation(st, uniform_control(14), "work", 16, 33)
         assert fft_rows == [5] and modmul_calls == []
         want = plain_estimate(st, uniform_control(14), "work", 16, 33)
@@ -538,6 +546,56 @@ class TestPhaseEstimation:
             apply_phase_estimation(
                 init_basis(RegisterLayout.of(("x", 1), ("work", 4))), uniform_control(2), "work", 7, 15
             )
+
+
+class TestKeptTransforms:
+    """The fold reads kept class transforms only for their (t, P) and only
+    for a control that is bitwise the uniform fill; either way it gives the
+    bits it gives when it builds them itself."""
+
+    # Only the uniform control reads the kept transforms instead of running the FFT.
+    @pytest.mark.parametrize(
+        "control, transformed",
+        [(uniform_control(14), []), (phase_superposition(14, Fraction(3, 7), "ctrl"), [5]),
+         (random_control(14, seed=3), [5])],
+        ids=["uniform", "phase", "random"],
+    )
+    def test_kept_transforms_give_the_cold_bits(self, control, transformed, fft_rows, monkeypatch):
+        st = node_b_at_33()
+        monkeypatch.setattr(statevec, "_kept_transforms", None)
+        cold = apply_phase_estimation(st, control, "work", 16, 33)
+        statevec.keep_uniform_transforms(14, 5, 10)
+        del fft_rows[:]
+        warm = apply_phase_estimation(st, control, "work", 16, 33)
+        assert fft_rows == transformed
+        assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
+
+    def test_other_key_builds_its_own(self, fft_rows, monkeypatch):
+        monkeypatch.setattr(statevec, "_kept_transforms", None)
+        statevec.keep_uniform_transforms(13, 5, 10)  # t = 13, not the stage's 14
+        del fft_rows[:]
+        apply_phase_estimation(node_b_at_33(), uniform_control(14), "work", 16, 33)
+        assert fft_rows == [5]
+
+    def test_kept_array_is_the_built_transforms(self, monkeypatch):
+        monkeypatch.setattr(statevec, "_kept_transforms", None)
+        statevec.keep_uniform_transforms(6, 3, 12)
+        key, g = statevec._kept_transforms
+        want = statevec._class_transforms(uniform_control(6).amps, np.empty((3, 64), complex))
+        assert key == (6, 3) and np.array_equal(g, want)
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0] = 0
+
+    def test_keeps_one_entry_and_none_without_a_fold(self, monkeypatch):
+        monkeypatch.setattr(statevec, "_kept_transforms", None)
+        statevec.keep_uniform_transforms(6, 3, 12)
+        first = statevec._kept_transforms
+        statevec.keep_uniform_transforms(6, 3, 12)
+        assert statevec._kept_transforms is first  # same key: not built again
+        statevec.keep_uniform_transforms(7, 2, 8)
+        assert statevec._kept_transforms[0] == (7, 2)
+        statevec.keep_uniform_transforms(7, 5, 5)  # F = P: the fold is not taken
+        assert statevec._kept_transforms is None
 
 
 class TestFourier:
