@@ -326,25 +326,30 @@ def _finish_distributed(
     return record
 
 
+def _check_engine_and_mode(engine: str, mode: str) -> None:
+    """Raise ValueError for an unknown engine or mode, or for the monolithic
+    engine with the joint-oracle mode: the single node has no joint oracle."""
+    if engine not in (ENGINE_MONOLITHIC, ENGINE_DISTRIBUTED):
+        raise ValueError(f"unknown engine {engine!r}")
+    if mode not in (MODE_SEQUENTIAL, MODE_JOINT):
+        raise ValueError(f"unknown mode {mode!r}")
+    if engine == ENGINE_MONOLITHIC and mode == MODE_JOINT:
+        raise ValueError(f"mode {MODE_JOINT!r} needs engine {ENGINE_DISTRIBUTED!r}")
+
+
 def _shot_law(params: ProtocolParams, engine: str, mode: str) -> tuple[np.ndarray, ...]:
     """The exact laws every shot of a run draws from, computed once per run.
 
     Monolithic: (P(m),).  Joint oracle: (P(m1), P(m1, m2)).  Sequential: (),
     as each shot runs both nodes itself; node B's class transforms are kept
-    for the run's shots first.  The single node has no joint oracle, so the
-    monolithic engine with the joint-oracle mode raises ValueError.
+    for the run's shots first.  Raises what ``_check_engine_and_mode`` raises.
     """
+    _check_engine_and_mode(engine, mode)
     if engine == ENGINE_MONOLITHIC:
-        if mode == MODE_JOINT:
-            raise ValueError(f"mode {MODE_JOINT!r} needs engine {ENGINE_DISTRIBUTED!r}")
         return (monolithic_exact_distribution(params),)
-    if engine != ENGINE_DISTRIBUTED:
-        raise ValueError(f"unknown engine {engine!r}")
     if mode == MODE_JOINT:
         joint = distributed_joint_distribution(params, MODE_JOINT)
         return joint.sum(axis=1), joint
-    if mode != MODE_SEQUENTIAL:
-        raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED)
     _keep_node_b_transforms(params, 1)
     return ()
@@ -600,10 +605,12 @@ def run_shor_factoring(
     Each attempt draws a base a; a shared factor is returned immediately,
     otherwise order finding runs and the standard even-order reduction is
     applied.  A failed recovery or an unusable order just costs the attempt.
-    The caller is responsible for the N preconditions (the CLI checks them).
+    The caller is responsible for the N preconditions (the CLI checks them);
+    a bad engine or mode raises ValueError before the first base is drawn.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    _check_engine_and_mode(engine, mode)  # before a base is drawn
     attempts: list[FactoringAttempt] = []
     for _ in range(max_attempts):
         a = int(rng.integers(2, N))

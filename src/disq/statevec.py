@@ -42,11 +42,12 @@ the uniform fill the Hadamard layer writes, so those transforms depend only
 on (t, P).  ``keep_uniform_transforms`` keeps them process-wide for one
 (t, P) at a time: one read-only array of P * 2^t amplitudes, built once and
 held until a later call replaces or drops it (the protocol calls it before
-a run's first estimate).  The fold copies the kept array into its output
-when its (t, P) matches and its control is bitwise the uniform fill, and
-builds the transforms there itself otherwise; the bits are the same either
-way.  Gate-level decompositions are out of scope here -- circuit-cost
-questions are answered analytically by the resources module.
+a run's first estimate).  When its (t, P) matches and its control is bitwise
+the uniform fill, the fold reads the kept array in place and writes every
+output row from it; otherwise it builds the transforms in its output
+itself.  The bits are the same either way.  Gate-level decompositions are
+out of scope here -- circuit-cost questions are answered analytically by
+the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
@@ -366,9 +367,17 @@ def _class_transforms(ctrl: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _is_uniform(ctrl: np.ndarray, t: int) -> bool:
-    """Whether ``ctrl`` is bitwise the fill ``apply_hadamard_register`` writes on |0..0>."""
-    fill = np.array([1 / math.sqrt(1 << t)], dtype=complex).view(np.int64)
-    return ctrl.dtype == np.complex128 and bool((ctrl.view(np.int64).reshape(-1, 2) == fill).all())
+    """Whether ``ctrl`` is bitwise the fill ``apply_hadamard_register`` writes on |0..0>.
+
+    Compares the real and imaginary parts' int64 words by their min and max,
+    so -0.0 differs from +0.0 and nothing state-sized is allocated.
+    """
+    if ctrl.dtype != np.complex128:
+        return False
+    words = ctrl.view(np.int64)
+    real, imag = words[0::2], words[1::2]
+    fill = np.float64(1 / math.sqrt(1 << t)).view(np.int64)
+    return bool(real.min() == real.max() == fill and imag.min() == imag.max() == 0)
 
 
 def keep_uniform_transforms(t: int, period: int, joined: int) -> None:
@@ -379,7 +388,8 @@ def keep_uniform_transforms(t: int, period: int, joined: int) -> None:
     estimate takes the fold, the G_q of (t, period) replace whatever was
     kept (P * 2^t amplitudes, built once while the key stays the same);
     otherwise nothing is kept.  The kept array is read-only and lives until
-    another call replaces or drops it.
+    another call replaces or drops it; the fold reads it in place, so shot
+    threads share it without copying it.
     """
     global _kept_transforms
     if not _folds(period, joined, t):
@@ -408,17 +418,17 @@ def apply_phase_estimation(
     when P * F <= (F - P) * t; otherwise (always for an estimate that starts
     from one row, where F = P) the two kernels run as they are.
 
-    The G_q are built and transformed in the output's last P rows, or, when
-    ``keep_uniform_transforms`` has kept them process-wide for this (t, P)
-    and the control is bitwise the uniform fill, copied there from the kept
-    read-only array; the result has the same bits either way.  The output
-    is then written ``_FOLD_CHUNK`` control values at a time: the rows
-    before the last P straight into place, then the last P through a P-row
-    temporary, so the stage holds the output block and no second one.  The
-    bounded products also keep node B's small ones on the calling thread:
-    OpenBLAS runs a product of a few hundred thousand multiply-adds or fewer
-    there, instead of waking its thread pool, whose threads then spin
-    between calls.
+    When ``keep_uniform_transforms`` has kept the G_q process-wide for this
+    (t, P) and the control is bitwise the uniform fill, every output row is
+    written straight from the kept read-only array, which is read in place.
+    Otherwise the G_q are built and transformed in the output's last P rows;
+    the rows before them are written straight into place, then the last P
+    through a P-row temporary, so the stage holds the output block and no
+    second one.  The result has the same bits either way.  Each product
+    covers ``_FOLD_CHUNK`` control values, which keeps node B's small ones
+    on the calling thread: OpenBLAS runs a product of a few hundred
+    thousand multiply-adds or fewer there, instead of waking its thread
+    pool, whose threads then spin between calls.
     """
     layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
     n_out, middle, period = sources.shape
@@ -429,17 +439,18 @@ def apply_phase_estimation(
         return apply_inverse_qft(st, control.layout.names[0])
     one = sources.reshape(joined, period)
     out = np.empty((joined, 1 << t), sources.dtype)
-    rest, g = out[: joined - period], out[joined - period :]
     ctrl = control.amps
     kept = _kept_transforms
     if kept is not None and kept[0] == (t, period) and _is_uniform(ctrl, t):
-        g[...] = kept[1]
+        g, split = kept[1], joined  # every row straight from the kept array
     else:
-        _class_transforms(ctrl, g)
+        split = joined - period
+        g = _class_transforms(ctrl, out[split:])
     for c in range(0, 1 << t, _FOLD_CHUNK):
         cols = slice(c, c + _FOLD_CHUNK)
-        np.matmul(one[: joined - period], g[:, cols], out=rest[:, cols])
-        g[:, cols] = one[joined - period :] @ g[:, cols]
+        np.matmul(one[:split], g[:, cols], out=out[:split, cols])
+        if split < joined:  # the last P rows hold G: overwrite them through a temporary
+            out[split:, cols] = one[split:] @ g[:, cols]
     return StateVector(layout, out.reshape(-1), rows)
 
 

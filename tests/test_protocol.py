@@ -123,11 +123,13 @@ class TestNodeBMemory:
     def test_node_b_stage_holds_one_block(self, monkeypatch):
         # Node B's joined state for N=33 a=2 stores 10 work rows of 2^14
         # amplitudes (2.5 MiB).  Its stage holds that state and the 2^t2
-        # control vector (0.25 MiB): the inverse QFT writes over the state,
-        # and its class transforms are built in the state's last rows (cold)
-        # or copied there from the kept ones (warm, kept before tracing).
-        # Each case sets the kept state itself.  The Born marginal squares
-        # its magnitudes in place.
+        # control vector (0.25 MiB): the inverse QFT writes over the state.
+        # Cold, its class transforms are built in the state's last rows and
+        # those rows are rewritten through a P-row temporary; warm, every
+        # row is a product read from the kept transforms (kept before
+        # tracing), so the stage holds no temporary beside the two.  Each
+        # case sets the kept state itself.  The Born marginal squares its
+        # magnitudes in place.
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
         block = 16 * 10 << params.t2
         for case in ("cold", "warm"):
@@ -145,6 +147,8 @@ class TestNodeBMemory:
                 tracemalloc.stop()
             assert st.block.size * 16 == block
             assert stage_peak < block + block // 4, case
+            if case == "warm":
+                assert stage_peak < block + (16 << params.t2) + PEAK_SLACK
             # One float per stored amplitude, squared in place, and the marginal.
             assert marginal_peak < block // 2 + (8 << params.t2) + PEAK_SLACK, case
 
@@ -339,9 +343,14 @@ class TestLawOncePerRun:
         got = run_shots(params, 6, seed=4, engine=engine, mode=mode)
         assert [rec.to_json_dict() for rec in got] == expected
 
-    @pytest.mark.parametrize("engine, mode", CASES)
-    def test_workers_leave_records_unchanged(self, engine, mode):
-        params = ProtocolParams.derive(15, 2)
+    @pytest.mark.parametrize(
+        "engine, mode, N",
+        [pytest.param(*case, 15, id="-".join(case)) for case in CASES]
+        # two shot threads read node B's kept class transforms at once
+        + [pytest.param(ENGINE_DISTRIBUTED, MODE_SEQUENTIAL, 33, id="distributed-sequential-33")],
+    )
+    def test_workers_leave_records_unchanged(self, engine, mode, N):
+        params = ProtocolParams.derive(N, 2)
         serial = run_shots(params, 16, seed=9, engine=engine, mode=mode, workers=1)
         parallel = run_shots(params, 16, seed=9, engine=engine, mode=mode, workers=2)
         assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
@@ -709,6 +718,16 @@ class TestSummary:
             summarize(params, [])
 
 
+class FixedBase:
+    """An rng whose every base draw is ``a``."""
+
+    def __init__(self, a: int):
+        self.a = a
+
+    def integers(self, low, high):
+        return self.a
+
+
 class TestFactoring:
     def test_n15_finds_factor(self):
         for seed in range(1, 6):
@@ -731,14 +750,23 @@ class TestFactoring:
         assert result.factor in (3, 7)
 
     def test_gcd_shortcut_skips_order_finding(self):
-        class FixedBase:
-            def integers(self, low, high):
-                return 5  # gcd(5, 15) = 5
-
-        result = run_shor_factoring(15, Fraction(1, 4), FixedBase(), max_attempts=1)
+        result = run_shor_factoring(15, Fraction(1, 4), FixedBase(5), max_attempts=1)
         assert result.factor == 5
         assert result.attempts[0].gcd_shortcut == 5
         assert result.attempts[0].record is None
+
+    # Base 5 shares a factor with 15, so no order finding would check these.
+    @pytest.mark.parametrize(
+        "engine, mode, match",
+        [("bogus", MODE_SEQUENTIAL, "unknown engine"), (ENGINE_DISTRIBUTED, "bogus", "unknown mode"),
+         (ENGINE_MONOLITHIC, MODE_JOINT, "joint-oracle")],
+        ids=["engine", "mode", "monolithic-joint-oracle"],
+    )
+    def test_bad_engine_or_mode_refused_before_a_base(self, engine, mode, match):
+        with pytest.raises(ValueError, match=match):
+            run_shor_factoring(
+                15, Fraction(1, 4), FixedBase(5), max_attempts=1, engine=engine, mode=mode
+            )
 
     def test_recovered_orders_match_oracle(self):
         for seed in range(1, 8):
@@ -761,13 +789,9 @@ class TestMonolithicHasNoJointOracle:
             run_shots(params, 1, seed=1, engine=ENGINE_MONOLITHIC, mode=MODE_JOINT)
 
     def test_run_shor_factoring_refuses(self):
-        class FixedBase:
-            def integers(self, low, high):
-                return 7  # coprime to 15, so order finding runs
-
         with pytest.raises(ValueError, match="joint-oracle"):
             run_shor_factoring(
-                15, Fraction(1, 4), FixedBase(), max_attempts=1,
+                15, Fraction(1, 4), FixedBase(7), max_attempts=1,  # coprime: order finding runs
                 engine=ENGINE_MONOLITHIC, mode=MODE_JOINT,
             )
 
@@ -876,6 +900,10 @@ class TestFoldedEstimates:
             assert np.array_equal(got[1] == 0, want[1] == 0)
 
 
+def refuse_build(*_args):
+    raise AssertionError("built the class transforms that are kept")
+
+
 class TestKeptTransforms:
     """Node B's class transforms, kept once per (t2, P), give the bits the
     stage builds for itself, and a run keeps them before its first stage."""
@@ -887,11 +915,7 @@ class TestKeptTransforms:
         cold = protocol._b_stage(st, params)  # the stage reads its input without writing it
         set_kept_transforms(monkeypatch, params)
         assert protocol.statevec._kept_transforms[0] == (params.t2, 5)  # 16 has order 5 mod 33
-
-        def no_build(*_args):
-            raise AssertionError("built the class transforms that are kept")
-
-        monkeypatch.setattr(protocol.statevec, "_class_transforms", no_build)
+        monkeypatch.setattr(protocol.statevec, "_class_transforms", refuse_build)
         warm = protocol._b_stage(st, params)
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
@@ -905,6 +929,21 @@ class TestKeptTransforms:
         cold = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         assert protocol.statevec._kept_transforms is None
         assert hashlib.sha256(cold.tobytes()).digest() == warm
+
+    # The joint oracle's node-B stage, whose law is a function of the state
+    # compared here.  Its product spans every joined row: 768 at N=13 a=2
+    # and epsilon=1/4, the 12 work rows beside each of 2^t1 = 64 ctrl_a values.
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
+    @pytest.mark.parametrize("N, a", SMALL_CASES)
+    def test_joint_node_b_stage_is_bitwise_the_same_cold(self, N, a, inverse_epsilon, monkeypatch):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+        after_a = protocol._a_stage(params)
+        set_kept_transforms(monkeypatch, None)
+        cold = protocol._b_stage(after_a, params)  # the stage reads its input without writing it
+        protocol._keep_node_b_transforms(params, 1 << params.t1)  # as the joint oracle keeps them
+        monkeypatch.setattr(protocol.statevec, "_class_transforms", refuse_build)
+        warm = protocol._b_stage(after_a, params)
+        assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
     def test_a_run_builds_the_transforms_once(self, monkeypatch):
         # 20 shots at N=21 a=2 run node B 20 times; the sequential oracle runs

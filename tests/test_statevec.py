@@ -548,17 +548,30 @@ class TestPhaseEstimation:
             )
 
 
+def nearly_uniform_control(t: int, index: int, value: complex) -> StateVector:
+    """The uniform fill with amplitude ``index`` set to ``value``."""
+    control = uniform_control(t)
+    control.block[index] = value
+    return control
+
+
+FILL_14 = 1 / math.sqrt(1 << 14)
+
+
 class TestKeptTransforms:
     """The fold reads kept class transforms only for their (t, P) and only
     for a control that is bitwise the uniform fill; either way it gives the
     bits it gives when it builds them itself."""
 
-    # Only the uniform control reads the kept transforms instead of running the FFT.
+    # Only the uniform control reads the kept transforms instead of running
+    # the FFT; a -0.0 imaginary part or a real part one ulp off is not the fill.
     @pytest.mark.parametrize(
         "control, transformed",
         [(uniform_control(14), []), (phase_superposition(14, Fraction(3, 7), "ctrl"), [5]),
-         (random_control(14, seed=3), [5])],
-        ids=["uniform", "phase", "random"],
+         (random_control(14, seed=3), [5]),
+         (nearly_uniform_control(14, 7, complex(FILL_14, -0.0)), [5]),
+         (nearly_uniform_control(14, 9, complex(np.nextafter(FILL_14, 1), 0.0)), [5])],
+        ids=["uniform", "phase", "random", "negative-zero", "one-ulp"],
     )
     def test_kept_transforms_give_the_cold_bits(self, control, transformed, fft_rows, monkeypatch):
         st = node_b_at_33()
