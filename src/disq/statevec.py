@@ -28,7 +28,10 @@ modular multiplication joins that state to the work state as the last
 register and applies the basis permutation it semantically is (values >= the
 modulus are fixed points, which keeps the map a bijection and hence
 unitary), writing each joined amplitude once from the work state's stored
-rows through a table of the multiplier's inverse powers built by each call.
+rows through a gather table of the multiplier's inverse powers.  That table
+depends only on the row set, the sizes and the multiplier mod the modulus,
+so ``_gather_table`` keeps the last few process-wide as read-only arrays;
+each call still checks its inputs first and then only gathers its block.
 The Fourier transforms are applied as orthonormal FFTs along the register
 axis, written over the state they are given.  ``apply_phase_estimation`` is
 that multiplication followed by the inverse QFT on the joined control.  Each
@@ -54,11 +57,14 @@ from the register's Born marginal and collapses the state onto it.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
-generator state fixes all outcomes.
+generator state fixes all outcomes.  A draw between two outcomes, as each
+teleported qubit makes twice, compares scalars and gives the bits of the
+cumulative-sum search.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,6 +280,35 @@ def _preimage_cycle(n_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
     return np.where((ys < modulus)[:, None], np.multiply.outer(ys, powers) % modulus, ys[:, None])
 
 
+# Four tables kept: the estimates of node A, node B and the single-node
+# engine for one (N, a) take three keys, so an exact case finds its tables.
+@functools.lru_cache(maxsize=4)
+def _gather_table(
+    rows: bytes | None, n_tgt: int, multiplier: int, modulus: int, n_ctrl: int
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(image, src, pad) of a join, kept per key; both arrays are read-only.
+
+    ``rows`` is the stored target values' int64 bytes, or None when every
+    value is stored, and ``multiplier`` is reduced mod ``modulus``.  image
+    lists the output rows; src[y, c] is the slot, among the k stored
+    values, of the value that multiplier^c maps onto image[y], for c below
+    the period (or ``n_ctrl``), with k for a value that is not stored;
+    ``pad`` says whether any slot is k.  An entry holds 8 * F * (1 + P)
+    bytes for F output rows and P columns, no more than the gathered
+    sources of the call that built it; under ``MAX_QUBITS`` that is at most
+    768 MiB (a 25-qubit target joined to one control qubit).
+    """
+    stored = np.arange(n_tgt) if rows is None else np.frombuffer(rows, np.int64)
+    k = stored.size
+    slot = np.full(n_tgt, k, dtype=np.int64)  # position among the stored values; k: not stored
+    slot[stored] = np.arange(k)
+    src = slot[_preimage_cycle(n_tgt, multiplier, modulus)[:, :n_ctrl]]
+    image = np.flatnonzero((src < k).any(axis=1))
+    src = src[image]
+    image.flags.writeable = src.flags.writeable = False
+    return image, src, bool((src == k).any())
+
+
 def _period_sources(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
 ) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray]:
@@ -281,10 +316,12 @@ def _period_sources(
 
     Returns (layout, rows, one): the layout with ``control`` joined last,
     the row set of the joined state (None when every target value holds
-    amplitude), and one[y, m, c]: the amplitude, at index m of the other
-    registers, of the stored row that multiplier^c maps onto the y-th
-    output row, for c below the multiplier's order (or below 2^t when that
-    is smaller).
+    amplitude; a read-only array shared with later calls otherwise), and
+    one[y, m, c]: the amplitude, at index m of the other registers, of the
+    stored row that multiplier^c maps onto the y-th output row, for c below
+    the multiplier's order (or below 2^t when that is smaller).  Every check
+    runs on each call; the gather table comes from ``_gather_table``, so a
+    call whose row set and sizes were seen before only gathers the block.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -298,16 +335,10 @@ def _period_sources(
     n_tgt = 1 << state.layout.width(target)
     if n_tgt < modulus:
         raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
-    stored = np.arange(n_tgt) if state.rows is None else state.rows
-    k = stored.size
-    slot = np.full(n_tgt, k, dtype=np.int64)  # position among the stored values; k: not stored
-    slot[stored] = np.arange(k)
-    # src[y, c]: slot of the value that the multiplier's power c maps onto y
-    src = slot[_preimage_cycle(n_tgt, multiplier, modulus)[:, : 1 << control.n]]
-    image = np.flatnonzero((src < k).any(axis=1))
-    src = src[image]
-    block = state.block.reshape(k, -1)
-    if (src == k).any():  # slot k (not stored) reads one zero row
+    rows = None if state.rows is None else np.asarray(state.rows, np.int64).tobytes()
+    image, src, pad = _gather_table(rows, n_tgt, multiplier % modulus, modulus, 1 << control.n)
+    block = state.block.reshape(n_tgt if rows is None else state.rows.size, -1)
+    if pad:  # slot k (not stored) reads one zero row
         block = np.concatenate([block, np.zeros_like(block[:1])])
     return layout, None if image.size == n_tgt else image, block[src].transpose(0, 2, 1)
 
@@ -516,12 +547,25 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
 
     Outcome k is drawn for a uniform u with cdf[k-1] <= u * total < cdf[k],
     so an outcome of zero mass is never drawn; the last outcome with mass
-    takes what rounding leaves above the cumulative sum.
+    takes what rounding leaves above the cumulative sum.  For two float64
+    masses the cumulative sum is [p0, p0 + p1] and the total p0 + p1, so
+    the draw compares u * total with p0 and the total as scalars, with no
+    array built: the same outcome from the same uniform.
     """
-    total = float(probs.sum())
+    two = probs.shape == (2,) and probs.dtype == np.float64
+    if two:  # the cumsum is [p0, p0 + p1] and the sum p0 + p1: compare scalars
+        p0, p1 = probs.tolist()
+        total = p0 + p1
+    else:
+        total = float(probs.sum())
     if not abs(total - 1.0) <= NORM_GUARD:  # NaN fails too
         raise RuntimeError(f"state norm drifted: probabilities sum to {total}")
-    k = int(np.searchsorted(np.cumsum(probs), rng.random() * total, side="right"))
+    u = rng.random() * total
+    if two:
+        if u < p0:
+            return 0
+        return 1 if u < total or p1 > 0 else 0
+    k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     if k < probs.size:
         return k
     return int(np.flatnonzero(probs > 0)[-1])
@@ -548,7 +592,10 @@ def teleport_qubits(
     and the fix-up X^x then Z^z on the far half restores a_q, so the kept
     branch is written once, as 0.5 * a / sqrt(p[z, x]).  z only flips signs,
     so p[1, x] equals p[0, x] bit for bit and only the two masses of z = 0
-    are summed, each in its branch's order.  The register is read once, and
+    are summed, each in its branch's order: one pass squares the halved
+    amplitudes, which sum to p[0, 0], and a reversed copy of the squares
+    sums to p[0, 1] with numpy's pairwise grouping of that branch.  Both
+    bits are two-outcome ``draw`` calls.  The register is read once, and
     the result stores the input's rows.
 
     Returns (state, bits): the (z, x) pair sent to the far node per qubit.
@@ -558,11 +605,14 @@ def teleport_qubits(
     bits = []
     for k in range(state.layout.width(reg)):
         half = 0.5 * a.reshape(before << k, 2, -1)
-        # p[x]: the mass of branch (z, x) for either z
-        p = np.array([np.sum(np.abs(b) ** 2) for b in (half, half[:, ::-1].copy())])
-        z = draw(np.full(2, p.sum()), rng)
-        x = draw(p / p.sum(), rng)
-        a = half / math.sqrt(p[x])
+        sq = np.abs(half)
+        np.square(sq, out=sq)
+        # the mass of branch (z, x) for either z; the copy sums x = 1 in its own order
+        p0, p1 = float(sq.sum()), float(sq[:, ::-1].copy().sum())
+        s = p0 + p1
+        z = draw(np.array((s, s)), rng)
+        x = draw(np.array((p0 / s, p1 / s)), rng)
+        a = half / math.sqrt(p1 if x else p0)
         bits.append((z, x))
     if rows is None and state.rows is not None:  # the leading register, read dense
         rows = state.rows

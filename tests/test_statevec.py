@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -427,8 +429,107 @@ class TestControlledModMul:
             raise AssertionError("built the preimage table of a refused join")
 
         monkeypatch.setattr(statevec, "_preimage_cycle", no_table)
+        statevec._gather_table.cache_clear()
         with pytest.raises(CapacityError):
             apply_controlled_modmul(st, control, "work", 3, 7)
+        info = statevec._gather_table.cache_info()
+        assert info.misses == info.hits == info.currsize == 0  # no table looked up or kept
+
+
+class TestGatherTables:
+    """``_period_sources`` keeps its gather table per (row set, sizes,
+    multiplier mod N); a call that finds it gives the output of one that
+    builds it, and no caller can write to it."""
+
+    @pytest.mark.parametrize(
+        "stored, live_rows, multiplier",
+        [
+            ("dense", [0, 1, 2, 7, 12, 14], 7),
+            ("compact", [0, 1, 2, 7, 12, 14], 7),
+            ("compact", [1, 2], 3),  # {1, 2} is not closed under 3 mod 13: new rows read zeros
+            ("compact", [2, 15], 3),  # 15 >= 13 is a fixed point
+            ("compact", [1, 3, 9], 29),  # 29 = 3 mod 13
+        ],
+        ids=["dense", "compact", "not-closed", "fixed-point", "multiplier-past-modulus"],
+    )
+    def test_second_call_gives_the_first_calls_output(self, stored, live_rows, multiplier):
+        st = row_sparse_state([("work", 4), ("x", 1)], live_rows, seed=len(live_rows))
+        if stored == "compact":
+            st = compact_twin(st)
+        control = random_control(3, seed=multiplier)
+        statevec._gather_table.cache_clear()
+        cold = statevec._period_sources(st, control, "work", multiplier, 13)
+        warm = statevec._period_sources(st, control, "work", multiplier, 13)
+        info = statevec._gather_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert warm[0] == cold[0]
+        assert (warm[1] is None) == (cold[1] is None) == (stored == "dense")
+        assert cold[1] is None or np.array_equal(warm[1], cold[1])
+        assert np.array_equal(warm[2], cold[2])
+        got = apply_controlled_modmul(st, control, "work", multiplier, 13)
+        assert np.array_equal(got.amps, join_reference(st, control, multiplier, 13))
+
+    def test_multiplier_is_keyed_mod_the_modulus(self):
+        st = compact_twin(row_sparse_state([("work", 4)], [1, 3, 9], seed=2))
+        statevec._gather_table.cache_clear()
+        low = apply_controlled_modmul(st, random_control(3, seed=1), "work", 3, 13)
+        high = apply_controlled_modmul(st, random_control(3, seed=1), "work", 3 + 2 * 13, 13)
+        assert statevec._gather_table.cache_info().hits == 1
+        assert np.array_equal(low.rows, high.rows) and np.array_equal(low.block, high.block)
+
+    def test_int32_and_int64_rows_share_an_entry(self):
+        st = compact_twin(row_sparse_state([("work", 4), ("x", 1)], [1, 5, 8], seed=3))
+        narrow = StateVector(st.layout, st.block, st.rows.astype(np.int32))
+        control = random_control(2, seed=3)
+        statevec._gather_table.cache_clear()
+        wide = apply_controlled_modmul(st, control, "work", 7, 13)
+        from32 = apply_controlled_modmul(narrow, control, "work", 7, 13)
+        info = statevec._gather_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert np.array_equal(wide.rows, from32.rows) and np.array_equal(wide.block, from32.block)
+
+    def test_tables_and_joined_rows_are_read_only(self):
+        st = compact_twin(row_sparse_state([("work", 4)], [1, 2], seed=4))
+        statevec._gather_table.cache_clear()
+        got = apply_controlled_modmul(st, uniform_control(3), "work", 3, 13)
+        image, src, pad = statevec._gather_table(st.rows.tobytes(), 16, 3, 13, 8)
+        assert statevec._gather_table.cache_info().hits == 1
+        assert pad and got.rows is image
+        for table in (image, src):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_threads_share_the_tables(self):
+        # Six keys for four entries: threads evict the tables that others
+        # look up, and every call still gives the output of a cold call.
+        keys = [([1, 2], 3), ([1, 3, 9], 3), ([2, 15], 7), ([0, 5], 7), ([4, 7, 11], 12), ([6], 5)]
+        control = random_control(3, seed=0)
+        cases = []
+        for i, (live, multiplier) in enumerate(keys):
+            st = compact_twin(row_sparse_state([("work", 4), ("x", 1)], live, seed=i))
+            statevec._gather_table.cache_clear()
+            cases.append((st, multiplier, apply_controlled_modmul(st, control, "work", multiplier, 13)))
+        wrong = []
+
+        def join_all():
+            for _ in range(20):
+                for st, multiplier, want in cases:
+                    got = apply_controlled_modmul(st, control, "work", multiplier, 13)
+                    if not (np.array_equal(got.rows, want.rows) and np.array_equal(got.block, want.block)):
+                        wrong.append(multiplier)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=join_all) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 def plain_estimate(state, control, target, multiplier, modulus):
@@ -883,16 +984,80 @@ class TestDraw:
         assert statevec.draw(probs, FixedUniform(np.nextafter(1.0, 0))) == 9
 
     @pytest.mark.parametrize(
-        "probs", [[0.5, math.nan], [0.5, 0.5 + 2e-8], [0.25, 0.25], [math.inf, 0.0]]
+        "probs",
+        [[0.5, math.nan], [0.5, 0.5 + 2e-8], [0.25, 0.25], [math.inf, 0.0], [math.nan, 0.5],
+         [0.25, 0.25, 0.25, 0.25 + 2e-8]],
     )
     def test_bad_masses_raise(self, probs):
-        with pytest.raises(RuntimeError):
-            statevec.draw(np.array(probs), FixedUniform(0.5))
+        with pytest.raises(RuntimeError, match="drifted"):
+            statevec.draw(np.array(probs), FixedUniform())  # no uniform: reading one raises
 
     def test_one_uniform_per_draw(self):
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         statevec.draw(np.full(8, 0.125), rng)
         ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def cdf_draw(probs: np.ndarray, u: float) -> int:
+    """Independent reference for ``draw``: search the cumulative sum, then clamp."""
+    k = int(np.searchsorted(np.cumsum(probs), u * probs.sum(), side="right"))
+    return k if k < probs.size else int(np.flatnonzero(probs > 0)[-1])
+
+
+def random_mass_pairs(seed: int) -> list[list[float]]:
+    """Six pairs summing to 1 as rounded, and six whose total drifts by up to 5e-9."""
+    rng = np.random.default_rng(seed)
+    p, drift = rng.random(12), rng.uniform(-5e-9, 5e-9, 6)
+    return [[x, 1 - x] for x in p[:6]] + [[x, (1 - x) * (1 + d)] for x, d in zip(p[6:], drift)]
+
+
+TWO_MASSES = [
+    [0.0, 1.0],
+    [1.0, 0.0],
+    [0.5, 0.5],
+    [0.25, 0.75],
+    [1 / 3, 2 / 3],
+    [(1 - 2.0**-30) / 2, (1 - 2.0**-30) / 2],  # total 1 - 2^-30: the edge scales with it
+    *random_mass_pairs(23),
+]
+
+
+class TestTwoOutcomeDraw:
+    """``draw`` compares scalars for two masses; every outcome matches the
+    cumulative-sum reference, including at the edge between the outcomes."""
+
+    @pytest.mark.parametrize("probs", TWO_MASSES, ids=range(len(TWO_MASSES)))
+    def test_matches_cdf_reference(self, probs):
+        probs = np.array(probs)
+        edge = float(probs[0] / probs.sum())
+        uniforms = [0.0, 0.5, np.nextafter(1.0, 0)]
+        uniforms += [np.nextafter(edge, 0), edge, np.nextafter(edge, 1)]
+        # A generator's uniform is below 1, and for a total within NORM_GUARD
+        # of 1 no such u makes u * total reach the total; u = 1.0 does, and
+        # takes the clamp to the last outcome with mass.
+        uniforms.append(1.0)
+        uniforms += np.random.default_rng(7).random(200).tolist()
+        for u in uniforms:
+            if 0.0 <= u <= 1.0:
+                assert statevec.draw(probs, FixedUniform(u)) == cdf_draw(probs, u), u
+
+    def test_takes_no_cumulative_sum(self, monkeypatch):
+        probs = np.array([0.25, 0.75])
+        want = [cdf_draw(probs, u) for u in (0.1, 0.9)]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("built a cumulative sum for two masses")
+
+        monkeypatch.setattr(np, "cumsum", refuse)
+        assert [statevec.draw(probs, FixedUniform(u)) for u in (0.1, 0.9)] == want
+
+    @pytest.mark.parametrize("probs", [[0.3, 0.7], [1.0, 0.0], [0.0, 1.0]])
+    def test_one_uniform_per_draw(self, probs):
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):
+            statevec.draw(np.array(probs), rng)
+            ref.random()
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
