@@ -97,13 +97,11 @@ def _smallest_prime_factor(n: int) -> int | None:
     return None
 
 
-def _check_engine_mode(args: argparse.Namespace) -> None:
-    # The single node has no second estimate to defer, so it has no joint oracle.
-    if args.engine == ENGINE_MONOLITHIC and args.mode == MODE_JOINT:
-        raise UsageError(f"--mode {MODE_JOINT} needs --engine {ENGINE_DISTRIBUTED}")
-
-
-def _check_size(args: argparse.Namespace, epsilon: Fraction) -> None:
+def _check_run(args: argparse.Namespace, epsilon: Fraction) -> None:
+    try:
+        protocol.check_engine_and_mode(args.engine, args.mode)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     # Register widths do not depend on the base, so base 1 stands in for it
     # and an oversized run is refused before any work that grows with N.
     protocol.check_capacity(ProtocolParams.derive(args.N, 1, epsilon), args.engine, args.mode)
@@ -142,8 +140,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     a = args.a
     if a is not None and (not 1 <= a < args.N or math.gcd(a, args.N) != 1):
         raise UsageError(f"need 1 <= a < N with gcd(a, N) = 1, got a={a}, N={args.N}")
-    _check_engine_mode(args)
-    _check_size(args, epsilon)
+    _check_run(args, epsilon)
     if a is None:
         a = _pick_base(args.N, np.random.default_rng(seed))
     params = ProtocolParams.derive(args.N, a, epsilon)
@@ -175,8 +172,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         raise UsageError(f"N must be odd and >= 3, got {args.N}")
     if args.max_attempts < 1:
         raise UsageError(f"max-attempts must be >= 1, got {args.max_attempts}")
-    _check_engine_mode(args)
-    _check_size(args, epsilon)
+    _check_run(args, epsilon)
     _check_factorable(args.N)
     rng = np.random.default_rng(seed if seed is None else [seed, 0x0F])
     result = protocol.run_shor_factoring(

@@ -238,6 +238,17 @@ def check_capacity(params: ProtocolParams, engine: str, mode: str = MODE_SEQUENT
         )
 
 
+def check_engine_and_mode(engine: str, mode: str) -> None:
+    """Raise ValueError for an unknown engine or mode, or for the monolithic
+    engine with the joint-oracle mode: the single node has no joint oracle."""
+    if engine not in (ENGINE_MONOLITHIC, ENGINE_DISTRIBUTED):
+        raise ValueError(f"unknown engine {engine!r}")
+    if mode not in (MODE_SEQUENTIAL, MODE_JOINT):
+        raise ValueError(f"unknown mode {mode!r}")
+    if engine == ENGINE_MONOLITHIC and mode == MODE_JOINT:
+        raise ValueError(f"mode {MODE_JOINT!r} needs engine {ENGINE_DISTRIBUTED!r}")
+
+
 def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
     """Exact outcome distribution of the single-node control register."""
     check_capacity(params, ENGINE_MONOLITHIC)
@@ -277,22 +288,6 @@ def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
     return _estimate(st, _CTRL_B, params.t2, params.b_stage_multiplier, params.N)
 
 
-def _keep_node_b_transforms(params: ProtocolParams, other: int) -> None:
-    """Keep node B's class transforms for a run whose node-B stage will fold.
-
-    Node B's state stores the r' = min(r, 2^t1) powers a^j with j < r' (r
-    the order of a), each beside ``other`` values of the registers after
-    work.  Its multiplier a^(2^(L/2-1)) has order P = r / g, and multiplying
-    by its powers adds the multiples of g to j mod r, so the joined state
-    stores P * min(r', g) rows.  ``statevec.keep_uniform_transforms`` keeps
-    G when that size takes the fold and keeps none otherwise.
-    """
-    r = multiplicative_order(params.a, params.N)
-    period = multiplicative_order(params.b_stage_multiplier, params.N)
-    rows = period * min(r, 1 << params.t1, r // period)
-    statevec.keep_uniform_transforms(params.t2, min(period, 1 << params.t2), rows * other)
-
-
 def _node_b(
     after_a: StateVector,
     m1: int,
@@ -326,32 +321,20 @@ def _finish_distributed(
     return record
 
 
-def _check_engine_and_mode(engine: str, mode: str) -> None:
-    """Raise ValueError for an unknown engine or mode, or for the monolithic
-    engine with the joint-oracle mode: the single node has no joint oracle."""
-    if engine not in (ENGINE_MONOLITHIC, ENGINE_DISTRIBUTED):
-        raise ValueError(f"unknown engine {engine!r}")
-    if mode not in (MODE_SEQUENTIAL, MODE_JOINT):
-        raise ValueError(f"unknown mode {mode!r}")
-    if engine == ENGINE_MONOLITHIC and mode == MODE_JOINT:
-        raise ValueError(f"mode {MODE_JOINT!r} needs engine {ENGINE_DISTRIBUTED!r}")
-
-
 def _shot_law(params: ProtocolParams, engine: str, mode: str) -> tuple[np.ndarray, ...]:
     """The exact laws every shot of a run draws from, computed once per run.
 
     Monolithic: (P(m),).  Joint oracle: (P(m1), P(m1, m2)).  Sequential: (),
-    as each shot runs both nodes itself; node B's class transforms are kept
-    for the run's shots first.  Raises what ``_check_engine_and_mode`` raises.
+    as each shot runs both nodes itself.  Raises what
+    ``check_engine_and_mode`` raises.
     """
-    _check_engine_and_mode(engine, mode)
+    check_engine_and_mode(engine, mode)
     if engine == ENGINE_MONOLITHIC:
         return (monolithic_exact_distribution(params),)
     if mode == MODE_JOINT:
         joint = distributed_joint_distribution(params, MODE_JOINT)
         return joint.sum(axis=1), joint
     check_capacity(params, ENGINE_DISTRIBUTED)
-    _keep_node_b_transforms(params, 1)
     return ()
 
 
@@ -363,21 +346,18 @@ def distributed_joint_distribution(
     The joint-oracle path marginalizes the final three-register state; the
     sequential path runs ``_node_b`` once for each m1 outcome and weights
     B's distribution by the outcome probability.  Any teleport branch gives
-    the same conditional state, so one branch per m1 suffices.  Either way
-    node B's class transforms are kept before node A's stage runs.
+    the same conditional state, so one branch per m1 suffices.
     """
     if mode == MODE_JOINT:
         # Node B's stage runs on node A's unmeasured state: A's operations
         # never touch ctrl_b, so joining ctrl_b after them gives the same state.
         check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
-        _keep_node_b_transforms(params, 1 << params.t1)
         joint = _b_stage(_a_stage(params), params)
         return statevec.marginal_probabilities(joint, [_CTRL_A, _CTRL_B])
 
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED)
-    _keep_node_b_transforms(params, 1)
     after_a = _a_stage(params)
     joint = np.zeros((1 << params.t1, 1 << params.t2))
     branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial
@@ -610,7 +590,7 @@ def run_shor_factoring(
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    _check_engine_and_mode(engine, mode)  # before a base is drawn
+    check_engine_and_mode(engine, mode)  # before a base is drawn
     attempts: list[FactoringAttempt] = []
     for _ in range(max_attempts):
         a = int(rng.integers(2, N))

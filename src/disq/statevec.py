@@ -42,15 +42,12 @@ it transforms the control's P residue classes mod P once and writes every
 row as a sum of P of them; otherwise, and always for an estimate that starts
 from one row (F = P), it runs the two kernels.  Every estimate's control is
 the uniform fill the Hadamard layer writes, so those transforms depend only
-on (t, P).  ``keep_uniform_transforms`` keeps them process-wide for one
-(t, P) at a time: one read-only array of P * 2^t amplitudes, built once and
-held until a later call replaces or drops it (the protocol calls it before
-a run's first estimate).  When its (t, P) matches and its control is bitwise
-the uniform fill, the fold reads the kept array in place and writes every
-output row from it; otherwise it builds the transforms in its output
-itself.  The bits are the same either way.  Gate-level decompositions are
-out of scope here -- circuit-cost questions are answered analytically by
-the resources module.
+on (t, P): the fold is taken only for a control that is bitwise that fill,
+and ``_uniform_transforms`` keeps them for one (t, P) at a time, one
+read-only array of P * 2^t amplitudes held until another folding (t, P)
+replaces it.  Any other control runs the two kernels.  Gate-level
+decompositions are out of scope here -- circuit-cost questions are answered
+analytically by the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
@@ -377,24 +374,10 @@ def apply_controlled_modmul(
 
 _FOLD_CHUNK = 1024  # control values per product of the fold
 
-# ((t, P), G): the class transforms of the uniform t-qubit control for period
-# P, read-only; None when none are kept.  One tuple, so a reader on another
-# thread sees a key and its G together.
-_kept_transforms: tuple[tuple[int, int], np.ndarray] | None = None
-
 
 def _folds(period: int, joined: int, t: int) -> bool:
     """Whether the fold costs no more than the per-row FFTs it replaces."""
     return period * joined <= (joined - period) * t
-
-
-def _class_transforms(ctrl: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """G_q, the inverse QFT of ``ctrl``'s residue class q mod P, in row q of ``g`` (P rows)."""
-    period = g.shape[0]
-    g.fill(0)
-    for q in range(period):
-        g[q, q::period] = ctrl[q::period]
-    return np.fft.fft(g, axis=1, norm="ortho", out=g)
 
 
 def _is_uniform(ctrl: np.ndarray, t: int) -> bool:
@@ -411,25 +394,21 @@ def _is_uniform(ctrl: np.ndarray, t: int) -> bool:
     return bool(real.min() == real.max() == fill and imag.min() == imag.max() == 0)
 
 
-def keep_uniform_transforms(t: int, period: int, joined: int) -> None:
-    """Keep the G_q that ``apply_phase_estimation`` reads for a uniform t-qubit control.
+# One entry: node B's (t, P) is the same for every stage of a run, and
+# another folding (t, P) replaces it.
+@functools.lru_cache(maxsize=1)
+def _uniform_transforms(t: int, period: int) -> np.ndarray:
+    """G, read-only: row q is the inverse QFT of the uniform t-qubit fill's residue class q mod P.
 
-    Sized for an estimate of ``joined`` joined rows whose multiplier has
-    period ``period`` (its order, or 2^t when that is smaller): when that
-    estimate takes the fold, the G_q of (t, period) replace whatever was
-    kept (P * 2^t amplitudes, built once while the key stays the same);
-    otherwise nothing is kept.  The kept array is read-only and lives until
-    another call replaces or drops it; the fold reads it in place, so shot
-    threads share it without copying it.
+    P * 2^t amplitudes, built once per key and read in place by every fold,
+    so shot threads share it without copying it.
     """
-    global _kept_transforms
-    if not _folds(period, joined, t):
-        _kept_transforms = None
-    elif _kept_transforms is None or _kept_transforms[0] != (t, period):
-        ctrl = np.full(1 << t, 1 / math.sqrt(1 << t), dtype=complex)
-        g = _class_transforms(ctrl, np.empty((period, 1 << t), complex))
-        g.flags.writeable = False
-        _kept_transforms = (t, period), g
+    g = np.zeros((period, 1 << t), complex)
+    for q in range(period):
+        g[q, q::period] = 1 / math.sqrt(1 << t)
+    np.fft.fft(g, axis=1, norm="ortho", out=g)
+    g.flags.writeable = False
+    return g
 
 
 def apply_phase_estimation(
@@ -446,42 +425,32 @@ def apply_phase_estimation(
     control, the fold runs P FFTs of 2^t and a product of P * F
     multiply-adds per control value, in place of F FFTs of about t
     multiply-adds per value each.  It is taken when it costs no more, i.e.
-    when P * F <= (F - P) * t; otherwise (always for an estimate that starts
+    when P * F <= (F - P) * t, and the control is bitwise the uniform fill,
+    as every estimate's is; otherwise (always for an estimate that starts
     from one row, where F = P) the two kernels run as they are.
 
-    When ``keep_uniform_transforms`` has kept the G_q process-wide for this
-    (t, P) and the control is bitwise the uniform fill, every output row is
-    written straight from the kept read-only array, which is read in place.
-    Otherwise the G_q are built and transformed in the output's last P rows;
-    the rows before them are written straight into place, then the last P
-    through a P-row temporary, so the stage holds the output block and no
-    second one.  The result has the same bits either way.  Each product
-    covers ``_FOLD_CHUNK`` control values, which keeps node B's small ones
-    on the calling thread: OpenBLAS runs a product of a few hundred
-    thousand multiply-adds or fewer there, instead of waking its thread
-    pool, whose threads then spin between calls.
+    The G_q of the uniform fill depend only on (t, P): ``_uniform_transforms``
+    builds them on the first fold of a (t, P) and keeps them for one (t, P)
+    at a time, and every output row is written straight from that read-only
+    array, so a fold that finds them kept holds the output block and no
+    second one.  Each product covers ``_FOLD_CHUNK`` control values,
+    which keeps node B's small ones on the calling thread: OpenBLAS runs a
+    product of a few hundred thousand multiply-adds or fewer there, instead
+    of waking its thread pool, whose threads then spin between calls.
     """
     layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
     n_out, middle, period = sources.shape
     joined = n_out * middle
     t = control.n
-    if not _folds(period, joined, t):  # the public kernels, which gather again
-        st = apply_controlled_modmul(state, control, target, multiplier, modulus)
+    if not (_folds(period, joined, t) and _is_uniform(control.amps, t)):
+        st = apply_controlled_modmul(state, control, target, multiplier, modulus)  # gathers again
         return apply_inverse_qft(st, control.layout.names[0])
+    g = _uniform_transforms(t, period)
     one = sources.reshape(joined, period)
     out = np.empty((joined, 1 << t), sources.dtype)
-    ctrl = control.amps
-    kept = _kept_transforms
-    if kept is not None and kept[0] == (t, period) and _is_uniform(ctrl, t):
-        g, split = kept[1], joined  # every row straight from the kept array
-    else:
-        split = joined - period
-        g = _class_transforms(ctrl, out[split:])
     for c in range(0, 1 << t, _FOLD_CHUNK):
         cols = slice(c, c + _FOLD_CHUNK)
-        np.matmul(one[:split], g[:, cols], out=out[:split, cols])
-        if split < joined:  # the last P rows hold G: overwrite them through a temporary
-            out[split:, cols] = one[split:] @ g[:, cols]
+        np.matmul(one, g[:, cols], out=out[:, cols])
     return StateVector(layout, out.reshape(-1), rows)
 
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -99,13 +100,6 @@ def node_b_input(params: ProtocolParams):
     return protocol.statevec.remove_register(st, "ctrl_a")
 
 
-def set_kept_transforms(monkeypatch, params: ProtocolParams | None) -> None:
-    """Start from no kept transforms, then keep node B's for ``params`` if given."""
-    monkeypatch.setattr(protocol.statevec, "_kept_transforms", None)
-    if params is not None:
-        protocol._keep_node_b_transforms(params, 1)
-
-
 class TestNodeBMemory:
     def test_sequential_shot_never_holds_a_dense_node_b_state(self):
         # Node B's dense state for N=33 a=2 is 2^20 amplitudes (16 MiB); it
@@ -120,21 +114,22 @@ class TestNodeBMemory:
         assert record.m2 is not None
         assert peak < 16 << 20
 
-    def test_node_b_stage_holds_one_block(self, monkeypatch):
+    def test_node_b_stage_holds_one_block(self):
         # Node B's joined state for N=33 a=2 stores 10 work rows of 2^14
         # amplitudes (2.5 MiB).  Its stage holds that state and the 2^t2
-        # control vector (0.25 MiB): the inverse QFT writes over the state.
-        # Cold, its class transforms are built in the state's last rows and
-        # those rows are rewritten through a P-row temporary; warm, every
-        # row is a product read from the kept transforms (kept before
-        # tracing), so the stage holds no temporary beside the two.  Each
-        # case sets the kept state itself.  The Born marginal squares its
-        # magnitudes in place.
+        # control vector (0.25 MiB): every row is a product read from the
+        # uniform fill's class transforms, written straight into the state.
+        # A process's first stage also builds those transforms
+        # (P = 5 rows of 2^t2, 1.25 MiB), which stay kept for later stages;
+        # a warm stage holds no temporary beside the two.  The Born marginal
+        # squares its magnitudes in place.
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
         block = 16 * 10 << params.t2
-        for case in ("cold", "warm"):
+        kept = 16 * 5 << params.t2  # 16 has order 5 mod 33
+        for case in ("first", "warm"):
             st = node_b_input(params)
-            set_kept_transforms(monkeypatch, params if case == "warm" else None)
+            if case == "first":
+                protocol.statevec._uniform_transforms.cache_clear()
             tracemalloc.start()
             try:
                 st = protocol._b_stage(st, params)
@@ -146,8 +141,10 @@ class TestNodeBMemory:
             finally:
                 tracemalloc.stop()
             assert st.block.size * 16 == block
-            assert stage_peak < block + block // 4, case
-            if case == "warm":
+            if case == "first":
+                assert stage_peak < block + kept + (16 << params.t2) + PEAK_SLACK
+            else:
+                assert stage_peak < block + block // 4
                 assert stage_peak < block + (16 << params.t2) + PEAK_SLACK
             # One float per stored amplitude, squared in place, and the marginal.
             assert marginal_peak < block // 2 + (8 << params.t2) + PEAK_SLACK, case
@@ -346,12 +343,16 @@ class TestLawOncePerRun:
     @pytest.mark.parametrize(
         "engine, mode, N",
         [pytest.param(*case, 15, id="-".join(case)) for case in CASES]
-        # two shot threads read node B's kept class transforms at once
+        # two shot threads build or read node B's kept class transforms at once
         + [pytest.param(ENGINE_DISTRIBUTED, MODE_SEQUENTIAL, 33, id="distributed-sequential-33")],
     )
     def test_workers_leave_records_unchanged(self, engine, mode, N):
+        # Each run starts with no class transforms kept, so at N=33 the two
+        # shot threads may both build them.
         params = ProtocolParams.derive(N, 2)
+        protocol.statevec._uniform_transforms.cache_clear()
         serial = run_shots(params, 16, seed=9, engine=engine, mode=mode, workers=1)
+        protocol.statevec._uniform_transforms.cache_clear()
         parallel = run_shots(params, 16, seed=9, engine=engine, mode=mode, workers=2)
         assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
 
@@ -901,33 +902,33 @@ class TestFoldedEstimates:
 
 
 def refuse_build(*_args):
-    raise AssertionError("built the class transforms that are kept")
+    raise AssertionError("built the class transforms of a run that cannot fold")
 
 
 class TestKeptTransforms:
-    """Node B's class transforms, kept once per (t2, P), give the bits the
-    stage builds for itself, and a run keeps them before its first stage."""
+    """``statevec`` keeps node B's class transforms for one (t2, P); a stage
+    that builds them gives the bits of one that finds them kept."""
 
-    def test_node_b_stage_is_bitwise_the_same_cold_and_warm(self, monkeypatch):
+    def test_node_b_stage_is_bitwise_the_same_cold_and_warm(self):
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
         st = node_b_input(params)
-        set_kept_transforms(monkeypatch, None)
+        transforms = protocol.statevec._uniform_transforms
+        transforms.cache_clear()
         cold = protocol._b_stage(st, params)  # the stage reads its input without writing it
-        set_kept_transforms(monkeypatch, params)
-        assert protocol.statevec._kept_transforms[0] == (params.t2, 5)  # 16 has order 5 mod 33
-        monkeypatch.setattr(protocol.statevec, "_class_transforms", refuse_build)
         warm = protocol._b_stage(st, params)
+        info = transforms.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        transforms(params.t2, 5)  # 16 has order 5 mod 33: the kept key
+        assert transforms.cache_info().hits == 2
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
-    def test_sequential_law_is_bitwise_the_same_cold(self, N, a, inverse_epsilon, monkeypatch):
-        warm, _ = sequential_law_summary(N, a, inverse_epsilon)  # kept by the oracle itself
-        set_kept_transforms(monkeypatch, None)
-        monkeypatch.setattr(protocol, "_keep_node_b_transforms", lambda *_args: None)
+    def test_sequential_law_is_bitwise_the_same_cold(self, N, a, inverse_epsilon):
+        warm, _ = sequential_law_summary(N, a, inverse_epsilon)
+        protocol.statevec._uniform_transforms.cache_clear()
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         cold = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert protocol.statevec._kept_transforms is None
         assert hashlib.sha256(cold.tobytes()).digest() == warm
 
     # The joint oracle's node-B stage, whose law is a function of the state
@@ -935,13 +936,11 @@ class TestKeptTransforms:
     # and epsilon=1/4, the 12 work rows beside each of 2^t1 = 64 ctrl_a values.
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
-    def test_joint_node_b_stage_is_bitwise_the_same_cold(self, N, a, inverse_epsilon, monkeypatch):
+    def test_joint_node_b_stage_is_bitwise_the_same_cold(self, N, a, inverse_epsilon):
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         after_a = protocol._a_stage(params)
-        set_kept_transforms(monkeypatch, None)
+        protocol.statevec._uniform_transforms.cache_clear()
         cold = protocol._b_stage(after_a, params)  # the stage reads its input without writing it
-        protocol._keep_node_b_transforms(params, 1 << params.t1)  # as the joint oracle keeps them
-        monkeypatch.setattr(protocol.statevec, "_class_transforms", refuse_build)
         warm = protocol._b_stage(after_a, params)
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
@@ -949,31 +948,54 @@ class TestKeptTransforms:
         # 20 shots at N=21 a=2 run node B 20 times; the sequential oracle runs
         # it once for each of the 2^t1 = 128 values of m1 that has mass.
         params = ProtocolParams.derive(21, 2, Fraction(1, 4))
-        builds, stages = [], []
-        build, stage = protocol.statevec._class_transforms, protocol._b_stage
-        monkeypatch.setattr(
-            protocol.statevec, "_class_transforms", lambda *args: builds.append(1) or build(*args)
-        )
+        transforms = protocol.statevec._uniform_transforms
+        stages = []
+        stage = protocol._b_stage
         monkeypatch.setattr(protocol, "_b_stage", lambda *args: stages.append(1) or stage(*args))
-        set_kept_transforms(monkeypatch, None)
+        transforms.cache_clear()
         run_shots(params, 20, seed=5)
-        assert (len(builds), len(stages)) == (1, 20)
-        set_kept_transforms(monkeypatch, None)
-        del builds[:], stages[:]
+        assert (transforms.cache_info().misses, len(stages)) == (1, 20)
+        transforms.cache_clear()
+        del stages[:]
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert len(builds) == 1 and len(stages) == np.count_nonzero(law.sum(axis=1)) > 20
+        assert transforms.cache_info().misses == 1
+        assert len(stages) == np.count_nonzero(law.sum(axis=1)) > 20
 
     @pytest.mark.parametrize("N, a", [(15, 1), (7, 2)])
     def test_a_run_that_cannot_fold_keeps_none(self, N, a, monkeypatch):
         # Node B's multiplier has the order r of a (1, and 3 for 4 = 2^2 mod
         # 7), so it maps its r rows onto F = P = r rows: the estimate runs
-        # the two kernels.
-        set_kept_transforms(monkeypatch, ProtocolParams.derive(33, 2, Fraction(1, 4)))
-        run_shots(ProtocolParams.derive(N, a, Fraction(1, 4)), 1, seed=1)
-        assert protocol.statevec._kept_transforms is None
+        # the two kernels and never builds or looks up class transforms.
+        monkeypatch.setattr(protocol.statevec, "_uniform_transforms", refuse_build)
+        [record] = run_shots(ProtocolParams.derive(N, a, Fraction(1, 4)), 1, seed=1)
+        assert record.m2 is not None
 
-    def test_monolithic_run_leaves_the_kept_transforms(self, monkeypatch):
-        set_kept_transforms(monkeypatch, ProtocolParams.derive(33, 2, Fraction(1, 4)))
-        kept = protocol.statevec._kept_transforms
+    def test_monolithic_run_leaves_the_kept_transforms(self):
+        transforms = protocol.statevec._uniform_transforms
+        transforms.cache_clear()
+        kept = transforms(14, 5)  # node B's at N=33 a=2
         run_shots(ProtocolParams.derive(15, 7, Fraction(1, 4)), 1, seed=1, engine=ENGINE_MONOLITHIC)
-        assert protocol.statevec._kept_transforms is kept
+        assert transforms(14, 5) is kept
+
+    def test_threads_build_the_first_stage_together(self):
+        # Two threads start node B's N=33 stage on an empty cache, so both may
+        # build the transforms; each output is the serial stage's.
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        st = node_b_input(params)
+        serial = protocol._b_stage(st, params)
+        protocol.statevec._uniform_transforms.cache_clear()
+        start = threading.Barrier(2)
+        outs = [None, None]
+
+        def stage(i):
+            start.wait()
+            outs[i] = protocol._b_stage(st, params)
+
+        threads = [threading.Thread(target=stage, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in outs:
+            assert np.array_equal(out.rows, serial.rows) and np.array_equal(out.block, serial.block)

@@ -595,16 +595,18 @@ class TestPhaseEstimation:
             del modmul_calls[:]
             got = apply_phase_estimation(st, ctrl, "work", multiplier, 13)
             assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
-            assert np.max(np.abs(got.block - want.block)) <= FOLD_TOL
             joined = want.block.size >> t  # rows times the values of x
-            assert len(modmul_calls) == (period * joined > (joined - period) * t)
+            plain = period * joined > (joined - period) * t or control != "uniform"
+            assert len(modmul_calls) == plain
+            if plain:
+                assert np.array_equal(got.block, want.block)
+            else:
+                assert np.max(np.abs(got.block - want.block)) <= FOLD_TOL
 
-    def test_node_b_at_33_transforms_one_row_per_residue_class(
-        self, fft_rows, modmul_calls, monkeypatch
-    ):
+    def test_node_b_at_33_transforms_one_row_per_residue_class(self, fft_rows, modmul_calls):
         # Node B of N=33 a=2 holds the 10 powers of 2; its multiplier 16 has
         # order 5, so the fold transforms 5 rows of 2^14, not 10.
-        monkeypatch.setattr(statevec, "_kept_transforms", None)
+        statevec._uniform_transforms.cache_clear()
         st = node_b_at_33()
         got = apply_phase_estimation(st, uniform_control(14), "work", 16, 33)
         assert fft_rows == [5] and modmul_calls == []
@@ -659,57 +661,89 @@ def nearly_uniform_control(t: int, index: int, value: complex) -> StateVector:
 FILL_14 = 1 / math.sqrt(1 << 14)
 
 
-class TestKeptTransforms:
-    """The fold reads kept class transforms only for their (t, P) and only
-    for a control that is bitwise the uniform fill; either way it gives the
-    bits it gives when it builds them itself."""
+def uniform_reference(t: int, period: int) -> np.ndarray:
+    """The uniform fill's residue classes mod ``period``, zero-filled and transformed."""
+    fill = uniform_control(t).amps
+    g = np.zeros((period, 1 << t), complex)
+    for q in range(period):
+        g[q, q::period] = fill[q::period]
+    return np.fft.fft(g, axis=1, norm="ortho")
 
-    # Only the uniform control reads the kept transforms instead of running
-    # the FFT; a -0.0 imaginary part or a real part one ulp off is not the fill.
+
+class TestKeptTransforms:
+    """``_uniform_transforms`` keeps the class transforms of the uniform fill
+    for one (t, P); the fold reads them only for a control that is bitwise
+    that fill, and a stage gives the same bits whether it builds them or
+    finds them kept."""
+
+    # Only the uniform control folds, and a warm fold runs no FFT; a -0.0
+    # imaginary part or a real part one ulp off is not the fill, so those
+    # take the plain path and transform all 10 rows.
     @pytest.mark.parametrize(
         "control, transformed",
-        [(uniform_control(14), []), (phase_superposition(14, Fraction(3, 7), "ctrl"), [5]),
-         (random_control(14, seed=3), [5]),
-         (nearly_uniform_control(14, 7, complex(FILL_14, -0.0)), [5]),
-         (nearly_uniform_control(14, 9, complex(np.nextafter(FILL_14, 1), 0.0)), [5])],
+        [(uniform_control(14), []), (phase_superposition(14, Fraction(3, 7), "ctrl"), [10]),
+         (random_control(14, seed=3), [10]),
+         (nearly_uniform_control(14, 7, complex(FILL_14, -0.0)), [10]),
+         (nearly_uniform_control(14, 9, complex(np.nextafter(FILL_14, 1), 0.0)), [10])],
         ids=["uniform", "phase", "random", "negative-zero", "one-ulp"],
     )
-    def test_kept_transforms_give_the_cold_bits(self, control, transformed, fft_rows, monkeypatch):
+    def test_kept_transforms_give_the_cold_bits(self, control, transformed, fft_rows):
         st = node_b_at_33()
-        monkeypatch.setattr(statevec, "_kept_transforms", None)
+        statevec._uniform_transforms.cache_clear()
         cold = apply_phase_estimation(st, control, "work", 16, 33)
-        statevec.keep_uniform_transforms(14, 5, 10)
         del fft_rows[:]
         warm = apply_phase_estimation(st, control, "work", 16, 33)
         assert fft_rows == transformed
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
-    def test_other_key_builds_its_own(self, fft_rows, monkeypatch):
-        monkeypatch.setattr(statevec, "_kept_transforms", None)
-        statevec.keep_uniform_transforms(13, 5, 10)  # t = 13, not the stage's 14
+    @pytest.mark.parametrize(
+        "control",
+        [phase_superposition(14, Fraction(3, 7), "ctrl"), random_control(14, seed=3),
+         nearly_uniform_control(14, 7, complex(FILL_14, -0.0)),
+         nearly_uniform_control(14, 9, complex(np.nextafter(FILL_14, 1), 0.0))],
+        ids=["phase", "random", "negative-zero", "one-ulp"],
+    )
+    def test_other_controls_take_the_plain_path(self, control, modmul_calls, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("looked up the uniform transforms for another control")
+
+        st = node_b_at_33()
+        want = plain_estimate(st, control, "work", 16, 33)
+        del modmul_calls[:]
+        monkeypatch.setattr(statevec, "_uniform_transforms", refuse)
+        got = apply_phase_estimation(st, control, "work", 16, 33)
+        assert len(modmul_calls) == 1
+        assert np.array_equal(got.rows, want.rows) and np.array_equal(got.block, want.block)
+
+    def test_other_key_builds_its_own(self, fft_rows):
+        statevec._uniform_transforms.cache_clear()
+        statevec._uniform_transforms(13, 5)  # t = 13, not the stage's 14
         del fft_rows[:]
         apply_phase_estimation(node_b_at_33(), uniform_control(14), "work", 16, 33)
         assert fft_rows == [5]
+        assert statevec._uniform_transforms.cache_info().currsize == 1
 
-    def test_kept_array_is_the_built_transforms(self, monkeypatch):
-        monkeypatch.setattr(statevec, "_kept_transforms", None)
-        statevec.keep_uniform_transforms(6, 3, 12)
-        key, g = statevec._kept_transforms
-        want = statevec._class_transforms(uniform_control(6).amps, np.empty((3, 64), complex))
-        assert key == (6, 3) and np.array_equal(g, want)
-        with pytest.raises(ValueError, match="read-only"):
-            g[0, 0] = 0
+    def test_kept_array_is_the_built_transforms(self):
+        for t, period in [(6, 3), (3, 8), (14, 5), (11, 6)]:
+            statevec._uniform_transforms.cache_clear()
+            g = statevec._uniform_transforms(t, period)
+            assert g.shape == (period, 1 << t) and np.array_equal(g, uniform_reference(t, period))
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0] = 0
 
-    def test_keeps_one_entry_and_none_without_a_fold(self, monkeypatch):
-        monkeypatch.setattr(statevec, "_kept_transforms", None)
-        statevec.keep_uniform_transforms(6, 3, 12)
-        first = statevec._kept_transforms
-        statevec.keep_uniform_transforms(6, 3, 12)
-        assert statevec._kept_transforms is first  # same key: not built again
-        statevec.keep_uniform_transforms(7, 2, 8)
-        assert statevec._kept_transforms[0] == (7, 2)
-        statevec.keep_uniform_transforms(7, 5, 5)  # F = P: the fold is not taken
-        assert statevec._kept_transforms is None
+    def test_keeps_one_entry_and_none_without_a_fold(self):
+        transforms = statevec._uniform_transforms
+        transforms.cache_clear()
+        first = transforms(6, 3)
+        assert transforms(6, 3) is first  # same key: not built again
+        transforms(7, 2)  # another key evicts the first
+        info = transforms.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
+        # A first estimate (F = P) does not fold: it looks nothing up.
+        st = init_basis(RegisterLayout.of(("work", 4)), {"work": 1})
+        apply_phase_estimation(st, uniform_control(7), "work", 7, 15)
+        assert transforms.cache_info() == info
+        assert transforms(6, 3) is not first
 
 
 class TestFourier:
