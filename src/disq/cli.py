@@ -142,7 +142,9 @@ def cmd_order(args: argparse.Namespace) -> int:
         raise UsageError(f"need 1 <= a < N with gcd(a, N) = 1, got a={a}, N={args.N}")
     _check_run(args, epsilon)
     if a is None:
-        a = _pick_base(args.N, np.random.default_rng(seed))
+        # Shot i draws from [seed, i] (protocol.shot_rng); a third word keeps
+        # the base draw off every shot's stream.
+        a = _pick_base(args.N, np.random.default_rng(seed if seed is None else [seed, 0, 0x0A]))
     params = ProtocolParams.derive(args.N, a, epsilon)
     with _open_output(args.output) as out:
         records = protocol.run_shots(

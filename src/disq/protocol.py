@@ -412,18 +412,21 @@ def classify_outcome(
 ) -> OutcomeRecord:
     """Fill in nearest-s, exact estimation error, and success flags.
 
-    The scan over s in {0, ..., r-1} is exhaustive and exact (Fraction
-    arithmetic); the accuracy flag checks the 2^-(2L+1) target.
+    The nearest s in {0, ..., r-1} to the estimate v/2^w is floor(v r/2^w)
+    or the next value, the smaller one on a tie, and at most r-1, which is
+    what an exact scan over every s picks; the error is one exact Fraction
+    and the accuracy flag checks the 2^-(2L+1) target.
     """
     record.order_recovered = record.recovered_r == r_true
     if record.m is None:
         return record
-    estimate = Fraction(record.m.value, 1 << record.m.width)
-    errors = [abs(estimate - Fraction(s, r_true)) for s in range(r_true)]
-    best = min(range(r_true), key=lambda s: errors[s])
+    v, w = record.m.value, record.m.width
+    below = (v * r_true) >> w  # v r - below 2^w lies in [0, 2^w)
+    gap = v * r_true - (below << w)
+    best = min(below + (2 * gap > 1 << w), r_true - 1)
     record.nearest_s = best
-    record.estimation_error = errors[best]
-    record.estimate_within_bound = errors[best] <= params.error_bound
+    record.estimation_error = Fraction(abs(v * r_true - (best << w)), r_true << w)
+    record.estimate_within_bound = record.estimation_error <= params.error_bound
     return record
 
 

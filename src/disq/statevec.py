@@ -15,9 +15,10 @@ register keep them, and the controlled modular multiplication, which targets
 the leading register, maps them onto their image.  Order finding leads every
 state with its work register, which holds only the r powers of the base (10
 of 64 values for N=33 a=2).  The Born marginals sum the stored rows alone,
-and the Hadamard layer reads the one row of a fresh register; every other
-operation on the leading register reads the dense vector, and of those only
-``teleport_qubits`` gives back the stored rows.
+as squares of the real and imaginary parts added in a fixed order (see
+``_born_marginal``), and the Hadamard layer reads the one row of a fresh
+register; every other operation on the leading register reads the dense
+vector, and of those only ``teleport_qubits`` gives back the stored rows.
 ``StateVector.amps`` is always the full 2^n vector, built on each read for a
 state that stores fewer rows.
 
@@ -43,11 +44,13 @@ row as a sum of P of them; otherwise, and always for an estimate that starts
 from one row (F = P), it runs the two kernels.  Every estimate's control is
 the uniform fill the Hadamard layer writes, so those transforms depend only
 on (t, P): the fold is taken only for a control that is bitwise that fill,
-and ``_uniform_transforms`` keeps them for one (t, P) at a time, one
-read-only array of P * 2^t amplitudes held until another folding (t, P)
-replaces it.  Any other control runs the two kernels.  Gate-level
-decompositions are out of scope here -- circuit-cost questions are answered
-analytically by the resources module.
+and ``_uniform_transforms`` keeps them for one (t, P) at a time, held until
+another folding (t, P) replaces it, as one read-only float64 array R of
+rows (G_q, i * G_q), 2 * P * 2^t amplitudes.  The fold is then one real
+product: each joined row's P complex sources, viewed as 2P floats, times R.
+Any other control runs the two kernels.  Gate-level decompositions are out
+of scope here -- circuit-cost questions are answered analytically by the
+resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
@@ -398,17 +401,27 @@ def _is_uniform(ctrl: np.ndarray, t: int) -> bool:
 # another folding (t, P) replaces it.
 @functools.lru_cache(maxsize=1)
 def _uniform_transforms(t: int, period: int) -> np.ndarray:
-    """G, read-only: row q is the inverse QFT of the uniform t-qubit fill's residue class q mod P.
+    """R, read-only: the float64 view of rows (G_q, i * G_q) for each class q mod P.
 
-    P * 2^t amplitudes, built once per key and read in place by every fold,
-    so shot threads share it without copying it.
+    G_q is the inverse QFT of the uniform t-qubit fill's residue class q mod
+    P, so R has shape 2P x 2^(t+1): row 2q holds G_q's real and imaginary
+    parts interleaved, row 2q + 1 those of i * G_q, which are -Im G_q and
+    Re G_q exactly.  A joined row's P complex sources, viewed as 2P floats,
+    times R is then its transform, in one real product.  The 2 * P * 2^t
+    amplitudes are built in place with one FFT over the P rows of G, once
+    per key, and read in place by every fold, so shot threads share them
+    without copying them.
     """
-    g = np.zeros((period, 1 << t), complex)
+    r = np.zeros((period, 2, 1 << t), complex)
     for q in range(period):
-        g[q, q::period] = 1 / math.sqrt(1 << t)
+        r[q, 0, q::period] = 1 / math.sqrt(1 << t)
+    g = r[:, 0]
     np.fft.fft(g, axis=1, norm="ortho", out=g)
-    g.flags.writeable = False
-    return g
+    np.negative(g.imag, out=r[:, 1].real)
+    np.copyto(r[:, 1].imag, g.real)
+    r = r.reshape(2 * period, 1 << t).view(np.float64)
+    r.flags.writeable = False
+    return r
 
 
 def apply_phase_estimation(
@@ -431,12 +444,16 @@ def apply_phase_estimation(
 
     The G_q of the uniform fill depend only on (t, P): ``_uniform_transforms``
     builds them on the first fold of a (t, P) and keeps them for one (t, P)
-    at a time, and every output row is written straight from that read-only
-    array, so a fold that finds them kept holds the output block and no
-    second one.  Each product covers ``_FOLD_CHUNK`` control values,
-    which keeps node B's small ones on the calling thread: OpenBLAS runs a
-    product of a few hundred thousand multiply-adds or fewer there, instead
-    of waking its thread pool, whose threads then spin between calls.
+    at a time, as R, the float64 view of rows (G_q, i * G_q).  With the
+    sources' float view [Re one_q, Im one_q], the real product one @ R is
+    sum_q one_q * G_q, real and imaginary parts interleaved, so each product
+    writes the output's float view straight from the read-only R, and a
+    fold that finds R kept holds the output block and no second one.  Each
+    product covers ``_FOLD_CHUNK`` control values (a dgemm of F x 2P by
+    2P x 2 * ``_FOLD_CHUNK``), which keeps node B's small ones on the
+    calling thread: OpenBLAS runs a product of a few hundred thousand
+    multiply-adds or fewer there, instead of waking its thread pool, whose
+    threads then spin between calls.
     """
     layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
     n_out, middle, period = sources.shape
@@ -445,22 +462,56 @@ def apply_phase_estimation(
     if not (_folds(period, joined, t) and _is_uniform(control.amps, t)):
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)  # gathers again
         return apply_inverse_qft(st, control.layout.names[0])
-    g = _uniform_transforms(t, period)
-    one = sources.reshape(joined, period)
-    out = np.empty((joined, 1 << t), sources.dtype)
-    for c in range(0, 1 << t, _FOLD_CHUNK):
-        cols = slice(c, c + _FOLD_CHUNK)
-        np.matmul(one, g[:, cols], out=out[:, cols])
+    r = _uniform_transforms(t, period)
+    one = np.ascontiguousarray(sources.reshape(joined, period), complex).view(np.float64)
+    out = np.empty((joined, 1 << t), complex)
+    floats = out.view(np.float64)
+    for c in range(0, 2 << t, 2 * _FOLD_CHUNK):
+        cols = slice(c, c + 2 * _FOLD_CHUNK)
+        np.matmul(one, r[:, cols], out=floats[:, cols])
     return StateVector(layout, out.reshape(-1), rows)
+
+
+_SQUARE_GROUP = 1 << 15  # floats squared at a time while summing the leading rows
+
+
+def _row_order_squares(rows: np.ndarray) -> np.ndarray:
+    """The squares of ``rows`` summed over its first axis, one row after another.
+
+    A row of ``_SQUARE_GROUP`` floats or more is squared into one buffer and
+    added to the sum; narrower rows are squared a group of about
+    ``_SQUARE_GROUP`` floats at a time and the group added in order, so a
+    small array takes two calls.  The temporaries are the sum and one group,
+    and the sum's bits do not depend on the group size.
+    """
+    n, width = rows.shape
+    per = _SQUARE_GROUP // width
+    if per <= 1:
+        squares = np.square(rows[0])
+        buf = np.empty(width)
+        for row in rows[1:]:
+            squares += np.square(row, out=buf)
+        return squares
+    squares = np.add.reduce(np.square(rows[:per]), axis=0)
+    for i in range(per, n, per):
+        part = np.square(rows[i : i + per])
+        part[0] += squares  # the sum so far, then these rows in order
+        np.add.reduce(part, axis=0, out=squares)
+    return squares
 
 
 def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
     """Exact Born-rule marginal over the registers, axes in the given order.
 
-    Only the stored rows are summed: a dropped leading register is the
-    outermost axis, which numpy sums in order, so leaving out rows of exact
-    zeros changes no bit; a kept one is summed row by row and its stored
-    rows are scattered into zeros.
+    Works on the block's float64 view, squaring real and imaginary parts
+    apart, in a fixed order: a dropped leading register's stored rows are
+    accumulated first, in row order; then the other dropped registers are
+    summed; then re^2 + im^2 is formed.  Rows of exact zeros add +0.0 to the
+    row-order sum, so a compact state gives its dense twin's bits; a kept
+    leading register is summed row by row and its stored rows are scattered
+    into zeros.  Summing the dropped leading rows holds one row's squares
+    and one group of rows (``_row_order_squares``), not a float per stored
+    amplitude.
     """
     if len(set(regs)) != len(regs):
         raise ValueError(f"duplicate registers in {regs}")
@@ -469,11 +520,18 @@ def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
     shape = [1 << w for _, w in state.layout.registers]
     if state.rows is not None:
         shape[0] = state.rows.size
-    probs = np.abs(state.block.reshape(shape))
-    np.square(probs, out=probs)
     keep = [state.layout.names.index(r) for r in regs]
-    drop = tuple(i for i in range(len(shape)) if i not in keep)
-    probs = probs.sum(axis=drop)
+    floats = np.ascontiguousarray(state.block, complex).view(np.float64)
+    if 0 in keep:
+        squares = np.square(floats).reshape(*shape, 2)
+        drop = tuple(i for i in range(len(shape)) if i not in keep)
+    else:
+        squares = _row_order_squares(floats.reshape(shape[0], -1))
+        squares = squares.reshape(*shape[1:], 2)
+        drop = tuple(i - 1 for i in range(1, len(shape)) if i not in keep)
+    if drop:
+        squares = squares.sum(axis=drop)
+    probs = squares[..., 0] + squares[..., 1]
     if state.rows is not None and 0 in keep:
         full = np.zeros((1 << state.layout.registers[0][1], *probs.shape[1:]))
         full[state.rows] = probs

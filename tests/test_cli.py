@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import io
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from disq import cli
+from disq import cli, protocol
 from disq.cli import main
 
 
@@ -254,12 +255,32 @@ class TestOrder:
         code, _, err = run_cli(capsys, "order", "--N", "4097", "--a", "4097", "--shots", "1")
         assert code == 2 and "gcd" in err
 
+    @pytest.mark.parametrize("seed", [0, 11, 49])
+    def test_base_draw_does_not_share_a_shot_stream(self, capsys, monkeypatch, seed):
+        # The generator that draws the base must not read the random words
+        # of any shot's generator, shot 0's included.
+        firsts = []
+        pick = cli._pick_base
+
+        def recording(N, rng):
+            firsts.append(copy.deepcopy(rng).random(4).tolist())
+            return pick(N, rng)
+
+        monkeypatch.setattr(cli, "_pick_base", recording)
+        shots = 5
+        code, _, _ = run_cli(
+            capsys, "order", "--N", "35", "--shots", str(shots), "--seed", str(seed)
+        )
+        assert code == 0 and len(firsts) == 1
+        for i in range(shots):
+            assert firsts[0] != protocol.shot_rng(seed, i).random(4).tolist()
+
     def test_seeded_csv_output_is_pinned(self, capsys):
         _, out, _ = run_cli(
             capsys, "order", "--N", "35", "--shots", "10", "--seed", "11", "--format", "csv"
         )
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a897ac28505baa81d2bb07916d64b4a80eb8ef3e61a3f66e2b4298b90681890b"
+            "abb692381c42e2cba2ba041d4b8cfc9b192796b8dece156f1573b63ad47e6631"
         )
 
     def test_output_file(self, capsys, tmp_path):

@@ -71,6 +71,29 @@ def test_public_names_resolve():
     assert not hasattr(BitString, "bit")
 
 
+def born_reference(state: StateVector, regs: list[str]) -> np.ndarray:
+    """Independent oracle for the Born marginal's fixed order, from the dense vector.
+
+    re^2 and im^2 are kept apart; a dropped leading register's rows are
+    added one after another in a Python loop, then the other dropped
+    registers are summed, then re^2 + im^2 is formed.
+    """
+    names = list(state.layout.names)
+    a = state.amps.reshape([1 << w for _, w in state.layout.registers])
+    squares = np.stack([a.real**2, a.imag**2], axis=-1)
+    drop = [i for i, name in enumerate(names) if name not in regs]
+    if drop and drop[0] == 0:
+        total = squares[0].copy()
+        for row in squares[1:]:
+            total = total + row
+        squares, drop = total, [i - 1 for i in drop[1:]]
+    if drop:
+        squares = squares.sum(axis=tuple(drop))
+    probs = squares[..., 0] + squares[..., 1]
+    order = [name for name in names if name in regs]
+    return probs.transpose([order.index(name) for name in regs])
+
+
 def op_as_matrix(op, t: int) -> np.ndarray:
     layout = RegisterLayout.of(("r", t))
     dim = 1 << t
@@ -724,12 +747,23 @@ class TestKeptTransforms:
         assert statevec._uniform_transforms.cache_info().currsize == 1
 
     def test_kept_array_is_the_built_transforms(self):
-        for t, period in [(6, 3), (3, 8), (14, 5), (11, 6)]:
+        # R is the float64 view of rows (G_q, i * G_q): row 2q holds G_q's
+        # real and imaginary parts interleaved, row 2q + 1 holds -Im G_q and
+        # Re G_q, bit for bit.
+        for t, period in [(6, 3), (3, 8), (14, 5), (11, 6), (4, 1)]:
             statevec._uniform_transforms.cache_clear()
-            g = statevec._uniform_transforms(t, period)
-            assert g.shape == (period, 1 << t) and np.array_equal(g, uniform_reference(t, period))
+            r = statevec._uniform_transforms(t, period)
+            assert r.dtype == np.float64 and r.shape == (2 * period, 2 << t)
+            assert r.flags.c_contiguous
+            g = uniform_reference(t, period)
+            pairs = r.reshape(period, 2, 1 << t, 2)  # [q, G or i*G, value, re or im]
+            assert pairs[:, 0].tobytes() == g.tobytes()
+            assert pairs[:, 1, :, 0].tobytes() == (-g.imag).tobytes()
+            assert pairs[:, 1, :, 1].tobytes() == g.real.tobytes()
             with pytest.raises(ValueError, match="read-only"):
-                g[0, 0] = 0
+                r[0, 0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                r.view(complex)[1, 0] = 0
 
     def test_keeps_one_entry_and_none_without_a_fold(self):
         transforms = statevec._uniform_transforms
@@ -1158,8 +1192,7 @@ class TestLiveFibers:
     @pytest.mark.parametrize("live", [1, 5, 20])
     def test_probabilities_match_dense_sum(self, regs, live):
         st = sparse_state(regs, "r", live, seed=100 + live)
-        dense = np.sum(np.abs(statevec._reg_axis(st, "r")[1]) ** 2, axis=(0, 2))
-        assert np.array_equal(register_probabilities(st, "r"), dense)
+        assert np.array_equal(register_probabilities(st, "r"), born_reference(st, ["r"]))
 
     def test_negative_zero_entries(self):
         # Every fiber but one holds only -0.0, and so does every third entry
@@ -1172,10 +1205,9 @@ class TestLiveFibers:
         view = statevec._reg_axis(st, "r")[1].copy()  # the transform writes over st
         twin = compact_twin(st)
         assert twin.rows.tolist() == [5]
+        want = born_reference(st, ["r"])
         for s in (st, twin):
-            assert np.array_equal(
-                register_probabilities(s, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
-            )
+            assert register_probabilities(s, "r").tobytes() == want.tobytes()
             assert np.array_equal(
                 apply_inverse_qft(s, "r").amps,
                 np.fft.fft(view, axis=1, norm="ortho").reshape(-1),
@@ -1185,9 +1217,7 @@ class TestLiveFibers:
     def test_mostly_live_takes_dense_path(self, regs):
         st = sparse_state(regs, "r", 25, seed=9)  # 25 of 32 fibers
         view = statevec._reg_axis(st, "r")[1].copy()  # the transform writes over st
-        assert np.array_equal(
-            register_probabilities(st, "r"), np.sum(np.abs(view) ** 2, axis=(0, 2))
-        )
+        assert np.array_equal(register_probabilities(st, "r"), born_reference(st, ["r"]))
         assert np.array_equal(
             apply_qft(st, "r").amps, np.fft.ifft(view, axis=1, norm="ortho").reshape(-1)
         )
@@ -1297,12 +1327,58 @@ class TestCompactRows:
     )
     def test_marginal_probabilities(self, regs, live_rows, kept):
         dense = row_sparse_state(regs, live_rows, seed=13, live_fibers=5)
-        names = list(dense.layout.names)
-        probs = np.abs(dense.amps.reshape([1 << w for _, w in regs])) ** 2
-        probs = probs.sum(axis=tuple(i for i, name in enumerate(names) if name not in kept))
-        order = [name for name in names if name in kept]
-        expected = probs.transpose([order.index(name) for name in kept])
+        expected = born_reference(dense, kept)
         assert np.array_equal(marginal_probabilities(compact_twin(dense), kept), expected)
+        assert np.array_equal(marginal_probabilities(dense, kept), expected)
+
+    @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
+    @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15], list(range(1, 15))])
+    def test_marginals_of_compact_and_dense_are_the_same_bits(self, regs, live_rows):
+        # The dense twin's dead rows hold +0.0 and -0.0, as do some live
+        # entries; their squares add +0.0 to the row-order sum.
+        dense = row_sparse_state(regs, live_rows, seed=17)
+        a = dense.amps.reshape(16, -1).copy()
+        rng = np.random.default_rng(17)
+        dead = [v for v in range(16) if v not in live_rows]
+        a[dead] = np.where(rng.random(a[dead].shape) < 0.5, complex(-0.0, -0.0), 0j)
+        a.real[np.abs(a.real) < 0.02] = -0.0
+        dense = StateVector(dense.layout, a.reshape(-1))
+        twin = compact_twin(dense)
+        assert twin.rows.tolist() == live_rows
+        names = [name for name, _ in regs]
+        for kept in [[name] for name in names] + [names[::-1], names[1:], ["r", "w"]]:
+            got = marginal_probabilities(twin, kept)
+            assert got.tobytes() == marginal_probabilities(dense, kept).tobytes(), kept
+            assert got.tobytes() == born_reference(dense, kept).tobytes(), kept
+
+    @pytest.mark.parametrize("group", [1, 512, 768, 1280, 3328, 1 << 15])
+    @pytest.mark.parametrize("kept", [["r"], ["b"], ["r", "b"]])
+    def test_row_order_sum_does_not_depend_on_the_group(self, group, kept, monkeypatch):
+        # 14 stored rows of 2 * 2^7 floats: one row at a time, then groups
+        # of 2, 3, 5 and 13 rows (short or one-row last groups), then all 14.
+        dense = row_sparse_state([("w", 4), ("r", 5), ("b", 2)], list(range(1, 15)), seed=19)
+        want = born_reference(dense, kept)
+        monkeypatch.setattr(statevec, "_SQUARE_GROUP", group)
+        for st in (dense, compact_twin(dense)):
+            assert marginal_probabilities(st, kept).tobytes() == want.tobytes()
+
+    def test_small_marginal_squares_its_rows_in_one_call(self, monkeypatch):
+        # remove_register on node A's N=33 state: 10 rows of 2^6 control values.
+        rows = np.array(sorted(pow(2, j, 33) for j in range(10)))
+        amps = np.zeros((10, 64), complex)
+        amps[:, 5] = 1 / math.sqrt(10)
+        st = StateVector(RegisterLayout.of(("work", 6), ("ctrl", 6)), amps.reshape(-1), rows)
+        calls = []
+        square = np.square
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return square(*args, **kwargs)
+
+        monkeypatch.setattr(np, "square", counting)
+        removed = remove_register(st, "ctrl")
+        assert calls == [(10, 128)]
+        assert removed.rows.tolist() == rows.tolist()
 
     @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
     @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15]])
