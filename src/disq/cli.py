@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -61,11 +62,28 @@ class UsageError(Exception):
     pass
 
 
+# Decimal digits allowed in epsilon's numerator and in its denominator.  Far
+# more than any run or resource count can use, and far below the 4300 digits
+# past which Python will not print an integer.
+EPSILON_DIGITS = 300
+
+
 def _parse_epsilon(text: str) -> Fraction:
+    too_many = f"epsilon's numerator or denominator has more than {EPSILON_DIGITS} digits"
+    if len(text) > 3 * EPSILON_DIGITS:
+        raise UsageError(f"epsilon is longer than {3 * EPSILON_DIGITS} characters")
+    # Fraction builds 10^|exponent| before it reduces: an exponent that alone
+    # gives a term too many digits, whatever the mantissa (at most len(text)
+    # digits), is refused unparsed.
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
+    if exponent and abs(int(exponent[1])) >= len(text) + EPSILON_DIGITS:
+        raise UsageError(too_many)
     try:
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse epsilon {text!r}: {exc}") from None
+    if max(abs(eps.numerator), eps.denominator) >= 10**EPSILON_DIGITS:
+        raise UsageError(too_many)
     if not 0 < eps < 1:
         raise UsageError(f"epsilon must be in (0, 1), got {eps}")
     return eps

@@ -43,6 +43,11 @@ _CTRL_A = "ctrl_a"
 _CTRL_B = "ctrl_b"
 _WORK = "work"
 _CTRL = "ctrl"
+_STACK = "stack"  # the sequential oracle's register of stacked m1 conditionals, not qubits
+
+_MIN_MASS = 1e-300  # an m1 outcome below this mass has no node-B run
+# Amplitudes one stacked node-B stage of the sequential oracle may store (32 MiB).
+_STACK_AMPS = 1 << 21
 
 
 def paddings(epsilon: Fraction) -> tuple[int, int]:
@@ -303,7 +308,7 @@ def _node_b(
     mass.
     """
     p1, st = statevec.project_register(after_a, _CTRL_A, m1)
-    if st is None or p1 < 1e-300:
+    if st is None or p1 < _MIN_MASS:
         return p1, None
     st = statevec.remove_register(st, _CTRL_A)
     st = _b_stage(teleport_register(st, _WORK, channel, EprPool(params.L), rng), params)
@@ -343,10 +348,17 @@ def distributed_joint_distribution(
 ) -> np.ndarray:
     """Exact joint distribution over (m1, m2) as a (2^t1, 2^t2) array.
 
-    The joint-oracle path marginalizes the final three-register state; the
-    sequential path runs ``_node_b`` once for each m1 outcome and weights
-    B's distribution by the outcome probability.  Any teleport branch gives
-    the same conditional state, so one branch per m1 suffices.
+    The joint-oracle path marginalizes the final three-register state.  The
+    sequential path does what ``_node_b`` does for each m1, with the same
+    bits up to the fold: it conditions node A's state on every m1 at once
+    (``statevec.condition_register``), teleports the work register of each
+    m1 with mass in m1 order, from one generator, and runs node B's stage
+    and Born marginal once per chunk of those states, stacked as the values
+    of one more register (``statevec.stack_states``); each row is B's
+    distribution weighted by the outcome probability.  Any teleport branch
+    gives the same conditional state, so one branch per m1 suffices.  A
+    chunk holds at most ``_stack_columns`` states, so that no stacked stage
+    stores more than ``_STACK_AMPS`` amplitudes.
     """
     if mode == MODE_JOINT:
         # Node B's stage runs on node A's unmeasured state: A's operations
@@ -359,13 +371,39 @@ def distributed_joint_distribution(
         raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED)
     after_a = _a_stage(params)
-    joint = np.zeros((1 << params.t1, 1 << params.t2))
+    p1, live, conds = statevec.condition_register(after_a, _CTRL_A, _MIN_MASS)
     branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial
-    for m1 in range(1 << params.t1):
-        p1, cond = _node_b(after_a, m1, params, ClassicalChannel(), branch_rng)
-        if cond is not None:
-            joint[m1, :] = p1 * cond
+    moved = [
+        teleport_register(st, _WORK, ClassicalChannel(), EprPool(params.L), branch_rng)
+        for st in conds
+    ]
+    joint = np.zeros((1 << params.t1, 1 << params.t2))
+    chunks = -(-live.size // _stack_columns(params))
+    width = ceil_log2(-(-live.size // chunks))
+    for part in np.array_split(np.arange(live.size), chunks):
+        states = [moved[i] for i in part]
+        st = _b_stage(statevec.stack_states(states, _STACK, width) if width else states[0], params)
+        law = statevec.marginal_probabilities(st, st.layout.names[1:]).reshape(1 << width, -1)
+        m1 = live[part]
+        joint[m1] = p1[m1, None] * law[: part.size]
     return joint
+
+
+def _stack_columns(params: ProtocolParams) -> int:
+    """How many m1 conditionals one node-B stage of the sequential oracle stacks.
+
+    A stage stores r work rows of 2^t2 amplitudes per conditional, so the
+    largest power of two that keeps it within ``_STACK_AMPS``, and at least
+    one.  A law whose order r is a power of two has mass on r values of m1
+    and exact zeros in m2; the per-row FFT keeps those zeros and a stacked
+    fold need not (it leaves the rounding of x * g - x * g), so such a law
+    runs one stage per m1, the stage a shot runs.
+    """
+    r = multiplicative_order(params.a, params.N)
+    if r & (r - 1) == 0:
+        return 1
+    per = _STACK_AMPS // (r << params.t2)
+    return 1 << max(per.bit_length() - 1, 0)
 
 
 def _stitch_arrays(

@@ -54,6 +54,11 @@ resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
+``condition_register`` projects onto every outcome of a register at once and
+drops it, with the bits of ``project_register`` and ``remove_register``, and
+``stack_states`` lays states with one layout and row set side by side as the
+values of a new register: a batch, not a state, which every kernel on the
+other registers carries value by value.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
@@ -135,7 +140,8 @@ class RegisterLayout:
 
 @dataclass
 class StateVector:
-    """A register layout plus its complex amplitudes (always unit norm).
+    """A register layout plus its complex amplitudes (unit norm, except a
+    batch from ``stack_states``, whose squared norm is its number of states).
 
     ``block`` holds, row after row, the 2^(n - w0) amplitudes of each stored
     value of the leading register; ``rows`` lists those values in increasing
@@ -569,6 +575,60 @@ def project_register(
     return p, StateVector(state.layout, out.reshape(-1), rows)
 
 
+def condition_register(
+    state: StateVector, reg: str, min_mass: float
+) -> tuple[np.ndarray, np.ndarray, list[StateVector]]:
+    """``project_register`` and then ``remove_register``, for every outcome at once.
+
+    Returns (p, values, states): p[v] is the probability ``project_register``
+    gives for outcome v, ``values`` lists in increasing order the outcomes
+    whose p is not below ``min_mass``, and states[i] is, bit for bit, the
+    state ``remove_register`` leaves of the projection onto values[i]; it
+    keeps the input's rows.  The arithmetic is theirs: each outcome's
+    |amplitude|^2 summed pairwise over its own contiguous copy, its
+    amplitudes divided by sqrt(p), then divided by the square root of their
+    row-ordered Born mass, which must be at least 1 - 1e-9, as in
+    ``remove_register``.
+    """
+    rows, a = _reg_axis(state, reg)
+    by_value = np.ascontiguousarray(np.moveaxis(a, 1, 0))  # one outcome per leading index
+    p = np.sum(np.abs(by_value) ** 2, axis=(1, 2))
+    values = np.flatnonzero(~(p < min_mass))  # a NaN mass stays and fails the basis check
+    scaled = np.zeros_like(a)
+    scaled[:, values, :] = a[:, values, :] / np.sqrt(p[values])[:, None]
+    mass = register_probabilities(StateVector(state.layout, scaled.reshape(-1), rows), reg)[values]
+    for m in mass:
+        _check_basis(reg, m)
+    kept = np.ascontiguousarray(np.moveaxis(scaled[:, values, :], 1, 0))
+    np.divide(kept, np.sqrt(mass)[:, None, None], out=kept)
+    layout = state.layout.removed(reg)
+    return p, values, [StateVector(layout, block.reshape(-1), rows) for block in kept]
+
+
+def stack_states(states: Sequence[StateVector], name: str, width: int) -> StateVector:
+    """The states side by side as the values of a new last register ``name``.
+
+    Every state has the same layout and stores the same rows; value i of
+    the ``width``-qubit register holds states[i], and the values past the
+    last state hold zeros.  The result is a batch, not a state: its squared
+    norm is the number of states.  Kernels on the other registers never mix
+    the new register's values, so each value evolves as its state would
+    alone, and a marginal that keeps the register gives each state's law.
+    """
+    first = states[0]
+    if len(states) > 1 << width:
+        raise ValueError(f"{len(states)} states do not fit a {width}-qubit register")
+    out = np.zeros((first.block.size, 1 << width), complex)
+    for i, st in enumerate(states):
+        same_rows = (
+            st.rows is None if first.rows is None else np.array_equal(st.rows, first.rows)
+        )
+        if st.layout != first.layout or not same_rows:
+            raise ValueError("stacked states must share their layout and rows")
+        out[:, i] = st.block
+    return StateVector(first.layout.appended(name, width), out.reshape(-1), first.rows)
+
+
 def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Outcome index drawn by inverse CDF over ``probs`` from one ``rng.random()``.
 
@@ -658,6 +718,12 @@ def append_register(state: StateVector, name: str, width: int) -> StateVector:
     return StateVector(layout, out.reshape(-1), state.rows)
 
 
+def _check_basis(reg: str, mass: float) -> None:
+    """Raise unless the register's likeliest outcome has mass at least 1 - 1e-9."""
+    if not mass >= 1.0 - 1e-9:  # NaN fails too
+        raise ValueError(f"register {reg!r} is not in a basis state (max outcome mass {mass:.6f})")
+
+
 def remove_register(state: StateVector, reg: str) -> StateVector:
     """Drop a register that is in (very nearly) a definite basis state.
 
@@ -666,10 +732,7 @@ def remove_register(state: StateVector, reg: str) -> StateVector:
     """
     probs = register_probabilities(state, reg)
     v = int(np.argmax(probs))
-    if not probs[v] >= 1.0 - 1e-9:  # NaN fails too
-        raise ValueError(
-            f"register {reg!r} is not in a basis state (max outcome mass {probs[v]:.6f})"
-        )
+    _check_basis(reg, probs[v])
     rows, a = _reg_axis(state, reg)
     kept = a[:, v, :] / math.sqrt(float(probs[v]))
     return StateVector(state.layout.removed(reg), kept.reshape(-1), rows)

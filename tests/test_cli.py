@@ -78,6 +78,50 @@ REPEATED_ARGV = [
 ]
 
 
+# Epsilons whose numerator or denominator has more than EPSILON_DIGITS digits,
+# written as an exponent, as a ratio, as a long decimal and with an exponent
+# too long to parse.
+HUGE_EPSILONS = [
+    "1e-5000",
+    "1e-10000000",
+    "1e5000",
+    "1/" + "9" * 301,
+    "0." + "0" * 300 + "1",
+    "1e-" + "9" * 5000,
+]
+
+
+@pytest.mark.parametrize("epsilon", HUGE_EPSILONS, ids=range(len(HUGE_EPSILONS)))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resources", "--L", "8"),
+        ("resources", "--sweep-L", "4:8:4"),
+        ("order", "--N", "15", "--a", "7", "--shots", "1"),
+        ("factor", "--N", "15"),
+    ],
+    ids=["resources", "sweep", "order", "factor"],
+)
+def test_huge_epsilon_is_a_usage_error(capsys, argv, epsilon):
+    code, out, err = run_cli(capsys, *argv, "--epsilon", epsilon)
+    assert code == 2 and out == ""
+    assert err.startswith("error: epsilon") and "Traceback" not in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "epsilon", ["1e-299", "1/" + "9" * 300, "1000e-302", "0." + "0" * 298 + "1"]
+)
+def test_longest_epsilon_is_accepted(capsys, epsilon):
+    code, out, _ = run_cli(capsys, "resources", "--L", "8", "--epsilon", epsilon)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("epsilon", ["1e-1__0", "1e5_", "1e", "e-5"])
+def test_malformed_exponent_is_a_usage_error(capsys, epsilon):
+    code, out, err = run_cli(capsys, "resources", "--L", "8", "--epsilon", epsilon)
+    assert code == 2 and out == "" and err.startswith("error: cannot parse epsilon")
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
     # main reuses one parser per process; each call must still print and
     # return what the same argv gives a process of its own.

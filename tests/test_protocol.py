@@ -921,6 +921,128 @@ class TestFoldedEstimates:
             assert np.array_equal(got[1] == 0, want[1] == 0)
 
 
+def per_m1_law(params: ProtocolParams) -> np.ndarray:
+    """The sequential law with one node-B run per m1 that has mass, as shots run it:
+    ``_node_b`` projects, teleports and estimates each m1 alone."""
+    after_a = protocol._a_stage(params)
+    joint = np.zeros((1 << params.t1, 1 << params.t2))
+    branch_rng = np.random.default_rng(0)
+    for m1 in range(1 << params.t1):
+        p1, cond = protocol._node_b(after_a, m1, params, protocol.ClassicalChannel(), branch_rng)
+        if cond is not None:
+            joint[m1, :] = p1 * cond
+    return joint
+
+
+def single_stage_folds(params: ProtocolParams) -> bool:
+    """Whether node B's stage on one m1's conditional (r rows, period P) takes the fold."""
+    r = multiplicative_order(params.a, params.N)
+    period = multiplicative_order(params.b_stage_multiplier, params.N)
+    return protocol.statevec._folds(period, r, params.t2)
+
+
+def live_m1(params: ProtocolParams, after_a) -> list[int]:
+    """The m1 values whose projection has mass at or above the oracle's cut, in order."""
+    masses = (
+        protocol.statevec.project_register(after_a, "ctrl_a", m1)[0]
+        for m1 in range(1 << params.t1)
+    )
+    return [m1 for m1, p in enumerate(masses) if p >= protocol._MIN_MASS]
+
+
+class TestStackedOracle:
+    """The sequential oracle conditions node A's state on every m1 at once,
+    teleports each live m1 in m1 order, and runs node B's stage on stacks of
+    the teleported states; each law is the per-m1 loop's up to the fold."""
+
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
+    @pytest.mark.parametrize("N, a", SMALL_CASES)
+    def test_conditioning_is_project_then_remove(self, N, a, inverse_epsilon):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+        after_a = protocol._a_stage(params)
+        statevec = protocol.statevec
+        p1, live, conds = statevec.condition_register(after_a, "ctrl_a", protocol._MIN_MASS)
+        assert len(conds) == live.size and (np.diff(live) > 0).all()
+        kept = dict(zip(live.tolist(), conds))
+        for m1 in range(1 << params.t1):
+            p, projected = statevec.project_register(after_a, "ctrl_a", m1)
+            assert p1[m1] == p and (m1 in kept) == (p >= protocol._MIN_MASS)
+            if m1 in kept:
+                want, got = statevec.remove_register(projected, "ctrl_a"), kept[m1]
+                assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
+                assert got.block.tobytes() == want.block.tobytes()
+
+    # A law whose single-m1 stage folds takes the same product for each row
+    # of the stack, and a law whose order is a power of two runs the single
+    # stages themselves: both keep the per-m1 bits.  Any other law's stages
+    # ran the two kernels and now fold.
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
+    @pytest.mark.parametrize("N, a", [(2, 1), *SMALL_CASES])
+    def test_law_matches_the_per_m1_stages(self, N, a, inverse_epsilon):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+        want = per_m1_law(params)
+        assert (want >= 0).all()
+        r = multiplicative_order(a, N)
+        if single_stage_folds(params) or r & (r - 1) == 0:
+            got, _, _ = sequential_law_summary(N, a, inverse_epsilon)
+            assert got == hashlib.sha256(want.tobytes()).digest()
+        else:
+            got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+            assert np.max(np.abs(got - want)) <= FOLD_TOL
+            assert np.array_equal(got == 0, want == 0) and (got >= 0).all()
+
+    @pytest.mark.parametrize(
+        "N, a, inverse_epsilon, columns, cut",
+        [(13, 2, 4, 4, None), (11, 3, 4, 2, None), (7, 2, 10, 2, None), (13, 2, 4, 8, 3e-3)],
+    )
+    def test_chunks_give_the_one_chunk_bits(self, N, a, inverse_epsilon, columns, cut, monkeypatch):
+        # A cut on m1's mass leaves a live count that the chunks split unevenly.
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+        if cut is not None:
+            monkeypatch.setattr(protocol, "_MIN_MASS", cut)
+        whole = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        live = np.count_nonzero(whole.sum(axis=1))
+        r = multiplicative_order(a, N)
+        monkeypatch.setattr(protocol, "_STACK_AMPS", columns * r << params.t2)
+        stages = []
+        stage = protocol._b_stage
+        monkeypatch.setattr(protocol, "_b_stage", lambda *args: stages.append(1) or stage(*args))
+        parts = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        assert len(stages) == -(-live // columns) > 1
+        assert cut is None or live % columns
+        assert parts.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("N, a", [(13, 2), (15, 7)])
+    def test_teleports_once_per_live_m1_in_order(self, N, a, monkeypatch):
+        params = ProtocolParams.derive(N, a, Fraction(1, 4))
+        calls = []
+        teleport = protocol.teleport_register
+
+        def record(state, reg, channel, pool, rng):
+            sent = state.block.copy()
+            moved = teleport(state, reg, channel, pool, rng)
+            calls.append((sent, moved.block.copy(), channel, pool))
+            return moved
+
+        monkeypatch.setattr(protocol, "teleport_register", record)
+        law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        after_a = protocol._a_stage(params)
+        live = live_m1(params, after_a)
+        assert len(calls) == len(live) == np.count_nonzero(law.sum(axis=1))
+        replay = np.random.default_rng(0)
+        statevec = protocol.statevec
+        for m1, (sent, moved, channel, pool) in zip(live, calls):
+            want = statevec.remove_register(
+                statevec.project_register(after_a, "ctrl_a", m1)[1], "ctrl_a"
+            )
+            assert sent.tobytes() == want.block.tobytes()
+            again = teleport(want, "work", protocol.ClassicalChannel(), protocol.EprPool(params.L),
+                             replay)
+            assert moved.tobytes() == again.block.tobytes()
+            assert (pool.consumed, pool.allocated) == (params.L, params.L)
+            assert channel.bit_count == 2 * params.L
+
+
 def refuse_build(*_args):
     raise AssertionError("built the class transforms of a run that cannot fold")
 
@@ -942,9 +1064,10 @@ class TestKeptTransforms:
         assert transforms.cache_info().hits == 2
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
-    # The sequential law is built from node-B stages, one for each m1 with
-    # mass, each on node A's state projected onto that m1: every stage after
-    # the first finds the transforms kept.  One such stage, cold then warm.
+    # A shot's node-B stage runs on node A's state projected onto its m1,
+    # and the sequential oracle's on a stack of such states: every stage
+    # after a process's first finds the transforms kept.  One single-m1
+    # stage, cold then warm.
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
     def test_sequential_law_is_bitwise_the_same_cold(self, N, a, inverse_epsilon):
@@ -969,8 +1092,10 @@ class TestKeptTransforms:
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
     def test_a_run_builds_the_transforms_once(self, monkeypatch):
-        # 20 shots at N=21 a=2 run node B 20 times; the sequential oracle runs
-        # it once for each of the 2^t1 = 128 values of m1 that has mass.
+        # 20 shots at N=21 a=2 run node B 20 times.  The sequential oracle
+        # runs it once per stack: all 2^t1 = 128 values of m1 have mass, and
+        # a stack holds 16 of them (r = 6 rows of 2^t2 amplitudes each, 16
+        # the largest power of two within 2^21 amplitudes), so 8 stages.
         params = ProtocolParams.derive(21, 2, Fraction(1, 4))
         transforms = protocol.statevec._uniform_transforms
         stages = []
@@ -983,7 +1108,7 @@ class TestKeptTransforms:
         del stages[:]
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         assert transforms.cache_info().misses == 1
-        assert len(stages) == np.count_nonzero(law.sum(axis=1)) > 20
+        assert np.count_nonzero(law.sum(axis=1)) == 128 and len(stages) == 8
 
     @pytest.mark.parametrize("N, a", [(15, 1), (7, 2)])
     def test_a_run_that_cannot_fold_keeps_none(self, N, a, monkeypatch):

@@ -1482,3 +1482,90 @@ class TestCompactRows:
         removed = remove_register(compact_twin(dense), "c")
         assert removed.rows.tolist() == [2, 5]
         assert np.array_equal(removed.amps, remove_register(dense, "c").amps)
+
+
+def with_dead_values(state: StateVector, reg: str, dead: list[int]) -> StateVector:
+    """The state with outcomes ``dead`` of ``reg`` emptied, renormalized."""
+    a = state.amps.reshape(1 << state.layout.offset(reg), 1 << state.layout.width(reg), -1)
+    a[:, dead, :] = 0
+    return StateVector.from_amplitudes(state.layout, a.reshape(-1) / np.linalg.norm(a))
+
+
+class TestConditionRegister:
+    """``condition_register`` gives, for every outcome at once, the bits that
+    ``project_register`` and then ``remove_register`` give one outcome at a time."""
+
+    @pytest.mark.parametrize(
+        "regs, compact",
+        [(regs, False) for regs in LIVE_LAYOUTS] + [(regs, True) for regs in COMPACT_LAYOUTS],
+    )
+    def test_every_outcome_is_project_then_remove(self, regs, compact):
+        if compact:
+            st = with_dead_values(row_sparse_state(regs, [1, 6, 9], seed=4), "r", [0, 7, 30])
+            st = compact_twin(st)
+        else:
+            st = with_dead_values(random_state(RegisterLayout.of(*regs), np.random.default_rng(3)),
+                                  "r", [0, 7, 30])
+        p, values, states = statevec.condition_register(st, "r", 1e-300)
+        assert p.shape == (32,) and len(states) == values.size
+        kept = iter(states)
+        for v in range(32):
+            want_p, projected = project_register(st, "r", v)
+            assert p[v] == want_p
+            assert (v in values) == (projected is not None)
+            if projected is None:
+                continue
+            want, got = remove_register(projected, "r"), next(kept)
+            assert got.layout == want.layout
+            if want.rows is None:
+                assert got.rows is None
+            else:
+                assert np.array_equal(got.rows, want.rows)
+            assert got.block.tobytes() == want.block.tobytes()
+
+    def test_outcomes_below_the_cut_are_left_out(self):
+        st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
+        p, values, states = statevec.condition_register(st, "r", 0.15)
+        assert values.tolist() == np.flatnonzero(p >= 0.15).tolist()
+        assert 0 < values.size < 8 and len(states) == values.size
+
+    def test_a_nan_mass_fails_the_basis_check(self):
+        st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
+        st.block[5] = complex(math.nan, 0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not in a basis state"):
+            statevec.condition_register(st, "r", 1e-300)
+
+
+class TestStackStates:
+    """A stack carries each state as the value of a new last register."""
+
+    def states(self, count: int) -> list[StateVector]:
+        full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
+        return statevec.condition_register(full, "r", 1e-300)[2][:count]
+
+    def test_values_hold_the_states_and_zeros(self):
+        states = self.states(3)
+        st = statevec.stack_states(states, "s", 2)
+        assert st.layout.names == ("w", "s") and st.rows.tolist() == [2, 5, 11]
+        columns = st.block.reshape(3, 4)
+        for i, one in enumerate(states):
+            assert np.array_equal(columns[:, i], one.block)
+        assert not columns[:, 3].any()
+
+    def test_a_marginal_keeping_the_stack_gives_each_law(self):
+        states = self.states(5)
+        control = apply_hadamard_register(init_basis(RegisterLayout.of(("c", 9))), "c")
+        stacked = apply_phase_estimation(statevec.stack_states(states, "s", 3), control, "w", 3, 13)
+        laws = marginal_probabilities(stacked, ["s", "c"])
+        for i, one in enumerate(states):
+            alone = apply_phase_estimation(one, control, "w", 3, 13)
+            assert np.max(np.abs(laws[i] - register_probabilities(alone, "c"))) <= FOLD_TOL
+        assert not laws[5:].any()
+
+    def test_refuses_what_does_not_stack(self):
+        states = self.states(3)
+        with pytest.raises(ValueError, match="do not fit"):
+            statevec.stack_states(states, "s", 1)
+        other = StateVector(states[0].layout, states[0].block, np.array([2, 5, 12]))
+        with pytest.raises(ValueError, match="share"):
+            statevec.stack_states([states[0], other], "s", 1)
