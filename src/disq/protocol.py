@@ -358,7 +358,8 @@ def distributed_joint_distribution(
     distribution weighted by the outcome probability.  Any teleport branch
     gives the same conditional state, so one branch per m1 suffices.  A
     chunk holds at most ``_stack_columns`` states, so that no stacked stage
-    stores more than ``_STACK_AMPS`` amplitudes.
+    stores more than ``_STACK_AMPS`` amplitudes or holds more than
+    ``MAX_QUBITS`` qubits, and is teleported just before its stage.
     """
     if mode == MODE_JOINT:
         # Node B's stage runs on node A's unmeasured state: A's operations
@@ -372,17 +373,17 @@ def distributed_joint_distribution(
     check_capacity(params, ENGINE_DISTRIBUTED)
     after_a = _a_stage(params)
     p1, live, conds = statevec.condition_register(after_a, _CTRL_A, _MIN_MASS)
-    branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial
-    moved = [
-        teleport_register(st, _WORK, ClassicalChannel(), EprPool(params.L), branch_rng)
-        for st in conds
-    ]
     joint = np.zeros((1 << params.t1, 1 << params.t2))
     chunks = -(-live.size // _stack_columns(params))
     width = ceil_log2(-(-live.size // chunks))
+    branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial
     for part in np.array_split(np.arange(live.size), chunks):
-        states = [moved[i] for i in part]
-        st = _b_stage(statevec.stack_states(states, _STACK, width) if width else states[0], params)
+        moved = [
+            teleport_register(conds[i], _WORK, ClassicalChannel(), EprPool(params.L), branch_rng)
+            for i in part
+        ]
+        st = statevec.stack_states(moved, _STACK, width) if width else moved[0]
+        st = _b_stage(st, params)  # the last chunk's stage is gone before this one runs
         law = statevec.marginal_probabilities(st, st.layout.names[1:]).reshape(1 << width, -1)
         m1 = live[part]
         joint[m1] = p1[m1, None] * law[: part.size]
@@ -392,18 +393,21 @@ def distributed_joint_distribution(
 def _stack_columns(params: ProtocolParams) -> int:
     """How many m1 conditionals one node-B stage of the sequential oracle stacks.
 
-    A stage stores r work rows of 2^t2 amplitudes per conditional, so the
-    largest power of two that keeps it within ``_STACK_AMPS``, and at least
-    one.  A law whose order r is a power of two has mass on r values of m1
-    and exact zeros in m2; the per-row FFT keeps those zeros and a stacked
-    fold need not (it leaves the rounding of x * g - x * g), so such a law
-    runs one stage per m1, the stage a shot runs.
+    A stage stores r work rows of 2^t2 amplitudes per conditional, and its
+    layout holds L + t2 qubits plus the stack register's, so the largest
+    power of two that keeps it within ``_STACK_AMPS`` amplitudes and
+    ``MAX_QUBITS`` qubits, and at least one (``check_capacity`` has passed
+    L + t2).  A law whose order r is a power of two has mass on r values of
+    m1 and exact zeros in m2; the per-row FFT keeps those zeros and a
+    stacked fold need not (it leaves the rounding of x * g - x * g), so
+    such a law runs one stage per m1, the stage a shot runs.
     """
     r = multiplicative_order(params.a, params.N)
     if r & (r - 1) == 0:
         return 1
     per = _STACK_AMPS // (r << params.t2)
-    return 1 << max(per.bit_length() - 1, 0)
+    room = statevec.MAX_QUBITS - params.L - params.t2
+    return 1 << max(min(per.bit_length() - 1, room), 0)
 
 
 def _stitch_arrays(

@@ -597,8 +597,11 @@ def condition_register(
     scaled = np.zeros_like(a)
     scaled[:, values, :] = a[:, values, :] / np.sqrt(p[values])[:, None]
     mass = register_probabilities(StateVector(state.layout, scaled.reshape(-1), rows), reg)[values]
-    for m in mass:
-        _check_basis(reg, m)
+    bad = ~(mass >= 1.0 - 1e-9)  # NaN fails too
+    if bad.any():
+        raise ValueError(
+            f"register {reg!r} is not in a basis state (max outcome mass {mass[bad][0]:.6f})"
+        )
     kept = np.ascontiguousarray(np.moveaxis(scaled[:, values, :], 1, 0))
     np.divide(kept, np.sqrt(mass)[:, None, None], out=kept)
     layout = state.layout.removed(reg)
@@ -718,12 +721,6 @@ def append_register(state: StateVector, name: str, width: int) -> StateVector:
     return StateVector(layout, out.reshape(-1), state.rows)
 
 
-def _check_basis(reg: str, mass: float) -> None:
-    """Raise unless the register's likeliest outcome has mass at least 1 - 1e-9."""
-    if not mass >= 1.0 - 1e-9:  # NaN fails too
-        raise ValueError(f"register {reg!r} is not in a basis state (max outcome mass {mass:.6f})")
-
-
 def remove_register(state: StateVector, reg: str) -> StateVector:
     """Drop a register that is in (very nearly) a definite basis state.
 
@@ -732,7 +729,10 @@ def remove_register(state: StateVector, reg: str) -> StateVector:
     """
     probs = register_probabilities(state, reg)
     v = int(np.argmax(probs))
-    _check_basis(reg, probs[v])
+    if not probs[v] >= 1.0 - 1e-9:  # NaN fails too
+        raise ValueError(
+            f"register {reg!r} is not in a basis state (max outcome mass {probs[v]:.6f})"
+        )
     rows, a = _reg_axis(state, reg)
     kept = a[:, v, :] / math.sqrt(float(probs[v]))
     return StateVector(state.layout.removed(reg), kept.reshape(-1), rows)

@@ -1042,6 +1042,63 @@ class TestStackedOracle:
             assert (pool.consumed, pool.allocated) == (params.L, params.L)
             assert channel.bit_count == 2 * params.L
 
+    def test_stacks_stay_within_the_qubit_guard(self):
+        # A stacked stage holds L + t2 qubits plus the stack register's; every
+        # run that check_capacity passes keeps that within MAX_QUBITS.
+        guard = protocol.statevec.MAX_QUBITS
+        for N in range(64, 256):
+            for a in range(2, N):
+                if math.gcd(a, N) != 1:
+                    continue
+                for inverse_epsilon in (4, 10):
+                    params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+                    if params.peak_qubits(ENGINE_DISTRIBUTED) > guard:
+                        continue
+                    columns = protocol._stack_columns(params)
+                    assert columns >= 1 and columns & (columns - 1) == 0
+                    assert params.L + params.t2 + columns.bit_length() - 1 <= guard
+
+    def test_a_law_at_the_qubit_guard_builds(self):
+        # L=8, t2=17 and r=3: the amplitude bound alone would stack 4
+        # conditionals, 27 qubits; the guard leaves room for 2.
+        params = ProtocolParams.derive(133, 11, Fraction(1, 4))
+        assert params.L + params.t2 == protocol.statevec.MAX_QUBITS - 1
+        assert protocol._stack_columns(params) == 2
+        law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        assert (law >= 0).all() and abs(law.sum() - 1) < 1e-12
+
+    @pytest.mark.parametrize("room, stages", [(0, 64), (2, 16)])
+    def test_a_lower_guard_splits_the_stack(self, room, stages, monkeypatch):
+        # N=13 a=2: L=4, t1=6, t2=11 and 64 live m1.  With no room for a stack
+        # register each m1 runs a shot's stage; with room for 4, 16 stacks.
+        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
+        want = per_m1_law(params) if room == 0 else distributed_joint_distribution(
+            params, MODE_SEQUENTIAL
+        )
+        monkeypatch.setattr(protocol.statevec, "MAX_QUBITS", params.L + params.t2 + room)
+        runs = []
+        stage = protocol._b_stage
+        monkeypatch.setattr(protocol, "_b_stage", lambda *args: runs.append(1) or stage(*args))
+        got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        assert len(runs) == stages
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_stacked_stage_is_alive_at_a_time(self):
+        # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB) and a stage 8
+        # stacked conditionals of 10 rows of 2^14 amplitudes (20 MiB); 16
+        # chunks run, and a chunk's stage is gone before the next one runs.
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        law = 8 << (params.t1 + params.t2)
+        stage = 16 * 10 * protocol._stack_columns(params) << params.t2
+        distributed_joint_distribution(params, MODE_SEQUENTIAL)  # keeps the class transforms
+        tracemalloc.start()
+        try:
+            distributed_joint_distribution(params, MODE_SEQUENTIAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law + stage < peak < law + 2 * stage
+
 
 def refuse_build(*_args):
     raise AssertionError("built the class transforms of a run that cannot fold")
