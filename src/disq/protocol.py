@@ -18,6 +18,7 @@ without changing results.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -46,8 +47,6 @@ _CTRL = "ctrl"
 _STACK = "stack"  # the sequential oracle's register of stacked m1 conditionals, not qubits
 
 _MIN_MASS = 1e-300  # an m1 outcome below this mass has no node-B run
-# Amplitudes one stacked node-B stage of the sequential oracle may store (32 MiB).
-_STACK_AMPS = 1 << 21
 
 
 def paddings(epsilon: Fraction) -> tuple[int, int]:
@@ -74,7 +73,8 @@ class ProtocolParams:
     epsilon.  L is the modulus bit length rounded up to even so the
     half-split formulas apply verbatim; t1/t2 are the two control-register
     widths, m_width the width of the stitched estimate and t_mono the
-    single node's control width.
+    single node's control width.  Each size is computed once per params;
+    equality, hashing and repr use the fields alone.
     """
 
     N: int
@@ -111,25 +111,29 @@ class ProtocolParams:
     def l_was_rounded(self) -> bool:
         return bool((self.N - 1).bit_length() % 2)
 
-    @property
+    @functools.cached_property
     def L(self) -> int:
         return (self.N - 1).bit_length() + self.l_was_rounded
 
-    @property
+    @functools.cached_property
+    def _widths(self) -> tuple[int, int, int, int]:
+        return control_widths(self.L, self.p, self.p_mono)
+
+    @functools.cached_property
     def t1(self) -> int:
-        return control_widths(self.L, self.p, self.p_mono)[0]
+        return self._widths[0]
 
-    @property
+    @functools.cached_property
     def t2(self) -> int:
-        return control_widths(self.L, self.p, self.p_mono)[1]
+        return self._widths[1]
 
-    @property
+    @functools.cached_property
     def m_width(self) -> int:
-        return control_widths(self.L, self.p, self.p_mono)[2]
+        return self._widths[2]
 
-    @property
+    @functools.cached_property
     def t_mono(self) -> int:
-        return control_widths(self.L, self.p, self.p_mono)[3]
+        return self._widths[3]
 
     def peak_qubits(self, engine: str, mode: str = MODE_SEQUENTIAL) -> int:
         """Qubits in the widest state a run of this engine and mode holds.
@@ -257,21 +261,30 @@ def check_engine_and_mode(engine: str, mode: str) -> None:
 def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
     """Exact outcome distribution of the single-node control register."""
     check_capacity(params, ENGINE_MONOLITHIC)
-    st = _first_estimate(params, _CTRL, params.t_mono)
-    return statevec.register_probabilities(st, _CTRL)
+    control = _uniform_control(_CTRL, params.t_mono)
+    return statevec.phase_estimation_law(_work_one(params), control, _WORK, params.a, params.N)
+
+
+def _uniform_control(ctrl: str, width: int) -> StateVector:
+    """A control register ``ctrl`` prepared alone, in uniform superposition (2^width amplitudes)."""
+    control = statevec.init_basis(RegisterLayout.of((ctrl, width)))
+    return statevec.apply_hadamard_register(control, ctrl)
 
 
 def _estimate(st: StateVector, ctrl: str, width: int, multiplier: int, N: int) -> StateVector:
     """One node's phase estimation of ``multiplier`` on the work register of ``st``.
 
-    The control register ``ctrl`` is prepared alone, in uniform superposition
-    (2^width amplitudes), and joined to ``st`` as its last register by
-    ``statevec.apply_phase_estimation``, which also applies the inverse QFT
-    to it; the stage holds one state-sized block.
+    The control register ``ctrl`` (``_uniform_control``) is joined to ``st``
+    as its last register by ``statevec.apply_phase_estimation``, which also
+    applies the inverse QFT to it; the stage holds one state-sized block.
     """
-    control = statevec.init_basis(RegisterLayout.of((ctrl, width)))
-    control = statevec.apply_hadamard_register(control, ctrl)
+    control = _uniform_control(ctrl, width)
     return statevec.apply_phase_estimation(st, control, _WORK, multiplier, N)
+
+
+def _work_one(params: ProtocolParams) -> StateVector:
+    """A fresh work register holding 1: the state stores that one row."""
+    return statevec.init_basis(RegisterLayout.of((_WORK, params.L)), {_WORK: 1})
 
 
 def _first_estimate(params: ProtocolParams, ctrl: str, width: int) -> StateVector:
@@ -280,8 +293,7 @@ def _first_estimate(params: ProtocolParams, ctrl: str, width: int) -> StateVecto
     The work register leads, so the state stores one row (work = 1) until
     the modular multiplication maps it onto the powers of a.
     """
-    st = statevec.init_basis(RegisterLayout.of((_WORK, params.L)), {_WORK: 1})
-    return _estimate(st, ctrl, width, params.a, params.N)
+    return _estimate(_work_one(params), ctrl, width, params.a, params.N)
 
 
 def _a_stage(params: ProtocolParams) -> StateVector:
@@ -291,6 +303,17 @@ def _a_stage(params: ProtocolParams) -> StateVector:
 def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
     """Node B's estimate: joins ctrl_b to ``st`` and estimates a^(2^(L/2-1))."""
     return _estimate(st, _CTRL_B, params.t2, params.b_stage_multiplier, params.N)
+
+
+def _b_law(st: StateVector, params: ProtocolParams) -> np.ndarray:
+    """The law of ``st``'s registers after work and of ctrl_b after node B's estimate.
+
+    ``statevec.phase_estimation_law`` gives it without storing the joined state.
+    """
+    control = _uniform_control(_CTRL_B, params.t2)
+    return statevec.phase_estimation_law(
+        st, control, _WORK, params.b_stage_multiplier, params.N
+    )
 
 
 def _node_b(
@@ -348,25 +371,27 @@ def distributed_joint_distribution(
 ) -> np.ndarray:
     """Exact joint distribution over (m1, m2) as a (2^t1, 2^t2) array.
 
-    The joint-oracle path marginalizes the final three-register state.  The
-    sequential path does what ``_node_b`` does for each m1, with the same
-    bits up to the fold: it conditions node A's state on every m1 at once
+    The joint-oracle path is the law of ctrl_a and ctrl_b after node B's
+    estimate on node A's unmeasured state.  The sequential path does what
+    ``_node_b`` does for each m1, with the same bits up to the fold: it
+    conditions node A's state on every m1 at once
     (``statevec.condition_register``), teleports the work register of each
-    m1 with mass in m1 order, from one generator, and runs node B's stage
-    and Born marginal once per chunk of those states, stacked as the values
-    of one more register (``statevec.stack_states``); each row is B's
-    distribution weighted by the outcome probability.  Any teleport branch
-    gives the same conditional state, so one branch per m1 suffices.  A
-    chunk holds at most ``_stack_columns`` states, so that no stacked stage
-    stores more than ``_STACK_AMPS`` amplitudes or holds more than
-    ``MAX_QUBITS`` qubits, and is teleported just before its stage.
+    m1 with mass in m1 order, from one generator, one chunk at a time in
+    one pass (``statevec.teleport_states``), and takes node B's law once per
+    chunk of those states, stacked as the values of one more register
+    (``statevec.stack_states``); each row is B's distribution weighted by
+    the outcome probability, written in place into the chunk's law.  Any
+    teleport branch gives the same conditional state, so one branch per m1
+    suffices.  Every law comes from ``statevec.phase_estimation_law``, which
+    never stores node B's joined state; a chunk holds at most
+    ``_stack_columns`` states, so that the stack register keeps node B's
+    layout within ``MAX_QUBITS`` qubits.
     """
     if mode == MODE_JOINT:
         # Node B's stage runs on node A's unmeasured state: A's operations
         # never touch ctrl_b, so joining ctrl_b after them gives the same state.
         check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
-        joint = _b_stage(_a_stage(params), params)
-        return statevec.marginal_probabilities(joint, [_CTRL_A, _CTRL_B])
+        return _b_law(_a_stage(params), params)
 
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
@@ -378,36 +403,32 @@ def distributed_joint_distribution(
     width = ceil_log2(-(-live.size // chunks))
     branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial
     for part in np.array_split(np.arange(live.size), chunks):
-        moved = [
-            teleport_register(conds[i], _WORK, ClassicalChannel(), EprPool(params.L), branch_rng)
-            for i in part
-        ]
+        moved, _ = statevec.teleport_states([conds[i] for i in part], _WORK, branch_rng)
         st = statevec.stack_states(moved, _STACK, width) if width else moved[0]
-        st = _b_stage(st, params)  # the last chunk's stage is gone before this one runs
-        law = statevec.marginal_probabilities(st, st.layout.names[1:]).reshape(1 << width, -1)
+        law = _b_law(st, params).reshape(1 << width, -1)[: part.size]
         m1 = live[part]
-        joint[m1] = p1[m1, None] * law[: part.size]
+        law *= p1[m1, None]
+        joint[m1] = law
+        del law  # the next chunk's law is built without this one
     return joint
 
 
 def _stack_columns(params: ProtocolParams) -> int:
-    """How many m1 conditionals one node-B stage of the sequential oracle stacks.
+    """How many m1 conditionals one node-B law of the sequential oracle stacks.
 
-    A stage stores r work rows of 2^t2 amplitudes per conditional, and its
-    layout holds L + t2 qubits plus the stack register's, so the largest
-    power of two that keeps it within ``_STACK_AMPS`` amplitudes and
-    ``MAX_QUBITS`` qubits, and at least one (``check_capacity`` has passed
-    L + t2).  A law whose order r is a power of two has mass on r values of
-    m1 and exact zeros in m2; the per-row FFT keeps those zeros and a
-    stacked fold need not (it leaves the rounding of x * g - x * g), so
-    such a law runs one stage per m1, the stage a shot runs.
+    Node B's layout holds L + t2 qubits plus the stack register's, so the
+    largest power of two that keeps it within ``MAX_QUBITS`` qubits, and at
+    least one (``check_capacity`` has passed L + t2).  No stage is stored,
+    so nothing else bounds a chunk: its law is at most the whole law.  A
+    law whose order r is a power of two has mass on r values of m1 and
+    exact zeros in m2; the per-row FFT keeps those zeros and a stacked fold
+    need not (it leaves the rounding of x * g - x * g), so such a law takes
+    one law per m1, with the bits of the stage a shot runs.
     """
     r = multiplicative_order(params.a, params.N)
     if r & (r - 1) == 0:
         return 1
-    per = _STACK_AMPS // (r << params.t2)
-    room = statevec.MAX_QUBITS - params.L - params.t2
-    return 1 << max(min(per.bit_length() - 1, room), 0)
+    return 1 << max(statevec.MAX_QUBITS - params.L - params.t2, 0)
 
 
 def _stitch_arrays(
@@ -435,18 +456,38 @@ def stitched_value_distribution(
     """Push a joint (m1, m2) distribution through the stitching step.
 
     Returns (mass per stitched integer value, mass with no correction bit).
-    Masses are added in row-major (m1, m2) order, one outcome at a time.
+    Masses are added in row-major (m1, m2) order, one outcome at a time,
+    and an entry that is not positive (NaN included) adds nothing.
+
+    For one m1, the m2 values with one overlap value h (B's two leading
+    bits) are a run of 2^(t2-2) consecutive values, and they stitch to a run
+    of as many consecutive values whose prefix ends in h, or all fail.  So
+    the stitched values with prefix s are the run h = s mod 4 of the m1
+    whose prefix is s - 1, s or s + 1, added whole runs at a time, m1 after
+    m1; runs of different h never meet.  The failed runs, one per m1, are
+    summed one entry after another in row-major order.
     """
-    m1, m2 = np.nonzero(joint > 0)
-    p = joint[m1, m2]
-    stitched, ok = _stitch_arrays(m1, m2, params)
-    # bincount adds each weight to its slot in input order, as the loop over
-    # correct_results did; the slot past every stitched value collects the
-    # outcomes with no correction bit.
-    no_bit = 1 << params.m_width
-    sums = np.bincount(np.where(ok, stitched, no_bit), weights=p, minlength=no_bit + 1)
-    keys = np.flatnonzero(sums[:no_bit])  # a used slot sums positive masses
-    return dict(zip(keys.tolist(), sums[keys].tolist())), float(sums[no_bit])
+    if not joint.min() >= 0:  # NaN fails too; a zero of either sign adds nothing
+        joint = np.where(joint > 0, joint, 0.0)
+    tail = params.t2 - 2
+    prefixes = 1 << (params.L // 2 + 1)  # of the stitched value, and of m1
+    group = (1 << params.t1) // prefixes  # the m1 with one prefix
+    runs = joint.reshape(prefixes, group, 4, 1 << tail)
+    stitched = np.empty((prefixes, 1 << tail))
+    failed = 0.0
+    for s in range(prefixes):
+        # prefixes s - 1, s and s + 1 correct to s, in the run h = s mod 4
+        near = sorted(g % prefixes for g in (s - 1, s, s + 1))
+        rows = runs[near, :, s & 3].reshape(-1, 1 << tail)  # m1 after m1
+        np.add.reduce(rows, axis=0, out=stitched[s])
+        part = runs[s, :, (s + 2) & 3]  # prefix s fails in the run that differs from it by 2
+        part = part[part > 0]
+        if part.size:
+            part[0] += failed
+            failed = float(np.cumsum(part)[-1])
+    stitched = stitched.reshape(-1)
+    keys = np.flatnonzero(stitched)  # a used slot sums positive masses
+    return dict(zip(keys.tolist(), stitched[keys].tolist())), failed
 
 
 def classify_outcome(

@@ -48,23 +48,31 @@ and ``_uniform_transforms`` keeps them for one (t, P) at a time, held until
 another folding (t, P) replaces it, as one read-only float64 array R of
 rows (G_q, i * G_q), 2 * P * 2^t amplitudes.  The fold is then one real
 product: each joined row's P complex sources, viewed as 2P floats, times R.
-Any other control runs the two kernels.  Gate-level decompositions are out
-of scope here -- circuit-cost questions are answered analytically by the
-resources module.
+Any other control runs the two kernels.  ``phase_estimation_law`` gives the
+Born marginal of that state over every register but the target, bit for bit,
+without storing the state when it folds: it runs the fold's products a
+block at a time (the target rows of one other-register value by
+``_FOLD_CHUNK`` control values), squares each block in place, adds its
+target rows in row order and writes re^2 + im^2 straight into the law, so it
+holds the law, the sources and one block.  Gate-level decompositions are out of scope here --
+circuit-cost questions are answered analytically by the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
 ``condition_register`` projects onto every outcome of a register at once and
-drops it, with the bits of ``project_register`` and ``remove_register``, and
-``stack_states`` lays states with one layout and row set side by side as the
-values of a new register: a batch, not a state, which every kernel on the
-other registers carries value by value.
+drops it, with the bits of ``project_register`` and ``remove_register``;
+``teleport_states`` teleports states with one layout and row set in one
+pass, with the bits ``teleport_qubits`` gives each in turn; and
+``stack_states`` lays such states side by side as the values of a new
+register: a batch, not a state, which every kernel on the other registers
+carries value by value.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
 generator state fixes all outcomes.  A draw between two outcomes, as each
 teleported qubit makes twice, compares scalars and gives the bits of the
-cumulative-sum search.
+cumulative-sum search; ``teleport_states`` takes its states' uniforms in
+one call, which gives the same numbers as one call per draw.
 """
 
 from __future__ import annotations
@@ -430,6 +438,48 @@ def _uniform_transforms(t: int, period: int) -> np.ndarray:
     return r
 
 
+def _fold_sources(
+    state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
+) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """``_period_sources``, and R when the estimate folds, None when it runs the two kernels.
+
+    The fold is taken when it costs no more than the per-row FFTs, i.e. when
+    P * F <= (F - P) * t, and the control is bitwise the uniform fill.
+    """
+    layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
+    n_out, middle, period = sources.shape
+    t = control.n
+    if _folds(period, n_out * middle, t) and _is_uniform(control.amps, t):
+        return layout, rows, sources, _uniform_transforms(t, period)
+    return layout, rows, sources, None
+
+
+def _fold_products(sources: np.ndarray, r: np.ndarray, out: np.ndarray | None = None):
+    """The fold's real product, one block at a time.
+
+    ``sources`` is (n_out, other-register values, P) as ``_period_sources``
+    gives it.  A block is the n_out target rows of one value of the other
+    registers by ``_FOLD_CHUNK`` control values (2 * ``_FOLD_CHUNK``
+    floats, whole complex values): a dgemm of n_out x 2P by
+    2P x 2 * ``_FOLD_CHUNK``.  Every product has that shape, so a row's bits
+    do not depend on the other registers, nor on how OpenBLAS tiles a
+    product of another height, and each runs on the calling thread.  A
+    block is written into ``out`` (n_out, values, 2^(t+1) floats) when that
+    is given, else into one buffer that the next block reuses.  Yields
+    (value, column slice, block) after each product.
+    """
+    n_out, middle, _ = sources.shape
+    one = np.ascontiguousarray(sources.transpose(1, 0, 2), complex).view(np.float64)
+    width = min(r.shape[1], 2 * _FOLD_CHUNK)
+    buf = np.empty((n_out, width)) if out is None else None
+    for m in range(middle):
+        for c in range(0, r.shape[1], width):
+            cols = slice(c, c + width)
+            block = buf if out is None else out[:, m, cols]
+            np.matmul(one[m], r[:, cols], out=block)
+            yield m, cols, block
+
+
 def apply_phase_estimation(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
 ) -> StateVector:
@@ -455,26 +505,19 @@ def apply_phase_estimation(
     sum_q one_q * G_q, real and imaginary parts interleaved, so each product
     writes the output's float view straight from the read-only R, and a
     fold that finds R kept holds the output block and no second one.  Each
-    product covers ``_FOLD_CHUNK`` control values (a dgemm of F x 2P by
-    2P x 2 * ``_FOLD_CHUNK``), which keeps node B's small ones on the
-    calling thread: OpenBLAS runs a product of a few hundred thousand
-    multiply-adds or fewer there, instead of waking its thread pool, whose
-    threads then spin between calls.
+    product covers the stored target rows of one value of the other
+    registers and ``_FOLD_CHUNK`` control values (``_fold_products``), which
+    keeps it on the calling thread: OpenBLAS runs a product of a few hundred
+    thousand multiply-adds or fewer there, instead of waking its thread
+    pool, whose threads then spin between calls.
     """
-    layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
-    n_out, middle, period = sources.shape
-    joined = n_out * middle
-    t = control.n
-    if not (_folds(period, joined, t) and _is_uniform(control.amps, t)):
+    layout, rows, sources, r = _fold_sources(state, control, target, multiplier, modulus)
+    if r is None:
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)  # gathers again
         return apply_inverse_qft(st, control.layout.names[0])
-    r = _uniform_transforms(t, period)
-    one = np.ascontiguousarray(sources.reshape(joined, period), complex).view(np.float64)
-    out = np.empty((joined, 1 << t), complex)
-    floats = out.view(np.float64)
-    for c in range(0, 2 << t, 2 * _FOLD_CHUNK):
-        cols = slice(c, c + 2 * _FOLD_CHUNK)
-        np.matmul(one, r[:, cols], out=floats[:, cols])
+    out = np.empty((*sources.shape[:2], 1 << control.n), complex)
+    for _ in _fold_products(sources, r, out.view(np.float64)):
+        pass  # each product lands in its place in out
     return StateVector(layout, out.reshape(-1), rows)
 
 
@@ -543,6 +586,34 @@ def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
         full[state.rows] = probs
         probs = full
     return probs.transpose([sorted(keep).index(i) for i in keep])
+
+
+def phase_estimation_law(
+    state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
+) -> np.ndarray:
+    """The Born marginal over every register but the leading one of the state
+    ``apply_phase_estimation`` gives, without storing that state.
+
+    The law of the joined layout's registers after ``target``, axes in layout
+    order, bit for bit ``_born_marginal(apply_phase_estimation(...),
+    names[1:])``.  An estimate that does not fold runs the two kernels and
+    that marginal.  A folding one runs the fold's products
+    (``_fold_products``) as ``apply_phase_estimation`` does, but squares
+    each block in place, adds its n_out target rows one after another in
+    row order and writes re^2 + im^2 straight into the law.  Beside the law
+    it holds the sources, one block and one row sum.
+    """
+    layout, rows, sources, r = _fold_sources(state, control, target, multiplier, modulus)
+    if r is None:
+        st = apply_controlled_modmul(state, control, target, multiplier, modulus)
+        st = apply_inverse_qft(st, control.layout.names[0])
+        return _born_marginal(st, layout.names[1:])
+    law = np.empty((sources.shape[1], 1 << control.n))
+    sums = np.empty(min(r.shape[1], 2 * _FOLD_CHUNK))
+    for m, cols, block in _fold_products(sources, r):
+        total = np.add.reduce(np.square(block, out=block), axis=0, out=sums)  # in row order
+        np.add(total[0::2], total[1::2], out=law[m, cols.start // 2 : cols.stop // 2])
+    return law.reshape([1 << w for _, w in layout.registers[1:]])
 
 
 def register_probabilities(state: StateVector, reg: str) -> np.ndarray:
@@ -621,15 +692,21 @@ def stack_states(states: Sequence[StateVector], name: str, width: int) -> StateV
     first = states[0]
     if len(states) > 1 << width:
         raise ValueError(f"{len(states)} states do not fit a {width}-qubit register")
+    _check_shared(states, "stacked")
     out = np.zeros((first.block.size, 1 << width), complex)
     for i, st in enumerate(states):
+        out[:, i] = st.block
+    return StateVector(first.layout.appended(name, width), out.reshape(-1), first.rows)
+
+
+def _check_shared(states: Sequence[StateVector], what: str) -> None:
+    first = states[0]
+    for st in states:
         same_rows = (
             st.rows is None if first.rows is None else np.array_equal(st.rows, first.rows)
         )
         if st.layout != first.layout or not same_rows:
-            raise ValueError("stacked states must share their layout and rows")
-        out[:, i] = st.block
-    return StateVector(first.layout.appended(name, width), out.reshape(-1), first.rows)
+            raise ValueError(f"{what} states must share their layout and rows")
 
 
 def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -708,6 +785,63 @@ def teleport_qubits(
         rows = state.rows
         a = a.reshape(1 << state.layout.registers[0][1], -1)[rows]
     return StateVector(state.layout, a.reshape(-1), rows), bits
+
+
+def teleport_states(
+    states: Sequence[StateVector], reg: str, rng: np.random.Generator
+) -> tuple[list[StateVector], np.ndarray]:
+    """``teleport_qubits`` on each state in turn, in one pass over all of them.
+
+    The states share their layout and rows.  Gives, state by state, the
+    bits of ``teleport_qubits`` called on the states in order with ``rng``:
+    the 2 * width uniforms of each state are drawn at once, in the order
+    its draws take them; each state's two masses per qubit are summed
+    pairwise over its own contiguous squares, the x = 1 mass over the
+    reversed copy; the z and x draws compare as ``draw`` does, with its
+    norm guard and its last-outcome rule.
+
+    Returns (states, bits): bits[i, k] is state i's (z, x) for qubit k.
+    """
+    _check_shared(states, "teleported")
+    first = states[0]
+    n, w = len(states), first.layout.width(reg)
+    blocks = np.stack([st.block for st in states])
+    leading = first.layout.offset(reg) == 0 and first.rows is not None
+    if leading:  # read dense, as teleport_qubits reads the leading register
+        w0 = first.layout.registers[0][1]
+        dense = np.zeros((n, 1 << w0, blocks.shape[1] // first.rows.size), blocks.dtype)
+        dense[:, first.rows] = blocks.reshape(n, first.rows.size, -1)
+        blocks = dense
+    post = first.n - first.layout.offset(reg) - w
+    a = blocks.reshape(n, -1, 1 << w, 1 << post)
+    before = a.shape[1]
+    uniforms = rng.random((n, w, 2))
+    bits = np.empty((n, w, 2), np.int64)
+    for k in range(w):
+        half = 0.5 * a.reshape(n, before << k, 2, -1)
+        sq = np.abs(half)
+        np.square(sq, out=sq)
+        p0 = sq.reshape(n, -1).sum(axis=1)
+        p1 = sq[:, :, ::-1].copy().reshape(n, -1).sum(axis=1)
+        s = p0 + p1
+        z = _draw_two(s, s, uniforms[:, k, 0])
+        x = _draw_two(p0 / s, p1 / s, uniforms[:, k, 1])
+        a = half / np.sqrt(np.where(x == 1, p1, p0))[:, None, None, None]
+        bits[:, k, 0], bits[:, k, 1] = z, x
+    if leading:
+        a = a.reshape(n, 1 << w0, -1)[:, first.rows]
+    moved = [StateVector(first.layout, block.reshape(-1), first.rows) for block in a.reshape(n, -1)]
+    return moved, bits
+
+
+def _draw_two(p0: np.ndarray, p1: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``draw`` between masses (p0[i], p1[i]) with uniform uniforms[i], for every i."""
+    total = p0 + p1
+    drift = ~(np.abs(total - 1.0) <= NORM_GUARD)  # NaN fails too
+    if drift.any():
+        raise RuntimeError(f"state norm drifted: probabilities sum to {total[drift][0]}")
+    u = uniforms * total
+    return np.where(u < p0, 0, np.where((u < total) | (p1 > 0), 1, 0))
 
 
 def append_register(state: StateVector, name: str, width: int) -> StateVector:

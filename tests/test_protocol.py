@@ -84,6 +84,21 @@ class TestParams:
             protocol.check_capacity(p, ENGINE_DISTRIBUTED, MODE_JOINT)
         protocol.check_capacity(p, ENGINE_DISTRIBUTED)
 
+    def test_sizes_are_computed_once_and_fields_decide_equality(self, monkeypatch):
+        used = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        sizes = (used.L, used.t1, used.t2, used.m_width, used.t_mono)
+        calls = []
+        widths = protocol.control_widths
+        monkeypatch.setattr(protocol, "control_widths", lambda *a: calls.append(a) or widths(*a))
+        for _ in range(3):
+            assert (used.L, used.t1, used.t2, used.m_width, used.t_mono) == sizes
+        assert calls == []
+        fresh = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+        assert "t2" not in repr(used) and fresh != ProtocolParams.derive(33, 5, Fraction(1, 4))
+        with pytest.raises(AttributeError):
+            used.t2 = 3
+
     def test_b_stage_multiplier(self):
         assert ProtocolParams.derive(15, 7).b_stage_multiplier == 4  # 7^2 mod 15
         assert ProtocolParams.derive(33, 2).b_stage_multiplier == 16  # 2^4 mod 33
@@ -211,6 +226,23 @@ class TestWorkRegisterLeads:
         finally:
             tracemalloc.stop()
         assert peak < 40 << 20
+
+    def test_joint_oracle_stores_no_joined_state(self):
+        # The N=13 a=2 joint state would store 12 work rows of 2^6 x 2^11
+        # amplitudes (24 MiB); its law is 2^6 x 2^11 floats (1 MiB).  The
+        # law is written block by block from the fold's products, so the
+        # oracle holds the law, node A's state, the control vector and one
+        # product block.
+        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
+        law = 8 << (params.t1 + params.t2)
+        distributed_joint_distribution(params, MODE_JOINT)  # keeps the class transforms
+        tracemalloc.start()
+        try:
+            distributed_joint_distribution(params, MODE_JOINT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law < peak < law + (1 << 20)
 
     def test_joint_oracle_shot_never_holds_a_dense_state(self):
         # The shot draws from the joint oracle's marginal, so it peaks no
@@ -523,6 +555,79 @@ class TestVectorizedStitching:
         assert stitched_value_distribution(joint, params) == (values, failed)
 
 
+def bincount_stitching(joint: np.ndarray, params: ProtocolParams) -> tuple[dict[int, float], float]:
+    """Reference stitching: one bincount over the positive entries in row-major order.
+
+    bincount adds each weight to its slot in input order; the slot past
+    every stitched value collects the outcomes with no correction bit.
+    """
+    m1, m2 = np.nonzero(joint > 0)
+    stitched, ok = protocol._stitch_arrays(m1, m2, params)
+    no_bit = 1 << params.m_width
+    sums = np.bincount(np.where(ok, stitched, no_bit), weights=joint[m1, m2], minlength=no_bit + 1)
+    keys = np.flatnonzero(sums[:no_bit])
+    return dict(zip(keys.tolist(), sums[keys].tolist())), float(sums[no_bit])
+
+
+def with_odd_entries(joint: np.ndarray, seed: int) -> np.ndarray:
+    """A copy of ``joint`` with a few hundred entries set to 0, -0.0, a negative or NaN."""
+    out = joint.copy()
+    rng = np.random.default_rng(seed)
+    spots = rng.choice(out.size, size=min(300, out.size // 2), replace=False)
+    out.reshape(-1)[spots] = rng.choice([0.0, -0.0, -0.25, -1e-300, math.nan], size=spots.size)
+    return out
+
+
+class TestRunStitching:
+    """``stitched_value_distribution`` adds whole runs of m2; it gives the bits
+    of the bincount over every positive entry in row-major order."""
+
+    @pytest.mark.parametrize(
+        "N, a, inverse_epsilon",
+        [(5, 1, 4), (7, 2, 10), (9, 2, 4), (11, 3, 4), (13, 2, 4), (15, 7, 10), (16, 3, 4)],
+    )
+    def test_matches_the_bincount(self, N, a, inverse_epsilon):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+        for mode in (MODE_SEQUENTIAL, MODE_JOINT):
+            law = distributed_joint_distribution(params, mode)
+            want = bincount_stitching(law, params)
+            assert repr(stitched_value_distribution(law, params)) == repr(want)
+            odd = with_odd_entries(law, seed=N * a)
+            with np.errstate(invalid="ignore"):
+                want = bincount_stitching(odd, params)
+            assert repr(stitched_value_distribution(odd, params)) == repr(want)
+
+    @pytest.mark.parametrize("N, a, p", [(3, 2, 1), (15, 7, 1), (33, 2, 1), (21, 2, 2)])
+    def test_random_laws_match_the_bincount(self, N, a, p):
+        # Every entry positive, NaN, negative or a zero of either sign.
+        params = ProtocolParams.with_padding(N, a, p)
+        rng = np.random.default_rng(N + p)
+        law = rng.random((1 << params.t1, 1 << params.t2))
+        law[rng.random(law.shape) < 0.3] = 0.0
+        odd = with_odd_entries(law, seed=p)
+        for joint in (law, odd, -law, np.zeros_like(law)):
+            with np.errstate(invalid="ignore"):
+                want = bincount_stitching(joint, params)
+            assert repr(stitched_value_distribution(joint, params)) == repr(want)
+
+    def test_holds_no_law_sized_temporary(self):
+        # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB).  Beside the dict
+        # it returns, stitching holds the rows of the law that correct to
+        # one prefix (3/64 of it) and one float per stitched value; building
+        # the dict holds about as much as the dict.
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            values, _ = stitched_value_distribution(law, params)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(values) > 1000
+        assert peak - held < law.nbytes // 4 + (held - base)
+
+
 class TestModeEquivalence:
     def test_exact_joint_distributions_match_at_small_padding(self):
         params = ProtocolParams.with_padding(15, 7, 1)
@@ -812,22 +917,97 @@ def within_bound(v: int, params: ProtocolParams, r: int) -> bool:
 SMALL_CASES = [(N, a) for N in range(3, 17) for a in range(1, N) if math.gcd(a, N) == 1]
 
 
-@functools.cache
+_LAW_SUMMARIES: dict[tuple[int, int, int], tuple[bytes, float, np.ndarray]] = {}
+
+
+def keep_law_summary(law: np.ndarray, N: int, a: int, inverse_epsilon: int) -> None:
+    """Keep the summary of the exact sequential law of (N, a, 1/inverse_epsilon)."""
+    params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+    values, _ = stitched_value_distribution(law, params)
+    r = multiplicative_order(a, N)
+    success = sum(p for v, p in values.items() if within_bound(v, params, r))
+    summary = hashlib.sha256(law.tobytes()).digest(), success, np.fromiter(values, np.int64)
+    _LAW_SUMMARIES[N, a, inverse_epsilon] = summary
+
+
 def sequential_law_summary(
     N: int, a: int, inverse_epsilon: int
 ) -> tuple[bytes, float, np.ndarray]:
     """(sha256 of the exact sequential law's bytes, its stitched success mass,
     the stitched values with mass).
 
-    Built once per session for the tests that share it; the laws themselves
-    (up to 4 MiB each) are not kept.
+    Built once per session for the tests that share it, or kept by
+    ``TestFoldedEstimates`` from the law it builds; the laws themselves (up
+    to 4 MiB each) are not kept.
     """
-    params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
-    law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-    values, _ = stitched_value_distribution(law, params)
-    r = multiplicative_order(a, N)
-    success = sum(p for v, p in values.items() if within_bound(v, params, r))
-    return hashlib.sha256(law.tobytes()).digest(), success, np.fromiter(values, np.int64)
+    if (N, a, inverse_epsilon) not in _LAW_SUMMARIES:
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+        law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        keep_law_summary(law, N, a, inverse_epsilon)
+    return _LAW_SUMMARIES[N, a, inverse_epsilon]
+
+
+def plain_estimate(state, control, target, multiplier, modulus):
+    """The two kernels that ``statevec.apply_phase_estimation`` stands for, in turn."""
+    statevec = protocol.statevec
+    joined = statevec.apply_controlled_modmul(state, control, target, multiplier, modulus)
+    return statevec.apply_inverse_qft(joined, control.layout.names[0])
+
+
+def plain_law(state, control, target, multiplier, modulus):
+    """``plain_estimate``'s state, marginalized as ``statevec.phase_estimation_law`` does."""
+    joined = plain_estimate(state, control, target, multiplier, modulus)
+    return protocol.statevec.marginal_probabilities(joined, joined.layout.names[1:])
+
+
+FOLD_TOL = 1e-15  # the fold and the per-row FFT round differently
+
+
+class TestFoldedEstimates:
+    """Every law from ``apply_phase_estimation`` and ``phase_estimation_law``
+    against the same law with each estimate run as a controlled
+    multiplication, then an inverse QFT.  The sequential law it builds is
+    kept for ``sequential_law_summary``."""
+
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
+    @pytest.mark.parametrize("N, a", [(2, 1), *SMALL_CASES])
+    def test_laws_match_the_two_kernels(self, N, a, inverse_epsilon, monkeypatch):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+
+        def laws():
+            after_a = protocol._a_stage(params)
+            return (
+                protocol.statevec.register_probabilities(after_a, "ctrl_a"),
+                monolithic_exact_distribution(params),
+                distributed_joint_distribution(params, MODE_JOINT),
+                distributed_joint_distribution(params, MODE_SEQUENTIAL),
+            )
+
+        node_a, mono, joint, seq = laws()
+        keep_law_summary(seq, N, a, inverse_epsilon)
+        monkeypatch.setattr(protocol.statevec, "apply_phase_estimation", plain_estimate)
+        monkeypatch.setattr(protocol.statevec, "phase_estimation_law", plain_law)
+        want = laws()
+        # Every first estimate starts from one row, so it takes the plain path.
+        assert np.array_equal(node_a, want[0]) and np.array_equal(mono, want[1])
+        for got, ref in ((joint, want[2]), (seq, want[3])):
+            assert np.max(np.abs(got - ref)) <= FOLD_TOL
+            assert np.array_equal(got == 0, ref == 0)
+
+    def test_node_b_at_33_matches_the_two_kernels(self, monkeypatch):
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        after_a = protocol._a_stage(params)
+        m1_law = protocol.statevec.register_probabilities(after_a, "ctrl_a")
+        for m1 in np.flatnonzero(m1_law > 1e-3)[:4]:
+            got = protocol._node_b(after_a, int(m1), params, protocol.ClassicalChannel(),
+                                   np.random.default_rng(1))
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol.statevec, "apply_phase_estimation", plain_estimate)
+                want = protocol._node_b(after_a, int(m1), params, protocol.ClassicalChannel(),
+                                        np.random.default_rng(1))
+            assert got[0] == want[0]
+            assert np.max(np.abs(got[1] - want[1])) <= FOLD_TOL
+            assert np.array_equal(got[1] == 0, want[1] == 0)
 
 
 class TestTheorem2Exact:
@@ -866,59 +1046,6 @@ class TestTheorem2Exact:
             record = OutcomeRecord(engine=ENGINE_DISTRIBUTED, m=BitString(params.m_width, v))
             expected = classify_outcome(record, params, r).estimate_within_bound
             assert within_bound(v, params, r) == expected
-
-
-def plain_estimate(state, control, target, multiplier, modulus):
-    """The two kernels that ``statevec.apply_phase_estimation`` stands for, in turn."""
-    statevec = protocol.statevec
-    joined = statevec.apply_controlled_modmul(state, control, target, multiplier, modulus)
-    return statevec.apply_inverse_qft(joined, control.layout.names[0])
-
-
-FOLD_TOL = 1e-15  # the fold and the per-row FFT round differently
-
-
-class TestFoldedEstimates:
-    """Every law from ``apply_phase_estimation`` against the same law with
-    each estimate run as a controlled multiplication, then an inverse QFT."""
-
-    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
-    @pytest.mark.parametrize("N, a", [(2, 1), *SMALL_CASES])
-    def test_laws_match_the_two_kernels(self, N, a, inverse_epsilon, monkeypatch):
-        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
-
-        def laws():
-            after_a = protocol._a_stage(params)
-            return (
-                protocol.statevec.register_probabilities(after_a, "ctrl_a"),
-                monolithic_exact_distribution(params),
-                distributed_joint_distribution(params, MODE_JOINT),
-                distributed_joint_distribution(params, MODE_SEQUENTIAL),
-            )
-
-        node_a, mono, joint, seq = laws()
-        monkeypatch.setattr(protocol.statevec, "apply_phase_estimation", plain_estimate)
-        want = laws()
-        # Every first estimate starts from one row, so it takes the plain path.
-        assert np.array_equal(node_a, want[0]) and np.array_equal(mono, want[1])
-        for got, ref in ((joint, want[2]), (seq, want[3])):
-            assert np.max(np.abs(got - ref)) <= FOLD_TOL
-            assert np.array_equal(got == 0, ref == 0)
-
-    def test_node_b_at_33_matches_the_two_kernels(self, monkeypatch):
-        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
-        after_a = protocol._a_stage(params)
-        m1_law = protocol.statevec.register_probabilities(after_a, "ctrl_a")
-        for m1 in np.flatnonzero(m1_law > 1e-3)[:4]:
-            got = protocol._node_b(after_a, int(m1), params, protocol.ClassicalChannel(),
-                                   np.random.default_rng(1))
-            with monkeypatch.context() as patch:
-                patch.setattr(protocol.statevec, "apply_phase_estimation", plain_estimate)
-                want = protocol._node_b(after_a, int(m1), params, protocol.ClassicalChannel(),
-                                        np.random.default_rng(1))
-            assert got[0] == want[0]
-            assert np.max(np.abs(got[1] - want[1])) <= FOLD_TOL
-            assert np.array_equal(got[1] == 0, want[1] == 0)
 
 
 def per_m1_law(params: ProtocolParams) -> np.ndarray:
@@ -1002,45 +1129,53 @@ class TestStackedOracle:
             monkeypatch.setattr(protocol, "_MIN_MASS", cut)
         whole = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         live = np.count_nonzero(whole.sum(axis=1))
-        r = multiplicative_order(a, N)
-        monkeypatch.setattr(protocol, "_STACK_AMPS", columns * r << params.t2)
-        stages = []
-        stage = protocol._b_stage
-        monkeypatch.setattr(protocol, "_b_stage", lambda *args: stages.append(1) or stage(*args))
+        monkeypatch.setattr(protocol, "_stack_columns", lambda _params: columns)
+        laws = []
+        b_law = protocol._b_law
+        monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
         parts = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert len(stages) == -(-live // columns) > 1
+        assert len(laws) == -(-live // columns) > 1
         assert cut is None or live % columns
         assert parts.tobytes() == whole.tobytes()
 
+    # N=13 a=2 (64 live m1) in chunks of 4, and N=15 a=7 (r = 4, so one law
+    # per m1).  The chunks' states, in call order, are the live conditionals
+    # in m1 order, and each one comes out as teleport_qubits leaves it, with
+    # the bits it draws, from one replayed generator.
     @pytest.mark.parametrize("N, a", [(13, 2), (15, 7)])
     def test_teleports_once_per_live_m1_in_order(self, N, a, monkeypatch):
         params = ProtocolParams.derive(N, a, Fraction(1, 4))
+        statevec = protocol.statevec
+        if N == 13:
+            monkeypatch.setattr(protocol, "_stack_columns", lambda _params: 4)
+        columns = protocol._stack_columns(params)
         calls = []
-        teleport = protocol.teleport_register
+        teleport = statevec.teleport_states
 
-        def record(state, reg, channel, pool, rng):
-            sent = state.block.copy()
-            moved = teleport(state, reg, channel, pool, rng)
-            calls.append((sent, moved.block.copy(), channel, pool))
-            return moved
+        def record(states, reg, rng):
+            sent = [st.block.copy() for st in states]
+            moved, bits = teleport(states, reg, rng)
+            calls.append((sent, moved, bits))
+            return moved, bits
 
-        monkeypatch.setattr(protocol, "teleport_register", record)
+        monkeypatch.setattr(statevec, "teleport_states", record)
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         after_a = protocol._a_stage(params)
         live = live_m1(params, after_a)
-        assert len(calls) == len(live) == np.count_nonzero(law.sum(axis=1))
+        assert all(len(sent) == columns for sent, _, _ in calls)
+        sent = [block for chunk, _, _ in calls for block in chunk]
+        moved = [st for _, chunk, _ in calls for st in chunk]
+        bits = np.concatenate([chunk for _, _, chunk in calls])
+        assert len(sent) == len(live) == np.count_nonzero(law.sum(axis=1))
         replay = np.random.default_rng(0)
-        statevec = protocol.statevec
-        for m1, (sent, moved, channel, pool) in zip(live, calls):
+        for i, m1 in enumerate(live):
             want = statevec.remove_register(
                 statevec.project_register(after_a, "ctrl_a", m1)[1], "ctrl_a"
             )
-            assert sent.tobytes() == want.block.tobytes()
-            again = teleport(want, "work", protocol.ClassicalChannel(), protocol.EprPool(params.L),
-                             replay)
-            assert moved.tobytes() == again.block.tobytes()
-            assert (pool.consumed, pool.allocated) == (params.L, params.L)
-            assert channel.bit_count == 2 * params.L
+            assert sent[i].tobytes() == want.block.tobytes()
+            again, again_bits = statevec.teleport_qubits(want, "work", replay)
+            assert moved[i].block.tobytes() == again.block.tobytes()
+            assert bits[i].tolist() == [list(pair) for pair in again_bits]
 
     def test_stacks_stay_within_the_qubit_guard(self):
         # A stacked stage holds L + t2 qubits plus the stack register's; every
@@ -1076,20 +1211,24 @@ class TestStackedOracle:
             params, MODE_SEQUENTIAL
         )
         monkeypatch.setattr(protocol.statevec, "MAX_QUBITS", params.L + params.t2 + room)
-        runs = []
-        stage = protocol._b_stage
-        monkeypatch.setattr(protocol, "_b_stage", lambda *args: runs.append(1) or stage(*args))
+        laws = []
+        b_law = protocol._b_law
+        monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
         got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert len(runs) == stages
+        assert len(laws) == stages
         assert got.tobytes() == want.tobytes()
 
-    def test_one_stacked_stage_is_alive_at_a_time(self):
-        # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB) and a stage 8
-        # stacked conditionals of 10 rows of 2^14 amplitudes (20 MiB); 16
-        # chunks run, and a chunk's stage is gone before the next one runs.
+    def test_holds_the_law_and_one_chunks_law(self):
+        # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB).  Its 128 live m1
+        # run as 2 chunks of 64, and a chunk's law is 64 x 2^14 floats
+        # (8 MiB); no node-B state is stored, and a chunk's law is gone
+        # before the next one is built.  Beside the two laws the oracle
+        # holds node A's state, the control vector (0.25 MiB) and one
+        # product block.
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        assert protocol._stack_columns(params) == 64
         law = 8 << (params.t1 + params.t2)
-        stage = 16 * 10 * protocol._stack_columns(params) << params.t2
+        chunk = 8 * 64 << params.t2
         distributed_joint_distribution(params, MODE_SEQUENTIAL)  # keeps the class transforms
         tracemalloc.start()
         try:
@@ -1097,7 +1236,29 @@ class TestStackedOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert law + stage < peak < law + 2 * stage
+        assert law + chunk < peak < law + chunk + (1 << 20)
+
+
+class TestBatchedTeleport:
+    """``statevec.teleport_states`` moves every live conditional of a law in
+    one pass, with the bits ``teleport_qubits`` gives each one in turn."""
+
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
+    @pytest.mark.parametrize("N, a", SMALL_CASES)
+    def test_is_teleport_qubits_on_each_conditional(self, N, a, inverse_epsilon):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+        statevec = protocol.statevec
+        after_a = protocol._a_stage(params)
+        _, _, conds = statevec.condition_register(after_a, "ctrl_a", protocol._MIN_MASS)
+        rngs = np.random.default_rng(0), np.random.default_rng(0)
+        moved, bits = statevec.teleport_states(conds, "work", rngs[0])
+        assert len(moved) == len(conds) and bits.shape == (len(conds), params.L, 2)
+        for cond, got, got_bits in zip(conds, moved, bits):
+            want, want_bits = statevec.teleport_qubits(cond, "work", rngs[1])
+            assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
+            assert got.block.tobytes() == want.block.tobytes()
+            assert got_bits.tolist() == [list(pair) for pair in want_bits]
+        assert rngs[0].random() == rngs[1].random()
 
 
 def refuse_build(*_args):
@@ -1150,22 +1311,23 @@ class TestKeptTransforms:
 
     def test_a_run_builds_the_transforms_once(self, monkeypatch):
         # 20 shots at N=21 a=2 run node B 20 times.  The sequential oracle
-        # runs it once per stack: all 2^t1 = 128 values of m1 have mass, and
-        # a stack holds 16 of them (r = 6 rows of 2^t2 amplitudes each, 16
-        # the largest power of two within 2^21 amplitudes), so 8 stages.
+        # takes node B's law once per stack: all 2^t1 = 128 values of m1
+        # have mass, and a stack holds 64 of them (L + t2 = 20 qubits leave
+        # room for a 6-qubit stack register), so 2 laws.
         params = ProtocolParams.derive(21, 2, Fraction(1, 4))
         transforms = protocol.statevec._uniform_transforms
-        stages = []
-        stage = protocol._b_stage
+        stages, laws = [], []
+        stage, b_law = protocol._b_stage, protocol._b_law
         monkeypatch.setattr(protocol, "_b_stage", lambda *args: stages.append(1) or stage(*args))
+        monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
         transforms.cache_clear()
         run_shots(params, 20, seed=5)
-        assert (transforms.cache_info().misses, len(stages)) == (1, 20)
+        assert (transforms.cache_info().misses, len(stages), len(laws)) == (1, 20, 0)
         transforms.cache_clear()
-        del stages[:]
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         assert transforms.cache_info().misses == 1
-        assert np.count_nonzero(law.sum(axis=1)) == 128 and len(stages) == 8
+        assert np.count_nonzero(law.sum(axis=1)) == 128
+        assert (len(stages), len(laws)) == (20, 2)
 
     @pytest.mark.parametrize("N, a", [(15, 1), (7, 2)])
     def test_a_run_that_cannot_fold_keeps_none(self, N, a, monkeypatch):

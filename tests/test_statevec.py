@@ -780,6 +780,81 @@ class TestKeptTransforms:
         assert transforms(6, 3) is not first
 
 
+def stage_marginal(state, control, target, multiplier, modulus) -> np.ndarray:
+    """``apply_phase_estimation``'s state, marginalized over every register but the target."""
+    joined = apply_phase_estimation(state, control, target, multiplier, modulus)
+    return statevec._born_marginal(joined, joined.layout.names[1:])
+
+
+def stacked_states(count: int, width: int) -> StateVector:
+    """``count`` conditionals on the rows 2, 5 and 11, stacked in a ``width``-qubit register."""
+    full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
+    states = statevec.condition_register(full, "r", 1e-300)[2][:count]
+    return statevec.stack_states(states, "s", width)
+
+
+# (state, control, target, multiplier, modulus, folds): node B at N=33; a
+# stack; two registers beside the target, as the joint oracle's node B has;
+# a first estimate (F = P); a period too long to fold; controls that are not
+# the uniform fill.
+LAW_CASES = {
+    "single": lambda: (node_b_at_33(), uniform_control(14), "work", 16, 33, True),
+    "stacked": lambda: (stacked_states(5, 3), uniform_control(9), "w", 3, 13, True),
+    "two-registers": lambda: (
+        compact_twin(row_sparse_state([("work", 4), ("x", 2), ("y", 1)], [1, 5, 8, 12], seed=3)),
+        uniform_control(7), "work", 5, 13, True,
+    ),
+    "first": lambda: (
+        init_basis(RegisterLayout.of(("work", 6)), {"work": 1}), uniform_control(9), "work", 2, 33,
+        False,
+    ),
+    "long-period": lambda: (
+        compact_twin(StateVector.from_amplitudes(
+            RegisterLayout.of(("work", 7)),
+            np.where(np.arange(128) < 40, 1 / math.sqrt(40), 0) + 0j,
+        )),
+        uniform_control(7), "work", 3, 101, False,
+    ),
+    "random-control": lambda: (node_b_at_33(), random_control(14, seed=3), "work", 16, 33, False),
+    "one-ulp": lambda: (
+        node_b_at_33(), nearly_uniform_control(14, 9, complex(np.nextafter(FILL_14, 1), 0.0)),
+        "work", 16, 33, False,
+    ),
+}
+
+
+class TestPhaseEstimationLaw:
+    """``phase_estimation_law`` gives bitwise the Born marginal of the state
+    ``apply_phase_estimation`` gives, over every register but the target,
+    without storing that state when it folds."""
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_is_the_stage_and_its_marginal(self, case, modmul_calls):
+        state, control, target, multiplier, modulus, folds = LAW_CASES[case]()
+        want = stage_marginal(state, control, target, multiplier, modulus)
+        del modmul_calls[:]
+        got = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+        assert len(modmul_calls) == (not folds)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["single", "stacked", "two-registers"])
+    def test_is_bitwise_the_same_cold_and_warm(self, case):
+        state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
+        transforms = statevec._uniform_transforms
+        transforms.cache_clear()
+        cold = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+        warm = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+        info = transforms.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_input_states_are_not_modified(self):
+        state, control, target, multiplier, modulus, _ = LAW_CASES["stacked"]()
+        before = (state.block.copy(), control.amps.copy())
+        statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+        assert np.array_equal(state.block, before[0]) and np.array_equal(control.amps, before[1])
+
+
 class TestFourier:
     def test_inverse_qft_maps_phase_state_to_basis(self):
         # omega = j/2^t must come back as exactly |j>, here j=5, t=4

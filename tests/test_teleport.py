@@ -196,3 +196,62 @@ class TestTwoMassKernel:
         assert np.array_equal(got.block, want.block)
         assert np.array_equal(got.rows, want.rows)
         assert rngs[0].random() == rngs[1].random()
+
+
+def shared_states(regs, compact: bool, count: int, seed: int) -> list[StateVector]:
+    """``count`` random states on one layout; with ``compact``, c leads and
+    each stores rows 1, 3, 4 and 7."""
+    states = [random_state(RegisterLayout.of(*regs), seed + i) for i in range(count)]
+    if not compact:
+        return states
+    rows = np.array([1, 3, 4, 7])
+    out = []
+    for st in states:
+        lead = st.amps.reshape(1 << regs[0][1], -1)[rows]
+        out.append(StateVector(st.layout, (lead / np.linalg.norm(lead)).reshape(-1), rows))
+    return out
+
+
+class TestTeleportStates:
+    """``teleport_states`` gives each state the amplitudes and bits that
+    ``teleport_qubits`` gives it, called on the states in turn with the same
+    generator, and leaves the generator where those calls leave it."""
+
+    @pytest.mark.parametrize(
+        "regs, compact",
+        [
+            ([("c", 1)], False),
+            ([("c", 3)], False),
+            ([("a", 2), ("c", 4), ("b", 3)], False),
+            ([("a", 3), ("c", 6)], False),
+            ([("c", 3)], True),
+            ([("c", 4), ("a", 5)], True),
+        ],
+    )
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_is_teleport_qubits_on_each_state(self, regs, compact, count):
+        states = shared_states(regs, compact, count, seed=7 * count)
+        rngs = np.random.default_rng(count), np.random.default_rng(count)
+        moved, bits = statevec.teleport_states(states, "c", rngs[0])
+        width = dict(regs)["c"]
+        assert bits.shape == (count, width, 2)
+        for st, got, got_bits in zip(states, moved, bits):
+            want, want_bits = statevec.teleport_qubits(st, "c", rngs[1])
+            assert got.layout == want.layout
+            assert (got.rows is None) == (want.rows is None)
+            assert want.rows is None or np.array_equal(got.rows, want.rows)
+            assert got.block.tobytes() == want.block.tobytes()
+            assert got_bits.tolist() == [list(pair) for pair in want_bits]
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_norm_drift_raises(self):
+        states = shared_states([("c", 2), ("a", 1)], False, 3, seed=1)
+        states[1] = StateVector(states[1].layout, 1.1 * states[1].block)
+        with pytest.raises(RuntimeError, match="drifted"):
+            statevec.teleport_states(states, "c", np.random.default_rng(0))
+
+    def test_refuses_states_that_do_not_share_rows(self):
+        states = shared_states([("c", 3)], True, 2, seed=1)
+        other = StateVector(states[1].layout, states[1].block, np.array([0, 3, 4, 7]))
+        with pytest.raises(ValueError, match="share"):
+            statevec.teleport_states([states[0], other], "c", np.random.default_rng(0))
