@@ -217,25 +217,37 @@ def correct_results(
     b in {-1, 0, +1} aligns them mod 4, that same b aligns A's whole
     prefix (the overlap test on two bits is equivalent to the full-width
     test whenever the two estimates are circularly within 1), so the
-    corrected prefix is concatenated with B's bits 3..t2.  Returns
-    (correction bit, stitched estimate), or None when the overlap values
-    differ by 2 mod 4 -- the shot fell outside the guaranteed event and
-    counts as a failure.
+    corrected prefix is concatenated with B's bits 3..t2 (``_stitch_arrays``).
+    Returns (correction bit, stitched estimate), or None when the overlap
+    values differ by 2 mod 4 -- the shot fell outside the guaranteed event
+    and counts as a failure.
     """
-    half = params.L // 2
     if m1.width != params.t1 or m2.width != params.t2:
         raise ValueError(
             f"expected widths ({params.t1}, {params.t2}), got ({m1.width}, {m2.width})"
         )
-    overlap_a = m1.slice(half, half + 1).value
-    overlap_b = m2.slice(1, 2).value
-    for b in (-1, 0, 1):
-        if (overlap_a + b) % 4 == overlap_b:
-            prefix_width = half + 1
-            prefix_val = (m1.slice(1, prefix_width).value + b) % (1 << prefix_width)
-            stitched = BitString(prefix_width, prefix_val).concat(m2.slice(3, params.t2))
-            return b, stitched
-    return None
+    stitched, ok, bit = _stitch_arrays(m1.value, m2.value, params)
+    return (bit, BitString(params.m_width, stitched)) if ok else None
+
+
+def _stitch_arrays(m1, m2, params: ProtocolParams):
+    """The stitching rule on measured values: Python ints, or int arrays element-wise.
+
+    Returns (stitched value, ok, correction bit).  A's prefix is its top
+    L/2 + 1 bits, ending in its two overlap bits; the bit b in {-1, 0, +1}
+    is B's two leading bits minus those, mod 4; the stitched value is the
+    prefix plus b, mod 2^(L/2+1), followed by B's bits 3..t2.  Where ok is
+    False the overlap values differ by 2 mod 4 and the other two are
+    meaningless.
+    """
+    prefix_width = params.L // 2 + 1
+    tail = params.t2 - 2
+    prefix = m1 >> (params.t1 - prefix_width)  # ends in A's two overlap bits
+    diff = ((m2 >> tail) - prefix) & 3  # 0, 1 or 3 (= -1) is the correction bit
+    bit = diff - 4 * (diff == 3)
+    prefix = (prefix + bit) & ((1 << prefix_width) - 1)
+    stitched = (prefix << tail) | (m2 & ((1 << tail) - 1))
+    return stitched, diff != 2, bit
 
 
 def check_capacity(params: ProtocolParams, engine: str, mode: str = MODE_SEQUENTIAL) -> None:
@@ -271,38 +283,27 @@ def _uniform_control(ctrl: str, width: int) -> StateVector:
     return statevec.apply_hadamard_register(control, ctrl)
 
 
-def _estimate(st: StateVector, ctrl: str, width: int, multiplier: int, N: int) -> StateVector:
-    """One node's phase estimation of ``multiplier`` on the work register of ``st``.
-
-    The control register ``ctrl`` (``_uniform_control``) is joined to ``st``
-    as its last register by ``statevec.apply_phase_estimation``, which also
-    applies the inverse QFT to it; the stage holds one state-sized block.
-    """
-    control = _uniform_control(ctrl, width)
-    return statevec.apply_phase_estimation(st, control, _WORK, multiplier, N)
-
-
 def _work_one(params: ProtocolParams) -> StateVector:
     """A fresh work register holding 1: the state stores that one row."""
     return statevec.init_basis(RegisterLayout.of((_WORK, params.L)), {_WORK: 1})
 
 
-def _first_estimate(params: ProtocolParams, ctrl: str, width: int) -> StateVector:
-    """Phase estimation of a on a fresh state: work = 1, control ``ctrl`` estimated.
-
-    The work register leads, so the state stores one row (work = 1) until
-    the modular multiplication maps it onto the powers of a.
-    """
-    return _estimate(_work_one(params), ctrl, width, params.a, params.N)
-
-
 def _a_stage(params: ProtocolParams) -> StateVector:
-    return _first_estimate(params, _CTRL_A, params.t1)
+    """Node A's estimate of a on a fresh state: work = 1 leads, ctrl_a is joined last.
+
+    The state stores one row (work = 1) until the modular multiplication
+    maps it onto the powers of a.
+    """
+    control = _uniform_control(_CTRL_A, params.t1)
+    return statevec.apply_phase_estimation(_work_one(params), control, _WORK, params.a, params.N)
 
 
 def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
     """Node B's estimate: joins ctrl_b to ``st`` and estimates a^(2^(L/2-1))."""
-    return _estimate(st, _CTRL_B, params.t2, params.b_stage_multiplier, params.N)
+    control = _uniform_control(_CTRL_B, params.t2)
+    return statevec.apply_phase_estimation(
+        st, control, _WORK, params.b_stage_multiplier, params.N
+    )
 
 
 def _b_law(st: StateVector, params: ProtocolParams) -> np.ndarray:
@@ -372,17 +373,18 @@ def distributed_joint_distribution(
     """Exact joint distribution over (m1, m2) as a (2^t1, 2^t2) array.
 
     The joint-oracle path is the law of ctrl_a and ctrl_b after node B's
-    estimate on node A's unmeasured state.  The sequential path does what
-    ``_node_b`` does for each m1, with the same bits up to the fold: it
-    conditions node A's state on every m1 at once
-    (``statevec.condition_register``), teleports the work register of each
-    m1 with mass in m1 order, from one generator, one chunk at a time in
-    one pass (``statevec.teleport_states``), and takes node B's law once per
-    chunk of those states, stacked as the values of one more register
-    (``statevec.stack_states``); each row is B's distribution weighted by
-    the outcome probability, written in place into the chunk's law.  Any
-    teleport branch gives the same conditional state, so one branch per m1
-    suffices.  Every law comes from ``statevec.phase_estimation_law``, which
+    estimate on node A's unmeasured state.  The sequential path gives, up to
+    the fold, what ``_node_b`` gives for each m1.  It teleports node A's
+    work register once per law (``teleport_register``, with a throwaway
+    channel and pool and branches drawn from ``default_rng(0)``): a
+    teleport gives the same state on every branch, and it acts on the work
+    register, not on ctrl_a, so it commutes with measuring m1.  It then
+    conditions the teleported state on every m1 at once
+    (``statevec.condition_register``) and takes node B's law once per chunk
+    of the conditionals of the m1 with mass, stacked as the values of one
+    more register (``statevec.stack_states``); each row is B's distribution
+    weighted by the outcome probability, written in place into the chunk's
+    law.  Every law comes from ``statevec.phase_estimation_law``, which
     never stores node B's joined state; a chunk holds at most
     ``_stack_columns`` states, so that the stack register keeps node B's
     layout within ``MAX_QUBITS`` qubits.
@@ -396,15 +398,16 @@ def distributed_joint_distribution(
     if mode != MODE_SEQUENTIAL:
         raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED)
-    after_a = _a_stage(params)
-    p1, live, conds = statevec.condition_register(after_a, _CTRL_A, _MIN_MASS)
+    moved = teleport_register(
+        _a_stage(params), _WORK, ClassicalChannel(), EprPool(params.L), np.random.default_rng(0)
+    )
+    p1, live, conds = statevec.condition_register(moved, _CTRL_A, _MIN_MASS)
     joint = np.zeros((1 << params.t1, 1 << params.t2))
     chunks = -(-live.size // _stack_columns(params))
     width = ceil_log2(-(-live.size // chunks))
-    branch_rng = np.random.default_rng(0)  # teleport branch choice is immaterial
     for part in np.array_split(np.arange(live.size), chunks):
-        moved, _ = statevec.teleport_states([conds[i] for i in part], _WORK, branch_rng)
-        st = statevec.stack_states(moved, _STACK, width) if width else moved[0]
+        states = [conds[i] for i in part]
+        st = statevec.stack_states(states, _STACK, width) if width else states[0]
         law = _b_law(st, params).reshape(1 << width, -1)[: part.size]
         m1 = live[part]
         law *= p1[m1, None]
@@ -429,25 +432,6 @@ def _stack_columns(params: ProtocolParams) -> int:
     if r & (r - 1) == 0:
         return 1
     return 1 << max(statevec.MAX_QUBITS - params.L - params.t2, 0)
-
-
-def _stitch_arrays(
-    m1: np.ndarray, m2: np.ndarray, params: ProtocolParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """``correct_results`` over arrays of measured values.
-
-    Returns (stitched value, ok) element-wise; where ok is False the overlap
-    values differ by 2 mod 4 and the stitched value is meaningless.
-    """
-    prefix_width = params.L // 2 + 1
-    tail = params.t2 - 2
-    prefix = m1 >> (params.t1 - prefix_width)  # ends in A's two overlap bits
-    diff = ((m2 >> tail) - prefix) & 3  # 0, 1 or 3 (= -1) is the correction bit
-    ok = diff != 2
-    bit = np.where(diff == 3, -1, diff)
-    prefix = (prefix + bit) & ((1 << prefix_width) - 1)
-    stitched = (prefix << tail) | (m2 & ((1 << tail) - 1))
-    return stitched, ok
 
 
 def stitched_value_distribution(

@@ -23,56 +23,55 @@ vector, and of those only ``teleport_qubits`` gives back the stored rows.
 state that stores fewer rows.
 
 Phase estimation prepares its control register as a state of its own: the
-Hadamard layer takes a fresh register in |0..0> to the uniform
-superposition, a vector of 2^t amplitudes.  The controlled
-modular multiplication joins that state to the work state as the last
-register and applies the basis permutation it semantically is (values >= the
-modulus are fixed points, which keeps the map a bijection and hence
-unitary), writing each joined amplitude once from the work state's stored
-rows through a gather table of the multiplier's inverse powers.  That table
-depends only on the row set, the sizes and the multiplier mod the modulus,
-so ``_gather_table`` keeps the last few process-wide as read-only arrays;
-each call still checks its inputs first and then only gathers its block.
-The Fourier transforms are applied as orthonormal FFTs along the register
-axis, written over the state they are given.  ``apply_phase_estimation`` is
-that multiplication followed by the inverse QFT on the joined control.  Each
-joined row repeats one period of P source amplitudes along the control axis
-(P the multiplier's order), so when the product costs no more than the FFTs
-it saves -- P * F <= (F - P) * t for F joined rows and a t-qubit control --
-it transforms the control's P residue classes mod P once and writes every
-row as a sum of P of them; otherwise, and always for an estimate that starts
-from one row (F = P), it runs the two kernels.  Every estimate's control is
-the uniform fill the Hadamard layer writes, so those transforms depend only
-on (t, P): the fold is taken only for a control that is bitwise that fill,
-and ``_uniform_transforms`` keeps them for one (t, P) at a time, held until
-another folding (t, P) replaces it, as one read-only float64 array R of
-rows (G_q, i * G_q), 2 * P * 2^t amplitudes.  The fold is then one real
-product: each joined row's P complex sources, viewed as 2P floats, times R.
-Any other control runs the two kernels.  ``phase_estimation_law`` gives the
-Born marginal of that state over every register but the target, bit for bit,
-without storing the state when it folds: it runs the fold's products a
-block at a time (the target rows of one other-register value by
-``_FOLD_CHUNK`` control values), squares each block in place, adds its
-target rows in row order and writes re^2 + im^2 straight into the law, so it
-holds the law, the sources and one block.  Gate-level decompositions are out of scope here --
-circuit-cost questions are answered analytically by the resources module.
+Hadamard layer takes a fresh register in |0..0> to the uniform superposition,
+a vector of 2^t amplitudes.  The controlled modular multiplication joins that
+state to the work state as the last register and applies the basis
+permutation it semantically is (values >= the modulus are fixed points, which
+keeps the map a bijection and hence unitary), writing each joined amplitude
+once from the work state's stored rows through a gather table of the
+multiplier's inverse powers.  That table depends only on the row set, the
+sizes and the multiplier mod the modulus, so ``_gather_table`` keeps the last
+few process-wide as read-only arrays; each call still checks its inputs, and
+each estimate gathers its block once.  The Fourier transforms are applied as
+orthonormal FFTs along the register axis, written over the state they are
+given.  ``apply_phase_estimation`` is that multiplication followed by the
+inverse QFT on the joined control.  Each joined row repeats one period of P
+source amplitudes along the control axis (P the multiplier's order), so when
+the product costs no more than the FFTs it saves -- P * F <= (F - P) * t for
+F joined rows and a t-qubit control -- it transforms the control's P residue
+classes mod P once and writes every row as a sum of P of them; otherwise, and
+always for an estimate that starts from one row (F = P), it runs the two
+kernels.  Every estimate's control is the uniform fill the Hadamard layer
+writes, so those transforms depend only on (t, P): the fold is taken only for
+a control that is bitwise that fill, and ``_uniform_transforms`` keeps them
+for one (t, P) at a time, held until another folding (t, P) replaces it, as
+one read-only float64 array R of rows (G_q, i * G_q), 2 * P * 2^t amplitudes.
+The fold is then one real product: each joined row's P complex sources,
+viewed as 2P floats, times R.  Any other control runs the two kernels.
+``phase_estimation_law`` gives the Born marginal of that state over every
+register but the target, bit for bit, without storing the state when it
+folds: it runs the fold's products a block at a time (the target rows of one
+other-register value by ``_FOLD_CHUNK`` control values), squares each block
+in place, adds its target rows in row order and writes re^2 + im^2 straight
+into the law, so it holds the law, the sources and one block.  Gate-level
+decompositions are out of scope here -- circuit-cost questions are answered
+analytically by the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
 ``condition_register`` projects onto every outcome of a register at once and
-drops it, with the bits of ``project_register`` and ``remove_register``;
-``teleport_states`` teleports states with one layout and row set in one
-pass, with the bits ``teleport_qubits`` gives each in turn; and
+drops it, with the bits of ``project_register`` and ``remove_register``; and
 ``stack_states`` lays such states side by side as the values of a new
 register: a batch, not a state, which every kernel on the other registers
-carries value by value.
+carries value by value.  ``teleport_qubits`` gives the same state on every
+branch and touches one register, so it commutes with conditioning another:
+the exact sequential law teleports node A's state once, then conditions it.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
 generator state fixes all outcomes.  A draw between two outcomes, as each
 teleported qubit makes twice, compares scalars and gives the bits of the
-cumulative-sum search; ``teleport_states`` takes its states' uniforms in
-one call, which gives the same numbers as one call per draw.
+cumulative-sum search.
 """
 
 from __future__ import annotations
@@ -323,19 +322,17 @@ def _gather_table(
     return image, src, bool((src == k).any())
 
 
-def _period_sources(
+def _join_table(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
-) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray]:
-    """Check a controlled multiplication and gather one period of its sources.
+) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray, bool]:
+    """Check a controlled multiplication and look up its gather table.
 
-    Returns (layout, rows, one): the layout with ``control`` joined last,
-    the row set of the joined state (None when every target value holds
-    amplitude; a read-only array shared with later calls otherwise), and
-    one[y, m, c]: the amplitude, at index m of the other registers, of the
-    stored row that multiplier^c maps onto the y-th output row, for c below
-    the multiplier's order (or below 2^t when that is smaller).  Every check
-    runs on each call; the gather table comes from ``_gather_table``, so a
-    call whose row set and sizes were seen before only gathers the block.
+    Returns (layout, rows, src, pad): the layout with ``control`` joined
+    last, the row set of the joined state (None when every target value
+    holds amplitude; a read-only array shared with later calls otherwise),
+    and ``_gather_table``'s src and pad for the state's row set.  Every
+    check runs on each call; a call whose row set and sizes were seen
+    before finds its table kept.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -351,10 +348,21 @@ def _period_sources(
         raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
     rows = None if state.rows is None else np.asarray(state.rows, np.int64).tobytes()
     image, src, pad = _gather_table(rows, n_tgt, multiplier % modulus, modulus, 1 << control.n)
-    block = state.block.reshape(n_tgt if rows is None else state.rows.size, -1)
+    return layout, None if image.size == n_tgt else image, src, pad
+
+
+def _period_sources(state: StateVector, src: np.ndarray, pad: bool) -> np.ndarray:
+    """one[y, m, c]: the amplitude, at index m of the other registers, of the
+    stored row that multiplier^c maps onto the y-th output row, for c below
+    the multiplier's order (or below 2^t when that is smaller).
+
+    ``src`` and ``pad`` are ``_join_table``'s for ``state``, whose target
+    leads; a slot that is not stored reads one zero row.
+    """
+    block = state.block.reshape(-1, 1 << (state.n - state.layout.registers[0][1]))
     if pad:  # slot k (not stored) reads one zero row
         block = np.concatenate([block, np.zeros_like(block[:1])])
-    return layout, None if image.size == n_tgt else image, block[src].transpose(0, 2, 1)
+    return block[src].transpose(0, 2, 1)
 
 
 def apply_controlled_modmul(
@@ -375,7 +383,8 @@ def apply_controlled_modmul(
     multiplier grows), and a source value that is not stored reads one zero
     row.
     """
-    layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
+    layout, rows, src, pad = _join_table(state, control, target, multiplier, modulus)
+    sources = _period_sources(state, src, pad)
     n_out, middle, period = sources.shape
     n_ctrl = 1 << control.n
     whole = n_ctrl - n_ctrl % period  # control values in whole periods
@@ -440,18 +449,22 @@ def _uniform_transforms(t: int, period: int) -> np.ndarray:
 
 def _fold_sources(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
-) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """``_period_sources``, and R when the estimate folds, None when it runs the two kernels.
+) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray, np.ndarray] | None:
+    """(layout, rows, sources, R) when the estimate folds, None when it runs the two kernels.
 
     The fold is taken when it costs no more than the per-row FFTs, i.e. when
-    P * F <= (F - P) * t, and the control is bitwise the uniform fill.
+    P * F <= (F - P) * t, and the control is bitwise the uniform fill.  The
+    gather table alone gives P (its columns) and F (its rows times the
+    other registers' values), so only a folding estimate gathers its
+    sources here; the two kernels gather them in ``apply_controlled_modmul``.
     """
-    layout, rows, sources = _period_sources(state, control, target, multiplier, modulus)
-    n_out, middle, period = sources.shape
+    layout, rows, src, pad = _join_table(state, control, target, multiplier, modulus)
+    n_out, period = src.shape
+    joined = n_out << (state.n - state.layout.registers[0][1])
     t = control.n
-    if _folds(period, n_out * middle, t) and _is_uniform(control.amps, t):
-        return layout, rows, sources, _uniform_transforms(t, period)
-    return layout, rows, sources, None
+    if not (_folds(period, joined, t) and _is_uniform(control.amps, t)):
+        return None
+    return layout, rows, _period_sources(state, src, pad), _uniform_transforms(t, period)
 
 
 def _fold_products(sources: np.ndarray, r: np.ndarray, out: np.ndarray | None = None):
@@ -511,10 +524,11 @@ def apply_phase_estimation(
     thousand multiply-adds or fewer there, instead of waking its thread
     pool, whose threads then spin between calls.
     """
-    layout, rows, sources, r = _fold_sources(state, control, target, multiplier, modulus)
-    if r is None:
-        st = apply_controlled_modmul(state, control, target, multiplier, modulus)  # gathers again
+    fold = _fold_sources(state, control, target, multiplier, modulus)
+    if fold is None:
+        st = apply_controlled_modmul(state, control, target, multiplier, modulus)
         return apply_inverse_qft(st, control.layout.names[0])
+    layout, rows, sources, r = fold
     out = np.empty((*sources.shape[:2], 1 << control.n), complex)
     for _ in _fold_products(sources, r, out.view(np.float64)):
         pass  # each product lands in its place in out
@@ -603,11 +617,12 @@ def phase_estimation_law(
     row order and writes re^2 + im^2 straight into the law.  Beside the law
     it holds the sources, one block and one row sum.
     """
-    layout, rows, sources, r = _fold_sources(state, control, target, multiplier, modulus)
-    if r is None:
+    fold = _fold_sources(state, control, target, multiplier, modulus)
+    if fold is None:
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)
         st = apply_inverse_qft(st, control.layout.names[0])
-        return _born_marginal(st, layout.names[1:])
+        return _born_marginal(st, st.layout.names[1:])
+    layout, rows, sources, r = fold
     law = np.empty((sources.shape[1], 1 << control.n))
     sums = np.empty(min(r.shape[1], 2 * _FOLD_CHUNK))
     for m, cols, block in _fold_products(sources, r):
@@ -692,21 +707,14 @@ def stack_states(states: Sequence[StateVector], name: str, width: int) -> StateV
     first = states[0]
     if len(states) > 1 << width:
         raise ValueError(f"{len(states)} states do not fit a {width}-qubit register")
-    _check_shared(states, "stacked")
+    for st in states:
+        same_rows = st.rows is None if first.rows is None else np.array_equal(st.rows, first.rows)
+        if st.layout != first.layout or not same_rows:
+            raise ValueError("stacked states must share their layout and rows")
     out = np.zeros((first.block.size, 1 << width), complex)
     for i, st in enumerate(states):
         out[:, i] = st.block
     return StateVector(first.layout.appended(name, width), out.reshape(-1), first.rows)
-
-
-def _check_shared(states: Sequence[StateVector], what: str) -> None:
-    first = states[0]
-    for st in states:
-        same_rows = (
-            st.rows is None if first.rows is None else np.array_equal(st.rows, first.rows)
-        )
-        if st.layout != first.layout or not same_rows:
-            raise ValueError(f"{what} states must share their layout and rows")
 
 
 def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -717,7 +725,9 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     takes what rounding leaves above the cumulative sum.  For two float64
     masses the cumulative sum is [p0, p0 + p1] and the total p0 + p1, so
     the draw compares u * total with p0 and the total as scalars, with no
-    array built: the same outcome from the same uniform.
+    array built: the same outcome from the same uniform.  Each teleported
+    qubit makes two such draws (``teleport_qubits``), in a shot's teleport
+    and in the one teleport of each exact sequential law.
     """
     two = probs.shape == (2,) and probs.dtype == np.float64
     if two:  # the cumsum is [p0, p0 + p1] and the sum p0 + p1: compare scalars
@@ -785,63 +795,6 @@ def teleport_qubits(
         rows = state.rows
         a = a.reshape(1 << state.layout.registers[0][1], -1)[rows]
     return StateVector(state.layout, a.reshape(-1), rows), bits
-
-
-def teleport_states(
-    states: Sequence[StateVector], reg: str, rng: np.random.Generator
-) -> tuple[list[StateVector], np.ndarray]:
-    """``teleport_qubits`` on each state in turn, in one pass over all of them.
-
-    The states share their layout and rows.  Gives, state by state, the
-    bits of ``teleport_qubits`` called on the states in order with ``rng``:
-    the 2 * width uniforms of each state are drawn at once, in the order
-    its draws take them; each state's two masses per qubit are summed
-    pairwise over its own contiguous squares, the x = 1 mass over the
-    reversed copy; the z and x draws compare as ``draw`` does, with its
-    norm guard and its last-outcome rule.
-
-    Returns (states, bits): bits[i, k] is state i's (z, x) for qubit k.
-    """
-    _check_shared(states, "teleported")
-    first = states[0]
-    n, w = len(states), first.layout.width(reg)
-    blocks = np.stack([st.block for st in states])
-    leading = first.layout.offset(reg) == 0 and first.rows is not None
-    if leading:  # read dense, as teleport_qubits reads the leading register
-        w0 = first.layout.registers[0][1]
-        dense = np.zeros((n, 1 << w0, blocks.shape[1] // first.rows.size), blocks.dtype)
-        dense[:, first.rows] = blocks.reshape(n, first.rows.size, -1)
-        blocks = dense
-    post = first.n - first.layout.offset(reg) - w
-    a = blocks.reshape(n, -1, 1 << w, 1 << post)
-    before = a.shape[1]
-    uniforms = rng.random((n, w, 2))
-    bits = np.empty((n, w, 2), np.int64)
-    for k in range(w):
-        half = 0.5 * a.reshape(n, before << k, 2, -1)
-        sq = np.abs(half)
-        np.square(sq, out=sq)
-        p0 = sq.reshape(n, -1).sum(axis=1)
-        p1 = sq[:, :, ::-1].copy().reshape(n, -1).sum(axis=1)
-        s = p0 + p1
-        z = _draw_two(s, s, uniforms[:, k, 0])
-        x = _draw_two(p0 / s, p1 / s, uniforms[:, k, 1])
-        a = half / np.sqrt(np.where(x == 1, p1, p0))[:, None, None, None]
-        bits[:, k, 0], bits[:, k, 1] = z, x
-    if leading:
-        a = a.reshape(n, 1 << w0, -1)[:, first.rows]
-    moved = [StateVector(first.layout, block.reshape(-1), first.rows) for block in a.reshape(n, -1)]
-    return moved, bits
-
-
-def _draw_two(p0: np.ndarray, p1: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``draw`` between masses (p0[i], p1[i]) with uniform uniforms[i], for every i."""
-    total = p0 + p1
-    drift = ~(np.abs(total - 1.0) <= NORM_GUARD)  # NaN fails too
-    if drift.any():
-        raise RuntimeError(f"state norm drifted: probabilities sum to {total[drift][0]}")
-    u = uniforms * total
-    return np.where(u < p0, 0, np.where((u < total) | (p1 > 0), 1, 0))
 
 
 def append_register(state: StateVector, name: str, width: int) -> StateVector:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from disq.bitstrings import MAX_WIDTH, BitString
 from disq.numeric import ceil_log2, multiplicative_order, recover_order
 from disq.protocol import ProtocolParams, _stitch_arrays, control_widths, correct_results
+from stitching_reference import slice_stitch
 
 fixed = settings(derandomize=True, deadline=None)
 
@@ -43,12 +44,15 @@ def test_stitch_arrays_matches_correct_results(L, p, data):
         )
     )
     m1, m2 = np.array(pairs, dtype=np.int64).T
-    stitched, ok = _stitch_arrays(m1, m2, params)
-    for (v1, v2), value, good in zip(pairs, stitched, ok):
-        expected = correct_results(BitString(params.t1, v1), BitString(params.t2, v2), params)
-        assert good == (expected is not None)
+    stitched, ok, bit = _stitch_arrays(m1, m2, params)
+    for (v1, v2), value, good, b in zip(pairs, stitched, ok, bit):
+        pair = BitString(params.t1, v1), BitString(params.t2, v2)
+        expected = slice_stitch(*pair, params)
+        got = correct_results(*pair, params)
+        assert got == expected and good == (expected is not None)
         if expected is not None:
-            assert value == expected[1].value
+            assert (b, value) == (expected[0], expected[1].value)
+            assert type(got[0]) is int  # a record's correction bit goes to json.dumps
 
 
 @fixed

@@ -27,6 +27,8 @@ from disq.protocol import (
     stitched_value_distribution,
     summarize,
 )
+from disq.teleport import ClassicalChannel, EprPool, teleport_register
+from stitching_reference import slice_stitch
 
 
 class TestParams:
@@ -169,10 +171,10 @@ class TestNodeBMemory:
 class TestWorkRegisterLeads:
     def test_first_estimate_stores_the_powers_of_the_base(self):
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
-        st = protocol._first_estimate(params, "ctrl", params.t_mono)
-        assert st.layout.names == ("work", "ctrl")
+        st = protocol._a_stage(params)
+        assert st.layout.names == ("work", "ctrl_a")
         assert st.rows.tolist() == sorted(pow(2, j, 33) for j in range(10))
-        assert st.block.size == 10 << params.t_mono
+        assert st.block.size == 10 << params.t1
 
     def test_monolithic_shot_never_holds_a_dense_state(self):
         # The dense single-node state for N=33 a=2 is 2^21 amplitudes (32 MiB).
@@ -529,13 +531,15 @@ class TestVectorizedStitching:
         m1, m2 = np.meshgrid(
             np.arange(1 << params.t1), np.arange(1 << params.t2), indexing="ij"
         )
-        stitched, ok = protocol._stitch_arrays(m1.ravel(), m2.ravel(), params)
+        stitched, ok, bit = protocol._stitch_arrays(m1.ravel(), m2.ravel(), params)
         for i, (v1, v2) in enumerate(zip(m1.ravel().tolist(), m2.ravel().tolist())):
-            ref = correct_results(BitString(params.t1, v1), BitString(params.t2, v2), params)
+            pair = BitString(params.t1, v1), BitString(params.t2, v2)
+            ref = slice_stitch(*pair, params)
+            assert correct_results(*pair, params) == ref
             if ref is None:
                 assert not ok[i]
             else:
-                assert ok[i] and int(stitched[i]) == ref[1].value
+                assert ok[i] and (int(bit[i]), int(stitched[i])) == (ref[0], ref[1].value)
 
     def test_distribution_equals_scalar_loop(self):
         params = ProtocolParams.with_padding(33, 2, 1)
@@ -562,7 +566,7 @@ def bincount_stitching(joint: np.ndarray, params: ProtocolParams) -> tuple[dict[
     every stitched value collects the outcomes with no correction bit.
     """
     m1, m2 = np.nonzero(joint > 0)
-    stitched, ok = protocol._stitch_arrays(m1, m2, params)
+    stitched, ok, _ = protocol._stitch_arrays(m1, m2, params)
     no_bit = 1 << params.m_width
     sums = np.bincount(np.where(ok, stitched, no_bit), weights=joint[m1, m2], minlength=no_bit + 1)
     keys = np.flatnonzero(sums[:no_bit])
@@ -1061,6 +1065,26 @@ def per_m1_law(params: ProtocolParams) -> np.ndarray:
     return joint
 
 
+def teleported_a_stage(params: ProtocolParams):
+    """Node A's state with its work register teleported, as the sequential oracle does it."""
+    channel, pool, rng = ClassicalChannel(), EprPool(params.L), np.random.default_rng(0)
+    return teleport_register(protocol._a_stage(params), "work", channel, pool, rng)
+
+
+def teleported_once_law(params: ProtocolParams) -> np.ndarray:
+    """The per-m1 loop over node A's state teleported once: each m1 with mass
+    projected, ctrl_a dropped and node B's stage run on that m1 alone."""
+    statevec = protocol.statevec
+    moved = teleported_a_stage(params)
+    joint = np.zeros((1 << params.t1, 1 << params.t2))
+    for m1 in range(1 << params.t1):
+        p1, st = statevec.project_register(moved, "ctrl_a", m1)
+        if st is not None and p1 >= protocol._MIN_MASS:
+            st = protocol._b_stage(statevec.remove_register(st, "ctrl_a"), params)
+            joint[m1, :] = p1 * statevec.register_probabilities(st, "ctrl_b")
+    return joint
+
+
 def single_stage_folds(params: ProtocolParams) -> bool:
     """Whether node B's stage on one m1's conditional (r rows, period P) takes the fold."""
     r = multiplicative_order(params.a, params.N)
@@ -1068,19 +1092,10 @@ def single_stage_folds(params: ProtocolParams) -> bool:
     return protocol.statevec._folds(period, r, params.t2)
 
 
-def live_m1(params: ProtocolParams, after_a) -> list[int]:
-    """The m1 values whose projection has mass at or above the oracle's cut, in order."""
-    masses = (
-        protocol.statevec.project_register(after_a, "ctrl_a", m1)[0]
-        for m1 in range(1 << params.t1)
-    )
-    return [m1 for m1, p in enumerate(masses) if p >= protocol._MIN_MASS]
-
-
 class TestStackedOracle:
-    """The sequential oracle conditions node A's state on every m1 at once,
-    teleports each live m1 in m1 order, and runs node B's stage on stacks of
-    the teleported states; each law is the per-m1 loop's up to the fold."""
+    """The sequential oracle teleports node A's state once, conditions it on
+    every m1 at once, and runs node B's stage on stacks of the conditionals;
+    each law is the per-m1 loop's up to the fold and the teleport's rounding."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
@@ -1099,24 +1114,23 @@ class TestStackedOracle:
                 assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
                 assert got.block.tobytes() == want.block.tobytes()
 
-    # A law whose single-m1 stage folds takes the same product for each row
-    # of the stack, and a law whose order is a power of two runs the single
-    # stages themselves: both keep the per-m1 bits.  Any other law's stages
-    # ran the two kernels and now fold.
+    # Every law is within the fold's and the teleport's rounding of shots'
+    # per-m1 law.  A law whose single-m1 stage folds takes the same product
+    # for each row of the stack, and a law whose order is a power of two runs
+    # the single stages themselves: both are the per-m1 loop over the
+    # once-teleported state bit for bit.
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", [(2, 1), *SMALL_CASES])
     def test_law_matches_the_per_m1_stages(self, N, a, inverse_epsilon):
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         want = per_m1_law(params)
         assert (want >= 0).all()
+        got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        assert np.max(np.abs(got - want)) <= FOLD_TOL
+        assert np.array_equal(got == 0, want == 0) and (got >= 0).all()
         r = multiplicative_order(a, N)
         if single_stage_folds(params) or r & (r - 1) == 0:
-            got, _, _ = sequential_law_summary(N, a, inverse_epsilon)
-            assert got == hashlib.sha256(want.tobytes()).digest()
-        else:
-            got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-            assert np.max(np.abs(got - want)) <= FOLD_TOL
-            assert np.array_equal(got == 0, want == 0) and (got >= 0).all()
+            assert got.tobytes() == teleported_once_law(params).tobytes()
 
     @pytest.mark.parametrize(
         "N, a, inverse_epsilon, columns, cut",
@@ -1138,44 +1152,47 @@ class TestStackedOracle:
         assert cut is None or live % columns
         assert parts.tobytes() == whole.tobytes()
 
-    # N=13 a=2 (64 live m1) in chunks of 4, and N=15 a=7 (r = 4, so one law
-    # per m1).  The chunks' states, in call order, are the live conditionals
-    # in m1 order, and each one comes out as teleport_qubits leaves it, with
-    # the bits it draws, from one replayed generator.
+    # N=13 a=2 stacks its 64 live m1, and N=15 a=7 (r = 4) takes one law
+    # per m1; either way node A's state is teleported once, from
+    # default_rng(0), and node B's laws run on its conditionals in m1 order.
     @pytest.mark.parametrize("N, a", [(13, 2), (15, 7)])
-    def test_teleports_once_per_live_m1_in_order(self, N, a, monkeypatch):
+    def test_teleports_once_per_law(self, N, a, monkeypatch):
         params = ProtocolParams.derive(N, a, Fraction(1, 4))
         statevec = protocol.statevec
-        if N == 13:
-            monkeypatch.setattr(protocol, "_stack_columns", lambda _params: 4)
-        columns = protocol._stack_columns(params)
-        calls = []
-        teleport = statevec.teleport_states
+        teleports, conditioned, b_inputs = [], [], []
+        teleport, b_law = teleport_register, protocol._b_law
+        condition = statevec.condition_register
 
-        def record(states, reg, rng):
-            sent = [st.block.copy() for st in states]
-            moved, bits = teleport(states, reg, rng)
-            calls.append((sent, moved, bits))
-            return moved, bits
+        def record_teleport(state, reg, channel, pool, rng):
+            sent = state.block.copy()
+            moved = teleport(state, reg, channel, pool, rng)
+            teleports.append((sent, reg, channel, pool, moved))
+            return moved
 
-        monkeypatch.setattr(statevec, "teleport_states", record)
-        law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        def record_condition(st, *args):
+            conditioned.append(st)
+            return condition(st, *args)
+
+        def record_b_law(st, *args):
+            b_inputs.append(st)
+            return b_law(st, *args)
+
+        monkeypatch.setattr(protocol, "teleport_register", record_teleport)
+        monkeypatch.setattr(statevec, "condition_register", record_condition)
+        monkeypatch.setattr(protocol, "_b_law", record_b_law)
+        distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        [(sent, reg, channel, pool, moved)] = teleports
         after_a = protocol._a_stage(params)
-        live = live_m1(params, after_a)
-        assert all(len(sent) == columns for sent, _, _ in calls)
-        sent = [block for chunk, _, _ in calls for block in chunk]
-        moved = [st for _, chunk, _ in calls for st in chunk]
-        bits = np.concatenate([chunk for _, _, chunk in calls])
-        assert len(sent) == len(live) == np.count_nonzero(law.sum(axis=1))
-        replay = np.random.default_rng(0)
-        for i, m1 in enumerate(live):
-            want = statevec.remove_register(
-                statevec.project_register(after_a, "ctrl_a", m1)[1], "ctrl_a"
-            )
-            assert sent[i].tobytes() == want.block.tobytes()
-            again, again_bits = statevec.teleport_qubits(want, "work", replay)
-            assert moved[i].block.tobytes() == again.block.tobytes()
-            assert bits[i].tolist() == [list(pair) for pair in again_bits]
+        assert reg == "work" and sent.tobytes() == after_a.block.tobytes()
+        assert pool.allocated == pool.consumed == params.L and channel.bit_count == 2 * params.L
+        again = teleported_a_stage(params)  # the same teleport, replayed
+        assert moved.block.tobytes() == again.block.tobytes()
+        assert len(conditioned) == 1 and conditioned[0] is moved
+        _, live, conds = condition(again, "ctrl_a", protocol._MIN_MASS)
+        columns = [col for st in b_inputs for col in st.block.reshape(st.rows.size, -1).T]
+        assert len(b_inputs) == (1 if N == 13 else live.size) and len(columns) == live.size
+        for col, cond in zip(columns, conds):
+            assert col.tobytes() == cond.block.tobytes()
 
     def test_stacks_stay_within_the_qubit_guard(self):
         # A stacked stage holds L + t2 qubits plus the stack register's; every
@@ -1207,7 +1224,7 @@ class TestStackedOracle:
         # N=13 a=2: L=4, t1=6, t2=11 and 64 live m1.  With no room for a stack
         # register each m1 runs a shot's stage; with room for 4, 16 stacks.
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
-        want = per_m1_law(params) if room == 0 else distributed_joint_distribution(
+        want = teleported_once_law(params) if room == 0 else distributed_joint_distribution(
             params, MODE_SEQUENTIAL
         )
         monkeypatch.setattr(protocol.statevec, "MAX_QUBITS", params.L + params.t2 + room)
@@ -1239,26 +1256,34 @@ class TestStackedOracle:
         assert law + chunk < peak < law + chunk + (1 << 20)
 
 
+TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
+
+
 class TestBatchedTeleport:
-    """``statevec.teleport_states`` moves every live conditional of a law in
-    one pass, with the bits ``teleport_qubits`` gives each one in turn."""
+    """The sequential oracle teleports every m1's conditional in one
+    ``teleport_register`` call on node A's state: the same m1 keep mass, and
+    each conditional it gets is ``teleport_qubits`` on that m1's own
+    conditional, up to rounding, with the same zeros."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
     def test_is_teleport_qubits_on_each_conditional(self, N, a, inverse_epsilon):
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         statevec = protocol.statevec
-        after_a = protocol._a_stage(params)
-        _, _, conds = statevec.condition_register(after_a, "ctrl_a", protocol._MIN_MASS)
-        rngs = np.random.default_rng(0), np.random.default_rng(0)
-        moved, bits = statevec.teleport_states(conds, "work", rngs[0])
-        assert len(moved) == len(conds) and bits.shape == (len(conds), params.L, 2)
-        for cond, got, got_bits in zip(conds, moved, bits):
-            want, want_bits = statevec.teleport_qubits(cond, "work", rngs[1])
+        _, live, conds = statevec.condition_register(
+            protocol._a_stage(params), "ctrl_a", protocol._MIN_MASS
+        )
+        moved = teleported_a_stage(params)
+        _, moved_live, moved_conds = statevec.condition_register(
+            moved, "ctrl_a", protocol._MIN_MASS
+        )
+        assert np.array_equal(moved_live, live)
+        rng = np.random.default_rng(1)
+        for cond, got in zip(conds, moved_conds):
+            want, _ = statevec.teleport_qubits(cond, "work", rng)
             assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
-            assert got.block.tobytes() == want.block.tobytes()
-            assert got_bits.tolist() == [list(pair) for pair in want_bits]
-        assert rngs[0].random() == rngs[1].random()
+            assert np.max(np.abs(got.block - want.block)) <= TELEPORT_TOL
+            assert np.array_equal(got.block == 0, want.block == 0)
 
 
 def refuse_build(*_args):

@@ -460,7 +460,7 @@ class TestControlledModMul:
 
 
 class TestGatherTables:
-    """``_period_sources`` keeps its gather table per (row set, sizes,
+    """``_join_table`` keeps its gather table per (row set, sizes,
     multiplier mod N); a call that finds it gives the output of one that
     builds it, and no caller can write to it."""
 
@@ -481,14 +481,16 @@ class TestGatherTables:
             st = compact_twin(st)
         control = random_control(3, seed=multiplier)
         statevec._gather_table.cache_clear()
-        cold = statevec._period_sources(st, control, "work", multiplier, 13)
-        warm = statevec._period_sources(st, control, "work", multiplier, 13)
+        cold = statevec._join_table(st, control, "work", multiplier, 13)
+        warm = statevec._join_table(st, control, "work", multiplier, 13)
         info = statevec._gather_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert warm[0] == cold[0]
+        assert warm[0] == cold[0] and warm[3] == cold[3]
         assert (warm[1] is None) == (cold[1] is None) == (stored == "dense")
         assert cold[1] is None or np.array_equal(warm[1], cold[1])
         assert np.array_equal(warm[2], cold[2])
+        sources = [statevec._period_sources(st, src, pad) for _, _, src, pad in (cold, warm)]
+        assert np.array_equal(*sources)
         got = apply_controlled_modmul(st, control, "work", multiplier, 13)
         assert np.array_equal(got.amps, join_reference(st, control, multiplier, 13))
 
@@ -646,6 +648,24 @@ class TestPhaseEstimation:
         assert len(modmul_calls) == 1
         want = plain_estimate(st, uniform_control(t), "work", multiplier, modulus)
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.block, want.block)
+
+    # The fold is decided from the gather table alone, so each estimate
+    # gathers its sources once: the fold here, else apply_controlled_modmul.
+    @pytest.mark.parametrize("kernel", ["stage", "law"])
+    @pytest.mark.parametrize("folds", [False, True])
+    def test_gathers_once_per_estimate(self, kernel, folds, modmul_calls, monkeypatch):
+        gathers = []
+        gather = statevec._period_sources
+        monkeypatch.setattr(
+            statevec, "_period_sources", lambda *args: gathers.append(1) or gather(*args)
+        )
+        if folds:
+            st, multiplier, t = node_b_at_33(), 16, 14
+        else:  # a first estimate: one stored row maps onto F = P rows
+            st, multiplier, t = init_basis(RegisterLayout.of(("work", 6)), {"work": 1}), 2, 9
+        run = apply_phase_estimation if kernel == "stage" else statevec.phase_estimation_law
+        run(st, uniform_control(t), "work", multiplier, 33)
+        assert (len(gathers), len(modmul_calls)) == (1, not folds)
 
     def test_large_period_takes_the_plain_path(self, modmul_calls):
         # Period 100 (3 mod 101) maps the 40 stored rows onto F = 101 rows:

@@ -212,10 +212,22 @@ def shared_states(regs, compact: bool, count: int, seed: int) -> list[StateVecto
     return out
 
 
+def superposed(states: list[StateVector], name: str) -> StateVector:
+    """The states, equally weighted, as the values of a new last register ``name``."""
+    batch = statevec.stack_states(states, name, max(1, (len(states) - 1).bit_length()))
+    return StateVector(batch.layout, batch.block / math.sqrt(len(states)), batch.rows)
+
+
+TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
+
+
 class TestTeleportStates:
-    """``teleport_states`` gives each state the amplitudes and bits that
-    ``teleport_qubits`` gives it, called on the states in turn with the same
-    generator, and leaves the generator where those calls leave it."""
+    """Teleporting states at once: ``teleport_qubits`` on their superposition
+    over a register "m", then ``condition_register`` on m, gives each state
+    as ``teleport_qubits`` gives it alone, up to rounding.  A teleport gives
+    one state on every branch and acts on its register alone, so it commutes
+    with measuring m; the exact sequential law teleports node A's state
+    once on that ground."""
 
     @pytest.mark.parametrize(
         "regs, compact",
@@ -231,27 +243,28 @@ class TestTeleportStates:
     @pytest.mark.parametrize("count", [1, 5])
     def test_is_teleport_qubits_on_each_state(self, regs, compact, count):
         states = shared_states(regs, compact, count, seed=7 * count)
-        rngs = np.random.default_rng(count), np.random.default_rng(count)
-        moved, bits = statevec.teleport_states(states, "c", rngs[0])
-        width = dict(regs)["c"]
-        assert bits.shape == (count, width, 2)
-        for st, got, got_bits in zip(states, moved, bits):
-            want, want_bits = statevec.teleport_qubits(st, "c", rngs[1])
+        moved, _ = statevec.teleport_qubits(superposed(states, "m"), "c", np.random.default_rng(0))
+        _, values, conds = statevec.condition_register(moved, "m", 1e-300)
+        assert values.tolist() == list(range(count))
+        rng = np.random.default_rng(count)
+        for st, got in zip(states, conds):
+            want, _ = statevec.teleport_qubits(st, "c", rng)
             assert got.layout == want.layout
             assert (got.rows is None) == (want.rows is None)
             assert want.rows is None or np.array_equal(got.rows, want.rows)
-            assert got.block.tobytes() == want.block.tobytes()
-            assert got_bits.tolist() == [list(pair) for pair in want_bits]
-        assert rngs[0].random() == rngs[1].random()
+            assert np.max(np.abs(got.block - want.block)) <= TELEPORT_TOL
 
     def test_norm_drift_raises(self):
+        # A stack is a batch, not a state: its squared norm is its count.
         states = shared_states([("c", 2), ("a", 1)], False, 3, seed=1)
-        states[1] = StateVector(states[1].layout, 1.1 * states[1].block)
         with pytest.raises(RuntimeError, match="drifted"):
-            statevec.teleport_states(states, "c", np.random.default_rng(0))
+            statevec.teleport_qubits(statevec.stack_states(states, "m", 2), "c", np.random.default_rng(0))
 
     def test_refuses_states_that_do_not_share_rows(self):
         states = shared_states([("c", 3)], True, 2, seed=1)
         other = StateVector(states[1].layout, states[1].block, np.array([0, 3, 4, 7]))
         with pytest.raises(ValueError, match="share"):
-            statevec.teleport_states([states[0], other], "c", np.random.default_rng(0))
+            superposed([states[0], other], "m")
+        wider = shared_states([("c", 3), ("a", 1)], True, 1, seed=2)[0]
+        with pytest.raises(ValueError, match="share"):
+            superposed([states[0], wider], "m")
