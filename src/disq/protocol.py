@@ -426,7 +426,7 @@ def _stack_columns(params: ProtocolParams) -> int:
     law whose order r is a power of two has mass on r values of m1 and
     exact zeros in m2; the per-row FFT keeps those zeros and a stacked fold
     need not (it leaves the rounding of x * g - x * g), so such a law takes
-    one law per m1, with the bits of the stage a shot runs.
+    one law per m1, as a shot runs its stage (folded or not).
     """
     r = multiplicative_order(params.a, params.N)
     if r & (r - 1) == 0:

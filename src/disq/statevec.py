@@ -49,11 +49,10 @@ one read-only float64 array R of rows (G_q, i * G_q), 2 * P * 2^t amplitudes.
 The fold is then one real product: each joined row's P complex sources,
 viewed as 2P floats, times R.  Any other control runs the two kernels.
 ``phase_estimation_law`` gives the Born marginal of that state over every
-register but the target, bit for bit, without storing the state when it
-folds: it runs the fold's products a block at a time (the target rows of one
-other-register value by ``_FOLD_CHUNK`` control values), squares each block
-in place, adds its target rows in row order and writes re^2 + im^2 straight
-into the law, so it holds the law, the sources and one block.  Gate-level
+register but the target without storing it; when it folds, it takes the
+partial trace over the target rows from each other-register value's P x P
+Gram matrix, P^2 multiply-adds per control value, within about 1e-16 of
+the stage's marginal (not bit for bit) and with its zeros.  Gate-level
 decompositions are out of scope here -- circuit-cost questions are answered
 analytically by the resources module.
 
@@ -450,13 +449,14 @@ def _uniform_transforms(t: int, period: int) -> np.ndarray:
 def _fold_sources(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
 ) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray, np.ndarray] | None:
-    """(layout, rows, sources, R) when the estimate folds, None when it runs the two kernels.
+    """(layout, rows, one, R) when the estimate folds, None when it runs the two kernels.
 
     The fold is taken when it costs no more than the per-row FFTs, i.e. when
     P * F <= (F - P) * t, and the control is bitwise the uniform fill.  The
     gather table alone gives P (its columns) and F (its rows times the
     other registers' values), so only a folding estimate gathers its
     sources here; the two kernels gather them in ``apply_controlled_modmul``.
+    one[m] is the n_out x 2P float view of the sources at other-register value m.
     """
     layout, rows, src, pad = _join_table(state, control, target, multiplier, modulus)
     n_out, period = src.shape
@@ -464,33 +464,8 @@ def _fold_sources(
     t = control.n
     if not (_folds(period, joined, t) and _is_uniform(control.amps, t)):
         return None
-    return layout, rows, _period_sources(state, src, pad), _uniform_transforms(t, period)
-
-
-def _fold_products(sources: np.ndarray, r: np.ndarray, out: np.ndarray | None = None):
-    """The fold's real product, one block at a time.
-
-    ``sources`` is (n_out, other-register values, P) as ``_period_sources``
-    gives it.  A block is the n_out target rows of one value of the other
-    registers by ``_FOLD_CHUNK`` control values (2 * ``_FOLD_CHUNK``
-    floats, whole complex values): a dgemm of n_out x 2P by
-    2P x 2 * ``_FOLD_CHUNK``.  Every product has that shape, so a row's bits
-    do not depend on the other registers, nor on how OpenBLAS tiles a
-    product of another height, and each runs on the calling thread.  A
-    block is written into ``out`` (n_out, values, 2^(t+1) floats) when that
-    is given, else into one buffer that the next block reuses.  Yields
-    (value, column slice, block) after each product.
-    """
-    n_out, middle, _ = sources.shape
-    one = np.ascontiguousarray(sources.transpose(1, 0, 2), complex).view(np.float64)
-    width = min(r.shape[1], 2 * _FOLD_CHUNK)
-    buf = np.empty((n_out, width)) if out is None else None
-    for m in range(middle):
-        for c in range(0, r.shape[1], width):
-            cols = slice(c, c + width)
-            block = buf if out is None else out[:, m, cols]
-            np.matmul(one[m], r[:, cols], out=block)
-            yield m, cols, block
+    one = np.ascontiguousarray(_period_sources(state, src, pad).transpose(1, 0, 2), complex)
+    return layout, rows, one.view(np.float64), _uniform_transforms(t, period)
 
 
 def apply_phase_estimation(
@@ -519,20 +494,24 @@ def apply_phase_estimation(
     writes the output's float view straight from the read-only R, and a
     fold that finds R kept holds the output block and no second one.  Each
     product covers the stored target rows of one value of the other
-    registers and ``_FOLD_CHUNK`` control values (``_fold_products``), which
-    keeps it on the calling thread: OpenBLAS runs a product of a few hundred
-    thousand multiply-adds or fewer there, instead of waking its thread
-    pool, whose threads then spin between calls.
+    registers and ``_FOLD_CHUNK`` control values (n_out x 2P by 2P x 2 *
+    ``_FOLD_CHUNK`` floats), so a row's bits do not depend on the other
+    registers or on how OpenBLAS tiles a taller product, and it stays on the
+    calling thread: OpenBLAS runs a product of a few hundred thousand
+    multiply-adds or fewer there, instead of waking its thread pool.
     """
     fold = _fold_sources(state, control, target, multiplier, modulus)
     if fold is None:
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)
         return apply_inverse_qft(st, control.layout.names[0])
-    layout, rows, sources, r = fold
-    out = np.empty((*sources.shape[:2], 1 << control.n), complex)
-    for _ in _fold_products(sources, r, out.view(np.float64)):
-        pass  # each product lands in its place in out
-    return StateVector(layout, out.reshape(-1), rows)
+    layout, rows, one, r = fold
+    middle, n_out, _ = one.shape
+    out = np.empty((n_out, middle, 2 << control.n))  # the complex output's floats
+    width = min(r.shape[1], 2 * _FOLD_CHUNK)
+    for m in range(middle):
+        for c in range(0, r.shape[1], width):
+            np.matmul(one[m], r[:, c : c + width], out=out[:, m, c : c + width])
+    return StateVector(layout, out.view(complex).reshape(-1), rows)
 
 
 _SQUARE_GROUP = 1 << 15  # floats squared at a time while summing the leading rows
@@ -609,25 +588,46 @@ def phase_estimation_law(
     ``apply_phase_estimation`` gives, without storing that state.
 
     The law of the joined layout's registers after ``target``, axes in layout
-    order, bit for bit ``_born_marginal(apply_phase_estimation(...),
-    names[1:])``.  An estimate that does not fold runs the two kernels and
-    that marginal.  A folding one runs the fold's products
-    (``_fold_products``) as ``apply_phase_estimation`` does, but squares
-    each block in place, adds its n_out target rows one after another in
-    row order and writes re^2 + im^2 straight into the law.  Beside the law
-    it holds the sources, one block and one row sum.
+    order.  An estimate that does not fold runs the two kernels and
+    ``_born_marginal``, bit for bit.  A folding one takes the partial trace
+    over the target rows y: with value m's P x P Gram matrix
+    M[q, q'] = sum_y s[y, q] conj(s[y, q']), its row is
+    sum_q M[q, q] |G_q|^2 + 2 sum_{q < q'} Re(M[q, q'] G_q conj(G_q')),
+    P^2 real multiply-adds per control value where the stage takes
+    4 * n_out * P.  Each row is one product of (1 x P^2) by the P^2 pair
+    products of ``_FOLD_CHUNK`` control values, written in place, so its bits
+    do not depend on how many values the state stacks; what rounds below 0
+    is set to 0.  It is within 1.2e-16 of the stage's marginal on every law
+    checked, not bit for bit, with the stage's zeros and more only where the
+    stage's entry is below 1e-30.  Beside the law it holds the sources, P^2
+    coefficients per value and one chunk's pair products.
     """
     fold = _fold_sources(state, control, target, multiplier, modulus)
     if fold is None:
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)
         st = apply_inverse_qft(st, control.layout.names[0])
         return _born_marginal(st, st.layout.names[1:])
-    layout, rows, sources, r = fold
-    law = np.empty((sources.shape[1], 1 << control.n))
-    sums = np.empty(min(r.shape[1], 2 * _FOLD_CHUNK))
-    for m, cols, block in _fold_products(sources, r):
-        total = np.add.reduce(np.square(block, out=block), axis=0, out=sums)  # in row order
-        np.add(total[0::2], total[1::2], out=law[m, cols.start // 2 : cols.stop // 2])
+    layout, rows, one, r = fold
+    period, middle = r.shape[0] // 2, one.shape[0]
+    gram = np.matmul(one.transpose(0, 2, 1), one)  # [m, 2q + im, 2q' + im']: sums over y
+    re = gram[:, 0::2, 0::2] + gram[:, 1::2, 1::2]
+    im = gram[:, 1::2, 0::2] - gram[:, 0::2, 1::2]
+    # Re M on the diagonal, 2 Re M above it and -2 Im M below it, by the pairs' layout
+    coef = np.where(np.tri(period, k=-1, dtype=bool), -2 * im, re + np.triu(re, 1))
+    g = r[0::2]  # G_q's real and imaginary parts interleaved
+    law = np.empty((middle, 1 << control.n))
+    width = min(law.shape[1], _FOLD_CHUNK)
+    pairs = np.empty((period * period, width))  # [q P + q']: Re(G_q conj(G_q')), Im if q > q'
+    for c in range(0, law.shape[1], width):
+        gr, gi = g[:, 2 * c : 2 * (c + width) : 2], g[:, 2 * c + 1 : 2 * (c + width) : 2]
+        for q, row in enumerate(pairs.reshape(period, period, width)):
+            np.multiply(gr[q], gr, out=row)
+            row += gi[q] * gi
+            np.multiply(gi[q], gr[:q], out=row[:q])
+            row[:q] -= gr[q] * gi[:q]
+        for m in range(middle):
+            np.matmul(coef[m].reshape(1, -1), pairs, out=law[m : m + 1, c : c + width])
+    np.maximum(law, 0.0, out=law)  # a sum of squares
     return law.reshape([1 << w for _, w in layout.registers[1:]])
 
 
@@ -707,8 +707,8 @@ def stack_states(states: Sequence[StateVector], name: str, width: int) -> StateV
     first = states[0]
     if len(states) > 1 << width:
         raise ValueError(f"{len(states)} states do not fit a {width}-qubit register")
-    for st in states:
-        same_rows = st.rows is None if first.rows is None else np.array_equal(st.rows, first.rows)
+    for st in states:  # ``condition_register``'s states share one rows object
+        same_rows = st.rows is first.rows or np.array_equal(st.rows, first.rows)  # False on None
         if st.layout != first.layout or not same_rows:
             raise ValueError("stacked states must share their layout and rows")
     out = np.zeros((first.block.size, 1 << width), complex)

@@ -28,6 +28,7 @@ from disq.protocol import (
     summarize,
 )
 from disq.teleport import ClassicalChannel, EprPool, teleport_register
+from law_checks import FOLD_TOL, assert_near_the_stage
 from stitching_reference import slice_stitch
 
 
@@ -231,10 +232,11 @@ class TestWorkRegisterLeads:
 
     def test_joint_oracle_stores_no_joined_state(self):
         # The N=13 a=2 joint state would store 12 work rows of 2^6 x 2^11
-        # amplitudes (24 MiB); its law is 2^6 x 2^11 floats (1 MiB).  The
-        # law is written block by block from the fold's products, so the
-        # oracle holds the law, node A's state, the control vector and one
-        # product block.
+        # amplitudes (24 MiB); its law is 2^6 x 2^11 floats (1 MiB).  Each
+        # row of the law is written from its value's Gram matrix and one
+        # chunk's pair products, so the oracle holds the law, node A's
+        # state, the control vector and those pair products (P^2 x 1024
+        # floats).
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
         law = 8 << (params.t1 + params.t2)
         distributed_joint_distribution(params, MODE_JOINT)  # keeps the class transforms
@@ -964,9 +966,6 @@ def plain_law(state, control, target, multiplier, modulus):
     return protocol.statevec.marginal_probabilities(joined, joined.layout.names[1:])
 
 
-FOLD_TOL = 1e-15  # the fold and the per-row FFT round differently
-
-
 class TestFoldedEstimates:
     """Every law from ``apply_phase_estimation`` and ``phase_estimation_law``
     against the same law with each estimate run as a controlled
@@ -1115,21 +1114,25 @@ class TestStackedOracle:
                 assert got.block.tobytes() == want.block.tobytes()
 
     # Every law is within the fold's and the teleport's rounding of shots'
-    # per-m1 law.  A law whose single-m1 stage folds takes the same product
-    # for each row of the stack, and a law whose order is a power of two runs
-    # the single stages themselves: both are the per-m1 loop over the
-    # once-teleported state bit for bit.
-    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
-    @pytest.mark.parametrize("N, a", [(2, 1), *SMALL_CASES])
+    # per-m1 law.  A law whose single-m1 stage folds takes each row of the
+    # stack from that m1's Gram matrix, near the per-m1 loop over the
+    # once-teleported state; a law whose order is a power of two and whose
+    # stage does not fold runs those single stages, bit for bit.  N=17 a=3
+    # (r = 16) gains exact zeros where the stage leaves 2.7e-35.
+    @pytest.mark.parametrize(
+        "N, a, inverse_epsilon",
+        [(N, a, e) for N, a in [(2, 1), *SMALL_CASES] for e in (4, 10)] + [(17, 3, 4), (33, 2, 4)],
+    )
     def test_law_matches_the_per_m1_stages(self, N, a, inverse_epsilon):
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         want = per_m1_law(params)
         assert (want >= 0).all()
         got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert np.max(np.abs(got - want)) <= FOLD_TOL
-        assert np.array_equal(got == 0, want == 0) and (got >= 0).all()
+        assert_near_the_stage(got, want)
         r = multiplicative_order(a, N)
-        if single_stage_folds(params) or r & (r - 1) == 0:
+        if single_stage_folds(params):
+            assert_near_the_stage(got, teleported_once_law(params))
+        elif r & (r - 1) == 0:
             assert got.tobytes() == teleported_once_law(params).tobytes()
 
     @pytest.mark.parametrize(
@@ -1241,7 +1244,7 @@ class TestStackedOracle:
         # (8 MiB); no node-B state is stored, and a chunk's law is gone
         # before the next one is built.  Beside the two laws the oracle
         # holds node A's state, the control vector (0.25 MiB) and one
-        # product block.
+        # chunk's pair products (25 x 1024 floats).
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
         assert protocol._stack_columns(params) == 64
         law = 8 << (params.t1 + params.t2)
