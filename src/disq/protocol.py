@@ -44,7 +44,6 @@ _CTRL_A = "ctrl_a"
 _CTRL_B = "ctrl_b"
 _WORK = "work"
 _CTRL = "ctrl"
-_STACK = "stack"  # the sequential oracle's register of stacked m1 conditionals, not qubits
 
 _MIN_MASS = 1e-300  # an m1 outcome below this mass has no node-B run
 
@@ -379,15 +378,13 @@ def distributed_joint_distribution(
     channel and pool and branches drawn from ``default_rng(0)``): a
     teleport gives the same state on every branch, and it acts on the work
     register, not on ctrl_a, so it commutes with measuring m1.  It then
-    conditions the teleported state on every m1 at once
-    (``statevec.condition_register``) and takes node B's law once per chunk
-    of the conditionals of the m1 with mass, stacked as the values of one
-    more register (``statevec.stack_states``); each row is B's distribution
-    weighted by the outcome probability, written in place into the chunk's
-    law.  Every law comes from ``statevec.phase_estimation_law``, which
-    never stores node B's joined state; a chunk holds at most
-    ``_stack_columns`` states, so that the stack register keeps node B's
-    layout within ``MAX_QUBITS`` qubits.
+    conditions the teleported state on every m1 with mass at once, in
+    batches of at most ``_stack_columns`` conditionals that keep ctrl_a as
+    the batch index (``statevec.condition_register``), and takes node B's
+    law once per batch; each row is B's distribution weighted by the
+    outcome probability, written in place into the batch's law.  Every law
+    comes from ``statevec.phase_estimation_law``, which never stores node
+    B's joined state.
     """
     if mode == MODE_JOINT:
         # Node B's stage runs on node A's unmeasured state: A's operations
@@ -401,36 +398,24 @@ def distributed_joint_distribution(
     moved = teleport_register(
         _a_stage(params), _WORK, ClassicalChannel(), EprPool(params.L), np.random.default_rng(0)
     )
-    p1, live, conds = statevec.condition_register(moved, _CTRL_A, _MIN_MASS)
+    columns = _stack_columns(params)
+    p1, live, batches = statevec.condition_register(moved, _CTRL_A, _MIN_MASS, columns)
     joint = np.zeros((1 << params.t1, 1 << params.t2))
-    chunks = -(-live.size // _stack_columns(params))
-    width = ceil_log2(-(-live.size // chunks))
-    for part in np.array_split(np.arange(live.size), chunks):
-        states = [conds[i] for i in part]
-        st = statevec.stack_states(states, _STACK, width) if width else states[0]
-        law = _b_law(st, params).reshape(1 << width, -1)[: part.size]
-        m1 = live[part]
+    for m1, st in zip(np.array_split(live, len(batches)), batches):
+        law = _b_law(st, params).reshape(-1, 1 << params.t2)[: m1.size]
         law *= p1[m1, None]
         joint[m1] = law
-        del law  # the next chunk's law is built without this one
+        del law  # the next batch's law is built without this one
     return joint
 
 
 def _stack_columns(params: ProtocolParams) -> int:
-    """How many m1 conditionals one node-B law of the sequential oracle stacks.
-
-    Node B's layout holds L + t2 qubits plus the stack register's, so the
-    largest power of two that keeps it within ``MAX_QUBITS`` qubits, and at
-    least one (``check_capacity`` has passed L + t2).  No stage is stored,
-    so nothing else bounds a chunk: its law is at most the whole law.  A
-    law whose order r is a power of two has mass on r values of m1 and
-    exact zeros in m2; the per-row FFT keeps those zeros and a stacked fold
-    need not (it leaves the rounding of x * g - x * g), so such a law takes
-    one law per m1, as a shot runs its stage (folded or not).
+    """How many m1 conditionals one node-B law of the sequential oracle batches:
+    the most, a power of two, that keep node B's L + t2 qubits plus ctrl_a's,
+    narrowed to the batch, within ``MAX_QUBITS``, and at least one
+    (``check_capacity`` has passed L + t2).  No stage is stored, so nothing
+    else bounds a batch: its law is at most the whole law.
     """
-    r = multiplicative_order(params.a, params.N)
-    if r & (r - 1) == 0:
-        return 1
     return 1 << max(statevec.MAX_QUBITS - params.L - params.t2, 0)
 
 

@@ -58,13 +58,13 @@ analytically by the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
-``condition_register`` projects onto every outcome of a register at once and
-drops it, with the bits of ``project_register`` and ``remove_register``; and
-``stack_states`` lays such states side by side as the values of a new
-register: a batch, not a state, which every kernel on the other registers
-carries value by value.  ``teleport_qubits`` gives the same state on every
-branch and touches one register, so it commutes with conditioning another:
-the exact sequential law teleports node A's state once, then conditions it.
+``condition_register`` projects onto every outcome of a register at once,
+with the bits of ``project_register`` and ``remove_register``, and keeps the
+register, narrowed, as the index of a batch of those states: a batch, not a
+state, which every kernel on the other registers carries value by value.
+``teleport_qubits`` gives the same state on every branch and touches one
+register, so it commutes with conditioning another: the exact sequential law
+teleports node A's state once, then conditions it.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
@@ -147,7 +147,7 @@ class RegisterLayout:
 @dataclass
 class StateVector:
     """A register layout plus its complex amplitudes (unit norm, except a
-    batch from ``stack_states``, whose squared norm is its number of states).
+    batch from ``condition_register``, whose squared norm is its count).
 
     ``block`` holds, row after row, the 2^(n - w0) amplitudes of each stored
     value of the leading register; ``rows`` lists those values in increasing
@@ -662,59 +662,48 @@ def project_register(
 
 
 def condition_register(
-    state: StateVector, reg: str, min_mass: float
+    state: StateVector, reg: str, min_mass: float, columns: int
 ) -> tuple[np.ndarray, np.ndarray, list[StateVector]]:
-    """``project_register`` and then ``remove_register``, for every outcome at once.
+    """``project_register`` then ``remove_register`` for every outcome at once,
+    in batches of at most ``columns`` outcomes.
 
-    Returns (p, values, states): p[v] is the probability ``project_register``
+    Returns (p, values, batches): p[v] is the probability ``project_register``
     gives for outcome v, ``values`` lists in increasing order the outcomes
-    whose p is not below ``min_mass``, and states[i] is, bit for bit, the
-    state ``remove_register`` leaves of the projection onto values[i]; it
-    keeps the input's rows.  The arithmetic is theirs: each outcome's
-    |amplitude|^2 summed pairwise over its own contiguous copy, its
-    amplitudes divided by sqrt(p), then divided by the square root of their
-    row-ordered Born mass, which must be at least 1 - 1e-9, as in
-    ``remove_register``.
+    whose p is not below ``min_mass``, and ``np.array_split(values,
+    len(batches))`` gives each batch's outcomes.  A batch keeps ``reg`` in
+    its place, narrowed to the qubits of the largest batch (gone at width
+    0), and its value j holds, bit for bit, the state ``remove_register``
+    leaves of the projection onto the batch's j-th outcome, with zeros past
+    the last: a batch's squared norm is its count.  Every batch keeps the
+    input's rows.  The arithmetic is theirs: each outcome's |amplitude|^2
+    summed pairwise over its own contiguous copy, its amplitudes divided by
+    sqrt(p), then by the square root of their row-ordered Born mass, which
+    must be at least 1 - 1e-9, as in ``remove_register``.
     """
+    if columns < 1:
+        raise ValueError(f"a batch needs columns >= 1, got {columns}")
     rows, a = _reg_axis(state, reg)
     by_value = np.ascontiguousarray(np.moveaxis(a, 1, 0))  # one outcome per leading index
     p = np.sum(np.abs(by_value) ** 2, axis=(1, 2))
     values = np.flatnonzero(~(p < min_mass))  # a NaN mass stays and fails the basis check
     scaled = np.zeros_like(a)
     scaled[:, values, :] = a[:, values, :] / np.sqrt(p[values])[:, None]
-    mass = register_probabilities(StateVector(state.layout, scaled.reshape(-1), rows), reg)[values]
-    bad = ~(mass >= 1.0 - 1e-9)  # NaN fails too
-    if bad.any():
+    mass = register_probabilities(StateVector(state.layout, scaled.reshape(-1), rows), reg)
+    bad = values[~(mass[values] >= 1.0 - 1e-9)]  # NaN fails too
+    if bad.size:
         raise ValueError(
-            f"register {reg!r} is not in a basis state (max outcome mass {mass[bad][0]:.6f})"
+            f"register {reg!r} is not in a basis state (max outcome mass {mass[bad[0]]:.6f})"
         )
-    kept = np.ascontiguousarray(np.moveaxis(scaled[:, values, :], 1, 0))
-    np.divide(kept, np.sqrt(mass)[:, None, None], out=kept)
-    layout = state.layout.removed(reg)
-    return p, values, [StateVector(layout, block.reshape(-1), rows) for block in kept]
-
-
-def stack_states(states: Sequence[StateVector], name: str, width: int) -> StateVector:
-    """The states side by side as the values of a new last register ``name``.
-
-    Every state has the same layout and stores the same rows; value i of
-    the ``width``-qubit register holds states[i], and the values past the
-    last state hold zeros.  The result is a batch, not a state: its squared
-    norm is the number of states.  Kernels on the other registers never mix
-    the new register's values, so each value evolves as its state would
-    alone, and a marginal that keeps the register gives each state's law.
-    """
-    first = states[0]
-    if len(states) > 1 << width:
-        raise ValueError(f"{len(states)} states do not fit a {width}-qubit register")
-    for st in states:  # ``condition_register``'s states share one rows object
-        same_rows = st.rows is first.rows or np.array_equal(st.rows, first.rows)  # False on None
-        if st.layout != first.layout or not same_rows:
-            raise ValueError("stacked states must share their layout and rows")
-    out = np.zeros((first.block.size, 1 << width), complex)
-    for i, st in enumerate(states):
-        out[:, i] = st.block
-    return StateVector(first.layout.appended(name, width), out.reshape(-1), first.rows)
+    parts = np.array_split(values, -(-values.size // columns)) if values.size else []
+    width = (parts[0].size - 1).bit_length() if parts else 0  # array_split puts the largest first
+    regs = [(n, width if n == reg else w) for n, w in state.layout.registers]
+    layout = RegisterLayout(tuple(r for r in regs if r[1]))  # reg narrowed in its place, or gone
+    batches = []
+    for part in parts:
+        out = np.zeros((a.shape[0], 1 << width, a.shape[2]), a.dtype)
+        out[:, : part.size] = scaled[:, part, :] / np.sqrt(mass[part])[:, None]
+        batches.append(StateVector(layout, out.reshape(-1), rows))
+    return p, values, batches
 
 
 def draw(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -1093,8 +1093,8 @@ def single_stage_folds(params: ProtocolParams) -> bool:
 
 class TestStackedOracle:
     """The sequential oracle teleports node A's state once, conditions it on
-    every m1 at once, and runs node B's stage on stacks of the conditionals;
-    each law is the per-m1 loop's up to the fold and the teleport's rounding."""
+    every m1 at once in batches, and takes node B's law of each batch; each
+    law is the per-m1 loop's up to the fold and the teleport's rounding."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
@@ -1102,7 +1102,7 @@ class TestStackedOracle:
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         after_a = protocol._a_stage(params)
         statevec = protocol.statevec
-        p1, live, conds = statevec.condition_register(after_a, "ctrl_a", protocol._MIN_MASS)
+        p1, live, conds = statevec.condition_register(after_a, "ctrl_a", protocol._MIN_MASS, 1)
         assert len(conds) == live.size and (np.diff(live) > 0).all()
         kept = dict(zip(live.tolist(), conds))
         for m1 in range(1 << params.t1):
@@ -1115,9 +1115,12 @@ class TestStackedOracle:
 
     # Every law is within the fold's and the teleport's rounding of shots'
     # per-m1 law.  A law whose single-m1 stage folds takes each row of the
-    # stack from that m1's Gram matrix, near the per-m1 loop over the
-    # once-teleported state; a law whose order is a power of two and whose
-    # stage does not fold runs those single stages, bit for bit.  N=17 a=3
+    # batch from that m1's Gram matrix, near the per-m1 loop over the
+    # once-teleported state.  A law whose order is a power of two and whose
+    # single stage does not fold is that loop's bit for bit, though its
+    # batch may fold, except N=3 a=2 and N=4 a=3 at epsilon=1/10, whose
+    # batched law differs by up to 5.6e-17 under the SkylakeX OpenBLAS
+    # kernel and keeps the loop's zeros.  N=17 a=3
     # (r = 16) gains exact zeros where the stage leaves 2.7e-35.
     @pytest.mark.parametrize(
         "N, a, inverse_epsilon",
@@ -1130,14 +1133,17 @@ class TestStackedOracle:
         got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         assert_near_the_stage(got, want)
         r = multiplicative_order(a, N)
-        if single_stage_folds(params):
+        if single_stage_folds(params) or (N, a, inverse_epsilon) in [(3, 2, 10), (4, 3, 10)]:
             assert_near_the_stage(got, teleported_once_law(params))
         elif r & (r - 1) == 0:
             assert got.tobytes() == teleported_once_law(params).tobytes()
 
     @pytest.mark.parametrize(
         "N, a, inverse_epsilon, columns, cut",
-        [(13, 2, 4, 4, None), (11, 3, 4, 2, None), (7, 2, 10, 2, None), (13, 2, 4, 8, 3e-3)],
+        [
+            (13, 2, 4, 4, None), (11, 3, 4, 2, None), (7, 2, 10, 2, None), (13, 2, 4, 8, 3e-3),
+            (15, 7, 4, 2, None),
+        ],
     )
     def test_chunks_give_the_one_chunk_bits(self, N, a, inverse_epsilon, columns, cut, monkeypatch):
         # A cut on m1's mass leaves a live count that the chunks split unevenly.
@@ -1155,10 +1161,11 @@ class TestStackedOracle:
         assert cut is None or live % columns
         assert parts.tobytes() == whole.tobytes()
 
-    # N=13 a=2 stacks its 64 live m1, and N=15 a=7 (r = 4) takes one law
-    # per m1; either way node A's state is teleported once, from
-    # default_rng(0), and node B's laws run on its conditionals in m1 order.
-    @pytest.mark.parametrize("N, a", [(13, 2), (15, 7)])
+    # N=13 a=2 batches its 64 live m1, N=15 a=7 (r = 4) its 4 and N=17 a=3
+    # (r = 16) its 16, each in one law; node A's state is teleported once,
+    # from default_rng(0), and node B's law runs on its conditionals in m1
+    # order.
+    @pytest.mark.parametrize("N, a", [(13, 2), (15, 7), (17, 3)])
     def test_teleports_once_per_law(self, N, a, monkeypatch):
         params = ProtocolParams.derive(N, a, Fraction(1, 4))
         statevec = protocol.statevec
@@ -1191,15 +1198,17 @@ class TestStackedOracle:
         again = teleported_a_stage(params)  # the same teleport, replayed
         assert moved.block.tobytes() == again.block.tobytes()
         assert len(conditioned) == 1 and conditioned[0] is moved
-        _, live, conds = condition(again, "ctrl_a", protocol._MIN_MASS)
-        columns = [col for st in b_inputs for col in st.block.reshape(st.rows.size, -1).T]
-        assert len(b_inputs) == (1 if N == 13 else live.size) and len(columns) == live.size
+        _, live, conds = condition(again, "ctrl_a", protocol._MIN_MASS, 1)
+        [st] = b_inputs  # one batch, ctrl_a narrowed to the live m1
+        assert st.layout.registers == (("work", params.L), ("ctrl_a", live.size.bit_length() - 1))
+        columns = st.block.reshape(st.rows.size, -1).T
         for col, cond in zip(columns, conds):
             assert col.tobytes() == cond.block.tobytes()
 
     def test_stacks_stay_within_the_qubit_guard(self):
-        # A stacked stage holds L + t2 qubits plus the stack register's; every
-        # run that check_capacity passes keeps that within MAX_QUBITS.
+        # A batch's law holds L + t2 qubits plus ctrl_a's, narrowed to the
+        # batch; every run that check_capacity passes keeps that within
+        # MAX_QUBITS.
         guard = protocol.statevec.MAX_QUBITS
         for N in range(64, 256):
             for a in range(2, N):
@@ -1214,7 +1223,7 @@ class TestStackedOracle:
                     assert params.L + params.t2 + columns.bit_length() - 1 <= guard
 
     def test_a_law_at_the_qubit_guard_builds(self):
-        # L=8, t2=17 and r=3: the amplitude bound alone would stack 4
+        # L=8, t2=17 and r=3: the amplitude bound alone would batch 4
         # conditionals, 27 qubits; the guard leaves room for 2.
         params = ProtocolParams.derive(133, 11, Fraction(1, 4))
         assert params.L + params.t2 == protocol.statevec.MAX_QUBITS - 1
@@ -1224,8 +1233,8 @@ class TestStackedOracle:
 
     @pytest.mark.parametrize("room, stages", [(0, 64), (2, 16)])
     def test_a_lower_guard_splits_the_stack(self, room, stages, monkeypatch):
-        # N=13 a=2: L=4, t1=6, t2=11 and 64 live m1.  With no room for a stack
-        # register each m1 runs a shot's stage; with room for 4, 16 stacks.
+        # N=13 a=2: L=4, t1=6, t2=11 and 64 live m1.  With no room for ctrl_a
+        # each m1 runs a shot's stage; with room for 2 qubits, 16 batches of 4.
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
         want = teleported_once_law(params) if room == 0 else distributed_joint_distribution(
             params, MODE_SEQUENTIAL
@@ -1274,11 +1283,11 @@ class TestBatchedTeleport:
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         statevec = protocol.statevec
         _, live, conds = statevec.condition_register(
-            protocol._a_stage(params), "ctrl_a", protocol._MIN_MASS
+            protocol._a_stage(params), "ctrl_a", protocol._MIN_MASS, 1
         )
         moved = teleported_a_stage(params)
         _, moved_live, moved_conds = statevec.condition_register(
-            moved, "ctrl_a", protocol._MIN_MASS
+            moved, "ctrl_a", protocol._MIN_MASS, 1
         )
         assert np.array_equal(moved_live, live)
         rng = np.random.default_rng(1)
@@ -1311,7 +1320,7 @@ class TestKeptTransforms:
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
     # A shot's node-B stage runs on node A's state projected onto its m1,
-    # and the sequential oracle's on a stack of such states: every stage
+    # and the sequential oracle's on batches of such states: every stage
     # after a process's first finds the transforms kept.  One single-m1
     # stage, cold then warm.
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
@@ -1339,9 +1348,9 @@ class TestKeptTransforms:
 
     def test_a_run_builds_the_transforms_once(self, monkeypatch):
         # 20 shots at N=21 a=2 run node B 20 times.  The sequential oracle
-        # takes node B's law once per stack: all 2^t1 = 128 values of m1
-        # have mass, and a stack holds 64 of them (L + t2 = 20 qubits leave
-        # room for a 6-qubit stack register), so 2 laws.
+        # takes node B's law once per batch: all 2^t1 = 128 values of m1
+        # have mass, and a batch holds 64 of them (L + t2 = 20 qubits leave
+        # room for ctrl_a narrowed to 6 qubits), so 2 laws.
         params = ProtocolParams.derive(21, 2, Fraction(1, 4))
         transforms = protocol.statevec._uniform_transforms
         stages, laws = [], []

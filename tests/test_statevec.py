@@ -805,10 +805,13 @@ def stage_marginal(state, control, target, multiplier, modulus) -> np.ndarray:
 
 
 def stacked_states(count: int, width: int) -> StateVector:
-    """``count`` conditionals on the rows 2, 5 and 11, stacked in a ``width``-qubit register."""
+    """``count`` conditionals on the rows 2, 5 and 11 as the values of a new
+    ``width``-qubit register: a batch, whose squared norm is ``count``."""
     full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
-    states = statevec.condition_register(full, "r", 1e-300)[2][:count]
-    return statevec.stack_states(states, "s", width)
+    states = statevec.condition_register(full, "r", 1e-300, 1)[2][:count]
+    block = np.zeros((states[0].block.size, 1 << width), complex)
+    block[:, :count] = np.stack([st.block for st in states], axis=1)
+    return StateVector(states[0].layout.appended("s", width), block.reshape(-1), states[0].rows)
 
 
 # (state, control, target, multiplier, modulus, folds): node B at N=33; a
@@ -1604,7 +1607,7 @@ class TestConditionRegister:
         else:
             st = with_dead_values(random_state(RegisterLayout.of(*regs), np.random.default_rng(3)),
                                   "r", [0, 7, 30])
-        p, values, states = statevec.condition_register(st, "r", 1e-300)
+        p, values, states = statevec.condition_register(st, "r", 1e-300, 1)
         assert p.shape == (32,) and len(states) == values.size
         kept = iter(states)
         for v in range(32):
@@ -1623,7 +1626,7 @@ class TestConditionRegister:
 
     def test_outcomes_below_the_cut_are_left_out(self):
         st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
-        p, values, states = statevec.condition_register(st, "r", 0.15)
+        p, values, states = statevec.condition_register(st, "r", 0.15, 1)
         assert values.tolist() == np.flatnonzero(p >= 0.15).tolist()
         assert 0 < values.size < 8 and len(states) == values.size
 
@@ -1631,49 +1634,69 @@ class TestConditionRegister:
         st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
         st.block[5] = complex(math.nan, 0)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not in a basis state"):
-            statevec.condition_register(st, "r", 1e-300)
+            statevec.condition_register(st, "r", 1e-300, 1)
+
+
+def dead_value_states():
+    """States whose 5-qubit register r, first, in the middle or last, dense or
+    stored by its rows, has no mass on outcomes 0, 7 and 30 (29 live)."""
+    for regs in LIVE_LAYOUTS:
+        st = random_state(RegisterLayout.of(*regs), np.random.default_rng(3))
+        yield regs, with_dead_values(st, "r", [0, 7, 30])
+    for regs in COMPACT_LAYOUTS:
+        st = row_sparse_state(regs, [1, 6, 9], seed=4)
+        yield regs, compact_twin(with_dead_values(st, "r", [0, 7, 30]))
 
 
 class TestStackStates:
-    """A stack carries each state as the value of a new last register."""
-
-    def states(self, count: int) -> list[StateVector]:
-        full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
-        return statevec.condition_register(full, "r", 1e-300)[2][:count]
+    """``condition_register``'s batches stack the conditionals as the values of
+    the conditioned register, narrowed in its place."""
 
     def test_values_hold_the_states_and_zeros(self):
-        states = self.states(3)
-        st = statevec.stack_states(states, "s", 2)
-        assert st.layout.names == ("w", "s") and st.rows.tolist() == [2, 5, 11]
-        columns = st.block.reshape(3, 4)
-        for i, one in enumerate(states):
-            assert np.array_equal(columns[:, i], one.block)
-        assert not columns[:, 3].any()
+        # 29 live outcomes: batches of 2 (and one of 1), 5 (and one of 4) and 29.
+        for regs, st in dead_value_states():
+            _, values, states = statevec.condition_register(st, "r", 1e-300, 1)
+            assert values.size == 29
+            for columns, count, width in [(2, 15, 1), (5, 6, 3), (32, 1, 5)]:
+                _, same, batches = statevec.condition_register(st, "r", 1e-300, columns)
+                assert np.array_equal(same, values) and len(batches) == count
+                narrowed = tuple((n, width if n == "r" else w) for n, w in regs)
+                for part, batch in zip(np.array_split(np.arange(29), count), batches):
+                    assert batch.layout.registers == narrowed
+                    view = statevec._reg_axis(batch, "r")[1]
+                    for j, i in enumerate(part):
+                        want = states[i].block.reshape(view.shape[0], -1)
+                        assert view[:, j, :].tobytes() == want.tobytes()
+                    assert not view[:, part.size :, :].any()
 
     def test_a_marginal_keeping_the_stack_gives_each_law(self):
-        states = self.states(5)
+        full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
+        states = statevec.condition_register(full, "r", 1e-300, 1)[2]
+        batches = statevec.condition_register(full, "r", 1e-300, 3)[2]
         control = apply_hadamard_register(init_basis(RegisterLayout.of(("c", 9))), "c")
-        stacked = apply_phase_estimation(statevec.stack_states(states, "s", 3), control, "w", 3, 13)
-        laws = marginal_probabilities(stacked, ["s", "c"])
-        for i, one in enumerate(states):
-            alone = apply_phase_estimation(one, control, "w", 3, 13)
-            assert np.max(np.abs(laws[i] - register_probabilities(alone, "c"))) <= FOLD_TOL
-        assert not laws[5:].any()
+        parts = np.array_split(np.arange(len(states)), len(batches))
+        assert len(states) == 8 and [part.size for part in parts] == [3, 3, 2]
+        for part, batch in zip(parts, batches):
+            joined = apply_phase_estimation(batch, control, "w", 3, 13)
+            laws = marginal_probabilities(joined, ["r", "c"])
+            for law, i in zip(laws, part):
+                alone = apply_phase_estimation(states[i], control, "w", 3, 13)
+                assert np.max(np.abs(law - register_probabilities(alone, "c"))) <= FOLD_TOL
+            assert not laws[part.size :].any()
 
     def test_refuses_what_does_not_stack(self):
-        states = self.states(3)
-        with pytest.raises(ValueError, match="do not fit"):
-            statevec.stack_states(states, "s", 1)
-        other = StateVector(states[0].layout, states[0].block, np.array([2, 5, 12]))
-        with pytest.raises(ValueError, match="share"):
-            statevec.stack_states([states[0], other], "s", 1)
+        st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
+        for columns in (0, -1):
+            with pytest.raises(ValueError, match="columns >= 1"):
+                statevec.condition_register(st, "r", 1e-300, columns)
 
     def test_rows_are_shared_or_equal(self):
-        states = self.states(2)
-        assert states[0].rows is states[1].rows  # condition_register shares one rows object
-        equal = StateVector(states[1].layout, states[1].block, states[1].rows.copy())
-        assert statevec.stack_states([states[0], equal], "s", 1).rows is states[0].rows
-        dense = StateVector(states[0].layout, states[0].amps)
-        for pair in ([states[0], dense], [dense, states[0]]):
-            with pytest.raises(ValueError, match="share"):
-                statevec.stack_states(pair, "s", 1)
+        # Every batch shares the input's rows object; conditioning the leading
+        # register reads the dense vector, and its batches store every row.
+        for regs, st in dead_value_states():
+            for columns in (1, 5, 32):
+                for batch in statevec.condition_register(st, "r", 1e-300, columns)[2]:
+                    if regs[0][0] == "r":
+                        assert batch.rows is None and batch.block.size == 1 << batch.n
+                    else:
+                        assert batch.rows is st.rows

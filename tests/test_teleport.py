@@ -214,8 +214,10 @@ def shared_states(regs, compact: bool, count: int, seed: int) -> list[StateVecto
 
 def superposed(states: list[StateVector], name: str) -> StateVector:
     """The states, equally weighted, as the values of a new last register ``name``."""
-    batch = statevec.stack_states(states, name, max(1, (len(states) - 1).bit_length()))
-    return StateVector(batch.layout, batch.block / math.sqrt(len(states)), batch.rows)
+    width = max(1, (len(states) - 1).bit_length())
+    block = np.zeros((states[0].block.size, 1 << width), complex)
+    block[:, : len(states)] = np.stack([st.block for st in states], axis=1) / math.sqrt(len(states))
+    return StateVector(states[0].layout.appended(name, width), block.reshape(-1), states[0].rows)
 
 
 TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
@@ -244,7 +246,7 @@ class TestTeleportStates:
     def test_is_teleport_qubits_on_each_state(self, regs, compact, count):
         states = shared_states(regs, compact, count, seed=7 * count)
         moved, _ = statevec.teleport_qubits(superposed(states, "m"), "c", np.random.default_rng(0))
-        _, values, conds = statevec.condition_register(moved, "m", 1e-300)
+        _, values, conds = statevec.condition_register(moved, "m", 1e-300, 1)
         assert values.tolist() == list(range(count))
         rng = np.random.default_rng(count)
         for st, got in zip(states, conds):
@@ -255,16 +257,8 @@ class TestTeleportStates:
             assert np.max(np.abs(got.block - want.block)) <= TELEPORT_TOL
 
     def test_norm_drift_raises(self):
-        # A stack is a batch, not a state: its squared norm is its count.
-        states = shared_states([("c", 2), ("a", 1)], False, 3, seed=1)
+        # A batch is not a state: its squared norm is its count.
+        st = shared_states([("c", 2), ("m", 2)], False, 1, seed=1)[0]
+        batch = statevec.condition_register(st, "m", 1e-300, 4)[2][0]
         with pytest.raises(RuntimeError, match="drifted"):
-            statevec.teleport_qubits(statevec.stack_states(states, "m", 2), "c", np.random.default_rng(0))
-
-    def test_refuses_states_that_do_not_share_rows(self):
-        states = shared_states([("c", 3)], True, 2, seed=1)
-        other = StateVector(states[1].layout, states[1].block, np.array([0, 3, 4, 7]))
-        with pytest.raises(ValueError, match="share"):
-            superposed([states[0], other], "m")
-        wider = shared_states([("c", 3), ("a", 1)], True, 1, seed=2)[0]
-        with pytest.raises(ValueError, match="share"):
-            superposed([states[0], wider], "m")
+            statevec.teleport_qubits(batch, "c", np.random.default_rng(0))
