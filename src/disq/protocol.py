@@ -305,14 +305,15 @@ def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
     )
 
 
-def _b_law(st: StateVector, params: ProtocolParams) -> np.ndarray:
+def _b_law(st: StateVector, params: ProtocolParams, out: np.ndarray | None = None) -> np.ndarray:
     """The law of ``st``'s registers after work and of ctrl_b after node B's estimate.
 
-    ``statevec.phase_estimation_law`` gives it without storing the joined state.
+    ``statevec.phase_estimation_law`` gives it without storing the joined
+    state, written into ``out`` when one is given.
     """
     control = _uniform_control(_CTRL_B, params.t2)
     return statevec.phase_estimation_law(
-        st, control, _WORK, params.b_stage_multiplier, params.N
+        st, control, _WORK, params.b_stage_multiplier, params.N, out=out
     )
 
 
@@ -382,9 +383,11 @@ def distributed_joint_distribution(
     batches of at most ``_stack_columns`` conditionals that keep ctrl_a as
     the batch index (``statevec.condition_register``), and takes node B's
     law once per batch; each row is B's distribution weighted by the
-    outcome probability, written in place into the batch's law.  Every law
-    comes from ``statevec.phase_estimation_law``, which never stores node
-    B's joined state.
+    outcome probability.  A batch of consecutive m1 with no padding values
+    writes its law straight into its rows of the joint law and scales them
+    there; any other batch's law is scaled and copied in.  Every law comes
+    from ``statevec.phase_estimation_law``, which never stores node B's
+    joined state.
     """
     if mode == MODE_JOINT:
         # Node B's stage runs on node A's unmeasured state: A's operations
@@ -402,9 +405,13 @@ def distributed_joint_distribution(
     p1, live, batches = statevec.condition_register(moved, _CTRL_A, _MIN_MASS, columns)
     joint = np.zeros((1 << params.t1, 1 << params.t2))
     for m1, st in zip(np.array_split(live, len(batches)), batches):
-        law = _b_law(st, params).reshape(-1, 1 << params.t2)[: m1.size]
+        # consecutive m1 and no padding values: the batch's law is a slice of joint
+        in_place = m1[-1] - m1[0] + 1 == m1.size == 1 << (st.n - params.L)
+        law = _b_law(st, params, joint[m1[0] : m1[-1] + 1] if in_place else None)
+        law = law.reshape(-1, 1 << params.t2)[: m1.size]
         law *= p1[m1, None]
-        joint[m1] = law
+        if not in_place:
+            joint[m1] = law
         del law  # the next batch's law is built without this one
     return joint
 

@@ -960,10 +960,15 @@ def plain_estimate(state, control, target, multiplier, modulus):
     return statevec.apply_inverse_qft(joined, control.layout.names[0])
 
 
-def plain_law(state, control, target, multiplier, modulus):
-    """``plain_estimate``'s state, marginalized as ``statevec.phase_estimation_law`` does."""
+def plain_law(state, control, target, multiplier, modulus, out=None):
+    """``plain_estimate``'s state, marginalized as ``statevec.phase_estimation_law``
+    does, and written into ``out`` when one is given."""
     joined = plain_estimate(state, control, target, multiplier, modulus)
-    return protocol.statevec.marginal_probabilities(joined, joined.layout.names[1:])
+    law = protocol.statevec.marginal_probabilities(joined, joined.layout.names[1:])
+    if out is None:
+        return law
+    out.reshape(law.shape)[...] = law
+    return out
 
 
 class TestFoldedEstimates:
@@ -1142,11 +1147,13 @@ class TestStackedOracle:
         "N, a, inverse_epsilon, columns, cut",
         [
             (13, 2, 4, 4, None), (11, 3, 4, 2, None), (7, 2, 10, 2, None), (13, 2, 4, 8, 3e-3),
-            (15, 7, 4, 2, None),
+            (15, 7, 4, 2, None), (15, 7, 4, 1, None),
         ],
     )
     def test_chunks_give_the_one_chunk_bits(self, N, a, inverse_epsilon, columns, cut, monkeypatch):
         # A cut on m1's mass leaves a live count that the chunks split unevenly.
+        # N=15 a=7 has 4 live m1, 16 apart: whole, they are copied into the
+        # joint law; one at a time, each folding law is written in place.
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         if cut is not None:
             monkeypatch.setattr(protocol, "_MIN_MASS", cut)
@@ -1247,25 +1254,24 @@ class TestStackedOracle:
         assert len(laws) == stages
         assert got.tobytes() == want.tobytes()
 
-    def test_holds_the_law_and_one_chunks_law(self):
+    def test_writes_each_batch_into_the_law(self):
         # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB).  Its 128 live m1
-        # run as 2 chunks of 64, and a chunk's law is 64 x 2^14 floats
-        # (8 MiB); no node-B state is stored, and a chunk's law is gone
-        # before the next one is built.  Beside the two laws the oracle
-        # holds node A's state, the control vector (0.25 MiB) and one
-        # chunk's pair products (25 x 1024 floats).
+        # run as 2 batches of 64 consecutive m1, so each batch's law is
+        # written and scaled in its rows of the joint law; no node-B state or
+        # second law is stored.  Beside the law the oracle holds node A's
+        # state, the control vector (0.25 MiB), the sources and the
+        # coefficients; the pair products stay kept from the first call.
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
         assert protocol._stack_columns(params) == 64
         law = 8 << (params.t1 + params.t2)
-        chunk = 8 * 64 << params.t2
-        distributed_joint_distribution(params, MODE_SEQUENTIAL)  # keeps the class transforms
+        distributed_joint_distribution(params, MODE_SEQUENTIAL)  # keeps the pair products
         tracemalloc.start()
         try:
             distributed_joint_distribution(params, MODE_SEQUENTIAL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert law + chunk < peak < law + chunk + (1 << 20)
+        assert law < peak < law + (1 << 20)
 
 
 TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
@@ -1303,8 +1309,10 @@ def refuse_build(*_args):
 
 
 class TestKeptTransforms:
-    """``statevec`` keeps node B's class transforms for one (t2, P); a stage
-    that builds them gives the bits of one that finds them kept."""
+    """``statevec`` keeps node B's class transforms for one (t2, P), which
+    only the stage reads, and the pair products of a few (t2, P), which only
+    the law reads; a stage that builds them gives the bits of one that finds
+    them kept."""
 
     def test_node_b_stage_is_bitwise_the_same_cold_and_warm(self):
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
@@ -1347,24 +1355,47 @@ class TestKeptTransforms:
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
     def test_a_run_builds_the_transforms_once(self, monkeypatch):
-        # 20 shots at N=21 a=2 run node B 20 times.  The sequential oracle
-        # takes node B's law once per batch: all 2^t1 = 128 values of m1
-        # have mass, and a batch holds 64 of them (L + t2 = 20 qubits leave
-        # room for ctrl_a narrowed to 6 qubits), so 2 laws.
+        # 20 shots at N=21 a=2 run node B's stage 20 times, which builds R
+        # once and no pair products.  The sequential oracle takes node B's
+        # law once per batch: all 2^t1 = 128 values of m1 have mass, and a
+        # batch holds 64 of them (L + t2 = 20 qubits leave room for ctrl_a
+        # narrowed to 6 qubits), so 2 laws, which build the pair products
+        # once, find them kept once, and never read R.
         params = ProtocolParams.derive(21, 2, Fraction(1, 4))
-        transforms = protocol.statevec._uniform_transforms
+        transforms, tables = protocol.statevec._uniform_transforms, protocol.statevec._pair_table
         stages, laws = [], []
         stage, b_law = protocol._b_stage, protocol._b_law
         monkeypatch.setattr(protocol, "_b_stage", lambda *args: stages.append(1) or stage(*args))
         monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
         transforms.cache_clear()
+        tables.cache_clear()
         run_shots(params, 20, seed=5)
         assert (transforms.cache_info().misses, len(stages), len(laws)) == (1, 20, 0)
+        assert tables.cache_info().misses == 0
         transforms.cache_clear()
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert transforms.cache_info().misses == 1
+        info = tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert transforms.cache_info().misses == 0
         assert np.count_nonzero(law.sum(axis=1)) == 128
         assert (len(stages), len(laws)) == (20, 2)
+
+    # Sequential shots run node B's stage, which reads R; the single-node
+    # engine never folds.  Only the exact oracles, and the joint-oracle
+    # shots that draw from one, build pair products.
+    @pytest.mark.parametrize(
+        "N, a, engine", [(33, 2, ENGINE_DISTRIBUTED), (21, 2, ENGINE_DISTRIBUTED),
+                         (33, 2, ENGINE_MONOLITHIC)]
+    )
+    def test_shots_build_no_pair_table(self, N, a, engine, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a shot built node B's pair products")
+
+        params = ProtocolParams.derive(N, a, Fraction(1, 4))
+        want = [r.to_json_dict() for r in run_shots(params, 8, seed=2, engine=engine)]
+        monkeypatch.setattr(protocol.statevec, "_pair_table", refuse)
+        got = [r.to_json_dict() for r in run_shots(params, 8, seed=2, engine=engine)]
+        assert got == want
 
     @pytest.mark.parametrize("N, a", [(15, 1), (7, 2)])
     def test_a_run_that_cannot_fold_keeps_none(self, N, a, monkeypatch):

@@ -866,13 +866,66 @@ class TestPhaseEstimationLaw:
     @pytest.mark.parametrize("case", ["single", "stacked", "two-registers"])
     def test_is_bitwise_the_same_cold_and_warm(self, case):
         state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
-        transforms = statevec._uniform_transforms
-        transforms.cache_clear()
+        tables = statevec._pair_table
+        tables.cache_clear()
         cold = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
         warm = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-        info = transforms.cache_info()
+        info = tables.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert warm.tobytes() == cold.tobytes()
+
+    # single: P = 5 and t = 14, 16 chunks of 1024 control values; stacked:
+    # P = 3 and t = 9, one chunk narrower than 1024; two-registers: P = 4, t = 7.
+    @pytest.mark.parametrize(
+        "case, period, t", [("single", 5, 14), ("stacked", 3, 9), ("two-registers", 4, 7)]
+    )
+    def test_a_table_above_the_cap_is_not_kept(self, case, period, t, monkeypatch):
+        state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
+        tables = statevec._pair_table
+        size = 8 * period * period << t  # the table's bytes
+        tables.cache_clear()
+        monkeypatch.setattr(statevec, "_PAIR_CAP", size)  # at the cap: kept
+        kept = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+        assert tables.cache_info().currsize == 1 and tables(t, period).nbytes == size
+        tables.cache_clear()
+        monkeypatch.setattr(statevec, "_PAIR_CAP", size - 1)
+        built = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+        assert tables.cache_info() == (0, 0, 8, 0)  # (hits, misses, maxsize, currsize)
+        assert built.tobytes() == kept.tobytes()
+
+    # Row q P + q' holds Re(G_q conj(G_q')) for q <= q' and Im(G_q conj(G_q'))
+    # for q > q', formed class by class as products of real and imaginary parts.
+    @pytest.mark.parametrize("t, period", [(9, 3), (11, 6), (12, 1), (3, 5)])
+    def test_kept_table_is_the_per_class_products(self, t, period):
+        g = uniform_reference(t, period)
+        want = np.empty((period, period, 1 << t))
+        for q, row in enumerate(want):
+            row[...] = g[q].real * g.real + g[q].imag * g.imag
+            row[:q] = g[q].imag * g[:q].real - g[q].real * g[:q].imag
+        statevec._pair_table.cache_clear()
+        table = statevec._pair_table(t, period)
+        assert table.shape == (period * period, 1 << t) and table.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_writes_into_out(self, case):
+        state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
+        want = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+        out = np.full(want.size, np.nan).reshape(2, -1)  # any shape of the law's size
+        got = statevec.phase_estimation_law(state, control, target, multiplier, modulus, out=out)
+        assert got is out and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(1 << 9), np.empty((8 << 9) + 1), np.empty((2, 8 << 9))[:, ::2],
+         np.empty(8 << 9, np.float32)],
+        ids=["too-small", "too-large", "strided", "float32"],
+    )
+    def test_refuses_an_out_it_cannot_fill(self, out):
+        state, control, target, multiplier, modulus, _ = LAW_CASES["stacked"]()
+        with pytest.raises(ValueError, match="C-contiguous float64 array of 4096 entries"):
+            statevec.phase_estimation_law(state, control, target, multiplier, modulus, out=out)
 
     def test_input_states_are_not_modified(self):
         state, control, target, multiplier, modulus, _ = LAW_CASES["stacked"]()
@@ -1648,8 +1701,8 @@ def dead_value_states():
         yield regs, compact_twin(with_dead_values(st, "r", [0, 7, 30]))
 
 
-class TestStackStates:
-    """``condition_register``'s batches stack the conditionals as the values of
+class TestConditionedBatches:
+    """``condition_register``'s batches hold the conditionals as the values of
     the conditioned register, narrowed in its place."""
 
     def test_values_hold_the_states_and_zeros(self):
@@ -1669,7 +1722,7 @@ class TestStackStates:
                         assert view[:, j, :].tobytes() == want.tobytes()
                     assert not view[:, part.size :, :].any()
 
-    def test_a_marginal_keeping_the_stack_gives_each_law(self):
+    def test_a_marginal_keeping_the_batch_index_gives_each_law(self):
         full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
         states = statevec.condition_register(full, "r", 1e-300, 1)[2]
         batches = statevec.condition_register(full, "r", 1e-300, 3)[2]
@@ -1684,7 +1737,7 @@ class TestStackStates:
                 assert np.max(np.abs(law - register_probabilities(alone, "c"))) <= FOLD_TOL
             assert not laws[part.size :].any()
 
-    def test_refuses_what_does_not_stack(self):
+    def test_refuses_fewer_than_one_column(self):
         st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
         for columns in (0, -1):
             with pytest.raises(ValueError, match="columns >= 1"):
