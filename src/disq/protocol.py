@@ -379,15 +379,16 @@ def distributed_joint_distribution(
     channel and pool and branches drawn from ``default_rng(0)``): a
     teleport gives the same state on every branch, and it acts on the work
     register, not on ctrl_a, so it commutes with measuring m1.  It then
-    conditions the teleported state on every m1 with mass at once, in
-    batches of at most ``_stack_columns`` conditionals that keep ctrl_a as
-    the batch index (``statevec.condition_register``), and takes node B's
-    law once per batch; each row is B's distribution weighted by the
-    outcome probability.  A batch of consecutive m1 with no padding values
-    writes its law straight into its rows of the joint law and scales them
-    there; any other batch's law is scaled and copied in.  Every law comes
-    from ``statevec.phase_estimation_law``, which never stores node B's
-    joined state.
+    conditions the teleported state on every m1 with mass at once, into one
+    batch that keeps ctrl_a, narrowed, as the index of those conditionals
+    (``statevec.condition_register``), and takes node B's law of that batch
+    in one call; each row is B's distribution weighted by the outcome
+    probability.  When the live m1 are consecutive and the batch has no
+    padding values, the law is written straight into its rows of the joint
+    law and scaled there; otherwise it is scaled and its live rows are
+    scattered in, and the other rows stay +0.0.  The law comes from
+    ``statevec.phase_estimation_law``, which never stores node B's joined
+    state, so no qubit count of that state bounds the batch.
     """
     if mode == MODE_JOINT:
         # Node B's stage runs on node A's unmeasured state: A's operations
@@ -401,29 +402,16 @@ def distributed_joint_distribution(
     moved = teleport_register(
         _a_stage(params), _WORK, ClassicalChannel(), EprPool(params.L), np.random.default_rng(0)
     )
-    columns = _stack_columns(params)
-    p1, live, batches = statevec.condition_register(moved, _CTRL_A, _MIN_MASS, columns)
+    p1, live, batch = statevec.condition_register(moved, _CTRL_A, _MIN_MASS)
     joint = np.zeros((1 << params.t1, 1 << params.t2))
-    for m1, st in zip(np.array_split(live, len(batches)), batches):
-        # consecutive m1 and no padding values: the batch's law is a slice of joint
-        in_place = m1[-1] - m1[0] + 1 == m1.size == 1 << (st.n - params.L)
-        law = _b_law(st, params, joint[m1[0] : m1[-1] + 1] if in_place else None)
-        law = law.reshape(-1, 1 << params.t2)[: m1.size]
-        law *= p1[m1, None]
-        if not in_place:
-            joint[m1] = law
-        del law  # the next batch's law is built without this one
+    # consecutive live m1 and no padding values: the law is a slice of joint
+    in_place = live[-1] - live[0] + 1 == live.size == 1 << (batch.n - params.L)
+    law = _b_law(batch, params, joint[live[0] : live[-1] + 1] if in_place else None)
+    law = law.reshape(-1, 1 << params.t2)[: live.size]
+    law *= p1[live, None]
+    if not in_place:
+        joint[live] = law
     return joint
-
-
-def _stack_columns(params: ProtocolParams) -> int:
-    """How many m1 conditionals one node-B law of the sequential oracle batches:
-    the most, a power of two, that keep node B's L + t2 qubits plus ctrl_a's,
-    narrowed to the batch, within ``MAX_QUBITS``, and at least one
-    (``check_capacity`` has passed L + t2).  No stage is stored, so nothing
-    else bounds a batch: its law is at most the whole law.
-    """
-    return 1 << max(statevec.MAX_QUBITS - params.L - params.t2, 0)
 
 
 def stitched_value_distribution(

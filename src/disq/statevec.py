@@ -56,7 +56,9 @@ value against the P^2 pair products G_q conj(G_q'), within about 1e-16 of
 the stage's marginal (not bit for bit) and with its zeros.  It never reads
 R: ``_pair_table`` keeps the pair products, read-only, for a few (t, P) of
 at most ``_PAIR_CAP`` bytes each, and a larger table is built a chunk of
-control values at a time, with the same bits.  Gate-level
+control values at a time, with the same bits.  Only the kernels that store
+the joined state check its layout against ``MAX_QUBITS``; past it, a law
+folds whenever its control is the uniform fill.  Gate-level
 decompositions are out of scope here -- circuit-cost questions are answered
 analytically by the resources module.
 
@@ -64,8 +66,9 @@ Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
 ``condition_register`` projects onto every outcome of a register at once,
 with the bits of ``project_register`` and ``remove_register``, and keeps the
-register, narrowed, as the index of a batch of those states: a batch, not a
-state, which every kernel on the other registers carries value by value.
+register, narrowed to the live outcomes, as the index of one batch of those
+states: a batch, not a state, which every kernel on the other registers
+carries value by value.
 ``teleport_qubits`` gives the same state on every branch and touches one
 register, so it commutes with conditioning another: the exact sequential law
 teleports node A's state once, then conditions it.
@@ -311,8 +314,8 @@ def _gather_table(
     the period (or ``n_ctrl``), with k for a value that is not stored;
     ``pad`` says whether any slot is k.  An entry holds 8 * F * (1 + P)
     bytes for F output rows and P columns, no more than the gathered
-    sources of the call that built it; under ``MAX_QUBITS`` that is at most
-    768 MiB (a 25-qubit target joined to one control qubit).
+    sources of the call that built it; for a joined layout within
+    ``MAX_QUBITS``, at most 768 MiB (a 25-qubit target, one control qubit).
     """
     stored = np.arange(n_tgt) if rows is None else np.frombuffer(rows, np.int64)
     k = stored.size
@@ -327,14 +330,14 @@ def _gather_table(
 
 def _join_table(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
-) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray, bool]:
+) -> tuple[np.ndarray | None, np.ndarray, bool]:
     """Check a controlled multiplication and look up its gather table.
 
-    Returns (layout, rows, src, pad): the layout with ``control`` joined
-    last, the row set of the joined state (None when every target value
-    holds amplitude; a read-only array shared with later calls otherwise),
-    and ``_gather_table``'s src and pad for the state's row set.  Every
-    check runs on each call; a call whose row set and sizes were seen
+    Returns (rows, src, pad): the row set of the joined state (None when
+    every target value holds amplitude; a read-only array shared with later
+    calls otherwise), and ``_gather_table``'s src and pad for the state's
+    row set.  It builds no joined layout, so it checks no qubit count.
+    Every check runs on each call; a call whose row set and sizes were seen
     before finds its table kept.
     """
     if modulus < 2:
@@ -343,15 +346,20 @@ def _join_table(
         raise ValueError(f"multiplier {multiplier} is not invertible mod {modulus}")
     if state.layout.offset(target) != 0:
         raise ValueError(f"target register {target!r} must lead the state {state.layout.names}")
-    if len(control.layout.registers) != 1:
-        raise ValueError(f"control must be a one-register state, got {control.layout.names}")
-    layout = state.layout.appended(*control.layout.registers[0])  # may raise CapacityError
+    _control_register(control)
     n_tgt = 1 << state.layout.width(target)
     if n_tgt < modulus:
         raise ValueError(f"target register {target!r} too narrow for modulus {modulus}")
     rows = None if state.rows is None else np.asarray(state.rows, np.int64).tobytes()
     image, src, pad = _gather_table(rows, n_tgt, multiplier % modulus, modulus, 1 << control.n)
-    return layout, None if image.size == n_tgt else image, src, pad
+    return None if image.size == n_tgt else image, src, pad
+
+
+def _control_register(control: StateVector) -> tuple[str, int]:
+    """The (name, width) of a control, which must be a one-register state."""
+    if len(control.layout.registers) != 1:
+        raise ValueError(f"control must be a one-register state, got {control.layout.names}")
+    return control.layout.registers[0]
 
 
 def _period_sources(state: StateVector, src: np.ndarray, pad: bool) -> np.ndarray:
@@ -386,7 +394,8 @@ def apply_controlled_modmul(
     multiplier grows), and a source value that is not stored reads one zero
     row.
     """
-    layout, rows, src, pad = _join_table(state, control, target, multiplier, modulus)
+    layout = state.layout.appended(*_control_register(control))  # may raise CapacityError
+    rows, src, pad = _join_table(state, control, target, multiplier, modulus)
     sources = _period_sources(state, src, pad)
     n_out, middle, period = sources.shape
     n_ctrl = 1 << control.n
@@ -502,24 +511,27 @@ def _pair_table(t: int, period: int) -> np.ndarray:
 
 def _fold_sources(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
-) -> tuple[RegisterLayout, np.ndarray | None, np.ndarray, int] | None:
-    """(layout, rows, one, P) when the estimate folds, None when it runs the two kernels.
+) -> tuple[np.ndarray | None, np.ndarray, int] | None:
+    """(rows, one, P) when the estimate folds, None when it runs the two kernels.
 
-    The fold is taken when it costs no more than the per-row FFTs, i.e. when
-    P * F <= (F - P) * t, and the control is bitwise the uniform fill.  The
+    The fold is taken when the control is bitwise the uniform fill and
+    either it costs no more than the per-row FFTs, i.e. P * F <= (F - P) * t,
+    or the joined state would pass ``MAX_QUBITS``, which only
+    ``phase_estimation_law`` reaches: it never stores that state.  The
     gather table alone gives P (its columns) and F (its rows times the
     other registers' values), so only a folding estimate gathers its
     sources here; the two kernels gather them in ``apply_controlled_modmul``.
     one[m] is the n_out x 2P float view of the sources at other-register value m.
     """
-    layout, rows, src, pad = _join_table(state, control, target, multiplier, modulus)
+    rows, src, pad = _join_table(state, control, target, multiplier, modulus)
     n_out, period = src.shape
     joined = n_out << (state.n - state.layout.registers[0][1])
     t = control.n
-    if not (_folds(period, joined, t) and _is_uniform(control.amps, t)):
+    over = state.n + t > MAX_QUBITS
+    if not ((over or _folds(period, joined, t)) and _is_uniform(control.amps, t)):
         return None
     one = np.ascontiguousarray(_period_sources(state, src, pad).transpose(1, 0, 2), complex)
-    return layout, rows, one.view(np.float64), period
+    return rows, one.view(np.float64), period
 
 
 def apply_phase_estimation(
@@ -554,11 +566,12 @@ def apply_phase_estimation(
     calling thread: OpenBLAS runs a product of a few hundred thousand
     multiply-adds or fewer there, instead of waking its thread pool.
     """
+    layout = state.layout.appended(*_control_register(control))  # may raise CapacityError
     fold = _fold_sources(state, control, target, multiplier, modulus)
     if fold is None:
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)
         return apply_inverse_qft(st, control.layout.names[0])
-    layout, rows, one, period = fold
+    rows, one, period = fold
     r = _uniform_transforms(control.n, period)
     middle, n_out, _ = one.shape
     out = np.empty((n_out, middle, 2 << control.n))  # the complex output's floats
@@ -651,7 +664,10 @@ def phase_estimation_law(
     order; ``out``, when given, is a C-contiguous float64 array of the law's
     size that the law is written into, and is returned.  An estimate that
     does not fold runs the two kernels and ``_born_marginal``, bit for bit.
-    A folding one takes the partial trace over the target rows y: with value
+    The law builds no joined layout: when the joined state would pass
+    ``MAX_QUBITS`` it folds if the control is the uniform fill, and
+    otherwise the two kernels raise CapacityError from the join.  A folding
+    one takes the partial trace over the target rows y: with value
     m's P x P Gram matrix M[q, q'] = sum_y s[y, q] conj(s[y, q']), its row is
     sum_q M[q, q] |G_q|^2 + 2 sum_{q < q'} Re(M[q, q'] G_q conj(G_q')),
     P^2 real multiply-adds per control value where the stage takes
@@ -683,7 +699,7 @@ def phase_estimation_law(
             return law
         out.reshape(law.shape)[...] = law
         return out
-    _, _, one, period = fold
+    _, one, period = fold
     middle, t = one.shape[0], control.n
     gram = np.matmul(one.transpose(0, 2, 1), one)  # [m, 2q + im, 2q' + im']: sums over y
     re = gram[:, 0::2, 0::2] + gram[:, 1::2, 1::2]
@@ -738,26 +754,23 @@ def project_register(
 
 
 def condition_register(
-    state: StateVector, reg: str, min_mass: float, columns: int
-) -> tuple[np.ndarray, np.ndarray, list[StateVector]]:
-    """``project_register`` then ``remove_register`` for every outcome at once,
-    in batches of at most ``columns`` outcomes.
+    state: StateVector, reg: str, min_mass: float
+) -> tuple[np.ndarray, np.ndarray, StateVector]:
+    """``project_register`` then ``remove_register`` for every outcome at once.
 
-    Returns (p, values, batches): p[v] is the probability ``project_register``
-    gives for outcome v, ``values`` lists in increasing order the outcomes
-    whose p is not below ``min_mass``, and ``np.array_split(values,
-    len(batches))`` gives each batch's outcomes.  A batch keeps ``reg`` in
-    its place, narrowed to the qubits of the largest batch (gone at width
-    0), and its value j holds, bit for bit, the state ``remove_register``
-    leaves of the projection onto the batch's j-th outcome, with zeros past
-    the last: a batch's squared norm is its count.  Every batch keeps the
-    input's rows.  The arithmetic is theirs: each outcome's |amplitude|^2
-    summed pairwise over its own contiguous copy, its amplitudes divided by
-    sqrt(p), then by the square root of their row-ordered Born mass, which
-    must be at least 1 - 1e-9, as in ``remove_register``.
+    Returns (p, values, batch): p[v] is the probability ``project_register``
+    gives for outcome v, and ``values`` lists in increasing order the
+    outcomes whose p is not below ``min_mass``.  The batch keeps ``reg`` in
+    its place, narrowed to ceil_log2(len(values)) qubits (gone at width 0,
+    where the batch is the one state ``remove_register`` leaves), and its
+    value j holds, bit for bit, the state ``remove_register`` leaves of the
+    projection onto outcome values[j], with zeros past the last: its
+    squared norm is its count.  It keeps the input's rows.  The arithmetic
+    is theirs: each outcome's |amplitude|^2 summed pairwise over its own
+    contiguous copy, its amplitudes divided by sqrt(p), then by the square
+    root of their row-ordered Born mass, which must be at least 1 - 1e-9,
+    as in ``remove_register``.
     """
-    if columns < 1:
-        raise ValueError(f"a batch needs columns >= 1, got {columns}")
     rows, a = _reg_axis(state, reg)
     by_value = np.ascontiguousarray(np.moveaxis(a, 1, 0))  # one outcome per leading index
     p = np.sum(np.abs(by_value) ** 2, axis=(1, 2))
@@ -770,16 +783,12 @@ def condition_register(
         raise ValueError(
             f"register {reg!r} is not in a basis state (max outcome mass {mass[bad[0]]:.6f})"
         )
-    parts = np.array_split(values, -(-values.size // columns)) if values.size else []
-    width = (parts[0].size - 1).bit_length() if parts else 0  # array_split puts the largest first
+    width = max(values.size - 1, 0).bit_length()
     regs = [(n, width if n == reg else w) for n, w in state.layout.registers]
     layout = RegisterLayout(tuple(r for r in regs if r[1]))  # reg narrowed in its place, or gone
-    batches = []
-    for part in parts:
-        out = np.zeros((a.shape[0], 1 << width, a.shape[2]), a.dtype)
-        out[:, : part.size] = scaled[:, part, :] / np.sqrt(mass[part])[:, None]
-        batches.append(StateVector(layout, out.reshape(-1), rows))
-    return p, values, batches
+    out = np.zeros((a.shape[0], 1 << width, a.shape[2]), a.dtype)
+    out[:, : values.size] = scaled[:, values, :] / np.sqrt(mass[values])[:, None]
+    return p, values, StateVector(layout, out.reshape(-1), rows)
 
 
 def draw(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -28,6 +28,7 @@ from disq.protocol import (
     summarize,
 )
 from disq.teleport import ClassicalChannel, EprPool, teleport_register
+from conditionals import conditionals
 from law_checks import FOLD_TOL, assert_near_the_stage
 from stitching_reference import slice_stitch
 
@@ -1098,8 +1099,9 @@ def single_stage_folds(params: ProtocolParams) -> bool:
 
 class TestStackedOracle:
     """The sequential oracle teleports node A's state once, conditions it on
-    every m1 at once in batches, and takes node B's law of each batch; each
-    law is the per-m1 loop's up to the fold and the teleport's rounding."""
+    every m1 at once into one batch, and takes node B's law of that batch in
+    one call; the law is the per-m1 loop's up to the fold and the teleport's
+    rounding."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
@@ -1107,7 +1109,7 @@ class TestStackedOracle:
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         after_a = protocol._a_stage(params)
         statevec = protocol.statevec
-        p1, live, conds = statevec.condition_register(after_a, "ctrl_a", protocol._MIN_MASS, 1)
+        p1, live, conds = conditionals(after_a, "ctrl_a", protocol._MIN_MASS)
         assert len(conds) == live.size and (np.diff(live) > 0).all()
         kept = dict(zip(live.tolist(), conds))
         for m1 in range(1 << params.t1):
@@ -1143,30 +1145,69 @@ class TestStackedOracle:
         elif r & (r - 1) == 0:
             assert got.tobytes() == teleported_once_law(params).tobytes()
 
-    @pytest.mark.parametrize(
-        "N, a, inverse_epsilon, columns, cut",
-        [
-            (13, 2, 4, 4, None), (11, 3, 4, 2, None), (7, 2, 10, 2, None), (13, 2, 4, 8, 3e-3),
-            (15, 7, 4, 2, None), (15, 7, 4, 1, None),
-        ],
-    )
-    def test_chunks_give_the_one_chunk_bits(self, N, a, inverse_epsilon, columns, cut, monkeypatch):
-        # A cut on m1's mass leaves a live count that the chunks split unevenly.
-        # N=15 a=7 has 4 live m1, 16 apart: whole, they are copied into the
-        # joint law; one at a time, each folding law is written in place.
-        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
-        if cut is not None:
-            monkeypatch.setattr(protocol, "_MIN_MASS", cut)
-        whole = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        live = np.count_nonzero(whole.sum(axis=1))
-        monkeypatch.setattr(protocol, "_stack_columns", lambda _params: columns)
+    def test_sub_batches_give_the_one_batch_bits(self, monkeypatch):
+        # N=13 a=2: node B's multiplier 4 has order P = 6 mod 13, and the 64
+        # live m1 fill ctrl_a.  A value's law row has the same bits whichever
+        # values share its batch: each sub-batch of 2 to 32 of them, ctrl_a
+        # narrowed and zero-padded as condition_register narrows it, still
+        # folds and gives its rows of the one batch's law bit for bit.  A cut
+        # on m1's mass leaves live m1 that are not consecutive and pad
+        # ctrl_a: their rows are scattered into the joint law with the bits
+        # of the uncut law's, and every other row stays +0.0.
+        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
+        statevec = protocol.statevec
+        moved = teleported_a_stage(params)
+        _, live, batch = statevec.condition_register(moved, "ctrl_a", protocol._MIN_MASS)
+        period = multiplicative_order(params.b_stage_multiplier, params.N)
+        assert live.size == 64 and period == 6 and batch.rows.size == 12
+        whole = protocol._b_law(batch, params).reshape(live.size, -1)
+        view = statevec._reg_axis(batch, "ctrl_a")[1]  # [work row, m1, 1]
+        for count in (2, 3, 5, 8, 21, 32):
+            for part in np.array_split(np.arange(live.size), -(-live.size // count)):
+                width = (part.size - 1).bit_length()
+                assert statevec._folds(period, batch.rows.size << width, params.t2)
+                block = np.zeros((view.shape[0], 1 << width), complex)
+                block[:, : part.size] = view[:, part, 0]
+                layout = statevec.RegisterLayout.of(("work", params.L), ("ctrl_a", width))
+                sub = statevec.StateVector(layout, block.reshape(-1), batch.rows)
+                law = protocol._b_law(sub, params).reshape(1 << width, -1)
+                assert law[: part.size].tobytes() == whole[part].tobytes()
+                assert not law[part.size :].any()
+        uncut = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        monkeypatch.setattr(protocol, "_MIN_MASS", 3e-3)
+        got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        kept = np.flatnonzero(got.sum(axis=1))
+        assert kept.size & (kept.size - 1) and kept[-1] - kept[0] >= kept.size
+        assert got[kept].tobytes() == uncut[kept].tobytes()
+        dead = np.delete(got, kept, axis=0)
+        assert not dead.any() and not np.signbit(dead).any()
+
+    def test_a_batch_past_the_qubit_guard_folds(self, monkeypatch):
+        # N=31 a=3 at epsilon=1/4: L=6, t1=7, t2=14, and node B's multiplier
+        # 19 has order P = 15 > t2, so node B's stage on one m1 never folds.
+        # The batch of every live m1 would join 27 qubits, past MAX_QUBITS:
+        # its law folds, in one call, near shots' per-m1 stages, and holds
+        # little beside the 16 MiB law (the pair products, 29.5 MB, stay
+        # kept from the first call).
+        params = ProtocolParams.derive(31, 3, Fraction(1, 4))
+        assert (params.L, params.t1, params.t2) == (6, 7, 14)
+        assert multiplicative_order(params.b_stage_multiplier, params.N) == 15
         laws = []
         b_law = protocol._b_law
         monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
-        parts = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert len(laws) == -(-live // columns) > 1
-        assert cut is None or live % columns
-        assert parts.tobytes() == whole.tobytes()
+        got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
+        live = int(np.count_nonzero(got.sum(axis=1)))
+        assert len(laws) == 1
+        assert params.L + (live - 1).bit_length() + params.t2 > protocol.statevec.MAX_QUBITS
+        assert_near_the_stage(got, per_m1_law(params))
+        law = 8 << (params.t1 + params.t2)
+        tracemalloc.start()
+        try:
+            distributed_joint_distribution(params, MODE_SEQUENTIAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law < peak < law + (4 << 20)
 
     # N=13 a=2 batches its 64 live m1, N=15 a=7 (r = 4) its 4 and N=17 a=3
     # (r = 16) its 16, each in one law; node A's state is teleported once,
@@ -1205,64 +1246,30 @@ class TestStackedOracle:
         again = teleported_a_stage(params)  # the same teleport, replayed
         assert moved.block.tobytes() == again.block.tobytes()
         assert len(conditioned) == 1 and conditioned[0] is moved
-        _, live, conds = condition(again, "ctrl_a", protocol._MIN_MASS, 1)
+        _, live, conds = conditionals(again, "ctrl_a", protocol._MIN_MASS)
         [st] = b_inputs  # one batch, ctrl_a narrowed to the live m1
         assert st.layout.registers == (("work", params.L), ("ctrl_a", live.size.bit_length() - 1))
-        columns = st.block.reshape(st.rows.size, -1).T
-        for col, cond in zip(columns, conds):
-            assert col.tobytes() == cond.block.tobytes()
-
-    def test_stacks_stay_within_the_qubit_guard(self):
-        # A batch's law holds L + t2 qubits plus ctrl_a's, narrowed to the
-        # batch; every run that check_capacity passes keeps that within
-        # MAX_QUBITS.
-        guard = protocol.statevec.MAX_QUBITS
-        for N in range(64, 256):
-            for a in range(2, N):
-                if math.gcd(a, N) != 1:
-                    continue
-                for inverse_epsilon in (4, 10):
-                    params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
-                    if params.peak_qubits(ENGINE_DISTRIBUTED) > guard:
-                        continue
-                    columns = protocol._stack_columns(params)
-                    assert columns >= 1 and columns & (columns - 1) == 0
-                    assert params.L + params.t2 + columns.bit_length() - 1 <= guard
+        values = st.block.reshape(st.rows.size, -1).T
+        for value, cond in zip(values, conds):
+            assert value.tobytes() == cond.block.tobytes()
 
     def test_a_law_at_the_qubit_guard_builds(self):
-        # L=8, t2=17 and r=3: the amplitude bound alone would batch 4
-        # conditionals, 27 qubits; the guard leaves room for 2.
+        # L=8, t2=17 and r=3: node B's joined state for one m1 would hold 25
+        # qubits, and for the batch of every live m1 past MAX_QUBITS, which
+        # the law, storing no joined state, passes by folding.
         params = ProtocolParams.derive(133, 11, Fraction(1, 4))
         assert params.L + params.t2 == protocol.statevec.MAX_QUBITS - 1
-        assert protocol._stack_columns(params) == 2
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         assert (law >= 0).all() and abs(law.sum() - 1) < 1e-12
 
-    @pytest.mark.parametrize("room, stages", [(0, 64), (2, 16)])
-    def test_a_lower_guard_splits_the_stack(self, room, stages, monkeypatch):
-        # N=13 a=2: L=4, t1=6, t2=11 and 64 live m1.  With no room for ctrl_a
-        # each m1 runs a shot's stage; with room for 2 qubits, 16 batches of 4.
-        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
-        want = teleported_once_law(params) if room == 0 else distributed_joint_distribution(
-            params, MODE_SEQUENTIAL
-        )
-        monkeypatch.setattr(protocol.statevec, "MAX_QUBITS", params.L + params.t2 + room)
-        laws = []
-        b_law = protocol._b_law
-        monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
-        got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert len(laws) == stages
-        assert got.tobytes() == want.tobytes()
-
     def test_writes_each_batch_into_the_law(self):
         # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB).  Its 128 live m1
-        # run as 2 batches of 64 consecutive m1, so each batch's law is
-        # written and scaled in its rows of the joint law; no node-B state or
-        # second law is stored.  Beside the law the oracle holds node A's
-        # state, the control vector (0.25 MiB), the sources and the
-        # coefficients; the pair products stay kept from the first call.
+        # are consecutive and fill ctrl_a, so the batch's law is written and
+        # scaled in the joint law; no node-B state or second law is stored.
+        # Beside the law the oracle holds node A's state, the control vector
+        # (0.25 MiB), the sources and the coefficients; the pair products
+        # stay kept from the first call.
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
-        assert protocol._stack_columns(params) == 64
         law = 8 << (params.t1 + params.t2)
         distributed_joint_distribution(params, MODE_SEQUENTIAL)  # keeps the pair products
         tracemalloc.start()
@@ -1288,13 +1295,9 @@ class TestBatchedTeleport:
     def test_is_teleport_qubits_on_each_conditional(self, N, a, inverse_epsilon):
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         statevec = protocol.statevec
-        _, live, conds = statevec.condition_register(
-            protocol._a_stage(params), "ctrl_a", protocol._MIN_MASS, 1
-        )
+        _, live, conds = conditionals(protocol._a_stage(params), "ctrl_a", protocol._MIN_MASS)
         moved = teleported_a_stage(params)
-        _, moved_live, moved_conds = statevec.condition_register(
-            moved, "ctrl_a", protocol._MIN_MASS, 1
-        )
+        _, moved_live, moved_conds = conditionals(moved, "ctrl_a", protocol._MIN_MASS)
         assert np.array_equal(moved_live, live)
         rng = np.random.default_rng(1)
         for cond, got in zip(conds, moved_conds):
@@ -1327,10 +1330,9 @@ class TestKeptTransforms:
         assert transforms.cache_info().hits == 2
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
-    # A shot's node-B stage runs on node A's state projected onto its m1,
-    # and the sequential oracle's on batches of such states: every stage
-    # after a process's first finds the transforms kept.  One single-m1
-    # stage, cold then warm.
+    # A shot's node-B stage runs on node A's state projected onto its m1:
+    # every stage after a process's first finds the transforms kept.  One
+    # single-m1 stage, cold then warm.
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
     def test_sequential_law_is_bitwise_the_same_cold(self, N, a, inverse_epsilon):
@@ -1357,10 +1359,8 @@ class TestKeptTransforms:
     def test_a_run_builds_the_transforms_once(self, monkeypatch):
         # 20 shots at N=21 a=2 run node B's stage 20 times, which builds R
         # once and no pair products.  The sequential oracle takes node B's
-        # law once per batch: all 2^t1 = 128 values of m1 have mass, and a
-        # batch holds 64 of them (L + t2 = 20 qubits leave room for ctrl_a
-        # narrowed to 6 qubits), so 2 laws, which build the pair products
-        # once, find them kept once, and never read R.
+        # law once, of the batch of all 2^t1 = 128 values of m1, which have
+        # mass; that law builds the pair products once and never reads R.
         params = ProtocolParams.derive(21, 2, Fraction(1, 4))
         transforms, tables = protocol.statevec._uniform_transforms, protocol.statevec._pair_table
         stages, laws = [], []
@@ -1375,10 +1375,10 @@ class TestKeptTransforms:
         transforms.cache_clear()
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         info = tables.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 0)
         assert transforms.cache_info().misses == 0
         assert np.count_nonzero(law.sum(axis=1)) == 128
-        assert (len(stages), len(laws)) == (20, 2)
+        assert (len(stages), len(laws)) == (20, 1)
 
     # Sequential shots run node B's stage, which reads R; the single-node
     # engine never folds.  Only the exact oracles, and the joint-oracle

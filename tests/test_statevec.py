@@ -27,6 +27,7 @@ from disq.statevec import (
     register_probabilities,
     remove_register,
 )
+from conditionals import conditionals
 from law_checks import FOLD_TOL, assert_near_the_stage
 
 ALGEBRA_TOL = 1e-10
@@ -456,6 +457,8 @@ class TestControlledModMul:
         statevec._gather_table.cache_clear()
         with pytest.raises(CapacityError):
             apply_controlled_modmul(st, control, "work", 3, 7)
+        with pytest.raises(CapacityError):
+            apply_phase_estimation(st, control, "work", 3, 7)
         info = statevec._gather_table.cache_info()
         assert info.misses == info.hits == info.currsize == 0  # no table looked up or kept
 
@@ -486,11 +489,11 @@ class TestGatherTables:
         warm = statevec._join_table(st, control, "work", multiplier, 13)
         info = statevec._gather_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert warm[0] == cold[0] and warm[3] == cold[3]
-        assert (warm[1] is None) == (cold[1] is None) == (stored == "dense")
-        assert cold[1] is None or np.array_equal(warm[1], cold[1])
-        assert np.array_equal(warm[2], cold[2])
-        sources = [statevec._period_sources(st, src, pad) for _, _, src, pad in (cold, warm)]
+        assert warm[2] == cold[2]
+        assert (warm[0] is None) == (cold[0] is None) == (stored == "dense")
+        assert cold[0] is None or np.array_equal(warm[0], cold[0])
+        assert np.array_equal(warm[1], cold[1])
+        sources = [statevec._period_sources(st, src, pad) for _, src, pad in (cold, warm)]
         assert np.array_equal(*sources)
         got = apply_controlled_modmul(st, control, "work", multiplier, 13)
         assert np.array_equal(got.amps, join_reference(st, control, multiplier, 13))
@@ -808,7 +811,7 @@ def stacked_states(count: int, width: int) -> StateVector:
     """``count`` conditionals on the rows 2, 5 and 11 as the values of a new
     ``width``-qubit register: a batch, whose squared norm is ``count``."""
     full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
-    states = statevec.condition_register(full, "r", 1e-300, 1)[2][:count]
+    states = conditionals(full, "r", 1e-300)[2][:count]
     block = np.zeros((states[0].block.size, 1 << width), complex)
     block[:, :count] = np.stack([st.block for st in states], axis=1)
     return StateVector(states[0].layout.appended("s", width), block.reshape(-1), states[0].rows)
@@ -862,6 +865,33 @@ class TestPhaseEstimationLaw:
             assert_near_the_stage(got, want)
         else:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # Past the guard the law still stores no joined state: a uniform control
+    # folds, also where the cost rule runs the two kernels (first,
+    # long-period), and any other control reaches the join, which refuses
+    # the layout, as the stage does for every control.  The Gram form's
+    # rounding grows with P: at P = 100 it is 1.5e-15 from the stage.
+    @pytest.mark.parametrize("case", [
+        pytest.param(case, marks=pytest.mark.xfail(
+            strict=True, reason="P = 100: the Gram-form law rounds 1.5e-15 from the stage"
+        )) if case == "long-period" else case
+        for case in LAW_CASES
+    ])
+    def test_past_the_qubit_guard_folds_or_refuses(self, case, modmul_calls, monkeypatch):
+        state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
+        want = stage_marginal(state, control, target, multiplier, modulus)
+        monkeypatch.setattr(statevec, "MAX_QUBITS", state.n + control.n - 1)
+        with pytest.raises(CapacityError):
+            apply_phase_estimation(state, control, target, multiplier, modulus)
+        del modmul_calls[:]
+        if not statevec._is_uniform(control.amps, control.n):
+            with pytest.raises(CapacityError):
+                statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+            assert len(modmul_calls) == 1
+            return
+        got = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
+        assert not modmul_calls
+        assert_near_the_stage(got, want)
 
     @pytest.mark.parametrize("case", ["single", "stacked", "two-registers"])
     def test_is_bitwise_the_same_cold_and_warm(self, case):
@@ -1660,7 +1690,7 @@ class TestConditionRegister:
         else:
             st = with_dead_values(random_state(RegisterLayout.of(*regs), np.random.default_rng(3)),
                                   "r", [0, 7, 30])
-        p, values, states = statevec.condition_register(st, "r", 1e-300, 1)
+        p, values, states = conditionals(st, "r", 1e-300)
         assert p.shape == (32,) and len(states) == values.size
         kept = iter(states)
         for v in range(32):
@@ -1679,7 +1709,7 @@ class TestConditionRegister:
 
     def test_outcomes_below_the_cut_are_left_out(self):
         st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
-        p, values, states = statevec.condition_register(st, "r", 0.15, 1)
+        p, values, states = conditionals(st, "r", 0.15)
         assert values.tolist() == np.flatnonzero(p >= 0.15).tolist()
         assert 0 < values.size < 8 and len(states) == values.size
 
@@ -1687,7 +1717,7 @@ class TestConditionRegister:
         st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
         st.block[5] = complex(math.nan, 0)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not in a basis state"):
-            statevec.condition_register(st, "r", 1e-300, 1)
+            statevec.condition_register(st, "r", 1e-300)
 
 
 def dead_value_states():
@@ -1702,54 +1732,50 @@ def dead_value_states():
 
 
 class TestConditionedBatches:
-    """``condition_register``'s batches hold the conditionals as the values of
-    the conditioned register, narrowed in its place."""
+    """``condition_register``'s batch holds the conditionals as the values of
+    the conditioned register, narrowed in its place to the live outcomes."""
 
     def test_values_hold_the_states_and_zeros(self):
-        # 29 live outcomes: batches of 2 (and one of 1), 5 (and one of 4) and 29.
+        # 29 live outcomes keep r's 5 qubits; cuts that leave 5, 2 and 1 live
+        # narrow it to 3 qubits (3 zero values), 1 and none.
         for regs, st in dead_value_states():
-            _, values, states = statevec.condition_register(st, "r", 1e-300, 1)
-            assert values.size == 29
-            for columns, count, width in [(2, 15, 1), (5, 6, 3), (32, 1, 5)]:
-                _, same, batches = statevec.condition_register(st, "r", 1e-300, columns)
-                assert np.array_equal(same, values) and len(batches) == count
+            p = statevec.condition_register(st, "r", 1e-300)[0]
+            for count, width in [(29, 5), (5, 3), (2, 1), (1, 0)]:
+                cut = np.sort(p)[-count]
+                _, values, batch = statevec.condition_register(st, "r", cut)
+                assert values.tolist() == np.flatnonzero(p >= cut).tolist()
+                assert values.size == count
                 narrowed = tuple((n, width if n == "r" else w) for n, w in regs)
-                for part, batch in zip(np.array_split(np.arange(29), count), batches):
-                    assert batch.layout.registers == narrowed
+                assert batch.layout.registers == tuple(r for r in narrowed if r[1])
+                if width == 0:
+                    view = batch.block.reshape(1, 1, -1)
+                else:
                     view = statevec._reg_axis(batch, "r")[1]
-                    for j, i in enumerate(part):
-                        want = states[i].block.reshape(view.shape[0], -1)
-                        assert view[:, j, :].tobytes() == want.tobytes()
-                    assert not view[:, part.size :, :].any()
+                for j, v in enumerate(values):
+                    want = remove_register(project_register(st, "r", int(v))[1], "r")
+                    assert view[:, j, :].tobytes() == want.block.tobytes()
+                assert not view[:, count:, :].any()
 
     def test_a_marginal_keeping_the_batch_index_gives_each_law(self):
+        # 5 of 8 outcomes kept: r narrowed to 3 qubits, its last 3 values zero.
         full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
-        states = statevec.condition_register(full, "r", 1e-300, 1)[2]
-        batches = statevec.condition_register(full, "r", 1e-300, 3)[2]
+        p, _, states = conditionals(full, "r", 1e-300)
+        _, values, batch = statevec.condition_register(full, "r", np.sort(p)[-5])
+        assert len(states) == 8 and values.size == 5 and batch.layout.width("r") == 3
         control = apply_hadamard_register(init_basis(RegisterLayout.of(("c", 9))), "c")
-        parts = np.array_split(np.arange(len(states)), len(batches))
-        assert len(states) == 8 and [part.size for part in parts] == [3, 3, 2]
-        for part, batch in zip(parts, batches):
-            joined = apply_phase_estimation(batch, control, "w", 3, 13)
-            laws = marginal_probabilities(joined, ["r", "c"])
-            for law, i in zip(laws, part):
-                alone = apply_phase_estimation(states[i], control, "w", 3, 13)
-                assert np.max(np.abs(law - register_probabilities(alone, "c"))) <= FOLD_TOL
-            assert not laws[part.size :].any()
-
-    def test_refuses_fewer_than_one_column(self):
-        st = random_state(RegisterLayout.of(("a", 2), ("r", 3)), np.random.default_rng(1))
-        for columns in (0, -1):
-            with pytest.raises(ValueError, match="columns >= 1"):
-                statevec.condition_register(st, "r", 1e-300, columns)
+        joined = apply_phase_estimation(batch, control, "w", 3, 13)
+        laws = marginal_probabilities(joined, ["r", "c"])
+        for law, v in zip(laws, values):
+            alone = apply_phase_estimation(states[v], control, "w", 3, 13)
+            assert np.max(np.abs(law - register_probabilities(alone, "c"))) <= FOLD_TOL
+        assert not laws[values.size :].any()
 
     def test_rows_are_shared_or_equal(self):
-        # Every batch shares the input's rows object; conditioning the leading
-        # register reads the dense vector, and its batches store every row.
+        # The batch shares the input's rows object; conditioning the leading
+        # register reads the dense vector, and its batch stores every row.
         for regs, st in dead_value_states():
-            for columns in (1, 5, 32):
-                for batch in statevec.condition_register(st, "r", 1e-300, columns)[2]:
-                    if regs[0][0] == "r":
-                        assert batch.rows is None and batch.block.size == 1 << batch.n
-                    else:
-                        assert batch.rows is st.rows
+            batch = statevec.condition_register(st, "r", 1e-300)[2]
+            if regs[0][0] == "r":
+                assert batch.rows is None and batch.block.size == 1 << batch.n
+            else:
+                assert batch.rows is st.rows

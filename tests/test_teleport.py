@@ -7,6 +7,7 @@ import pytest
 from disq import statevec
 from disq.statevec import RegisterLayout, StateVector, init_basis, marginal_probabilities
 from disq.teleport import ClassicalChannel, EprPool, EprPoolError, teleport_register
+from conditionals import conditionals
 
 FIDELITY_TOL = 1e-12
 DIST_TOL = 1e-10
@@ -246,7 +247,7 @@ class TestTeleportStates:
     def test_is_teleport_qubits_on_each_state(self, regs, compact, count):
         states = shared_states(regs, compact, count, seed=7 * count)
         moved, _ = statevec.teleport_qubits(superposed(states, "m"), "c", np.random.default_rng(0))
-        _, values, conds = statevec.condition_register(moved, "m", 1e-300, 1)
+        _, values, conds = conditionals(moved, "m", 1e-300)
         assert values.tolist() == list(range(count))
         rng = np.random.default_rng(count)
         for st, got in zip(states, conds):
@@ -259,6 +260,6 @@ class TestTeleportStates:
     def test_norm_drift_raises(self):
         # A batch is not a state: its squared norm is its count.
         st = shared_states([("c", 2), ("m", 2)], False, 1, seed=1)[0]
-        batch = statevec.condition_register(st, "m", 1e-300, 4)[2][0]
+        batch = statevec.condition_register(st, "m", 1e-300)[2]
         with pytest.raises(RuntimeError, match="drifted"):
             statevec.teleport_qubits(batch, "c", np.random.default_rng(0))
