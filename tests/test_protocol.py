@@ -1145,42 +1145,53 @@ class TestStackedOracle:
         elif r & (r - 1) == 0:
             assert got.tobytes() == teleported_once_law(params).tobytes()
 
-    def test_sub_batches_give_the_one_batch_bits(self, monkeypatch):
-        # N=13 a=2: node B's multiplier 4 has order P = 6 mod 13, and the 64
-        # live m1 fill ctrl_a.  A value's law row has the same bits whichever
-        # values share its batch: each sub-batch of 2 to 32 of them, ctrl_a
-        # narrowed and zero-padded as condition_register narrows it, still
-        # folds and gives its rows of the one batch's law bit for bit.  A cut
-        # on m1's mass leaves live m1 that are not consecutive and pad
-        # ctrl_a: their rows are scattered into the joint law with the bits
-        # of the uncut law's, and every other row stays +0.0.
-        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
+    @pytest.mark.parametrize(
+        "N, a, inverse_epsilon, columns, cut",
+        [
+            (13, 2, 4, 4, None), (13, 2, 4, 21, None), (11, 3, 4, 2, None), (7, 2, 10, 2, None),
+            (13, 2, 4, 8, 3e-3), (15, 7, 4, 2, None), (15, 7, 4, 1, None),
+        ],
+    )
+    def test_chunks_give_the_one_chunk_bits(self, N, a, inverse_epsilon, columns, cut, monkeypatch):
+        # A value's law row has the same bits whichever values share its
+        # batch: each chunk of `columns` live m1, ctrl_a narrowed and
+        # zero-padded as condition_register narrows it (gone for one m1),
+        # still folds and gives its rows of the one batch's law bit for bit, and
+        # the joint law holds those rows times m1's probability.
+        # Node B's multiplier has order P = 6 mod 13 (a=2), 5 mod 11 (a=3),
+        # 3 mod 7 (a=2) and 2 mod 15 (a=7, 4 live m1, 16 apart).  A cut on
+        # m1's mass leaves N=13 a=2 live m1 that are not consecutive, pad
+        # ctrl_a and split unevenly: their rows are scattered into the joint
+        # law with the bits of the uncut law's, and every other row stays +0.0.
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         statevec = protocol.statevec
-        moved = teleported_a_stage(params)
-        _, live, batch = statevec.condition_register(moved, "ctrl_a", protocol._MIN_MASS)
-        period = multiplicative_order(params.b_stage_multiplier, params.N)
-        assert live.size == 64 and period == 6 and batch.rows.size == 12
-        whole = protocol._b_law(batch, params).reshape(live.size, -1)
-        view = statevec._reg_axis(batch, "ctrl_a")[1]  # [work row, m1, 1]
-        for count in (2, 3, 5, 8, 21, 32):
-            for part in np.array_split(np.arange(live.size), -(-live.size // count)):
-                width = (part.size - 1).bit_length()
-                assert statevec._folds(period, batch.rows.size << width, params.t2)
-                block = np.zeros((view.shape[0], 1 << width), complex)
-                block[:, : part.size] = view[:, part, 0]
-                layout = statevec.RegisterLayout.of(("work", params.L), ("ctrl_a", width))
-                sub = statevec.StateVector(layout, block.reshape(-1), batch.rows)
-                law = protocol._b_law(sub, params).reshape(1 << width, -1)
-                assert law[: part.size].tobytes() == whole[part].tobytes()
-                assert not law[part.size :].any()
         uncut = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        monkeypatch.setattr(protocol, "_MIN_MASS", 3e-3)
+        if cut is not None:
+            monkeypatch.setattr(protocol, "_MIN_MASS", cut)
+        moved = teleported_a_stage(params)
+        p1, live, batch = statevec.condition_register(moved, "ctrl_a", protocol._MIN_MASS)
+        period = multiplicative_order(params.b_stage_multiplier, params.N)
+        whole = protocol._b_law(batch, params).reshape(-1, 1 << params.t2)[: live.size]
+        view = statevec._reg_axis(batch, "ctrl_a")[1]  # [work row, m1, 1]
+        parts = np.array_split(np.arange(live.size), -(-live.size // columns))
+        assert len(parts) > 1 and (cut is None or live.size % columns)
+        for part in parts:
+            width = (part.size - 1).bit_length()
+            assert statevec._folds(period, batch.rows.size << width, params.t2)
+            block = np.zeros((view.shape[0], 1 << width), complex)
+            block[:, : part.size] = view[:, part, 0]
+            regs = [("work", params.L), ("ctrl_a", width)][: 1 + (width > 0)]
+            sub = statevec.StateVector(statevec.RegisterLayout.of(*regs), block.reshape(-1), batch.rows)
+            law = protocol._b_law(sub, params).reshape(1 << width, -1)
+            assert law[: part.size].tobytes() == whole[part].tobytes()
+            assert not law[part.size :].any()
         got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        kept = np.flatnonzero(got.sum(axis=1))
-        assert kept.size & (kept.size - 1) and kept[-1] - kept[0] >= kept.size
-        assert got[kept].tobytes() == uncut[kept].tobytes()
-        dead = np.delete(got, kept, axis=0)
+        assert got[live].tobytes() == (whole * p1[live, None]).tobytes()
+        dead = np.delete(got, live, axis=0)
         assert not dead.any() and not np.signbit(dead).any()
+        if cut is not None:
+            assert live.size & (live.size - 1) and live[-1] - live[0] >= live.size
+            assert got[live].tobytes() == uncut[live].tobytes()
 
     def test_a_batch_past_the_qubit_guard_folds(self, monkeypatch):
         # N=31 a=3 at epsilon=1/4: L=6, t1=7, t2=14, and node B's multiplier
