@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -555,6 +554,8 @@ def run_shots(
     # pool.map submits every shot up front; bound the threads that it starts
     workers = min(workers, shots, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(shots)))
     return [one(i) for i in range(shots)]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import hashlib
 import math
@@ -791,7 +792,8 @@ class TestDeterminism:
                 made[-1][1] = len(items)
                 return []
 
-        monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+        # run_shots imports the executor only when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
         params = ProtocolParams.derive(15, 7, Fraction(1, 4))
         records = run_shots(params, shots, seed=1, workers=workers)
