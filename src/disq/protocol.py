@@ -304,15 +304,15 @@ def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
     )
 
 
-def _b_law(st: StateVector, params: ProtocolParams, out: np.ndarray | None = None) -> np.ndarray:
+def _b_law(st: StateVector, params: ProtocolParams) -> np.ndarray:
     """The law of ``st``'s registers after work and of ctrl_b after node B's estimate.
 
     ``statevec.phase_estimation_law`` gives it without storing the joined
-    state, written into ``out`` when one is given.
+    state.
     """
     control = _uniform_control(_CTRL_B, params.t2)
     return statevec.phase_estimation_law(
-        st, control, _WORK, params.b_stage_multiplier, params.N, out=out
+        st, control, _WORK, params.b_stage_multiplier, params.N
     )
 
 
@@ -371,46 +371,26 @@ def distributed_joint_distribution(
 ) -> np.ndarray:
     """Exact joint distribution over (m1, m2) as a (2^t1, 2^t2) array.
 
-    The joint-oracle path is the law of ctrl_a and ctrl_b after node B's
-    estimate on node A's unmeasured state.  The sequential path gives, up to
-    the fold, what ``_node_b`` gives for each m1.  It teleports node A's
-    work register once per law (``teleport_register``, with a throwaway
-    channel and pool and branches drawn from ``default_rng(0)``): a
-    teleport gives the same state on every branch, and it acts on the work
-    register, not on ctrl_a, so it commutes with measuring m1.  It then
-    conditions the teleported state on every m1 with mass at once, into one
-    batch that keeps ctrl_a, narrowed, as the index of those conditionals
-    (``statevec.condition_register``), and takes node B's law of that batch
-    in one call; each row is B's distribution weighted by the outcome
-    probability.  When the live m1 are consecutive and the batch has no
-    padding values, the law is written straight into its rows of the joint
-    law and scaled there; otherwise it is scaled and its live rows are
-    scattered in, and the other rows stay +0.0.  The law comes from
-    ``statevec.phase_estimation_law``, which never stores node B's joined
-    state, so no qubit count of that state bounds the batch.
+    Both paths are the law of ctrl_a and ctrl_b after node B's estimate on
+    node A's unmeasured state.  The sequential path first teleports node A's
+    work register to node B (``teleport_register``, with a throwaway channel
+    and pool and branches drawn from ``default_rng(0)``), as a shot does.
+    Its law is what ``_node_b`` gives for each m1, weighted by P(m1), up to
+    rounding: ctrl_a is never touched after node A's inverse QFT, so
+    measuring it commutes with the teleport and with node B's estimate (the
+    principle of deferred measurement, Nielsen & Chuang section 4.4).  The
+    law comes from ``statevec.phase_estimation_law``, which never stores
+    node B's joined state.
     """
-    if mode == MODE_JOINT:
-        # Node B's stage runs on node A's unmeasured state: A's operations
-        # never touch ctrl_b, so joining ctrl_b after them gives the same state.
-        check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)
-        return _b_law(_a_stage(params), params)
-
-    if mode != MODE_SEQUENTIAL:
+    if mode not in (MODE_SEQUENTIAL, MODE_JOINT):
         raise ValueError(f"unknown mode {mode!r}")
-    check_capacity(params, ENGINE_DISTRIBUTED)
-    moved = teleport_register(
-        _a_stage(params), _WORK, ClassicalChannel(), EprPool(params.L), np.random.default_rng(0)
-    )
-    p1, live, batch = statevec.condition_register(moved, _CTRL_A, _MIN_MASS)
-    joint = np.zeros((1 << params.t1, 1 << params.t2))
-    # consecutive live m1 and no padding values: the law is a slice of joint
-    in_place = live[-1] - live[0] + 1 == live.size == 1 << (batch.n - params.L)
-    law = _b_law(batch, params, joint[live[0] : live[-1] + 1] if in_place else None)
-    law = law.reshape(-1, 1 << params.t2)[: live.size]
-    law *= p1[live, None]
-    if not in_place:
-        joint[live] = law
-    return joint
+    check_capacity(params, ENGINE_DISTRIBUTED, mode)
+    after_a = _a_stage(params)
+    if mode == MODE_SEQUENTIAL:
+        after_a = teleport_register(
+            after_a, _WORK, ClassicalChannel(), EprPool(params.L), np.random.default_rng(0)
+        )
+    return _b_law(after_a, params)
 
 
 def stitched_value_distribution(

@@ -64,14 +64,11 @@ analytically by the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
-``condition_register`` projects onto every outcome of a register at once,
-with the bits of ``project_register`` and ``remove_register``, and keeps the
-register, narrowed to the live outcomes, as the index of one batch of those
-states: a batch, not a state, which every kernel on the other registers
-carries value by value.
 ``teleport_qubits`` gives the same state on every branch and touches one
-register, so it commutes with conditioning another: the exact sequential law
-teleports node A's state once, then conditions it.
+register, so it commutes with measuring another.  A register that no later
+kernel touches can be measured at the end instead (deferred measurement):
+the exact sequential law is node B's law of node A's teleported state,
+unmeasured, where shots measure node A's control first.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
@@ -153,8 +150,7 @@ class RegisterLayout:
 
 @dataclass
 class StateVector:
-    """A register layout plus its complex amplitudes (unit norm, except a
-    batch from ``condition_register``, whose squared norm is its count).
+    """A register layout plus its complex amplitudes (unit norm).
 
     ``block`` holds, row after row, the 2^(n - w0) amplitudes of each stored
     value of the leading register; ``rows`` lists those values in increasing
@@ -655,15 +651,13 @@ def phase_estimation_law(
     target: str,
     multiplier: int,
     modulus: int,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The Born marginal over every register but the leading one of the state
     ``apply_phase_estimation`` gives, without storing that state.
 
     The law of the joined layout's registers after ``target``, axes in layout
-    order; ``out``, when given, is a C-contiguous float64 array of the law's
-    size that the law is written into, and is returned.  An estimate that
-    does not fold runs the two kernels and ``_born_marginal``, bit for bit.
+    order.  An estimate that does not fold runs the two kernels and
+    ``_born_marginal``, bit for bit.
     The law builds no joined layout: when the joined state would pass
     ``MAX_QUBITS`` it folds if the control is the uniform fill, and
     otherwise the two kernels raise CapacityError from the join.  A folding
@@ -685,20 +679,11 @@ def phase_estimation_law(
     law it holds the sources and P^2 coefficients per value, and, for a
     table above the cap, G and one chunk's pair products.
     """
-    shape = [1 << w for _, w in state.layout.registers[1:]] + [1 << control.n]
-    if out is not None and not (
-        out.dtype == np.float64 and out.flags.c_contiguous and out.size == math.prod(shape)
-    ):
-        raise ValueError(f"out must be a C-contiguous float64 array of {math.prod(shape)} entries")
     fold = _fold_sources(state, control, target, multiplier, modulus)
     if fold is None:
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)
         st = apply_inverse_qft(st, control.layout.names[0])
-        law = _born_marginal(st, st.layout.names[1:])
-        if out is None:
-            return law
-        out.reshape(law.shape)[...] = law
-        return out
+        return _born_marginal(st, st.layout.names[1:])
     _, one, period = fold
     middle, t = one.shape[0], control.n
     gram = np.matmul(one.transpose(0, 2, 1), one)  # [m, 2q + im, 2q' + im']: sums over y
@@ -707,7 +692,7 @@ def phase_estimation_law(
     # Re M on the diagonal, 2 Re M above it and -2 Im M below it, by the pairs' layout
     coef = np.where(np.tri(period, k=-1, dtype=bool), -2 * im, re + np.triu(re, 1))
     coef = coef.reshape(middle, 1, period * period)
-    law = np.empty(shape) if out is None else out
+    law = np.empty([1 << w for _, w in state.layout.registers[1:]] + [1 << t])
     rows = law.reshape(middle, 1, 1 << t)  # a view: the law is contiguous
     kept = 8 * period * period << t <= _PAIR_CAP
     if kept:
@@ -751,44 +736,6 @@ def project_register(
     out = np.zeros(a.shape, a.dtype)
     out[:, value, :] = a[:, value, :] / math.sqrt(p)
     return p, StateVector(state.layout, out.reshape(-1), rows)
-
-
-def condition_register(
-    state: StateVector, reg: str, min_mass: float
-) -> tuple[np.ndarray, np.ndarray, StateVector]:
-    """``project_register`` then ``remove_register`` for every outcome at once.
-
-    Returns (p, values, batch): p[v] is the probability ``project_register``
-    gives for outcome v, and ``values`` lists in increasing order the
-    outcomes whose p is not below ``min_mass``.  The batch keeps ``reg`` in
-    its place, narrowed to ceil_log2(len(values)) qubits (gone at width 0,
-    where the batch is the one state ``remove_register`` leaves), and its
-    value j holds, bit for bit, the state ``remove_register`` leaves of the
-    projection onto outcome values[j], with zeros past the last: its
-    squared norm is its count.  It keeps the input's rows.  The arithmetic
-    is theirs: each outcome's |amplitude|^2 summed pairwise over its own
-    contiguous copy, its amplitudes divided by sqrt(p), then by the square
-    root of their row-ordered Born mass, which must be at least 1 - 1e-9,
-    as in ``remove_register``.
-    """
-    rows, a = _reg_axis(state, reg)
-    by_value = np.ascontiguousarray(np.moveaxis(a, 1, 0))  # one outcome per leading index
-    p = np.sum(np.abs(by_value) ** 2, axis=(1, 2))
-    values = np.flatnonzero(~(p < min_mass))  # a NaN mass stays and fails the basis check
-    scaled = np.zeros_like(a)
-    scaled[:, values, :] = a[:, values, :] / np.sqrt(p[values])[:, None]
-    mass = register_probabilities(StateVector(state.layout, scaled.reshape(-1), rows), reg)
-    bad = values[~(mass[values] >= 1.0 - 1e-9)]  # NaN fails too
-    if bad.size:
-        raise ValueError(
-            f"register {reg!r} is not in a basis state (max outcome mass {mass[bad[0]]:.6f})"
-        )
-    width = max(values.size - 1, 0).bit_length()
-    regs = [(n, width if n == reg else w) for n, w in state.layout.registers]
-    layout = RegisterLayout(tuple(r for r in regs if r[1]))  # reg narrowed in its place, or gone
-    out = np.zeros((a.shape[0], 1 << width, a.shape[2]), a.dtype)
-    out[:, : values.size] = scaled[:, values, :] / np.sqrt(mass[values])[:, None]
-    return p, values, StateVector(layout, out.reshape(-1), rows)
 
 
 def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -903,11 +850,15 @@ def phase_superposition(t: int, omega: Fraction, name: str = "phase") -> StateVe
     """The t-qubit state 2^(-t/2) sum_j e^{2 pi i j omega} |j> for rational omega.
 
     Phases are reduced mod 1 in exact integer arithmetic before exponentiation,
-    so large j values lose no precision.
+    so large j values lose no precision: in int64 while den * 2^t fits in
+    it, in Python integers past that.
     """
     omega = Fraction(omega)
+    num, den = omega.numerator % omega.denominator, omega.denominator
     layout = RegisterLayout.of((name, t))
-    j = np.arange(1 << t, dtype=np.int64)
-    reduced = (j * omega.numerator) % omega.denominator if omega.denominator > 1 else j * 0
-    amps = np.exp(2j * np.pi * reduced / omega.denominator) / math.sqrt(1 << t)
+    if den << t < 1 << 63:  # j * num < den * 2^t
+        turns = 2j * np.pi * (np.arange(1 << t, dtype=np.int64) * num % den) / den
+    else:
+        turns = 2j * np.pi * np.array([j * num % den / den for j in range(1 << t)])
+    amps = np.exp(turns) / math.sqrt(1 << t)
     return StateVector(layout, amps)

@@ -1,5 +1,5 @@
-"""Each live outcome's conditional, read out of the one batch that
-``statevec.condition_register`` gives."""
+"""Each live outcome's conditional, as ``statevec.project_register`` and then
+``statevec.remove_register`` leave it."""
 
 import numpy as np
 
@@ -8,13 +8,15 @@ from disq.statevec import StateVector
 
 
 def conditionals(state: StateVector, reg: str, min_mass: float):
-    """(p, values, states): ``condition_register``'s p and values, and its
-    batch's value j, copied out as a state of its own, for outcome values[j]."""
-    p, values, batch = statevec.condition_register(state, reg, min_mass)
-    if reg not in batch.layout.names:  # one live outcome: the batch is its state
-        return p, values, [batch][: values.size]
-    view = statevec._reg_axis(batch, reg)[1]
-    layout = batch.layout.removed(reg)
-    states = [StateVector(layout, np.array(view[:, j, :]).reshape(-1), batch.rows)
-              for j in range(values.size)]
-    return p, values, states
+    """(p, values, states): p[v] is ``project_register``'s probability of
+    outcome v, ``values`` lists in increasing order the outcomes with mass
+    whose p is not below ``min_mass``, and states[j] is the state projected
+    onto outcome values[j] with ``reg`` removed."""
+    p = np.zeros(1 << state.layout.width(reg))
+    values, states = [], []
+    for v in range(p.size):
+        p[v], projected = statevec.project_register(state, reg, v)
+        if projected is not None and not p[v] < min_mass:
+            values.append(v)
+            states.append(statevec.remove_register(projected, reg))
+    return p, np.array(values, dtype=np.int64), states

@@ -963,15 +963,10 @@ def plain_estimate(state, control, target, multiplier, modulus):
     return statevec.apply_inverse_qft(joined, control.layout.names[0])
 
 
-def plain_law(state, control, target, multiplier, modulus, out=None):
-    """``plain_estimate``'s state, marginalized as ``statevec.phase_estimation_law``
-    does, and written into ``out`` when one is given."""
+def plain_law(state, control, target, multiplier, modulus):
+    """``plain_estimate``'s state, marginalized as ``statevec.phase_estimation_law`` does."""
     joined = plain_estimate(state, control, target, multiplier, modulus)
-    law = protocol.statevec.marginal_probabilities(joined, joined.layout.names[1:])
-    if out is None:
-        return law
-    out.reshape(law.shape)[...] = law
-    return out
+    return protocol.statevec.marginal_probabilities(joined, joined.layout.names[1:])
 
 
 class TestFoldedEstimates:
@@ -1100,37 +1095,33 @@ def single_stage_folds(params: ProtocolParams) -> bool:
 
 
 class TestStackedOracle:
-    """The sequential oracle teleports node A's state once, conditions it on
-    every m1 at once into one batch, and takes node B's law of that batch in
-    one call; the law is the per-m1 loop's up to the fold and the teleport's
-    rounding."""
+    """The sequential oracle teleports node A's state once and takes node B's
+    law of that unmeasured state in one call; by deferred measurement it is
+    the per-m1 loop's law up to the fold and the teleport's rounding."""
 
+    # Conditioning on m1 (project, then remove ctrl_a), as shots do, keeps
+    # the m1 whose rows of the law have mass, with the law's row sums as
+    # their probabilities: the law is node A's law of m1 times node B's.
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
     def test_conditioning_is_project_then_remove(self, N, a, inverse_epsilon):
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         after_a = protocol._a_stage(params)
-        statevec = protocol.statevec
+        law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         p1, live, conds = conditionals(after_a, "ctrl_a", protocol._MIN_MASS)
         assert len(conds) == live.size and (np.diff(live) > 0).all()
-        kept = dict(zip(live.tolist(), conds))
-        for m1 in range(1 << params.t1):
-            p, projected = statevec.project_register(after_a, "ctrl_a", m1)
-            assert p1[m1] == p and (m1 in kept) == (p >= protocol._MIN_MASS)
-            if m1 in kept:
-                want, got = statevec.remove_register(projected, "ctrl_a"), kept[m1]
-                assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
-                assert got.block.tobytes() == want.block.tobytes()
+        assert np.array_equal(np.flatnonzero(law.any(axis=1)), live)
+        assert np.max(np.abs(law.sum(axis=1) - p1)) <= FOLD_TOL
 
     # Every law is within the fold's and the teleport's rounding of shots'
-    # per-m1 law.  A law whose single-m1 stage folds takes each row of the
-    # batch from that m1's Gram matrix, near the per-m1 loop over the
+    # per-m1 law.  A law whose single-m1 stage folds takes each m1's row
+    # from that m1's Gram matrix, near the per-m1 loop over the
     # once-teleported state.  A law whose order is a power of two and whose
-    # single stage does not fold is that loop's bit for bit, though its
-    # batch may fold, except N=3 a=2 and N=4 a=3 at epsilon=1/10, whose
-    # batched law differs by up to 5.6e-17 under the SkylakeX OpenBLAS
-    # kernel and keeps the loop's zeros.  N=17 a=3
-    # (r = 16) gains exact zeros where the stage leaves 2.7e-35.
+    # single stage does not fold is that loop's bit for bit, though the law
+    # may fold over every m1, except N=3 a=2 and N=4 a=3 at epsilon=1/4 and
+    # 1/10, whose laws fold and differ from the loop's by up to 1.1e-16 (all
+    # four, on a 2-core x86-64 box) and keep its zeros.  N=17 a=3 (r = 16)
+    # gains exact zeros where the stage leaves 2.7e-35.
     @pytest.mark.parametrize(
         "N, a, inverse_epsilon",
         [(N, a, e) for N, a in [(2, 1), *SMALL_CASES] for e in (4, 10)] + [(17, 3, 4), (33, 2, 4)],
@@ -1142,66 +1133,18 @@ class TestStackedOracle:
         got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         assert_near_the_stage(got, want)
         r = multiplicative_order(a, N)
-        if single_stage_folds(params) or (N, a, inverse_epsilon) in [(3, 2, 10), (4, 3, 10)]:
+        if single_stage_folds(params) or (N, a) in [(3, 2), (4, 3)]:
             assert_near_the_stage(got, teleported_once_law(params))
         elif r & (r - 1) == 0:
             assert got.tobytes() == teleported_once_law(params).tobytes()
 
-    @pytest.mark.parametrize(
-        "N, a, inverse_epsilon, columns, cut",
-        [
-            (13, 2, 4, 4, None), (13, 2, 4, 21, None), (11, 3, 4, 2, None), (7, 2, 10, 2, None),
-            (13, 2, 4, 8, 3e-3), (15, 7, 4, 2, None), (15, 7, 4, 1, None),
-        ],
-    )
-    def test_chunks_give_the_one_chunk_bits(self, N, a, inverse_epsilon, columns, cut, monkeypatch):
-        # A value's law row has the same bits whichever values share its
-        # batch: each chunk of `columns` live m1, ctrl_a narrowed and
-        # zero-padded as condition_register narrows it (gone for one m1),
-        # still folds and gives its rows of the one batch's law bit for bit, and
-        # the joint law holds those rows times m1's probability.
-        # Node B's multiplier has order P = 6 mod 13 (a=2), 5 mod 11 (a=3),
-        # 3 mod 7 (a=2) and 2 mod 15 (a=7, 4 live m1, 16 apart).  A cut on
-        # m1's mass leaves N=13 a=2 live m1 that are not consecutive, pad
-        # ctrl_a and split unevenly: their rows are scattered into the joint
-        # law with the bits of the uncut law's, and every other row stays +0.0.
-        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
-        statevec = protocol.statevec
-        uncut = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        if cut is not None:
-            monkeypatch.setattr(protocol, "_MIN_MASS", cut)
-        moved = teleported_a_stage(params)
-        p1, live, batch = statevec.condition_register(moved, "ctrl_a", protocol._MIN_MASS)
-        period = multiplicative_order(params.b_stage_multiplier, params.N)
-        whole = protocol._b_law(batch, params).reshape(-1, 1 << params.t2)[: live.size]
-        view = statevec._reg_axis(batch, "ctrl_a")[1]  # [work row, m1, 1]
-        parts = np.array_split(np.arange(live.size), -(-live.size // columns))
-        assert len(parts) > 1 and (cut is None or live.size % columns)
-        for part in parts:
-            width = (part.size - 1).bit_length()
-            assert statevec._folds(period, batch.rows.size << width, params.t2)
-            block = np.zeros((view.shape[0], 1 << width), complex)
-            block[:, : part.size] = view[:, part, 0]
-            regs = [("work", params.L), ("ctrl_a", width)][: 1 + (width > 0)]
-            sub = statevec.StateVector(statevec.RegisterLayout.of(*regs), block.reshape(-1), batch.rows)
-            law = protocol._b_law(sub, params).reshape(1 << width, -1)
-            assert law[: part.size].tobytes() == whole[part].tobytes()
-            assert not law[part.size :].any()
-        got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert got[live].tobytes() == (whole * p1[live, None]).tobytes()
-        dead = np.delete(got, live, axis=0)
-        assert not dead.any() and not np.signbit(dead).any()
-        if cut is not None:
-            assert live.size & (live.size - 1) and live[-1] - live[0] >= live.size
-            assert got[live].tobytes() == uncut[live].tobytes()
-
     def test_a_batch_past_the_qubit_guard_folds(self, monkeypatch):
         # N=31 a=3 at epsilon=1/4: L=6, t1=7, t2=14, and node B's multiplier
         # 19 has order P = 15 > t2, so node B's stage on one m1 never folds.
-        # The batch of every live m1 would join 27 qubits, past MAX_QUBITS:
-        # its law folds, in one call, near shots' per-m1 stages, and holds
-        # little beside the 16 MiB law (the pair products, 29.5 MB, stay
-        # kept from the first call).
+        # Node B's joined state over node A's teleported state would hold 27
+        # qubits, past MAX_QUBITS: its law folds, in one call, near shots'
+        # per-m1 stages, and holds little beside the 16 MiB law (the pair
+        # products, 29.5 MB, stay kept from the first call).
         params = ProtocolParams.derive(31, 3, Fraction(1, 4))
         assert (params.L, params.t1, params.t2) == (6, 7, 14)
         assert multiplicative_order(params.b_stage_multiplier, params.N) == 15
@@ -1209,9 +1152,8 @@ class TestStackedOracle:
         b_law = protocol._b_law
         monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
         got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        live = int(np.count_nonzero(got.sum(axis=1)))
         assert len(laws) == 1
-        assert params.L + (live - 1).bit_length() + params.t2 > protocol.statevec.MAX_QUBITS
+        assert params.L + params.t1 + params.t2 > protocol.statevec.MAX_QUBITS
         assert_near_the_stage(got, per_m1_law(params))
         law = 8 << (params.t1 + params.t2)
         tracemalloc.start()
@@ -1222,17 +1164,14 @@ class TestStackedOracle:
             tracemalloc.stop()
         assert law < peak < law + (4 << 20)
 
-    # N=13 a=2 batches its 64 live m1, N=15 a=7 (r = 4) its 4 and N=17 a=3
-    # (r = 16) its 16, each in one law; node A's state is teleported once,
-    # from default_rng(0), and node B's law runs on its conditionals in m1
-    # order.
+    # N=13 a=2 has 64 live m1, N=15 a=7 (r = 4) 4 and N=17 a=3 (r = 16)
+    # 16, 8 apart; node A's state is teleported once, from default_rng(0),
+    # and the teleported state, unmeasured, is node B's one law's input.
     @pytest.mark.parametrize("N, a", [(13, 2), (15, 7), (17, 3)])
     def test_teleports_once_per_law(self, N, a, monkeypatch):
         params = ProtocolParams.derive(N, a, Fraction(1, 4))
-        statevec = protocol.statevec
-        teleports, conditioned, b_inputs = [], [], []
+        teleports, b_inputs = [], []
         teleport, b_law = teleport_register, protocol._b_law
-        condition = statevec.condition_register
 
         def record_teleport(state, reg, channel, pool, rng):
             sent = state.block.copy()
@@ -1240,16 +1179,11 @@ class TestStackedOracle:
             teleports.append((sent, reg, channel, pool, moved))
             return moved
 
-        def record_condition(st, *args):
-            conditioned.append(st)
-            return condition(st, *args)
-
         def record_b_law(st, *args):
             b_inputs.append(st)
             return b_law(st, *args)
 
         monkeypatch.setattr(protocol, "teleport_register", record_teleport)
-        monkeypatch.setattr(statevec, "condition_register", record_condition)
         monkeypatch.setattr(protocol, "_b_law", record_b_law)
         distributed_joint_distribution(params, MODE_SEQUENTIAL)
         [(sent, reg, channel, pool, moved)] = teleports
@@ -1258,17 +1192,13 @@ class TestStackedOracle:
         assert pool.allocated == pool.consumed == params.L and channel.bit_count == 2 * params.L
         again = teleported_a_stage(params)  # the same teleport, replayed
         assert moved.block.tobytes() == again.block.tobytes()
-        assert len(conditioned) == 1 and conditioned[0] is moved
-        _, live, conds = conditionals(again, "ctrl_a", protocol._MIN_MASS)
-        [st] = b_inputs  # one batch, ctrl_a narrowed to the live m1
-        assert st.layout.registers == (("work", params.L), ("ctrl_a", live.size.bit_length() - 1))
-        values = st.block.reshape(st.rows.size, -1).T
-        for value, cond in zip(values, conds):
-            assert value.tobytes() == cond.block.tobytes()
+        [st] = b_inputs
+        assert st is moved
+        assert st.layout.registers == (("work", params.L), ("ctrl_a", params.t1))
 
     def test_a_law_at_the_qubit_guard_builds(self):
         # L=8, t2=17 and r=3: node B's joined state for one m1 would hold 25
-        # qubits, and for the batch of every live m1 past MAX_QUBITS, which
+        # qubits, and over node A's teleported state past MAX_QUBITS, which
         # the law, storing no joined state, passes by folding.
         params = ProtocolParams.derive(133, 11, Fraction(1, 4))
         assert params.L + params.t2 == protocol.statevec.MAX_QUBITS - 1
@@ -1276,22 +1206,23 @@ class TestStackedOracle:
         assert (law >= 0).all() and abs(law.sum() - 1) < 1e-12
 
     def test_writes_each_batch_into_the_law(self):
-        # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB).  Its 128 live m1
-        # are consecutive and fill ctrl_a, so the batch's law is written and
-        # scaled in the joint law; no node-B state or second law is stored.
-        # Beside the law the oracle holds node A's state, the control vector
-        # (0.25 MiB), the sources and the coefficients; the pair products
-        # stay kept from the first call.
-        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
-        law = 8 << (params.t1 + params.t2)
-        distributed_joint_distribution(params, MODE_SEQUENTIAL)  # keeps the pair products
-        tracemalloc.start()
-        try:
-            distributed_joint_distribution(params, MODE_SEQUENTIAL)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert law < peak < law + (1 << 20)
+        # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB), its 128 m1 all
+        # live; N=17 a=3: the same size, its 16 live m1 8 apart.
+        # Node B's law over every m1 is the joint law: no node-B state or
+        # second law is stored.  Beside the law the oracle holds node A's
+        # state, the control vector (0.25 MiB at N=33), the sources and the
+        # coefficients; the pair products stay kept from the first call.
+        for N, a in [(33, 2), (17, 3)]:
+            params = ProtocolParams.derive(N, a, Fraction(1, 4))
+            law = 8 << (params.t1 + params.t2)
+            distributed_joint_distribution(params, MODE_SEQUENTIAL)  # keeps the pair products
+            tracemalloc.start()
+            try:
+                distributed_joint_distribution(params, MODE_SEQUENTIAL)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert law < peak < law + (1 << 20), (N, a)
 
 
 TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
@@ -1299,9 +1230,10 @@ TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differen
 
 class TestBatchedTeleport:
     """The sequential oracle teleports every m1's conditional in one
-    ``teleport_register`` call on node A's state: the same m1 keep mass, and
-    each conditional it gets is ``teleport_qubits`` on that m1's own
-    conditional, up to rounding, with the same zeros."""
+    ``teleport_register`` call on node A's state: conditioned on each m1
+    afterwards, the same m1 keep mass, and each conditional is
+    ``teleport_qubits`` on that m1's own conditional, up to rounding, with
+    the same zeros."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
@@ -1372,8 +1304,8 @@ class TestKeptTransforms:
     def test_a_run_builds_the_transforms_once(self, monkeypatch):
         # 20 shots at N=21 a=2 run node B's stage 20 times, which builds R
         # once and no pair products.  The sequential oracle takes node B's
-        # law once, of the batch of all 2^t1 = 128 values of m1, which have
-        # mass; that law builds the pair products once and never reads R.
+        # law once, over all 2^t1 = 128 values of m1, which have mass; that
+        # law builds the pair products once and never reads R.
         params = ProtocolParams.derive(21, 2, Fraction(1, 4))
         transforms, tables = protocol.statevec._uniform_transforms, protocol.statevec._pair_table
         stages, laws = [], []

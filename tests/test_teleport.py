@@ -226,11 +226,11 @@ TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differen
 
 class TestTeleportStates:
     """Teleporting states at once: ``teleport_qubits`` on their superposition
-    over a register "m", then ``condition_register`` on m, gives each state
-    as ``teleport_qubits`` gives it alone, up to rounding.  A teleport gives
-    one state on every branch and acts on its register alone, so it commutes
-    with measuring m; the exact sequential law teleports node A's state
-    once on that ground."""
+    over a register "m", then conditioning on each value of m (project, then
+    remove m), gives each state as ``teleport_qubits`` gives it alone, up to
+    rounding.  A teleport gives one state on every branch and acts on its
+    register alone, so it commutes with measuring m; the exact sequential
+    law is node B's law of node A's teleported state on that ground."""
 
     @pytest.mark.parametrize(
         "regs, compact",
@@ -258,8 +258,8 @@ class TestTeleportStates:
             assert np.max(np.abs(got.block - want.block)) <= TELEPORT_TOL
 
     def test_norm_drift_raises(self):
-        # A batch is not a state: its squared norm is its count.
+        # Amplitudes whose squared norm is 4 are not a state.
         st = shared_states([("c", 2), ("m", 2)], False, 1, seed=1)[0]
-        batch = statevec.condition_register(st, "m", 1e-300)[2]
+        doubled = StateVector(st.layout, 2 * st.block)
         with pytest.raises(RuntimeError, match="drifted"):
-            statevec.teleport_qubits(batch, "c", np.random.default_rng(0))
+            statevec.teleport_qubits(doubled, "c", np.random.default_rng(0))
