@@ -38,9 +38,12 @@ print(json.dumps({{
 }}))
 """
 
-pytestmark = pytest.mark.skipif(
-    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads"
-)
+pytestmark = [
+    pytest.mark.fresh_process,
+    pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads"
+    ),
+]
 
 
 @functools.cache

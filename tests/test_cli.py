@@ -193,6 +193,7 @@ class TestOrder:
             _, threaded, _ = run_cli(capsys, *base, "--workers", workers)
             assert serial == threaded
 
+    @pytest.mark.blas
     def test_seeded_output_is_pinned(self, capsys):
         # Seeded records are part of the output contract: a faster kernel
         # must reproduce them byte for byte.
@@ -203,6 +204,7 @@ class TestOrder:
             "4d4959b5d15b973601b797c22009870f07a69f329fea98e4b123917306dfd4ab"
         )
 
+    @pytest.mark.blas
     def test_seeded_joint_oracle_output_is_pinned(self, capsys):
         _, out, _ = run_cli(
             capsys,
@@ -213,6 +215,7 @@ class TestOrder:
             "3d415daaf7a2dfacb2113ad6d8c1a78937a829b09da31d5c255f3503243a956a"
         )
 
+    @pytest.mark.blas
     @pytest.mark.parametrize(
         "engine, digest",
         [
@@ -319,6 +322,7 @@ class TestOrder:
         for i in range(shots):
             assert firsts[0] != protocol.shot_rng(seed, i).random(4).tolist()
 
+    @pytest.mark.blas
     def test_seeded_csv_output_is_pinned(self, capsys):
         _, out, _ = run_cli(
             capsys, "order", "--N", "35", "--shots", "10", "--seed", "11", "--format", "csv"
@@ -410,6 +414,7 @@ class TestResources:
         assert [int(r["L"]) for r in rows] == list(range(4, 65, 4))
         assert all(int(r["classical-bits-distributed"]) == 2 * int(r["L"]) for r in rows)
 
+    @pytest.mark.blas
     @pytest.mark.parametrize(
         "argv, digest",
         [

@@ -120,6 +120,8 @@ def node_b_input(params: ProtocolParams):
     return protocol.statevec.remove_register(st, "ctrl_a")
 
 
+@pytest.mark.blas
+@pytest.mark.fresh_process
 class TestNodeBMemory:
     def test_sequential_shot_never_holds_a_dense_node_b_state(self):
         # Node B's dense state for N=33 a=2 is 2^20 amplitudes (16 MiB); it
@@ -969,6 +971,7 @@ def plain_law(state, control, target, multiplier, modulus):
     return protocol.statevec.marginal_probabilities(joined, joined.layout.names[1:])
 
 
+@pytest.mark.blas
 class TestFoldedEstimates:
     """Every law from ``apply_phase_estimation`` and ``phase_estimation_law``
     against the same law with each estimate run as a controlled
@@ -1016,6 +1019,7 @@ class TestFoldedEstimates:
             assert np.array_equal(got[1] == 0, want[1] == 0)
 
 
+@pytest.mark.blas
 class TestTheorem2Exact:
     """The stitched success mass of the exact sequential law is at least
     1 - epsilon on every small case, not only within sampling slack."""
@@ -1094,6 +1098,7 @@ def single_stage_folds(params: ProtocolParams) -> bool:
     return protocol.statevec._folds(period, r, params.t2)
 
 
+@pytest.mark.blas
 class TestStackedOracle:
     """The sequential oracle teleports node A's state once and takes node B's
     law of that unmeasured state in one call; by deferred measurement it is
@@ -1138,7 +1143,7 @@ class TestStackedOracle:
         elif r & (r - 1) == 0:
             assert got.tobytes() == teleported_once_law(params).tobytes()
 
-    def test_a_batch_past_the_qubit_guard_folds(self, monkeypatch):
+    def test_a_law_past_the_qubit_guard_folds(self, monkeypatch):
         # N=31 a=3 at epsilon=1/4: L=6, t1=7, t2=14, and node B's multiplier
         # 19 has order P = 15 > t2, so node B's stage on one m1 never folds.
         # Node B's joined state over node A's teleported state would hold 27
@@ -1205,7 +1210,7 @@ class TestStackedOracle:
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         assert (law >= 0).all() and abs(law.sum() - 1) < 1e-12
 
-    def test_writes_each_batch_into_the_law(self):
+    def test_holds_little_beside_the_law(self):
         # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB), its 128 m1 all
         # live; N=17 a=3: the same size, its 16 live m1 8 apart.
         # Node B's law over every m1 is the joint law: no node-B state or
@@ -1256,6 +1261,8 @@ def refuse_build(*_args):
     raise AssertionError("built the class transforms of a run that cannot fold")
 
 
+@pytest.mark.blas
+@pytest.mark.fresh_process
 class TestKeptTransforms:
     """``statevec`` keeps node B's class transforms for one (t2, P), which
     only the stage reads, and the pair products of a few (t2, P), which only

@@ -463,6 +463,8 @@ class TestControlledModMul:
         assert info.misses == info.hits == info.currsize == 0  # no table looked up or kept
 
 
+@pytest.mark.blas
+@pytest.mark.fresh_process
 class TestGatherTables:
     """``_join_table`` keeps its gather table per (row set, sizes,
     multiplier mod N); a call that finds it gives the output of one that
@@ -601,6 +603,7 @@ def node_b_at_33() -> StateVector:
     return StateVector(RegisterLayout.of(("work", 6)), amps / np.linalg.norm(amps), rows)
 
 
+@pytest.mark.blas
 class TestPhaseEstimation:
     """``apply_phase_estimation`` against the controlled multiplication and
     inverse QFT it replaces: the fold when P * F <= (F - P) * t, for period P,
@@ -714,6 +717,8 @@ def uniform_reference(t: int, period: int) -> np.ndarray:
     return np.fft.fft(g, axis=1, norm="ortho")
 
 
+@pytest.mark.blas
+@pytest.mark.fresh_process
 class TestKeptTransforms:
     """``_uniform_transforms`` keeps the class transforms of the uniform fill
     for one (t, P); the fold reads them only for a control that is bitwise
@@ -807,7 +812,7 @@ def stage_marginal(state, control, target, multiplier, modulus) -> np.ndarray:
     return statevec._born_marginal(joined, joined.layout.names[1:])
 
 
-def stacked_states(count: int, width: int) -> StateVector:
+def equally_weighted_conditionals(count: int, width: int) -> StateVector:
     """``count`` conditionals on the rows 2, 5 and 11, equally weighted, as
     the values of a new ``width``-qubit register."""
     full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
@@ -823,7 +828,9 @@ def stacked_states(count: int, width: int) -> StateVector:
 # the uniform fill.
 LAW_CASES = {
     "single": lambda: (node_b_at_33(), uniform_control(14), "work", 16, 33, True),
-    "stacked": lambda: (stacked_states(5, 3), uniform_control(9), "w", 3, 13, True),
+    "stacked": lambda: (
+        equally_weighted_conditionals(5, 3), uniform_control(9), "w", 3, 13, True,
+    ),
     "two-registers": lambda: (
         compact_twin(row_sparse_state([("work", 4), ("x", 2), ("y", 1)], [1, 5, 8, 12], seed=3)),
         uniform_control(7), "work", 5, 13, True,
@@ -847,6 +854,7 @@ LAW_CASES = {
 }
 
 
+@pytest.mark.blas
 class TestPhaseEstimationLaw:
     """``phase_estimation_law`` gives the Born marginal of the state
     ``apply_phase_estimation`` gives, over every register but the target:
@@ -893,6 +901,7 @@ class TestPhaseEstimationLaw:
         assert not modmul_calls
         assert_near_the_stage(got, want)
 
+    @pytest.mark.fresh_process
     @pytest.mark.parametrize("case", ["single", "stacked", "two-registers"])
     def test_is_bitwise_the_same_cold_and_warm(self, case):
         state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
@@ -906,6 +915,7 @@ class TestPhaseEstimationLaw:
 
     # single: P = 5 and t = 14, 16 chunks of 1024 control values; stacked:
     # P = 3 and t = 9, one chunk narrower than 1024; two-registers: P = 4, t = 7.
+    @pytest.mark.fresh_process
     @pytest.mark.parametrize(
         "case, period, t", [("single", 5, 14), ("stacked", 3, 9), ("two-registers", 4, 7)]
     )
@@ -925,6 +935,7 @@ class TestPhaseEstimationLaw:
 
     # Row q P + q' holds Re(G_q conj(G_q')) for q <= q' and Im(G_q conj(G_q'))
     # for q > q', formed class by class as products of real and imaginary parts.
+    @pytest.mark.fresh_process
     @pytest.mark.parametrize("t, period", [(9, 3), (11, 6), (12, 1), (3, 5)])
     def test_kept_table_is_the_per_class_products(self, t, period):
         g = uniform_reference(t, period)
@@ -1393,7 +1404,7 @@ class TestLiveFibers:
             )
 
     @pytest.mark.parametrize("regs", LIVE_LAYOUTS)
-    def test_mostly_live_takes_dense_path(self, regs):
+    def test_mostly_live_matches_the_dense_computation(self, regs):
         st = sparse_state(regs, "r", 25, seed=9)  # 25 of 32 fibers
         view = statevec._reg_axis(st, "r")[1].copy()  # the transform writes over st
         assert np.array_equal(register_probabilities(st, "r"), born_reference(st, ["r"]))
