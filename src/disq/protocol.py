@@ -42,7 +42,6 @@ MODE_JOINT = "joint-oracle"
 _CTRL_A = "ctrl_a"
 _CTRL_B = "ctrl_b"
 _WORK = "work"
-_CTRL = "ctrl"
 
 _MIN_MASS = 1e-300  # an m1 outcome below this mass has no node-B run
 
@@ -268,11 +267,50 @@ def check_engine_and_mode(engine: str, mode: str) -> None:
         raise ValueError(f"mode {MODE_JOINT!r} needs engine {ENGINE_DISTRIBUTED!r}")
 
 
+_LAW_CHUNK = 1 << 15  # estimate-law entries the single-node law builds at a time
+_PRODUCT = 1 << 18  # multiply-adds per product: OpenBLAS runs it on the calling thread
+
+
+def _estimate_laws(nums: np.ndarray, r: int, t: int, start: int, width: int) -> np.ndarray:
+    """laws[i, j]: the chance that a t-bit phase estimate of nums[i]/r reads
+    m = start + j < min(start + width, 2^t) (Nielsen & Chuang section 5.2.1).
+
+    With d = nums[i] 2^t - m r reduced into (-r 2^t/2, r 2^t/2] in integers,
+    it is sin^2(pi (nums[i] 2^t mod r)/r) / (2^t sin(pi d/(r 2^t)))^2, and 1
+    where d = 0.  A row whose phase is a multiple of 2^-t has numerator 0:
+    one outcome 1 and exact zeros elsewhere.
+    """
+    top, full = nums << t, r << t
+    half = full // 2 - 1
+    m = np.arange(start, min(start + width, 1 << t), dtype=np.int64)
+    d = (top[:, None] + half - m * r) % full - half
+    hit = d == 0
+    laws = d * (math.pi / full)
+    np.sin(laws, out=laws)
+    laws[hit] = 1.0
+    np.divide(np.sin(top % r * (math.pi / r))[:, None] / (1 << t), laws, out=laws)
+    np.square(laws, out=laws)
+    laws[hit] = 1.0
+    return laws
+
+
 def monolithic_exact_distribution(params: ProtocolParams) -> np.ndarray:
-    """Exact outcome distribution of the single-node control register."""
+    """Exact outcome distribution of the single-node control register.
+
+    Writing |1> = r^(-1/2) sum_s |u_s> over the eigenvectors of
+    multiplication by a (eigenvalue e^(2 pi i s/r)), the law is the mean over
+    s < r of the t_mono-bit estimate laws of s/r (Cleve, Ekert, Macchiavello
+    and Mosca, arXiv:quant-ph/9708016).  Each outcome's r terms are added in
+    order of s, so the bits do not depend on the chunk of outcomes built.
+    """
     check_capacity(params, ENGINE_MONOLITHIC)
-    control = _uniform_control(_CTRL, params.t_mono)
-    return statevec.phase_estimation_law(_work_one(params), control, _WORK, params.a, params.N)
+    r = multiplicative_order(params.a, params.N)
+    law, width = np.empty(1 << params.t_mono), _LAW_CHUNK // r
+    for c in range(0, law.size, width):  # one chunk of estimate laws at a time
+        chunk = law[c : c + width]
+        np.add.reduce(_estimate_laws(np.arange(r), r, params.t_mono, c, width), axis=0, out=chunk)
+    law /= r
+    return law
 
 
 def _uniform_control(ctrl: str, width: int) -> StateVector:
@@ -300,18 +338,6 @@ def _b_stage(st: StateVector, params: ProtocolParams) -> StateVector:
     """Node B's estimate: joins ctrl_b to ``st`` and estimates a^(2^(L/2-1))."""
     control = _uniform_control(_CTRL_B, params.t2)
     return statevec.apply_phase_estimation(
-        st, control, _WORK, params.b_stage_multiplier, params.N
-    )
-
-
-def _b_law(st: StateVector, params: ProtocolParams) -> np.ndarray:
-    """The law of ``st``'s registers after work and of ctrl_b after node B's estimate.
-
-    ``statevec.phase_estimation_law`` gives it without storing the joined
-    state.
-    """
-    control = _uniform_control(_CTRL_B, params.t2)
-    return statevec.phase_estimation_law(
         st, control, _WORK, params.b_stage_multiplier, params.N
     )
 
@@ -371,26 +397,30 @@ def distributed_joint_distribution(
 ) -> np.ndarray:
     """Exact joint distribution over (m1, m2) as a (2^t1, 2^t2) array.
 
-    Both paths are the law of ctrl_a and ctrl_b after node B's estimate on
-    node A's unmeasured state.  The sequential path first teleports node A's
-    work register to node B (``teleport_register``, with a throwaway channel
-    and pool and branches drawn from ``default_rng(0)``), as a shot does.
-    Its law is what ``_node_b`` gives for each m1, weighted by P(m1), up to
-    rounding: ctrl_a is never touched after node A's inverse QFT, so
-    measuring it commutes with the teleport and with node B's estimate (the
-    principle of deferred measurement, Nielsen & Chuang section 4.4).  The
-    law comes from ``statevec.phase_estimation_law``, which never stores
-    node B's joined state.
+    Both nodes estimate on the same eigenvector u_s of multiplication by a,
+    and the u_s are orthogonal, so P(m1, m2) = (1/r) sum_s A_s(m1) B_s(m2):
+    A_s is the t1-bit estimate law of s/r and B_s the t2-bit law of
+    (2^(L/2-1) s mod r)/r (arXiv:2207.05976).  The teleport is exact, and
+    ctrl_a is never touched after node A's inverse QFT, so measuring m1
+    first, as sequential shots do, leaves the same law (deferred
+    measurement, Nielsen & Chuang section 4.4): both modes give it, each
+    under its own capacity check.  A^T B is written a chunk of m2 at a
+    time, each one BLAS product of at most ``_PRODUCT`` multiply-adds, so
+    its bits do not depend on OpenBLAS's thread count.
     """
     if mode not in (MODE_SEQUENTIAL, MODE_JOINT):
         raise ValueError(f"unknown mode {mode!r}")
     check_capacity(params, ENGINE_DISTRIBUTED, mode)
-    after_a = _a_stage(params)
-    if mode == MODE_SEQUENTIAL:
-        after_a = teleport_register(
-            after_a, _WORK, ClassicalChannel(), EprPool(params.L), np.random.default_rng(0)
-        )
-    return _b_law(after_a, params)
+    r = multiplicative_order(params.a, params.N)
+    a_laws = _estimate_laws(np.arange(r), r, params.t1, 0, 1 << params.t1)
+    b_nums = np.arange(r) * (1 << (params.L // 2 - 1)) % r
+    law = np.empty((1 << params.t1, 1 << params.t2))
+    width = max(1, _PRODUCT // (r << params.t1))
+    for c in range(0, 1 << params.t2, width):
+        chunk = law[:, c : c + width]
+        np.matmul(a_laws.T, _estimate_laws(b_nums, r, params.t2, c, width), out=chunk)
+    law /= r
+    return law
 
 
 def stitched_value_distribution(
@@ -515,10 +545,9 @@ def run_shots(
     then teleported into node B's space, which runs its own estimate.
 
     joint-oracle: m1 and then m2 given m1 are drawn from
-    ``distributed_joint_distribution(params, MODE_JOINT)``, the law of the
-    three registers held in one state with measurements deferred and no
-    communication.  This is the reference execution the sequential path is
-    checked against; its records carry no channel accounting.
+    ``distributed_joint_distribution(params, MODE_JOINT)``, the exact law
+    with no communication, which the sequential path is checked against;
+    its records carry no channel accounting.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")

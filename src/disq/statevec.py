@@ -48,27 +48,14 @@ for the stage, for one (t, P) at a time, held until another folding (t, P)
 replaces it, as one read-only float64 array R of rows (G_q, i * G_q),
 2 * P * 2^t amplitudes.  The fold is then one real product: each joined
 row's P complex sources, viewed as 2P floats, times R.  Any other control
-runs the two kernels.  ``phase_estimation_law`` gives the Born marginal of
-that state over every register but the target without storing it; when it
-folds, it takes the partial trace over the target rows from each
-other-register value's P x P Gram matrix, P^2 multiply-adds per control
-value against the P^2 pair products G_q conj(G_q'), within about 1e-16 of
-the stage's marginal (not bit for bit) and with its zeros.  It never reads
-R: ``_pair_table`` keeps the pair products, read-only, for a few (t, P) of
-at most ``_PAIR_CAP`` bytes each, and a larger table is built a chunk of
-control values at a time, with the same bits.  Only the kernels that store
-the joined state check its layout against ``MAX_QUBITS``; past it, a law
-folds whenever its control is the uniform fill.  Gate-level
-decompositions are out of scope here -- circuit-cost questions are answered
-analytically by the resources module.
+runs the two kernels.  The joins check the joined layout against
+``MAX_QUBITS``.  Gate-level decompositions are out of scope here --
+circuit-cost questions are answered analytically by the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
 ``teleport_qubits`` gives the same state on every branch and touches one
-register, so it commutes with measuring another.  A register that no later
-kernel touches can be measured at the end instead (deferred measurement):
-the exact sequential law is node B's law of node A's teleported state,
-unmeasured, where shots measure node A's control first.
+register, so it commutes with measuring another.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
@@ -428,34 +415,27 @@ def _is_uniform(ctrl: np.ndarray, t: int) -> bool:
     return bool(real.min() == real.max() == fill and imag.min() == imag.max() == 0)
 
 
-def _class_transforms(g: np.ndarray) -> np.ndarray:
-    """Write into row q of ``g`` (P x 2^t complex, any row stride) G_q, the
-    inverse QFT of the uniform t-qubit fill's residue class q mod P, with one
-    FFT over the P rows, and return ``g``."""
-    period, size = g.shape
-    g[...] = 0
-    for q in range(period):
-        g[q, q::period] = 1 / math.sqrt(size)
-    return np.fft.fft(g, axis=1, norm="ortho", out=g)
-
-
 # One entry: node B's (t, P) is the same for every stage of a run, and
 # another folding (t, P) replaces it.
 @functools.lru_cache(maxsize=1)
 def _uniform_transforms(t: int, period: int) -> np.ndarray:
     """R, read-only: the float64 view of rows (G_q, i * G_q) for each class q mod P.
 
-    ``_class_transforms`` gives G_q, so R has shape 2P x 2^(t+1): row 2q
+    G_q is the inverse QFT of the uniform t-qubit fill's residue class q mod
+    P, from one FFT over the P rows, so R has shape 2P x 2^(t+1): row 2q
     holds G_q's real and imaginary parts interleaved, row 2q + 1 those of
     i * G_q, which are -Im G_q and Re G_q exactly.  A joined row's P complex
     sources, viewed as 2P floats, times R is then its transform, in one real
-    product.  Only ``apply_phase_estimation``, the stage shots run, reads R;
-    ``phase_estimation_law`` reads the pair products instead.  The 2 * P * 2^t
-    amplitudes are built in place, once per key, and read in place by every
-    fold, so shot threads share them without copying them.
+    product.  The 2 * P * 2^t amplitudes are built in place, once per key,
+    and read in place by every fold, so shot threads share them without
+    copying them.
     """
     r = np.empty((period, 2, 1 << t), complex)
-    g = _class_transforms(r[:, 0])
+    g = r[:, 0]
+    g[...] = 0
+    for q in range(period):
+        g[q, q::period] = 1 / math.sqrt(1 << t)
+    np.fft.fft(g, axis=1, norm="ortho", out=g)
     np.negative(g.imag, out=r[:, 1].real)
     np.copyto(r[:, 1].imag, g.real)
     r = r.reshape(2 * period, 1 << t).view(np.float64)
@@ -463,57 +443,13 @@ def _uniform_transforms(t: int, period: int) -> np.ndarray:
     return r
 
 
-def _pair_products(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the P^2 pair products of ``g``'s columns into ``out`` and return it.
-
-    ``g`` holds G_q in row q (P complex rows) and ``out`` is P^2 floats by as
-    many columns: out[q P + q'] is Re(G_q conj(G_q')) for q <= q' and
-    Im(G_q conj(G_q')) for q > q'.  Each entry is products of real and
-    imaginary parts, elementwise, so a column's bits do not depend on which
-    columns are built together.
-    """
-    period = g.shape[0]
-    gr, gi = g.real, g.imag
-    pairs = out.reshape(period, period, -1)  # splits the first axis: a view
-    np.multiply(gr[:, None], gr, out=pairs)
-    pairs += gi[:, None] * gi
-    q, p = np.tril_indices(period, -1)
-    pairs[q, p] = gi[q] * gr[p] - gr[q] * gi[p]
-    return out
-
-
-_PAIR_CAP = 32 << 20  # bytes of the largest pair table kept
-
-
-# A few entries: the exact oracles of one case share one key, and a sweep
-# over small cases meets a handful (5 for N <= 16 at epsilon = 1/4).
-@functools.lru_cache(maxsize=8)
-def _pair_table(t: int, period: int) -> np.ndarray:
-    """The P^2 x 2^t pair products of the uniform fill's class transforms, read-only.
-
-    Built from one FFT's G, ``_FOLD_CHUNK`` columns at a time by
-    ``_pair_products``, so beside the table the build holds G and one
-    chunk's temporaries; ``phase_estimation_law`` asks only for a table of
-    at most ``_PAIR_CAP`` bytes and builds a larger one's chunks itself, with
-    the same bits.
-    """
-    g = _class_transforms(np.empty((period, 1 << t), complex))
-    table = np.empty((period * period, 1 << t))
-    for c in range(0, 1 << t, _FOLD_CHUNK):
-        _pair_products(g[:, c : c + _FOLD_CHUNK], table[:, c : c + _FOLD_CHUNK])
-    table.flags.writeable = False
-    return table
-
-
 def _fold_sources(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
 ) -> tuple[np.ndarray | None, np.ndarray, int] | None:
     """(rows, one, P) when the estimate folds, None when it runs the two kernels.
 
-    The fold is taken when the control is bitwise the uniform fill and
-    either it costs no more than the per-row FFTs, i.e. P * F <= (F - P) * t,
-    or the joined state would pass ``MAX_QUBITS``, which only
-    ``phase_estimation_law`` reaches: it never stores that state.  The
+    The fold is taken when the control is bitwise the uniform fill and it
+    costs no more than the per-row FFTs, i.e. P * F <= (F - P) * t.  The
     gather table alone gives P (its columns) and F (its rows times the
     other registers' values), so only a folding estimate gathers its
     sources here; the two kernels gather them in ``apply_controlled_modmul``.
@@ -523,8 +459,7 @@ def _fold_sources(
     n_out, period = src.shape
     joined = n_out << (state.n - state.layout.registers[0][1])
     t = control.n
-    over = state.n + t > MAX_QUBITS
-    if not ((over or _folds(period, joined, t)) and _is_uniform(control.amps, t)):
+    if not (_folds(period, joined, t) and _is_uniform(control.amps, t)):
         return None
     one = np.ascontiguousarray(_period_sources(state, src, pad).transpose(1, 0, 2), complex)
     return rows, one.view(np.float64), period
@@ -645,69 +580,6 @@ def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
     return probs.transpose([sorted(keep).index(i) for i in keep])
 
 
-def phase_estimation_law(
-    state: StateVector,
-    control: StateVector,
-    target: str,
-    multiplier: int,
-    modulus: int,
-) -> np.ndarray:
-    """The Born marginal over every register but the leading one of the state
-    ``apply_phase_estimation`` gives, without storing that state.
-
-    The law of the joined layout's registers after ``target``, axes in layout
-    order.  An estimate that does not fold runs the two kernels and
-    ``_born_marginal``, bit for bit.
-    The law builds no joined layout: when the joined state would pass
-    ``MAX_QUBITS`` it folds if the control is the uniform fill, and
-    otherwise the two kernels raise CapacityError from the join.  A folding
-    one takes the partial trace over the target rows y: with value
-    m's P x P Gram matrix M[q, q'] = sum_y s[y, q] conj(s[y, q']), its row is
-    sum_q M[q, q] |G_q|^2 + 2 sum_{q < q'} Re(M[q, q'] G_q conj(G_q')),
-    P^2 real multiply-adds per control value where the stage takes
-    4 * n_out * P.  The P^2 pair products G_q conj(G_q') depend only on
-    (t, P): ``_pair_table`` keeps them, read-only, for a table of at most
-    ``_PAIR_CAP`` bytes, and a larger one's are built ``_FOLD_CHUNK`` control
-    values at a time with the same bits; the law never reads the stage's R.
-    Each chunk of ``_FOLD_CHUNK`` control values is one stacked product, the
-    (1 x P^2) coefficients of every value by the chunk's pair products,
-    which numpy runs as one vector-matrix product per value, written in
-    place, so a row's bits do not depend on how many values the state
-    stacks; what rounds below 0 is set to 0.  It is within 1.2e-16 of the
-    stage's marginal on every law checked, not bit for bit, with the stage's
-    zeros and more only where the stage's entry is below 1e-30.  Beside the
-    law it holds the sources and P^2 coefficients per value, and, for a
-    table above the cap, G and one chunk's pair products.
-    """
-    fold = _fold_sources(state, control, target, multiplier, modulus)
-    if fold is None:
-        st = apply_controlled_modmul(state, control, target, multiplier, modulus)
-        st = apply_inverse_qft(st, control.layout.names[0])
-        return _born_marginal(st, st.layout.names[1:])
-    _, one, period = fold
-    middle, t = one.shape[0], control.n
-    gram = np.matmul(one.transpose(0, 2, 1), one)  # [m, 2q + im, 2q' + im']: sums over y
-    re = gram[:, 0::2, 0::2] + gram[:, 1::2, 1::2]
-    im = gram[:, 1::2, 0::2] - gram[:, 0::2, 1::2]
-    # Re M on the diagonal, 2 Re M above it and -2 Im M below it, by the pairs' layout
-    coef = np.where(np.tri(period, k=-1, dtype=bool), -2 * im, re + np.triu(re, 1))
-    coef = coef.reshape(middle, 1, period * period)
-    law = np.empty([1 << w for _, w in state.layout.registers[1:]] + [1 << t])
-    rows = law.reshape(middle, 1, 1 << t)  # a view: the law is contiguous
-    kept = 8 * period * period << t <= _PAIR_CAP
-    if kept:
-        table = _pair_table(t, period)
-    else:
-        g = _class_transforms(np.empty((period, 1 << t), complex))
-        chunk = np.empty((period * period, min(1 << t, _FOLD_CHUNK)))
-    for c in range(0, 1 << t, _FOLD_CHUNK):
-        span = slice(c, c + _FOLD_CHUNK)
-        pairs = table[:, span] if kept else _pair_products(g[:, span], chunk)
-        np.matmul(coef, pairs, out=rows[:, :, span])
-    np.maximum(law, 0.0, out=law)  # a sum of squares
-    return law
-
-
 def register_probabilities(state: StateVector, reg: str) -> np.ndarray:
     """Exact Born-rule marginal over the register, as a length-2^w float array."""
     return _born_marginal(state, [reg])
@@ -747,8 +619,7 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     masses the cumulative sum is [p0, p0 + p1] and the total p0 + p1, so
     the draw compares u * total with p0 and the total as scalars, with no
     array built: the same outcome from the same uniform.  Each teleported
-    qubit makes two such draws (``teleport_qubits``), in a shot's teleport
-    and in the one teleport of each exact sequential law.
+    qubit makes two such draws (``teleport_qubits``).
     """
     two = probs.shape == (2,) and probs.dtype == np.float64
     if two:  # the cumsum is [p0, p0 + p1] and the sum p0 + p1: compare scalars

@@ -1,9 +1,9 @@
-"""The check an exact law passes against the Born marginal of the stage it
-stands for, when one of the two takes the fold's products."""
+"""The check an exact law passes against the Born marginal of a state-vector
+execution of the estimates it stands for."""
 
 import numpy as np
 
-FOLD_TOL = 1e-15  # the fold, the Gram-form law and the per-row FFT round differently
+FOLD_TOL = 1e-15  # the fold, the closed-form law and the per-row FFT round differently
 ZERO_TOL = 1e-30  # a stage entry this small may be an exact zero of the law
 
 

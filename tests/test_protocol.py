@@ -110,6 +110,7 @@ class TestParams:
 
 
 PEAK_SLACK = 64 << 10  # index tables and other small arrays, far below one control vector
+LAW_CHUNK_BYTES = 3 * 8 * protocol._LAW_CHUNK  # an exact oracle's working set beside its law
 
 
 def node_b_input(params: ProtocolParams):
@@ -193,24 +194,24 @@ class TestWorkRegisterLeads:
         assert record.m is not None
         assert peak < 16 << 20
 
-    def test_monolithic_oracle_holds_one_block(self):
-        # The joined state (10 work rows of 2^15 amplitudes, 5 MiB), which the
-        # inverse QFT writes over, plus at most its Born magnitudes (one float
-        # per amplitude) and the 2^15 control vector.
+    def test_monolithic_oracle_holds_the_law_and_one_chunk(self):
+        # The law is 2^15 floats (0.25 MiB).  It is built a chunk of outcomes
+        # at a time: each chunk's r x w estimate laws, with w = _LAW_CHUNK // r,
+        # come from as many int64 offsets and a mask of their zeros, under
+        # three chunks of floats.
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
-        block = 16 * 10 << params.t_mono
         tracemalloc.start()
         try:
             monolithic_exact_distribution(params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < block + block // 2 + (16 << params.t_mono) + PEAK_SLACK
+        assert peak < (8 << params.t_mono) + LAW_CHUNK_BYTES + PEAK_SLACK
 
     def test_joint_oracle_never_holds_a_dense_state(self):
-        # The dense joint state for N=16 a=3 is 2^21 amplitudes (32 MiB); it
-        # stores the 4 work values that hold amplitude (8 MiB), and the
-        # marginal sums those rows alone.
+        # The dense joint state for N=16 a=3 is 2^21 amplitudes (32 MiB); the
+        # oracle holds its law, 2^6 x 2^11 floats (1 MiB), node A's r x 2^t1
+        # estimate laws and one chunk of node B's.
         params = ProtocolParams.derive(16, 3, Fraction(1, 4))
         tracemalloc.start()
         try:
@@ -219,42 +220,27 @@ class TestWorkRegisterLeads:
         finally:
             tracemalloc.stop()
         assert joint.shape == (1 << params.t1, 1 << params.t2)
-        assert peak < 32 << 20
-
-    def test_joint_oracle_frees_the_appended_zero_state(self):
-        # The N=13 a=2 joint state stores 12 work rows (24 MiB).  No
-        # zero-filled widened state is built, and the inverse QFT writes over
-        # the joined state, so node B's stage holds one such state.
-        params = ProtocolParams.derive(13, 2, Fraction(1, 4))
-        tracemalloc.start()
-        try:
-            distributed_joint_distribution(params, MODE_JOINT)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 << 20
+        assert peak < joint.nbytes + LAW_CHUNK_BYTES + PEAK_SLACK
 
     def test_joint_oracle_stores_no_joined_state(self):
         # The N=13 a=2 joint state would store 12 work rows of 2^6 x 2^11
         # amplitudes (24 MiB); its law is 2^6 x 2^11 floats (1 MiB).  Each
-        # row of the law is written from its value's Gram matrix and one
-        # chunk's pair products, so the oracle holds the law, node A's
-        # state, the control vector and those pair products (P^2 x 1024
-        # floats).
+        # chunk of m2 is one product of node A's estimate laws (12 x 2^6
+        # floats) by the chunk's of node B, written into the law.
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
         law = 8 << (params.t1 + params.t2)
-        distributed_joint_distribution(params, MODE_JOINT)  # keeps the class transforms
         tracemalloc.start()
         try:
             distributed_joint_distribution(params, MODE_JOINT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert law < peak < law + (1 << 20)
+        assert law < peak < law + LAW_CHUNK_BYTES + PEAK_SLACK
 
     def test_joint_oracle_shot_never_holds_a_dense_state(self):
-        # The shot draws from the joint oracle's marginal, so it peaks no
-        # higher than the oracle: below the 32 MiB dense joint state.
+        # The shot draws from the joint oracle's law, so it peaks at the
+        # oracle's working set, plus what a process's first shot imports
+        # (about 0.7 MiB): far below the 32 MiB dense joint state.
         params = ProtocolParams.derive(16, 3, Fraction(1, 4))
         tracemalloc.start()
         try:
@@ -263,7 +249,7 @@ class TestWorkRegisterLeads:
         finally:
             tracemalloc.stop()
         assert record.m2 is not None
-        assert peak < 32 << 20
+        assert peak < (8 << (params.t1 + params.t2)) + (2 << 20)
 
 
 @pytest.fixture
@@ -966,42 +952,44 @@ def plain_estimate(state, control, target, multiplier, modulus):
 
 
 def plain_law(state, control, target, multiplier, modulus):
-    """``plain_estimate``'s state, marginalized as ``statevec.phase_estimation_law`` does."""
+    """``plain_estimate``'s state, marginalized over every register but the target."""
     joined = plain_estimate(state, control, target, multiplier, modulus)
     return protocol.statevec.marginal_probabilities(joined, joined.layout.names[1:])
 
 
+def assert_same_zeros_near(law: np.ndarray, ref: np.ndarray) -> None:
+    assert law.shape == ref.shape
+    assert np.max(np.abs(law - ref)) <= FOLD_TOL
+    assert np.array_equal(law == 0, ref == 0)
+
+
 @pytest.mark.blas
 class TestFoldedEstimates:
-    """Every law from ``apply_phase_estimation`` and ``phase_estimation_law``
-    against the same law with each estimate run as a controlled
-    multiplication, then an inverse QFT.  The sequential law it builds is
-    kept for ``sequential_law_summary``."""
+    """Every exact oracle, taken from the eigenbasis factorisation, against
+    the state-vector execution it stands for, and node A's folded stage
+    against its controlled multiplication, then inverse QFT.  The sequential
+    law is kept for ``sequential_law_summary``."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", [(2, 1), *SMALL_CASES])
     def test_laws_match_the_two_kernels(self, N, a, inverse_epsilon, monkeypatch):
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
-
-        def laws():
-            after_a = protocol._a_stage(params)
-            return (
-                protocol.statevec.register_probabilities(after_a, "ctrl_a"),
-                monolithic_exact_distribution(params),
-                distributed_joint_distribution(params, MODE_JOINT),
-                distributed_joint_distribution(params, MODE_SEQUENTIAL),
-            )
-
-        node_a, mono, joint, seq = laws()
+        statevec = protocol.statevec
+        seq = distributed_joint_distribution(params, MODE_SEQUENTIAL)
         keep_law_summary(seq, N, a, inverse_epsilon)
-        monkeypatch.setattr(protocol.statevec, "apply_phase_estimation", plain_estimate)
-        monkeypatch.setattr(protocol.statevec, "phase_estimation_law", plain_law)
-        want = laws()
+        # The teleport is exact: both modes are one law.
+        assert seq.tobytes() == distributed_joint_distribution(params, MODE_JOINT).tobytes()
+        after_a = protocol._a_stage(params)
+        node_a = statevec.register_probabilities(after_a, "ctrl_a")
+        joined = protocol._b_stage(after_a, params)
+        assert_same_zeros_near(seq, statevec.marginal_probabilities(joined, ["ctrl_a", "ctrl_b"]))
+        work, control = protocol._work_one(params), protocol._uniform_control("ctrl", params.t_mono)
+        want = plain_law(work, control, "work", params.a, params.N)
+        assert_same_zeros_near(monolithic_exact_distribution(params), want)
         # Every first estimate starts from one row, so it takes the plain path.
-        assert np.array_equal(node_a, want[0]) and np.array_equal(mono, want[1])
-        for got, ref in ((joint, want[2]), (seq, want[3])):
-            assert np.max(np.abs(got - ref)) <= FOLD_TOL
-            assert np.array_equal(got == 0, ref == 0)
+        monkeypatch.setattr(statevec, "apply_phase_estimation", plain_estimate)
+        want = statevec.register_probabilities(protocol._a_stage(params), "ctrl_a")
+        assert np.array_equal(node_a, want)
 
     def test_node_b_at_33_matches_the_two_kernels(self, monkeypatch):
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
@@ -1017,6 +1005,38 @@ class TestFoldedEstimates:
             assert got[0] == want[0]
             assert np.max(np.abs(got[1] - want[1])) <= FOLD_TOL
             assert np.array_equal(got[1] == 0, want[1] == 0)
+
+
+def refuse_kernel(*_args):
+    raise AssertionError("an exact oracle ran a simulator kernel")
+
+
+class TestOraclesRunNoSimulator:
+    """The exact oracles share no code with the state-vector path they are
+    checked against: with its kernels and the teleport refused, the three
+    laws, and the monolithic and joint-oracle shots drawn from them, are
+    what they were."""
+
+    @pytest.mark.parametrize("N, a, inverse_epsilon", [(2, 1, 4), (15, 7, 4), (13, 2, 10)])
+    def test_laws_and_their_shots(self, N, a, inverse_epsilon, monkeypatch):
+        params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
+
+        def run():
+            laws = (monolithic_exact_distribution(params),
+                    distributed_joint_distribution(params, MODE_JOINT),
+                    distributed_joint_distribution(params, MODE_SEQUENTIAL))
+            shots = (run_shots(params, 4, seed=1, engine=ENGINE_MONOLITHIC),
+                     run_shots(params, 4, seed=1, mode=MODE_JOINT))
+            return [law.tobytes() for law in laws], [
+                [r.to_json_dict() for r in records] for records in shots
+            ]
+
+        want = run()
+        for name in ("apply_phase_estimation", "apply_controlled_modmul", "apply_inverse_qft",
+                     "_gather_table"):
+            monkeypatch.setattr(protocol.statevec, name, refuse_kernel)
+        monkeypatch.setattr(protocol, "teleport_register", refuse_kernel)
+        assert run() == want
 
 
 @pytest.mark.blas
@@ -1071,38 +1091,12 @@ def per_m1_law(params: ProtocolParams) -> np.ndarray:
     return joint
 
 
-def teleported_a_stage(params: ProtocolParams):
-    """Node A's state with its work register teleported, as the sequential oracle does it."""
-    channel, pool, rng = ClassicalChannel(), EprPool(params.L), np.random.default_rng(0)
-    return teleport_register(protocol._a_stage(params), "work", channel, pool, rng)
-
-
-def teleported_once_law(params: ProtocolParams) -> np.ndarray:
-    """The per-m1 loop over node A's state teleported once: each m1 with mass
-    projected, ctrl_a dropped and node B's stage run on that m1 alone."""
-    statevec = protocol.statevec
-    moved = teleported_a_stage(params)
-    joint = np.zeros((1 << params.t1, 1 << params.t2))
-    for m1 in range(1 << params.t1):
-        p1, st = statevec.project_register(moved, "ctrl_a", m1)
-        if st is not None and p1 >= protocol._MIN_MASS:
-            st = protocol._b_stage(statevec.remove_register(st, "ctrl_a"), params)
-            joint[m1, :] = p1 * statevec.register_probabilities(st, "ctrl_b")
-    return joint
-
-
-def single_stage_folds(params: ProtocolParams) -> bool:
-    """Whether node B's stage on one m1's conditional (r rows, period P) takes the fold."""
-    r = multiplicative_order(params.a, params.N)
-    period = multiplicative_order(params.b_stage_multiplier, params.N)
-    return protocol.statevec._folds(period, r, params.t2)
-
-
 @pytest.mark.blas
 class TestStackedOracle:
-    """The sequential oracle teleports node A's state once and takes node B's
-    law of that unmeasured state in one call; by deferred measurement it is
-    the per-m1 loop's law up to the fold and the teleport's rounding."""
+    """The sequential oracle is the factorised law, which defers node A's
+    measurement; shots measure m1 first and run node B's stage on each m1's
+    teleported conditional.  By deferred measurement the two agree up to
+    rounding."""
 
     # Conditioning on m1 (project, then remove ctrl_a), as shots do, keeps
     # the m1 whose rows of the law have mass, with the law's row sums as
@@ -1118,15 +1112,9 @@ class TestStackedOracle:
         assert np.array_equal(np.flatnonzero(law.any(axis=1)), live)
         assert np.max(np.abs(law.sum(axis=1) - p1)) <= FOLD_TOL
 
-    # Every law is within the fold's and the teleport's rounding of shots'
-    # per-m1 law.  A law whose single-m1 stage folds takes each m1's row
-    # from that m1's Gram matrix, near the per-m1 loop over the
-    # once-teleported state.  A law whose order is a power of two and whose
-    # single stage does not fold is that loop's bit for bit, though the law
-    # may fold over every m1, except N=3 a=2 and N=4 a=3 at epsilon=1/4 and
-    # 1/10, whose laws fold and differ from the loop's by up to 1.1e-16 (all
-    # four, on a 2-core x86-64 box) and keep its zeros.  N=17 a=3 (r = 16)
-    # gains exact zeros where the stage leaves 2.7e-35.
+    # Every law is within the closed form's, the fold's and the teleport's
+    # rounding of shots' per-m1 law, with its zeros.  N=17 a=3 (r = 16) has
+    # exact zeros where the stage leaves 2.7e-35.
     @pytest.mark.parametrize(
         "N, a, inverse_epsilon",
         [(N, a, e) for N, a in [(2, 1), *SMALL_CASES] for e in (4, 10)] + [(17, 3, 4), (33, 2, 4)],
@@ -1135,31 +1123,20 @@ class TestStackedOracle:
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         want = per_m1_law(params)
         assert (want >= 0).all()
-        got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert_near_the_stage(got, want)
-        r = multiplicative_order(a, N)
-        if single_stage_folds(params) or (N, a) in [(3, 2), (4, 3)]:
-            assert_near_the_stage(got, teleported_once_law(params))
-        elif r & (r - 1) == 0:
-            assert got.tobytes() == teleported_once_law(params).tobytes()
+        assert_near_the_stage(distributed_joint_distribution(params, MODE_SEQUENTIAL), want)
 
-    def test_a_law_past_the_qubit_guard_folds(self, monkeypatch):
+    def test_a_law_past_the_qubit_guard_folds(self):
         # N=31 a=3 at epsilon=1/4: L=6, t1=7, t2=14, and node B's multiplier
         # 19 has order P = 15 > t2, so node B's stage on one m1 never folds.
-        # Node B's joined state over node A's teleported state would hold 27
-        # qubits, past MAX_QUBITS: its law folds, in one call, near shots'
-        # per-m1 stages, and holds little beside the 16 MiB law (the pair
-        # products, 29.5 MB, stay kept from the first call).
+        # Node B's joined state over node A's unmeasured state would hold 27
+        # qubits, past MAX_QUBITS.  The factorised law stores no state: it is
+        # near shots' per-m1 stages, and holds the 16 MiB law and one chunk.
         params = ProtocolParams.derive(31, 3, Fraction(1, 4))
         assert (params.L, params.t1, params.t2) == (6, 7, 14)
         assert multiplicative_order(params.b_stage_multiplier, params.N) == 15
-        laws = []
-        b_law = protocol._b_law
-        monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
-        got = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        assert len(laws) == 1
         assert params.L + params.t1 + params.t2 > protocol.statevec.MAX_QUBITS
-        assert_near_the_stage(got, per_m1_law(params))
+        assert_near_the_stage(distributed_joint_distribution(params, MODE_SEQUENTIAL),
+                              per_m1_law(params))
         law = 8 << (params.t1 + params.t2)
         tracemalloc.start()
         try:
@@ -1167,44 +1144,12 @@ class TestStackedOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert law < peak < law + (4 << 20)
-
-    # N=13 a=2 has 64 live m1, N=15 a=7 (r = 4) 4 and N=17 a=3 (r = 16)
-    # 16, 8 apart; node A's state is teleported once, from default_rng(0),
-    # and the teleported state, unmeasured, is node B's one law's input.
-    @pytest.mark.parametrize("N, a", [(13, 2), (15, 7), (17, 3)])
-    def test_teleports_once_per_law(self, N, a, monkeypatch):
-        params = ProtocolParams.derive(N, a, Fraction(1, 4))
-        teleports, b_inputs = [], []
-        teleport, b_law = teleport_register, protocol._b_law
-
-        def record_teleport(state, reg, channel, pool, rng):
-            sent = state.block.copy()
-            moved = teleport(state, reg, channel, pool, rng)
-            teleports.append((sent, reg, channel, pool, moved))
-            return moved
-
-        def record_b_law(st, *args):
-            b_inputs.append(st)
-            return b_law(st, *args)
-
-        monkeypatch.setattr(protocol, "teleport_register", record_teleport)
-        monkeypatch.setattr(protocol, "_b_law", record_b_law)
-        distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        [(sent, reg, channel, pool, moved)] = teleports
-        after_a = protocol._a_stage(params)
-        assert reg == "work" and sent.tobytes() == after_a.block.tobytes()
-        assert pool.allocated == pool.consumed == params.L and channel.bit_count == 2 * params.L
-        again = teleported_a_stage(params)  # the same teleport, replayed
-        assert moved.block.tobytes() == again.block.tobytes()
-        [st] = b_inputs
-        assert st is moved
-        assert st.layout.registers == (("work", params.L), ("ctrl_a", params.t1))
+        assert law < peak < law + LAW_CHUNK_BYTES + PEAK_SLACK
 
     def test_a_law_at_the_qubit_guard_builds(self):
         # L=8, t2=17 and r=3: node B's joined state for one m1 would hold 25
-        # qubits, and over node A's teleported state past MAX_QUBITS, which
-        # the law, storing no joined state, passes by folding.
+        # qubits, and over node A's unmeasured state past MAX_QUBITS, which
+        # the factorised law, storing no state, never builds.
         params = ProtocolParams.derive(133, 11, Fraction(1, 4))
         assert params.L + params.t2 == protocol.statevec.MAX_QUBITS - 1
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
@@ -1212,33 +1157,31 @@ class TestStackedOracle:
 
     def test_holds_little_beside_the_law(self):
         # N=33 a=2: the law is 2^7 x 2^14 floats (16 MiB), its 128 m1 all
-        # live; N=17 a=3: the same size, its 16 live m1 8 apart.
-        # Node B's law over every m1 is the joint law: no node-B state or
-        # second law is stored.  Beside the law the oracle holds node A's
-        # state, the control vector (0.25 MiB at N=33), the sources and the
-        # coefficients; the pair products stay kept from the first call.
+        # live; N=17 a=3: the same size, its 16 live m1 8 apart.  Beside the
+        # law the oracle holds node A's r x 2^t1 estimate laws and one chunk
+        # of node B's.
         for N, a in [(33, 2), (17, 3)]:
             params = ProtocolParams.derive(N, a, Fraction(1, 4))
             law = 8 << (params.t1 + params.t2)
-            distributed_joint_distribution(params, MODE_SEQUENTIAL)  # keeps the pair products
             tracemalloc.start()
             try:
                 distributed_joint_distribution(params, MODE_SEQUENTIAL)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert law < peak < law + (1 << 20), (N, a)
+            assert law < peak < law + LAW_CHUNK_BYTES + PEAK_SLACK, (N, a)
 
 
 TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
 
 
 class TestBatchedTeleport:
-    """The sequential oracle teleports every m1's conditional in one
-    ``teleport_register`` call on node A's state: conditioned on each m1
-    afterwards, the same m1 keep mass, and each conditional is
-    ``teleport_qubits`` on that m1's own conditional, up to rounding, with
-    the same zeros."""
+    """Teleporting node A's work register commutes with conditioning on m1,
+    the step that makes the factorised law, which defers node A's
+    measurement, the law of shots, which measure m1 before the teleport:
+    after one ``teleport_register`` call on node A's state the same m1 keep
+    mass, and each conditional is ``teleport_qubits`` on that m1's own
+    conditional, up to rounding, with the same zeros."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
@@ -1246,7 +1189,9 @@ class TestBatchedTeleport:
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
         statevec = protocol.statevec
         _, live, conds = conditionals(protocol._a_stage(params), "ctrl_a", protocol._MIN_MASS)
-        moved = teleported_a_stage(params)
+        channel, pool = ClassicalChannel(), EprPool(params.L)
+        moved = teleport_register(protocol._a_stage(params), "work", channel, pool,
+                                  np.random.default_rng(0))
         _, moved_live, moved_conds = conditionals(moved, "ctrl_a", protocol._MIN_MASS)
         assert np.array_equal(moved_live, live)
         rng = np.random.default_rng(1)
@@ -1264,10 +1209,8 @@ def refuse_build(*_args):
 @pytest.mark.blas
 @pytest.mark.fresh_process
 class TestKeptTransforms:
-    """``statevec`` keeps node B's class transforms for one (t2, P), which
-    only the stage reads, and the pair products of a few (t2, P), which only
-    the law reads; a stage that builds them gives the bits of one that finds
-    them kept."""
+    """``statevec`` keeps node B's class transforms for one (t2, P); a stage
+    that builds them gives the bits of one that finds them kept."""
 
     def test_node_b_stage_is_bitwise_the_same_cold_and_warm(self):
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
@@ -1295,8 +1238,8 @@ class TestKeptTransforms:
         warm = protocol._b_stage(st, params)
         assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.block, cold.block)
 
-    # The joint oracle's node-B stage, whose law is a function of the state
-    # compared here.  Its product spans every joined row: 768 at N=13 a=2
+    # Node B's stage on node A's unmeasured state, which the joint law is
+    # checked against.  Its product spans every joined row: 768 at N=13 a=2
     # and epsilon=1/4, the 12 work rows beside each of 2^t1 = 64 ctrl_a values.
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
@@ -1310,44 +1253,21 @@ class TestKeptTransforms:
 
     def test_a_run_builds_the_transforms_once(self, monkeypatch):
         # 20 shots at N=21 a=2 run node B's stage 20 times, which builds R
-        # once and no pair products.  The sequential oracle takes node B's
-        # law once, over all 2^t1 = 128 values of m1, which have mass; that
-        # law builds the pair products once and never reads R.
+        # once.  The sequential oracle, over all 2^t1 = 128 values of m1,
+        # which have mass, runs no stage and never reads R.
         params = ProtocolParams.derive(21, 2, Fraction(1, 4))
-        transforms, tables = protocol.statevec._uniform_transforms, protocol.statevec._pair_table
-        stages, laws = [], []
-        stage, b_law = protocol._b_stage, protocol._b_law
+        transforms = protocol.statevec._uniform_transforms
+        stages = []
+        stage = protocol._b_stage
         monkeypatch.setattr(protocol, "_b_stage", lambda *args: stages.append(1) or stage(*args))
-        monkeypatch.setattr(protocol, "_b_law", lambda *args: laws.append(1) or b_law(*args))
         transforms.cache_clear()
-        tables.cache_clear()
         run_shots(params, 20, seed=5)
-        assert (transforms.cache_info().misses, len(stages), len(laws)) == (1, 20, 0)
-        assert tables.cache_info().misses == 0
+        assert (transforms.cache_info().misses, len(stages)) == (1, 20)
         transforms.cache_clear()
         law = distributed_joint_distribution(params, MODE_SEQUENTIAL)
-        info = tables.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
         assert transforms.cache_info().misses == 0
         assert np.count_nonzero(law.sum(axis=1)) == 128
-        assert (len(stages), len(laws)) == (20, 1)
-
-    # Sequential shots run node B's stage, which reads R; the single-node
-    # engine never folds.  Only the exact oracles, and the joint-oracle
-    # shots that draw from one, build pair products.
-    @pytest.mark.parametrize(
-        "N, a, engine", [(33, 2, ENGINE_DISTRIBUTED), (21, 2, ENGINE_DISTRIBUTED),
-                         (33, 2, ENGINE_MONOLITHIC)]
-    )
-    def test_shots_build_no_pair_table(self, N, a, engine, monkeypatch):
-        def refuse(*_args):
-            raise AssertionError("a shot built node B's pair products")
-
-        params = ProtocolParams.derive(N, a, Fraction(1, 4))
-        want = [r.to_json_dict() for r in run_shots(params, 8, seed=2, engine=engine)]
-        monkeypatch.setattr(protocol.statevec, "_pair_table", refuse)
-        got = [r.to_json_dict() for r in run_shots(params, 8, seed=2, engine=engine)]
-        assert got == want
+        assert len(stages) == 20
 
     @pytest.mark.parametrize("N, a", [(15, 1), (7, 2)])
     def test_a_run_that_cannot_fold_keeps_none(self, N, a, monkeypatch):

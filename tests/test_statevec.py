@@ -27,8 +27,7 @@ from disq.statevec import (
     register_probabilities,
     remove_register,
 )
-from conditionals import conditionals
-from law_checks import FOLD_TOL, assert_near_the_stage
+from law_checks import FOLD_TOL
 
 ALGEBRA_TOL = 1e-10
 DIST_TOL = 1e-9
@@ -655,9 +654,8 @@ class TestPhaseEstimation:
 
     # The fold is decided from the gather table alone, so each estimate
     # gathers its sources once: the fold here, else apply_controlled_modmul.
-    @pytest.mark.parametrize("kernel", ["stage", "law"])
     @pytest.mark.parametrize("folds", [False, True])
-    def test_gathers_once_per_estimate(self, kernel, folds, modmul_calls, monkeypatch):
+    def test_gathers_once_per_estimate(self, folds, modmul_calls, monkeypatch):
         gathers = []
         gather = statevec._period_sources
         monkeypatch.setattr(
@@ -667,8 +665,7 @@ class TestPhaseEstimation:
             st, multiplier, t = node_b_at_33(), 16, 14
         else:  # a first estimate: one stored row maps onto F = P rows
             st, multiplier, t = init_basis(RegisterLayout.of(("work", 6)), {"work": 1}), 2, 9
-        run = apply_phase_estimation if kernel == "stage" else statevec.phase_estimation_law
-        run(st, uniform_control(t), "work", multiplier, 33)
+        apply_phase_estimation(st, uniform_control(t), "work", multiplier, 33)
         assert (len(gathers), len(modmul_calls)) == (1, not folds)
 
     def test_large_period_takes_the_plain_path(self, modmul_calls):
@@ -804,156 +801,6 @@ class TestKeptTransforms:
         apply_phase_estimation(st, uniform_control(7), "work", 7, 15)
         assert transforms.cache_info() == info
         assert transforms(6, 3) is not first
-
-
-def stage_marginal(state, control, target, multiplier, modulus) -> np.ndarray:
-    """``apply_phase_estimation``'s state, marginalized over every register but the target."""
-    joined = apply_phase_estimation(state, control, target, multiplier, modulus)
-    return statevec._born_marginal(joined, joined.layout.names[1:])
-
-
-def equally_weighted_conditionals(count: int, width: int) -> StateVector:
-    """``count`` conditionals on the rows 2, 5 and 11, equally weighted, as
-    the values of a new ``width``-qubit register."""
-    full = compact_twin(row_sparse_state([("w", 4), ("r", 3)], [2, 5, 11], seed=6))
-    states = conditionals(full, "r", 1e-300)[2][:count]
-    block = np.zeros((states[0].block.size, 1 << width), complex)
-    block[:, :count] = np.stack([st.block for st in states], axis=1) / math.sqrt(count)
-    return StateVector(states[0].layout.appended("s", width), block.reshape(-1), states[0].rows)
-
-
-# (state, control, target, multiplier, modulus, folds): node B at N=33; a
-# stack; two registers beside the target, as the joint oracle's node B has;
-# a first estimate (F = P); a period too long to fold; controls that are not
-# the uniform fill.
-LAW_CASES = {
-    "single": lambda: (node_b_at_33(), uniform_control(14), "work", 16, 33, True),
-    "stacked": lambda: (
-        equally_weighted_conditionals(5, 3), uniform_control(9), "w", 3, 13, True,
-    ),
-    "two-registers": lambda: (
-        compact_twin(row_sparse_state([("work", 4), ("x", 2), ("y", 1)], [1, 5, 8, 12], seed=3)),
-        uniform_control(7), "work", 5, 13, True,
-    ),
-    "first": lambda: (
-        init_basis(RegisterLayout.of(("work", 6)), {"work": 1}), uniform_control(9), "work", 2, 33,
-        False,
-    ),
-    "long-period": lambda: (
-        compact_twin(StateVector.from_amplitudes(
-            RegisterLayout.of(("work", 7)),
-            np.where(np.arange(128) < 40, 1 / math.sqrt(40), 0) + 0j,
-        )),
-        uniform_control(7), "work", 3, 101, False,
-    ),
-    "random-control": lambda: (node_b_at_33(), random_control(14, seed=3), "work", 16, 33, False),
-    "one-ulp": lambda: (
-        node_b_at_33(), nearly_uniform_control(14, 9, complex(np.nextafter(FILL_14, 1), 0.0)),
-        "work", 16, 33, False,
-    ),
-}
-
-
-@pytest.mark.blas
-class TestPhaseEstimationLaw:
-    """``phase_estimation_law`` gives the Born marginal of the state
-    ``apply_phase_estimation`` gives, over every register but the target:
-    bit for bit on the plain path, and within ``FOLD_TOL`` with the stage's
-    zeros kept when it folds, where it takes the partial trace from each
-    value's Gram matrix and stores no state."""
-
-    @pytest.mark.parametrize("case", LAW_CASES)
-    def test_is_the_stage_and_its_marginal(self, case, modmul_calls):
-        state, control, target, multiplier, modulus, folds = LAW_CASES[case]()
-        want = stage_marginal(state, control, target, multiplier, modulus)
-        del modmul_calls[:]
-        got = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-        assert len(modmul_calls) == (not folds)
-        if folds:
-            assert_near_the_stage(got, want)
-        else:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    # Past the guard the law still stores no joined state: a uniform control
-    # folds, also where the cost rule runs the two kernels (first,
-    # long-period), and any other control reaches the join, which refuses
-    # the layout, as the stage does for every control.  The Gram form's
-    # rounding grows with P: at P = 100 it is 1.5e-15 from the stage.
-    @pytest.mark.parametrize("case", [
-        pytest.param(case, marks=pytest.mark.xfail(
-            strict=True, reason="P = 100: the Gram-form law rounds 1.5e-15 from the stage"
-        )) if case == "long-period" else case
-        for case in LAW_CASES
-    ])
-    def test_past_the_qubit_guard_folds_or_refuses(self, case, modmul_calls, monkeypatch):
-        state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
-        want = stage_marginal(state, control, target, multiplier, modulus)
-        monkeypatch.setattr(statevec, "MAX_QUBITS", state.n + control.n - 1)
-        with pytest.raises(CapacityError):
-            apply_phase_estimation(state, control, target, multiplier, modulus)
-        del modmul_calls[:]
-        if not statevec._is_uniform(control.amps, control.n):
-            with pytest.raises(CapacityError):
-                statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-            assert len(modmul_calls) == 1
-            return
-        got = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-        assert not modmul_calls
-        assert_near_the_stage(got, want)
-
-    @pytest.mark.fresh_process
-    @pytest.mark.parametrize("case", ["single", "stacked", "two-registers"])
-    def test_is_bitwise_the_same_cold_and_warm(self, case):
-        state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
-        tables = statevec._pair_table
-        tables.cache_clear()
-        cold = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-        warm = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-        info = tables.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert warm.tobytes() == cold.tobytes()
-
-    # single: P = 5 and t = 14, 16 chunks of 1024 control values; stacked:
-    # P = 3 and t = 9, one chunk narrower than 1024; two-registers: P = 4, t = 7.
-    @pytest.mark.fresh_process
-    @pytest.mark.parametrize(
-        "case, period, t", [("single", 5, 14), ("stacked", 3, 9), ("two-registers", 4, 7)]
-    )
-    def test_a_table_above_the_cap_is_not_kept(self, case, period, t, monkeypatch):
-        state, control, target, multiplier, modulus, _ = LAW_CASES[case]()
-        tables = statevec._pair_table
-        size = 8 * period * period << t  # the table's bytes
-        tables.cache_clear()
-        monkeypatch.setattr(statevec, "_PAIR_CAP", size)  # at the cap: kept
-        kept = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-        assert tables.cache_info().currsize == 1 and tables(t, period).nbytes == size
-        tables.cache_clear()
-        monkeypatch.setattr(statevec, "_PAIR_CAP", size - 1)
-        built = statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-        assert tables.cache_info() == (0, 0, 8, 0)  # (hits, misses, maxsize, currsize)
-        assert built.tobytes() == kept.tobytes()
-
-    # Row q P + q' holds Re(G_q conj(G_q')) for q <= q' and Im(G_q conj(G_q'))
-    # for q > q', formed class by class as products of real and imaginary parts.
-    @pytest.mark.fresh_process
-    @pytest.mark.parametrize("t, period", [(9, 3), (11, 6), (12, 1), (3, 5)])
-    def test_kept_table_is_the_per_class_products(self, t, period):
-        g = uniform_reference(t, period)
-        want = np.empty((period, period, 1 << t))
-        for q, row in enumerate(want):
-            row[...] = g[q].real * g.real + g[q].imag * g.imag
-            row[:q] = g[q].imag * g[:q].real - g[q].real * g[:q].imag
-        statevec._pair_table.cache_clear()
-        table = statevec._pair_table(t, period)
-        assert table.shape == (period * period, 1 << t) and table.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 0
-
-    def test_input_states_are_not_modified(self):
-        state, control, target, multiplier, modulus, _ = LAW_CASES["stacked"]()
-        before = (state.block.copy(), control.amps.copy())
-        statevec.phase_estimation_law(state, control, target, multiplier, modulus)
-        assert np.array_equal(state.block, before[0]) and np.array_equal(control.amps, before[1])
 
 
 class TestFourier:

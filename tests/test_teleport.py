@@ -224,13 +224,14 @@ def superposed(states: list[StateVector], name: str) -> StateVector:
 TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
 
 
-class TestTeleportStates:
+class TestTeleportCommutesWithMeasuring:
     """Teleporting states at once: ``teleport_qubits`` on their superposition
     over a register "m", then conditioning on each value of m (project, then
     remove m), gives each state as ``teleport_qubits`` gives it alone, up to
     rounding.  A teleport gives one state on every branch and acts on its
-    register alone, so it commutes with measuring m; the exact sequential
-    law is node B's law of node A's teleported state on that ground."""
+    register alone, so it commutes with measuring m; on that ground shots,
+    which measure m1 before the teleport, sample the exact law, which
+    defers that measurement."""
 
     @pytest.mark.parametrize(
         "regs, compact",
