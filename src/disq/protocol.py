@@ -133,16 +133,18 @@ class ProtocolParams:
         return self._widths[3]
 
     def peak_qubits(self, engine: str, mode: str = MODE_SEQUENTIAL) -> int:
-        """Qubits in the widest state a run of this engine and mode holds.
+        """Qubits of the widest array a run of this engine and mode holds.
 
-        The sequential two-node run holds one node's control register and
-        the work register at a time; the joint oracle holds both control
-        registers at once.
+        Sequential two-node shots hold one node's control register and the
+        work register at a time.  Monolithic and joint-oracle shots build no
+        state: they draw from an exact law over the control registers'
+        outcomes, 2^t_mono or 2^(t1 + t2) floats, counted as that many
+        qubits.
         """
         if engine == ENGINE_MONOLITHIC:
-            return self.t_mono + self.L
+            return self.t_mono
         if mode == MODE_JOINT:
-            return self.t1 + self.t2 + self.L
+            return self.t1 + self.t2
         return max(self.t1, self.t2) + self.L
 
     @property
@@ -248,7 +250,7 @@ def _stitch_arrays(m1, m2, params: ProtocolParams):
 
 
 def check_capacity(params: ProtocolParams, engine: str, mode: str = MODE_SEQUENTIAL) -> None:
-    """Raise CapacityError when the run would hold more than MAX_QUBITS qubits."""
+    """Raise CapacityError when the run's ``peak_qubits`` exceed MAX_QUBITS."""
     qubits = params.peak_qubits(engine, mode)
     if qubits > statevec.MAX_QUBITS:
         raise statevec.CapacityError(
@@ -403,14 +405,15 @@ def distributed_joint_distribution(
     (2^(L/2-1) s mod r)/r (arXiv:2207.05976).  The teleport is exact, and
     ctrl_a is never touched after node A's inverse QFT, so measuring m1
     first, as sequential shots do, leaves the same law (deferred
-    measurement, Nielsen & Chuang section 4.4): both modes give it, each
-    under its own capacity check.  A^T B is written a chunk of m2 at a
-    time, each one BLAS product of at most ``_PRODUCT`` multiply-adds, so
-    its bits do not depend on OpenBLAS's thread count.
+    measurement, Nielsen & Chuang section 4.4): both modes give it, and
+    both check the law's t1 + t2 qubits against the guard.  A^T B is
+    written a chunk of m2 at a time, each one BLAS product of at most
+    ``_PRODUCT`` multiply-adds, so its bits do not depend on OpenBLAS's
+    thread count.
     """
     if mode not in (MODE_SEQUENTIAL, MODE_JOINT):
         raise ValueError(f"unknown mode {mode!r}")
-    check_capacity(params, ENGINE_DISTRIBUTED, mode)
+    check_capacity(params, ENGINE_DISTRIBUTED, MODE_JOINT)  # the law, in either mode
     r = multiplicative_order(params.a, params.N)
     a_laws = _estimate_laws(np.arange(r), r, params.t1, 0, 1 << params.t1)
     b_nums = np.arange(r) * (1 << (params.L // 2 - 1)) % r

@@ -22,35 +22,14 @@ vector, and of those only ``teleport_qubits`` gives back the stored rows.
 ``StateVector.amps`` is always the full 2^n vector, built on each read for a
 state that stores fewer rows.
 
-Phase estimation prepares its control register as a state of its own: the
-Hadamard layer takes a fresh register in |0..0> to the uniform superposition,
-a vector of 2^t amplitudes.  The controlled modular multiplication joins that
-state to the work state as the last register and applies the basis
-permutation it semantically is (values >= the modulus are fixed points, which
-keeps the map a bijection and hence unitary), writing each joined amplitude
-once from the work state's stored rows through a gather table of the
-multiplier's inverse powers.  That table depends only on the row set, the
-sizes and the multiplier mod the modulus, so ``_gather_table`` keeps the last
-few process-wide as read-only arrays; each call still checks its inputs, and
-each estimate gathers its block once.  The Fourier transforms are applied as
-orthonormal FFTs along the register axis, written over the state they are
-given.  ``apply_phase_estimation`` is that multiplication followed by the
-inverse QFT on the joined control.  Each joined row repeats one period of P
-source amplitudes along the control axis (P the multiplier's order), so when
-the product costs no more than the FFTs it saves -- P * F <= (F - P) * t for
-F joined rows and a t-qubit control -- it transforms the control's P residue
-classes mod P once and writes every row as a sum of P of them; otherwise, and
-always for an estimate that starts from one row (F = P), it runs the two
-kernels.  Every estimate's control is the uniform fill the Hadamard layer
-writes, so those transforms depend only on (t, P): the fold is taken only for
-a control that is bitwise that fill, and ``_uniform_transforms`` keeps them
-for the stage, for one (t, P) at a time, held until another folding (t, P)
-replaces it, as one read-only float64 array R of rows (G_q, i * G_q),
-2 * P * 2^t amplitudes.  The fold is then one real product: each joined
-row's P complex sources, viewed as 2P floats, times R.  Any other control
-runs the two kernels.  The joins check the joined layout against
-``MAX_QUBITS``.  Gate-level decompositions are out of scope here --
-circuit-cost questions are answered analytically by the resources module.
+Phase estimation prepares its control register as a state of its own
+(``apply_hadamard_register``), joins it to the work state as the last
+register in the controlled modular multiplication and runs the inverse QFT
+on it; ``apply_phase_estimation`` runs one estimate, and its docstring
+states when it folds those two kernels into one product.  The joins check
+the joined layout against ``MAX_QUBITS``.  Gate-level decompositions are
+out of scope here -- circuit-cost questions are answered analytically by
+the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
@@ -282,8 +261,10 @@ def _preimage_cycle(n_tgt: int, multiplier: int, modulus: int) -> np.ndarray:
     return np.where((ys < modulus)[:, None], np.multiply.outer(ys, powers) % modulus, ys[:, None])
 
 
-# Four tables kept: the estimates of node A, node B and the single-node
-# engine for one (N, a) take three keys, so an exact case finds its tables.
+# Four tables kept: in the protocol only sequential two-node shots join, and
+# a run's estimates take two keys, node A's (work = 1) and node B's (the
+# powers of a), so every shot after the first finds both, even when another
+# run's two are kept beside them.
 @functools.lru_cache(maxsize=4)
 def _gather_table(
     rows: bytes | None, n_tgt: int, multiplier: int, modulus: int, n_ctrl: int
@@ -396,11 +377,6 @@ def apply_controlled_modmul(
 _FOLD_CHUNK = 1024  # control values per product of the fold
 
 
-def _folds(period: int, joined: int, t: int) -> bool:
-    """Whether the fold costs no more than the per-row FFTs it replaces."""
-    return period * joined <= (joined - period) * t
-
-
 def _is_uniform(ctrl: np.ndarray, t: int) -> bool:
     """Whether ``ctrl`` is bitwise the fill ``apply_hadamard_register`` writes on |0..0>.
 
@@ -443,28 +419,6 @@ def _uniform_transforms(t: int, period: int) -> np.ndarray:
     return r
 
 
-def _fold_sources(
-    state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
-) -> tuple[np.ndarray | None, np.ndarray, int] | None:
-    """(rows, one, P) when the estimate folds, None when it runs the two kernels.
-
-    The fold is taken when the control is bitwise the uniform fill and it
-    costs no more than the per-row FFTs, i.e. P * F <= (F - P) * t.  The
-    gather table alone gives P (its columns) and F (its rows times the
-    other registers' values), so only a folding estimate gathers its
-    sources here; the two kernels gather them in ``apply_controlled_modmul``.
-    one[m] is the n_out x 2P float view of the sources at other-register value m.
-    """
-    rows, src, pad = _join_table(state, control, target, multiplier, modulus)
-    n_out, period = src.shape
-    joined = n_out << (state.n - state.layout.registers[0][1])
-    t = control.n
-    if not (_folds(period, joined, t) and _is_uniform(control.amps, t)):
-        return None
-    one = np.ascontiguousarray(_period_sources(state, src, pad).transpose(1, 0, 2), complex)
-    return rows, one.view(np.float64), period
-
-
 def apply_phase_estimation(
     state: StateVector, control: StateVector, target: str, multiplier: int, modulus: int
 ) -> StateVector:
@@ -478,10 +432,15 @@ def apply_phase_estimation(
     Over F = rows * (other-register values) joined rows and a t-qubit
     control, the fold runs P FFTs of 2^t and a product of P * F
     multiply-adds per control value, in place of F FFTs of about t
-    multiply-adds per value each.  It is taken when it costs no more, i.e.
-    when P * F <= (F - P) * t, and the control is bitwise the uniform fill,
-    as every estimate's is; otherwise (always for an estimate that starts
-    from one row, where F = P) the two kernels run as they are.
+    multiply-adds per value each.  The fold rule: it is taken when it costs
+    no more, P * F <= (F - P) * t, and the control is bitwise the uniform
+    fill ``apply_hadamard_register`` writes, as every estimate's is;
+    otherwise (always for an estimate that starts from one row, where
+    F = P) the two kernels run as they are.  The gather table alone gives
+    P (its columns) and F (its rows times the other registers' values), so
+    the joined layout is checked and the table looked up before anything
+    state-sized is gathered, and only a folding estimate gathers its
+    sources here.
 
     The G_q of the uniform fill depend only on (t, P): ``_uniform_transforms``
     builds them on the first fold of a (t, P) and keeps them for one (t, P)
@@ -498,16 +457,20 @@ def apply_phase_estimation(
     multiply-adds or fewer there, instead of waking its thread pool.
     """
     layout = state.layout.appended(*_control_register(control))  # may raise CapacityError
-    fold = _fold_sources(state, control, target, multiplier, modulus)
-    if fold is None:
+    rows, src, pad = _join_table(state, control, target, multiplier, modulus)
+    n_out, period = src.shape
+    joined = n_out << (state.n - state.layout.registers[0][1])
+    t = control.n
+    if not (period * joined <= (joined - period) * t and _is_uniform(control.amps, t)):
         st = apply_controlled_modmul(state, control, target, multiplier, modulus)
         return apply_inverse_qft(st, control.layout.names[0])
-    rows, one, period = fold
-    r = _uniform_transforms(control.n, period)
-    middle, n_out, _ = one.shape
-    out = np.empty((n_out, middle, 2 << control.n))  # the complex output's floats
+    # one[m]: the n_out x 2P float view of the sources at other-register value m
+    one = np.ascontiguousarray(_period_sources(state, src, pad).transpose(1, 0, 2), complex)
+    one = one.view(np.float64)
+    r = _uniform_transforms(t, period)
+    out = np.empty((n_out, one.shape[0], 2 << t))  # the complex output's floats
     width = min(r.shape[1], 2 * _FOLD_CHUNK)
-    for m in range(middle):
+    for m in range(one.shape[0]):
         for c in range(0, r.shape[1], width):
             np.matmul(one[m], r[:, c : c + width], out=out[:, m, c : c + width])
     return StateVector(layout, out.view(complex).reshape(-1), rows)

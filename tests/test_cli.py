@@ -357,6 +357,15 @@ class TestFactor:
         assert code == 0
         assert json.loads(out)["factor"] in (3, 7)
 
+    def test_joint_oracle_is_guarded_by_its_law(self, capsys):
+        # N=21: L=6, t1=7, t2=14.  The joint law spans t1 + t2 = 21 qubits'
+        # outcomes (16 MiB); with the work register they would be 27.
+        code, out, _ = run_cli(capsys, "factor", "--N", "21", "--seed", "9",
+                               "--mode", "joint-oracle")
+        assert code == 0
+        result = json.loads(out)
+        assert result["factor"] in (3, 7)
+
     def test_rejects_even_prime_and_prime_power(self, capsys):
         for bad in ("16", "13", "27"):
             code, _, err = run_cli(capsys, "factor", "--N", bad)

@@ -79,15 +79,32 @@ class TestParams:
         assert (got.L, got.l_was_rounded) == (derived.L, derived.l_was_rounded)
 
     def test_peak_qubits(self):
+        # Law-drawn runs count their law's outcome bits, shots their state.
         p = ProtocolParams.derive(33, 2, Fraction(1, 4))  # L=6, t1=7, t2=14, t_mono=15
-        assert p.peak_qubits(ENGINE_MONOLITHIC) == 21
-        assert p.peak_qubits(ENGINE_MONOLITHIC, MODE_JOINT) == 21
+        assert p.peak_qubits(ENGINE_MONOLITHIC) == 15
+        assert p.peak_qubits(ENGINE_MONOLITHIC, MODE_JOINT) == 15
         assert p.peak_qubits(ENGINE_DISTRIBUTED) == 20
         assert p.peak_qubits(ENGINE_DISTRIBUTED, MODE_SEQUENTIAL) == 20
-        assert p.peak_qubits(ENGINE_DISTRIBUTED, MODE_JOINT) == 27
-        with pytest.raises(protocol.statevec.CapacityError):
-            protocol.check_capacity(p, ENGINE_DISTRIBUTED, MODE_JOINT)
+        assert p.peak_qubits(ENGINE_DISTRIBUTED, MODE_JOINT) == 21
+        protocol.check_capacity(p, ENGINE_DISTRIBUTED, MODE_JOINT)
         protocol.check_capacity(p, ENGINE_DISTRIBUTED)
+
+    def test_sequential_law_is_guarded_by_its_size(self, monkeypatch):
+        # N=133 a=11 at epsilon=1/10: L=8, t1=9, t2=18.  Shots hold
+        # max(t1, t2) + L = 26 qubits, within the guard, but the sequential
+        # law is 2^(t1 + t2) = 2^27 floats (1 GiB): refused before any
+        # estimate law is built.
+        p = ProtocolParams.derive(133, 11, Fraction(1, 10))
+        assert (p.L, p.t1, p.t2) == (8, 9, 18)
+        protocol.check_capacity(p, ENGINE_DISTRIBUTED)
+
+        def no_laws(*_):
+            raise AssertionError("_estimate_laws called")
+
+        monkeypatch.setattr(protocol, "_estimate_laws", no_laws)
+        for mode in (MODE_SEQUENTIAL, MODE_JOINT):
+            with pytest.raises(protocol.statevec.CapacityError, match="27 simultaneous qubits"):
+                distributed_joint_distribution(p, mode)
 
     def test_sizes_are_computed_once_and_fields_decide_equality(self, monkeypatch):
         used = ProtocolParams.derive(33, 2, Fraction(1, 4))
