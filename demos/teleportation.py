@@ -1,10 +1,12 @@
 """Teleportation pays two classical bits per qubit and moves states exactly.
 
-Three little experiments: a random qubit crosses with fidelity 1 on
-whichever branch the measurement picks; a register entangled with a
-bystander register keeps the exact joint distribution, for two bits and one
-pair per qubit; and forcing each of the four measurement branches in turn
-gives the same state back every time.
+Each Bell-measurement outcome has mass 1/4 whatever the state, so each of
+the two bits per qubit is a fair draw, and the X/Z fix-up restores the
+amplitudes, so the register crosses bit for bit.  Three little experiments:
+a random qubit crosses with fidelity 1 on whichever branch the measurement
+picks; a register entangled with a bystander register keeps the exact joint
+distribution, for two bits and one pair per qubit; and forcing each of the
+four measurement branches in turn gives the same amplitudes back every time.
 """
 
 import numpy as np

@@ -16,9 +16,9 @@ the leading register, maps them onto their image.  Order finding leads every
 state with its work register, which holds only the r powers of the base (10
 of 64 values for N=33 a=2).  The Born marginals sum the stored rows alone,
 as squares of the real and imaginary parts added in a fixed order (see
-``_born_marginal``), and the Hadamard layer reads the one row of a fresh
-register; every other operation on the leading register reads the dense
-vector, and of those only ``teleport_qubits`` gives back the stored rows.
+``_born_marginal``), the Hadamard layer reads the one row of a fresh
+register, and ``teleport_qubits`` copies the stored rows as they are; every
+other operation on the leading register reads the dense vector.
 ``StateVector.amps`` is always the full 2^n vector, built on each read for a
 state that stores fewer rows.
 
@@ -33,14 +33,14 @@ the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
 from the register's Born marginal and collapses the state onto it.
-``teleport_qubits`` gives the same state on every branch and touches one
-register, so it commutes with measuring another.
+``teleport_qubits`` gives back the input's amplitudes on every branch, so
+it commutes with measuring another register.
 
 Determinism: every random choice is one ``draw``, an inverse-CDF sample from
 one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
 generator state fixes all outcomes.  A draw between two outcomes, as each
-teleported qubit makes twice, compares scalars and gives the bits of the
-cumulative-sum search.
+teleported qubit makes twice over (1/2, 1/2), compares scalars and gives
+the bits of the cumulative-sum search.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ from .bitstrings import BitString
 MAX_QUBITS = 26  # memory guard: at most 2^26 amplitudes (1 GiB complex128)
 
 NORM_GUARD = 1e-8  # measurement-time probability drift that trips an error
+
+_FAIR_BIT = np.array((0.5, 0.5))  # each Bell bit: every (z, x) branch has mass 1/4
+
 
 class CapacityError(RuntimeError):
     """A layout (or an operation's extension of one) would exceed MAX_QUBITS."""
@@ -582,7 +585,8 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     masses the cumulative sum is [p0, p0 + p1] and the total p0 + p1, so
     the draw compares u * total with p0 and the total as scalars, with no
     array built: the same outcome from the same uniform.  Each teleported
-    qubit makes two such draws (``teleport_qubits``).
+    qubit makes two such draws over (1/2, 1/2) (``teleport_qubits``), so a
+    Bell bit is 0 exactly when its uniform is below 1/2.
     """
     two = probs.shape == (2,) and probs.dtype == np.float64
     if two:  # the cumsum is [p0, p0 + p1] and the sum p0 + p1: compare scalars
@@ -619,37 +623,20 @@ def teleport_qubits(
     """Teleport each qubit of the register, MSB first, onto a pair half in its place.
 
     The Bell measurement of qubit q and the near pair half leaves the far
-    half in one of four branches: branch (z, x) holds
-    1/2 sum_q (-1)^(qz) a_q at q xor x.  z is drawn first, then x given z,
-    and the fix-up X^x then Z^z on the far half restores a_q, so the kept
-    branch is written once, as 0.5 * a / sqrt(p[z, x]).  z only flips signs,
-    so p[1, x] equals p[0, x] bit for bit and only the two masses of z = 0
-    are summed, each in its branch's order: one pass squares the halved
-    amplitudes, which sum to p[0, 0], and a reversed copy of the squares
-    sums to p[0, 1] with numpy's pairwise grouping of that branch.  Both
-    bits are two-outcome ``draw`` calls.  The register is read once, and
-    the result stores the input's rows.
+    half in branch (z, x), 1/2 sum_q (-1)^(qz) a_q at q xor x, of mass 1/4
+    for every state, and the fix-up X^x then Z^z restores a_q (Bennett et
+    al., PRL 70, 1895 (1993)).  So each bit, z then x, is one ``draw`` over
+    (1/2, 1/2), and the result is a copy of the input's block over its rows:
+    the same amplitudes on every branch, owned by the result.  A state whose
+    norm has drifted raises, as a draw from its branches' masses would.
 
     Returns (state, bits): the (z, x) pair sent to the far node per qubit.
     """
-    rows, a = _reg_axis(state, reg)
-    before = a.shape[0]
-    bits = []
-    for k in range(state.layout.width(reg)):
-        half = 0.5 * a.reshape(before << k, 2, -1)
-        sq = np.abs(half)
-        np.square(sq, out=sq)
-        # the mass of branch (z, x) for either z; the copy sums x = 1 in its own order
-        p0, p1 = float(sq.sum()), float(sq[:, ::-1].copy().sum())
-        s = p0 + p1
-        z = draw(np.array((s, s)), rng)
-        x = draw(np.array((p0 / s, p1 / s)), rng)
-        a = half / math.sqrt(p1 if x else p0)
-        bits.append((z, x))
-    if rows is None and state.rows is not None:  # the leading register, read dense
-        rows = state.rows
-        a = a.reshape(1 << state.layout.registers[0][1], -1)[rows]
-    return StateVector(state.layout, a.reshape(-1), rows), bits
+    err = state.norm_error()
+    if not err <= NORM_GUARD:  # NaN fails too
+        raise RuntimeError(f"state norm drifted: |sum of probabilities - 1| = {err}")
+    bits = [(draw(_FAIR_BIT, rng), draw(_FAIR_BIT, rng)) for _ in range(state.layout.width(reg))]
+    return StateVector(state.layout, state.block.copy(), state.rows), bits
 
 
 def append_register(state: StateVector, name: str, width: int) -> StateVector:

@@ -2,11 +2,13 @@
 
 Each teleported qubit consumes one entangled pair from the pool and puts two
 classical bits on the channel, so moving an L-qubit register costs exactly
-L pairs and 2L bits (Bennett et al., PRL 70, 1895 (1993)).  Each qubit
-really goes through the protocol in ``statevec.teleport_qubits`` (a Bell
-measurement whose two bits are drawn from the four branches' masses, then
-the X/Z fix-up); this module spends the register's pairs from the pool
-before the kernel runs and puts each qubit's two bits on the channel.
+L pairs and 2L bits (Bennett et al., PRL 70, 1895 (1993)).
+``statevec.teleport_qubits`` runs the Bell measurement of each qubit: each
+of the four outcomes has mass exactly 1/4 whatever the state, so its two
+bits are fair draws, and the X/Z fix-up restores the amplitudes, so the
+register crosses bit for bit.  This module spends the register's pairs from
+the pool before the kernel runs and puts each qubit's two bits on the
+channel.
 """
 
 from __future__ import annotations

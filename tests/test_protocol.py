@@ -1189,16 +1189,13 @@ class TestStackedOracle:
             assert law < peak < law + LAW_CHUNK_BYTES + PEAK_SLACK, (N, a)
 
 
-TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
-
-
 class TestBatchedTeleport:
     """Teleporting node A's work register commutes with conditioning on m1,
     the step that makes the factorised law, which defers node A's
     measurement, the law of shots, which measure m1 before the teleport:
     after one ``teleport_register`` call on node A's state the same m1 keep
-    mass, and each conditional is ``teleport_qubits`` on that m1's own
-    conditional, up to rounding, with the same zeros."""
+    mass, and each conditional is bitwise ``teleport_qubits`` on that m1's
+    own conditional."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
@@ -1215,8 +1212,38 @@ class TestBatchedTeleport:
         for cond, got in zip(conds, moved_conds):
             want, _ = statevec.teleport_qubits(cond, "work", rng)
             assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
-            assert np.max(np.abs(got.block - want.block)) <= TELEPORT_TOL
-            assert np.array_equal(got.block == 0, want.block == 0)
+            assert np.array_equal(got.block, want.block)
+
+
+class TestOneNodeBLawPerM1:
+    """Each Bell outcome has mass 1/4 and its fix-up restores the amplitudes
+    (Bennett et al., PRL 70, 1895 (1993)), so the work register reaches node
+    B bit for bit on every branch: for each m1, node A's conditional work
+    state comes back from ``teleport_register`` unchanged, and ``_node_b``
+    gives one P(m2 | m1) whatever Bell bits it draws.  A run can therefore
+    keep one law per m1."""
+
+    @pytest.mark.parametrize("N, a", [(21, 2), (33, 2)])
+    def test_every_branch_gives_the_same_law(self, N, a):
+        params = ProtocolParams.derive(N, a, Fraction(1, 4))
+        after_a = protocol._a_stage(params)
+        _, live, conds = conditionals(after_a, "ctrl_a", protocol._MIN_MASS)
+        assert live.size == 128
+        for m1, cond in zip(live, conds):
+            transcripts, laws = set(), []
+            for seed in range(4):
+                moved = teleport_register(cond, "work", ClassicalChannel(), EprPool(params.L),
+                                          np.random.default_rng(seed))
+                assert np.array_equal(moved.block, cond.block)
+                assert np.array_equal(moved.rows, cond.rows)
+                channel = ClassicalChannel()
+                _, law = protocol._node_b(after_a, m1, params, channel,
+                                          np.random.default_rng(seed))
+                transcripts.add(tuple(channel.transcript))
+                laws.append(law)
+            assert len(transcripts) > 1
+            for law in laws[1:]:
+                assert np.array_equal(law, laws[0])
 
 
 def refuse_build(*_args):

@@ -1489,7 +1489,7 @@ class TestCompactRows:
         (compact, compact_bits), (full, full_bits) = outs
         assert compact.rows.tolist() == [0, 6, 11] and full.rows is None
         assert np.array_equal(compact.amps, full.amps) and compact_bits == full_bits
-        assert np.max(np.abs(compact.amps - dense.amps)) < 1e-12
+        assert np.array_equal(compact.amps, dense.amps)
 
     @pytest.mark.parametrize("regs", COMPACT_LAYOUTS)
     @pytest.mark.parametrize("live_rows", [[3], [0, 5, 6, 15]])

@@ -91,7 +91,7 @@ class TestFidelity:
         forced = _ForcedRng([0.25 + 0.5 * z, 0.25 + 0.5 * x])
         out = teleport_register(st, "c", ch, EprPool(1), forced)
         assert ch.transcript == [z, x]
-        assert fidelity(out.amps, st.amps) >= 1 - FIDELITY_TOL
+        assert np.array_equal(out.amps, st.amps)
 
     def test_random_multiqubit_register(self):
         st = random_state(RegisterLayout.of(("c", 4)), 11)
@@ -122,16 +122,16 @@ class TestEntanglementPreservation:
                     st, "c", ClassicalChannel(), EprPool(1),
                     _ForcedRng([0.25 + 0.5 * z, 0.25 + 0.5 * x]),
                 )
-                assert np.max(np.abs(out.amps - st.amps)) < 1e-12
+                assert np.array_equal(out.amps, st.amps)
 
 
 class TestBellOutcomeLaw:
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("seed", [31, 37, 41])
     def test_every_branch_has_mass_one_quarter(self, width, seed):
-        # z = 0 is drawn when u * total < P(z = 0), so a uniform just below
-        # 0.5 picking 0 and one just above picking 1 puts P(z = 0) within
-        # 1e-9 of 1/2, and likewise P(x = 0 | z): every (z, x) has mass 1/4.
+        # A Bell bit is 0 when its uniform is below 1/2, on every state: a
+        # uniform just below 0.5 picks 0 and one just above picks 1, so
+        # P(z = 0) and P(x = 0 | z) are 1/2 and every (z, x) has mass 1/4.
         st = random_state(RegisterLayout.of(("c", width)), seed)
         for bits in itertools.product((0, 1), repeat=2 * width):
             ch = ClassicalChannel()
@@ -139,10 +139,21 @@ class TestBellOutcomeLaw:
             teleport_register(st, "c", ch, EprPool(width), forced)
             assert ch.transcript == list(bits)
 
+    @pytest.mark.parametrize("seed", [3, 15, 34])
+    def test_a_bit_is_zero_exactly_below_one_half(self, seed):
+        # The threshold is 1/2 itself, not a branch mass summed from the
+        # state: for these states such sums differ from 1/4 in the last bit.
+        below = np.nextafter(0.5, 0.0)
+        st = random_state(RegisterLayout.of(("c", 2)), seed)
+        ch = ClassicalChannel()
+        teleport_register(st, "c", ch, EprPool(2), _ForcedRng([below, 0.5] * 2))
+        assert ch.transcript == [0, 1] * 2
+
 
 def four_branch_teleport(state: StateVector, reg: str, rng: np.random.Generator):
     """Reference Bell-measurement kernel: builds all four (z, x) branches of
-    each qubit, draws one, and undoes its fix-up on the kept branch."""
+    each qubit, draws one from their computed masses, and undoes its fix-up
+    on the kept branch, rescaled by its mass."""
     rows, a = statevec._reg_axis(state, reg)
     before = a.shape[0]
     sign = np.array([1, -1])[:, None]  # (-1)^q along the qubit axis
@@ -167,9 +178,15 @@ def four_branch_teleport(state: StateVector, reg: str, rng: np.random.Generator)
     return StateVector(state.layout, a.reshape(-1), rows), bits
 
 
-class TestTwoMassKernel:
-    """``teleport_qubits`` sums two branch masses per qubit and gives bitwise
-    the amplitudes, bits and generator state of the four-branch reference."""
+TELEPORT_TOL = 1e-15  # rounding of the four-branch reference's rescale and of conditioning
+
+
+class TestFairBitsPassThrough:
+    """``teleport_qubits`` draws each Bell bit over (1/2, 1/2) and hands the
+    register over bit for bit: it gives the bits and generator state of the
+    four-branch reference, which draws from the branches' computed masses,
+    the input's amplitudes and rows bitwise, and the reference's amplitudes
+    within its rescaling's rounding."""
 
     @pytest.mark.parametrize(
         "regs, compact",
@@ -194,9 +211,21 @@ class TestTwoMassKernel:
         got, bits = statevec.teleport_qubits(st, "c", rngs[0])
         want, want_bits = four_branch_teleport(st, "c", rngs[1])
         assert bits == want_bits
-        assert np.array_equal(got.block, want.block)
-        assert np.array_equal(got.rows, want.rows)
         assert rngs[0].random() == rngs[1].random()
+        assert np.array_equal(got.block, st.block) and np.array_equal(got.rows, st.rows)
+        assert np.array_equal(want.rows, st.rows)
+        assert np.max(np.abs(want.block - st.block)) <= TELEPORT_TOL
+
+    @pytest.mark.parametrize("reg", ["a", "c"])
+    def test_result_owns_its_amplitudes(self, reg):
+        # The Fourier transforms write over the block they are given, so a
+        # teleport that handed back the input's block would let one change both.
+        st = random_state(RegisterLayout.of(("a", 2), ("c", 3)), 5)
+        kept = st.block.copy()
+        out, _ = statevec.teleport_qubits(st, "c", np.random.default_rng(0))
+        statevec.apply_qft(out, reg)
+        assert not np.array_equal(out.block, kept)
+        assert np.array_equal(st.block, kept)
 
 
 def shared_states(regs, compact: bool, count: int, seed: int) -> list[StateVector]:
@@ -221,17 +250,14 @@ def superposed(states: list[StateVector], name: str) -> StateVector:
     return StateVector(states[0].layout.appended(name, width), block.reshape(-1), states[0].rows)
 
 
-TELEPORT_TOL = 1e-15  # teleporting before or after conditioning rounds differently
-
-
 class TestTeleportCommutesWithMeasuring:
     """Teleporting states at once: ``teleport_qubits`` on their superposition
     over a register "m", then conditioning on each value of m (project, then
     remove m), gives each state as ``teleport_qubits`` gives it alone, up to
-    rounding.  A teleport gives one state on every branch and acts on its
-    register alone, so it commutes with measuring m; on that ground shots,
-    which measure m1 before the teleport, sample the exact law, which
-    defers that measurement."""
+    the rounding of conditioning.  A teleport gives back the input's
+    amplitudes on every branch, so it commutes with measuring m; on that
+    ground shots, which measure m1 before the teleport, sample the exact
+    law, which defers that measurement."""
 
     @pytest.mark.parametrize(
         "regs, compact",
