@@ -17,8 +17,9 @@ state with its work register, which holds only the r powers of the base (10
 of 64 values for N=33 a=2).  The Born marginals sum the stored rows alone,
 as squares of the real and imaginary parts added in a fixed order (see
 ``_born_marginal``), the Hadamard layer reads the one row of a fresh
-register, and ``teleport_qubits`` copies the stored rows as they are; every
-other operation on the leading register reads the dense vector.
+register, and a teleport (``teleport.teleport_register``) copies the stored
+rows as they are; every other operation on the leading register reads the
+dense vector.
 ``StateVector.amps`` is always the full 2^n vector, built on each read for a
 state that stores fewer rows.
 
@@ -32,15 +33,14 @@ out of scope here -- circuit-cost questions are answered analytically by
 the resources module.
 
 Measuring is sampling plus projection: ``measure_register`` draws an outcome
-from the register's Born marginal and collapses the state onto it.
-``teleport_qubits`` gives back the input's amplitudes on every branch, so
-it commutes with measuring another register.
+from the register's Born marginal and collapses the state onto it.  A
+teleport gives back the input's amplitudes on every branch, so it commutes
+with measuring another register.
 
-Determinism: every random choice is one ``draw``, an inverse-CDF sample from
-one ``random()`` of the caller's ``numpy.random.Generator``, so a fixed
-generator state fixes all outcomes.  A draw between two outcomes, as each
-teleported qubit makes twice over (1/2, 1/2), compares scalars and gives
-the bits of the cumulative-sum search.
+Determinism: every random choice is one ``random()`` of the caller's
+``numpy.random.Generator``, so a fixed generator state fixes all outcomes.
+In this module that choice is a ``draw``, an inverse-CDF sample; a teleport
+compares each Bell bit's uniform with 1/2.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ from .bitstrings import BitString
 MAX_QUBITS = 26  # memory guard: at most 2^26 amplitudes (1 GiB complex128)
 
 NORM_GUARD = 1e-8  # measurement-time probability drift that trips an error
-
-_FAIR_BIT = np.array((0.5, 0.5))  # each Bell bit: every (z, x) branch has mass 1/4
 
 
 class CapacityError(RuntimeError):
@@ -581,26 +579,12 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
 
     Outcome k is drawn for a uniform u with cdf[k-1] <= u * total < cdf[k],
     so an outcome of zero mass is never drawn; the last outcome with mass
-    takes what rounding leaves above the cumulative sum.  For two float64
-    masses the cumulative sum is [p0, p0 + p1] and the total p0 + p1, so
-    the draw compares u * total with p0 and the total as scalars, with no
-    array built: the same outcome from the same uniform.  Each teleported
-    qubit makes two such draws over (1/2, 1/2) (``teleport_qubits``), so a
-    Bell bit is 0 exactly when its uniform is below 1/2.
+    takes what rounding leaves above the cumulative sum.
     """
-    two = probs.shape == (2,) and probs.dtype == np.float64
-    if two:  # the cumsum is [p0, p0 + p1] and the sum p0 + p1: compare scalars
-        p0, p1 = probs.tolist()
-        total = p0 + p1
-    else:
-        total = float(probs.sum())
+    total = float(probs.sum())
     if not abs(total - 1.0) <= NORM_GUARD:  # NaN fails too
         raise RuntimeError(f"state norm drifted: probabilities sum to {total}")
     u = rng.random() * total
-    if two:
-        if u < p0:
-            return 0
-        return 1 if u < total or p1 > 0 else 0
     k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     if k < probs.size:
         return k
@@ -615,28 +599,6 @@ def measure_register(
     _, collapsed = project_register(state, reg, m)
     assert collapsed is not None
     return BitString(state.layout.width(reg), m), collapsed
-
-
-def teleport_qubits(
-    state: StateVector, reg: str, rng: np.random.Generator
-) -> tuple[StateVector, list[tuple[int, int]]]:
-    """Teleport each qubit of the register, MSB first, onto a pair half in its place.
-
-    The Bell measurement of qubit q and the near pair half leaves the far
-    half in branch (z, x), 1/2 sum_q (-1)^(qz) a_q at q xor x, of mass 1/4
-    for every state, and the fix-up X^x then Z^z restores a_q (Bennett et
-    al., PRL 70, 1895 (1993)).  So each bit, z then x, is one ``draw`` over
-    (1/2, 1/2), and the result is a copy of the input's block over its rows:
-    the same amplitudes on every branch, owned by the result.  A state whose
-    norm has drifted raises, as a draw from its branches' masses would.
-
-    Returns (state, bits): the (z, x) pair sent to the far node per qubit.
-    """
-    err = state.norm_error()
-    if not err <= NORM_GUARD:  # NaN fails too
-        raise RuntimeError(f"state norm drifted: |sum of probabilities - 1| = {err}")
-    bits = [(draw(_FAIR_BIT, rng), draw(_FAIR_BIT, rng)) for _ in range(state.layout.width(reg))]
-    return StateVector(state.layout, state.block.copy(), state.rows), bits
 
 
 def append_register(state: StateVector, name: str, width: int) -> StateVector:

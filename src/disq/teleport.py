@@ -2,13 +2,8 @@
 
 Each teleported qubit consumes one entangled pair from the pool and puts two
 classical bits on the channel, so moving an L-qubit register costs exactly
-L pairs and 2L bits (Bennett et al., PRL 70, 1895 (1993)).
-``statevec.teleport_qubits`` runs the Bell measurement of each qubit: each
-of the four outcomes has mass exactly 1/4 whatever the state, so its two
-bits are fair draws, and the X/Z fix-up restores the amplitudes, so the
-register crosses bit for bit.  This module spends the register's pairs from
-the pool before the kernel runs and puts each qubit's two bits on the
-channel.
+L pairs and 2L bits (Bennett et al., PRL 70, 1895 (1993)).  The bits are
+fair and the register crosses bit for bit (see ``teleport_register``).
 """
 
 from __future__ import annotations
@@ -17,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import statevec
-from .statevec import StateVector
+from .statevec import NORM_GUARD, StateVector
 
 
 class EprPoolError(RuntimeError):
@@ -32,7 +26,9 @@ class ClassicalChannel:
     transcript: list[int] = field(default_factory=list)
 
     def send(self, bit: int) -> None:
-        if bit not in (0, 1):
+        # True, 1.0 and numpy integers compare equal to 1 as well; a record
+        # would then print ``true`` or ``1.0``, or fail to serialise.
+        if type(bit) is not int or bit not in (0, 1):
             raise ValueError(f"channel carries single bits, got {bit!r}")
         self.transcript.append(bit)
 
@@ -71,14 +67,19 @@ def teleport_register(
 ) -> StateVector:
     """Move a register from one node's ownership to the other's.
 
-    The returned state has the same layout and, on every branch, the same
-    amplitudes (teleportation is exact); what changes is the accounting:
-    width(reg) pairs consumed, all at once before the state is touched, and
-    2*width(reg) bits on the channel, in (z, x) order per qubit.
+    Consumes width(reg) pairs, all at once before the state is touched; a
+    state whose norm has drifted then raises before any bit is sent.  The
+    Bell measurement of each qubit, most significant first, leaves the far
+    pair half in branch (z, x), 1/2 sum_q (-1)^(qz) a_q at q xor x, of mass
+    1/4 for every state, and the fix-up X^x then Z^z restores a_q.  So each
+    bit, z then x, is 1 exactly when one ``rng.random()`` is at least 1/2,
+    and goes on the channel; the result holds a copy of the input's block
+    over its rows, the same amplitudes on every branch.
     """
     pool.consume(state.layout.width(reg))
-    state, bits = statevec.teleport_qubits(state, reg, rng)
-    for z, x in bits:
-        channel.send(z)
-        channel.send(x)
-    return state
+    err = state.norm_error()
+    if not err <= NORM_GUARD:  # NaN fails too
+        raise RuntimeError(f"state norm drifted: |sum of probabilities - 1| = {err}")
+    for _ in range(2 * state.layout.width(reg)):
+        channel.send(int(rng.random() >= 0.5))
+    return StateVector(state.layout, state.block.copy(), state.rows)

@@ -303,15 +303,28 @@ class TestShotsSampleTheirOracle:
         assert np.array_equal(draws[1], joint[m1] / joint[m1].sum())
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_sequential_shot_draws_m2_from_node_b(self, draws, seed):
-        # Draw order: A's measurement, the 2L teleport bits, B's measurement.
+    def test_sequential_shot_draws_m2_from_node_b(self, draws, monkeypatch, seed):
+        # Uniform order: A's measurement, the 2L teleport bits, B's
+        # measurement; the measurements are draws, the Bell bits are not.
+        uniforms = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self):
+                uniforms.append(self.rng.random())
+                return uniforms[-1]
+
+        shot_rng = protocol.shot_rng
+        monkeypatch.setattr(protocol, "shot_rng", lambda *args: Counting(shot_rng(*args)))
         params = ProtocolParams.derive(13, 2, Fraction(1, 4))
         [record] = run_shots(params, 1, seed=seed)
         after_a = protocol._a_stage(params)
         m1 = record.m1.value
-        assert len(draws) == 2 + 2 * params.L
+        assert len(draws) == 2
+        assert len(uniforms) == 2 + 2 * params.L
         assert np.array_equal(draws[0], protocol.statevec.register_probabilities(after_a, "ctrl_a"))
-        assert all(d.shape == (2,) for d in draws[1:-1])
         p_m1, shot_cond = draws[0][m1], draws[-1]
         p1, cond = protocol._node_b(
             after_a, m1, params, protocol.ClassicalChannel(), np.random.default_rng(seed)
@@ -1194,14 +1207,13 @@ class TestBatchedTeleport:
     the step that makes the factorised law, which defers node A's
     measurement, the law of shots, which measure m1 before the teleport:
     after one ``teleport_register`` call on node A's state the same m1 keep
-    mass, and each conditional is bitwise ``teleport_qubits`` on that m1's
+    mass, and each conditional is bitwise ``teleport_register`` on that m1's
     own conditional."""
 
     @pytest.mark.parametrize("inverse_epsilon", [4, 10])
     @pytest.mark.parametrize("N, a", SMALL_CASES)
     def test_is_teleport_qubits_on_each_conditional(self, N, a, inverse_epsilon):
         params = ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon))
-        statevec = protocol.statevec
         _, live, conds = conditionals(protocol._a_stage(params), "ctrl_a", protocol._MIN_MASS)
         channel, pool = ClassicalChannel(), EprPool(params.L)
         moved = teleport_register(protocol._a_stage(params), "work", channel, pool,
@@ -1210,7 +1222,7 @@ class TestBatchedTeleport:
         assert np.array_equal(moved_live, live)
         rng = np.random.default_rng(1)
         for cond, got in zip(conds, moved_conds):
-            want, _ = statevec.teleport_qubits(cond, "work", rng)
+            want = teleport_register(cond, "work", ClassicalChannel(), EprPool(params.L), rng)
             assert got.layout == want.layout and np.array_equal(got.rows, want.rows)
             assert np.array_equal(got.block, want.block)
 

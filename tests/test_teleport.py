@@ -16,8 +16,8 @@ DIST_TOL = 1e-10
 class _ForcedRng:
     """Stub generator whose random() walks a fixed list of uniforms.
 
-    With inverse-CDF sampling over equally likely bits, a uniform below
-    0.5 forces outcome 0 and one above forces outcome 1.
+    A Bell bit is 1 exactly when its uniform is at least 0.5, so a uniform
+    below 0.5 forces a 0 and one above forces a 1.
     """
 
     def __init__(self, uniforms):
@@ -45,6 +45,15 @@ class TestAccounting:
         assert ch.bit_count == 2 and ch.transcript == [1, 0]
         with pytest.raises(ValueError):
             ch.send(2)
+
+    @pytest.mark.parametrize("bit", [True, 1.0, np.int64(1), np.bool_(True)], ids=repr)
+    def test_channel_carries_only_python_ints(self, bit):
+        # Each equals 1, but a record would print ``true`` or ``1.0``, or
+        # json.dumps would raise on the numpy values.
+        ch = ClassicalChannel()
+        with pytest.raises(ValueError):
+            ch.send(bit)
+        assert ch.transcript == []
 
     def test_pool_depletion(self):
         pool = EprPool(allocated=2)
@@ -181,8 +190,21 @@ def four_branch_teleport(state: StateVector, reg: str, rng: np.random.Generator)
 TELEPORT_TOL = 1e-15  # rounding of the four-branch reference's rescale and of conditioning
 
 
+def teleport(state: StateVector, reg: str, rng) -> tuple[StateVector, list[int]]:
+    """``teleport_register`` with a fresh channel and a pool of just enough
+    pairs; returns the state and the channel's transcript."""
+    channel = ClassicalChannel()
+    out = teleport_register(state, reg, channel, EprPool(state.layout.width(reg)), rng)
+    return out, channel.transcript
+
+
+def flat(bits: list[tuple[int, int]]) -> list[int]:
+    """(z, x) pairs as the channel carries them: z then x, qubit after qubit."""
+    return [b for pair in bits for b in pair]
+
+
 class TestFairBitsPassThrough:
-    """``teleport_qubits`` draws each Bell bit over (1/2, 1/2) and hands the
+    """``teleport_register`` takes each Bell bit as a fair draw and hands the
     register over bit for bit: it gives the bits and generator state of the
     four-branch reference, which draws from the branches' computed masses,
     the input's amplitudes and rows bitwise, and the reference's amplitudes
@@ -208,9 +230,9 @@ class TestFairBitsPassThrough:
             lead = st.amps.reshape(1 << regs[0][1], -1)[rows]
             st = StateVector(st.layout, (lead / np.linalg.norm(lead)).reshape(-1), rows)
         rngs = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
-        got, bits = statevec.teleport_qubits(st, "c", rngs[0])
+        got, bits = teleport(st, "c", rngs[0])
         want, want_bits = four_branch_teleport(st, "c", rngs[1])
-        assert bits == want_bits
+        assert bits == flat(want_bits)
         assert rngs[0].random() == rngs[1].random()
         assert np.array_equal(got.block, st.block) and np.array_equal(got.rows, st.rows)
         assert np.array_equal(want.rows, st.rows)
@@ -222,7 +244,7 @@ class TestFairBitsPassThrough:
         # teleport that handed back the input's block would let one change both.
         st = random_state(RegisterLayout.of(("a", 2), ("c", 3)), 5)
         kept = st.block.copy()
-        out, _ = statevec.teleport_qubits(st, "c", np.random.default_rng(0))
+        out, _ = teleport(st, "c", np.random.default_rng(0))
         statevec.apply_qft(out, reg)
         assert not np.array_equal(out.block, kept)
         assert np.array_equal(st.block, kept)
@@ -251,9 +273,9 @@ def superposed(states: list[StateVector], name: str) -> StateVector:
 
 
 class TestTeleportCommutesWithMeasuring:
-    """Teleporting states at once: ``teleport_qubits`` on their superposition
+    """Teleporting states at once: ``teleport_register`` on their superposition
     over a register "m", then conditioning on each value of m (project, then
-    remove m), gives each state as ``teleport_qubits`` gives it alone, up to
+    remove m), gives each state as ``teleport_register`` gives it alone, up to
     the rounding of conditioning.  A teleport gives back the input's
     amplitudes on every branch, so it commutes with measuring m; on that
     ground shots, which measure m1 before the teleport, sample the exact
@@ -271,22 +293,25 @@ class TestTeleportCommutesWithMeasuring:
         ],
     )
     @pytest.mark.parametrize("count", [1, 5])
-    def test_is_teleport_qubits_on_each_state(self, regs, compact, count):
+    def test_is_teleport_register_on_each_state(self, regs, compact, count):
         states = shared_states(regs, compact, count, seed=7 * count)
-        moved, _ = statevec.teleport_qubits(superposed(states, "m"), "c", np.random.default_rng(0))
+        moved, _ = teleport(superposed(states, "m"), "c", np.random.default_rng(0))
         _, values, conds = conditionals(moved, "m", 1e-300)
         assert values.tolist() == list(range(count))
         rng = np.random.default_rng(count)
         for st, got in zip(states, conds):
-            want, _ = statevec.teleport_qubits(st, "c", rng)
+            want, _ = teleport(st, "c", rng)
             assert got.layout == want.layout
             assert (got.rows is None) == (want.rows is None)
             assert want.rows is None or np.array_equal(got.rows, want.rows)
             assert np.max(np.abs(got.block - want.block)) <= TELEPORT_TOL
 
     def test_norm_drift_raises(self):
-        # Amplitudes whose squared norm is 4 are not a state.
+        # Amplitudes whose squared norm is 4 are not a state.  The pairs are
+        # spent before the check, and no bit is sent after it fails.
         st = shared_states([("c", 2), ("m", 2)], False, 1, seed=1)[0]
         doubled = StateVector(st.layout, 2 * st.block)
+        channel, pool = ClassicalChannel(), EprPool(2)
         with pytest.raises(RuntimeError, match="drifted"):
-            statevec.teleport_qubits(doubled, "c", np.random.default_rng(0))
+            teleport_register(doubled, "c", channel, pool, np.random.default_rng(0))
+        assert pool.consumed == 2 and channel.bit_count == 0
