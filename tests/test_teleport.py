@@ -293,7 +293,7 @@ class TestTeleportCommutesWithMeasuring:
         ],
     )
     @pytest.mark.parametrize("count", [1, 5])
-    def test_is_teleport_register_on_each_state(self, regs, compact, count):
+    def test_is_teleport_qubits_on_each_state(self, regs, compact, count):
         states = shared_states(regs, compact, count, seed=7 * count)
         moved, _ = teleport(superposed(states, "m"), "c", np.random.default_rng(0))
         _, values, conds = conditionals(moved, "m", 1e-300)
