@@ -21,7 +21,12 @@ register, and a teleport (``teleport.teleport_register``) copies the stored
 rows as they are; every other operation on the leading register reads the
 dense vector.
 ``StateVector.amps`` is always the full 2^n vector, built on each read for a
-state that stores fewer rows.
+state that stores fewer rows.  A folding phase estimation stores its fold's
+factors in place of its block: the gathered sources and the kept class
+transforms R.  The first read of ``StateVector.block`` builds the block from
+them with the fold's own products, so its bits are the same; until then the
+Born marginal of a two-register state over its last register, node B's one
+read, streams those products a chunk at a time and never holds the block.
 
 Phase estimation prepares its control register as a state of its own
 (``apply_hadamard_register``), joins it to the work state as the last
@@ -125,11 +130,22 @@ class StateVector:
     2^n vector).  Leading-register values outside ``rows`` have amplitude 0.
     The state owns ``block``: the Fourier transforms write over it, so a
     caller that keeps the array passes a copy (``from_amplitudes`` copies).
+    A fold (``apply_phase_estimation``) passes its factors (one, R) in place
+    of the block: the first read of ``block`` builds the block from them and
+    drops them, and until then the Born marginal of a two-register state over
+    its last register reads them alone (``_fold_marginal``).
     """
 
     layout: RegisterLayout
-    block: np.ndarray
+    _block: np.ndarray | tuple[np.ndarray, np.ndarray]
     rows: np.ndarray | None = None
+
+    @property
+    def block(self) -> np.ndarray:
+        """The stored rows' amplitudes, built from a fold's factors on first read."""
+        if isinstance(self._block, tuple):
+            self._block = _fold_block(*self._block)
+        return self._block
 
     @property
     def amps(self) -> np.ndarray:
@@ -447,10 +463,12 @@ def apply_phase_estimation(
     builds them on the first fold of a (t, P) and keeps them for one (t, P)
     at a time, as R, the float64 view of rows (G_q, i * G_q).  With the
     sources' float view [Re one_q, Im one_q], the real product one @ R is
-    sum_q one_q * G_q, real and imaginary parts interleaved, so each product
-    writes the output's float view straight from the read-only R, and a
-    fold that finds R kept holds the output block and no second one.  Each
-    product covers the stored target rows of one value of the other
+    sum_q one_q * G_q, real and imaginary parts interleaved.  The result
+    stores the sources and the read-only R as its factors: a fold that finds
+    R kept writes nothing state-sized, each product writes the block's float
+    view straight from R when the block is first read (``_fold_block``), and
+    a control marginal reads the products without it (``_fold_marginal``).
+    Each product covers the stored target rows of one value of the other
     registers and ``_FOLD_CHUNK`` control values (n_out x 2P by 2P x 2 *
     ``_FOLD_CHUNK`` floats), so a row's bits do not depend on the other
     registers or on how OpenBLAS tiles a taller product, and it stays on the
@@ -467,14 +485,35 @@ def apply_phase_estimation(
         return apply_inverse_qft(st, control.layout.names[0])
     # one[m]: the n_out x 2P float view of the sources at other-register value m
     one = np.ascontiguousarray(_period_sources(state, src, pad).transpose(1, 0, 2), complex)
-    one = one.view(np.float64)
-    r = _uniform_transforms(t, period)
-    out = np.empty((n_out, one.shape[0], 2 << t))  # the complex output's floats
+    return StateVector(layout, (one.view(np.float64), _uniform_transforms(t, period)), rows)
+
+
+def _fold_block(one: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The block of a fold's factors: one @ R, a product per other-register
+    value m and ``_FOLD_CHUNK`` control values, written into the complex
+    output's floats."""
+    out = np.empty((one.shape[1], one.shape[0], r.shape[1]))
     width = min(r.shape[1], 2 * _FOLD_CHUNK)
     for m in range(one.shape[0]):
         for c in range(0, r.shape[1], width):
             np.matmul(one[m], r[:, c : c + width], out=out[:, m, c : c + width])
-    return StateVector(layout, out.view(complex).reshape(-1), rows)
+    return out.view(complex).reshape(-1)
+
+
+def _fold_marginal(one: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The control marginal of a two-register fold's factors, with no block.
+
+    Each of ``_fold_block``'s products lands in one buffer, is squared in
+    place and summed over its rows by one ``np.add.reduce``, in row order:
+    the bits ``_row_order_squares`` gives on the block.
+    """
+    width = min(r.shape[1], 2 * _FOLD_CHUNK)
+    buf = np.empty((one.shape[1], width))
+    squares = np.empty(r.shape[1])
+    for c in range(0, r.shape[1], width):
+        np.square(np.matmul(one[0], r[:, c : c + width], out=buf), out=buf)
+        np.add.reduce(buf, axis=0, out=squares[c : c + width])
+    return squares[0::2] + squares[1::2]
 
 
 _SQUARE_GROUP = 1 << 15  # floats squared at a time while summing the leading rows
@@ -516,7 +555,8 @@ def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
     leading register is summed row by row and its stored rows are scattered
     into zeros.  Summing the dropped leading rows holds one row's squares
     and one group of rows (``_row_order_squares``), not a float per stored
-    amplitude.
+    amplitude.  A two-register state that still holds a fold's factors
+    gives its last register's marginal from them (``_fold_marginal``).
     """
     if len(set(regs)) != len(regs):
         raise ValueError(f"duplicate registers in {regs}")
@@ -526,6 +566,8 @@ def _born_marginal(state: StateVector, regs: Sequence[str]) -> np.ndarray:
     if state.rows is not None:
         shape[0] = state.rows.size
     keep = [state.layout.names.index(r) for r in regs]
+    if isinstance(state._block, tuple) and len(shape) == 2 and keep == [1]:
+        return _fold_marginal(*state._block)
     floats = np.ascontiguousarray(state.block, complex).view(np.float64)
     if 0 in keep:
         squares = np.square(floats).reshape(*shape, 2)

@@ -207,8 +207,14 @@ class TestOrder:
                 ("--N", "21", "--a", "2", "--shots", "200", "--seed", "3"),
                 "b23049a1573d5d809dbcd8c45ec87db3cc885da076c9fd3fae6cfe07e97a85f5",
             ),
+            # N=65 a=2: node B's rows (2^18 floats) are wider than
+            # statevec._SQUARE_GROUP, and its marginal streams 128 chunks.
+            (
+                ("--N", "65", "--a", "2", "--shots", "20", "--seed", "4"),
+                "8e3280d5aab73ac0e0476282c5bee7b56d3bb17de2249bdaf694c90cf7230bfa",
+            ),
         ],
-        ids=["n15", "n21"],
+        ids=["n15", "n21", "n65"],
     )
     def test_seeded_output_is_pinned(self, capsys, argv, digest):
         # Seeded records are part of the output contract: a faster kernel

@@ -156,15 +156,15 @@ class TestNodeBMemory:
 
     def test_node_b_stage_holds_one_block(self):
         # Node B's joined state for N=33 a=2 stores 10 work rows of 2^14
-        # amplitudes (2.5 MiB).  Its stage holds that state and the 2^t2
-        # control vector (0.25 MiB): every row is a real product read from
-        # the uniform fill's class transforms, written straight into the
-        # state.  A process's first stage also builds those transforms as
-        # rows (G_q, i * G_q) (2P = 10 rows of 2^t2, 2.5 MiB), which stay
-        # kept for later stages; a warm stage holds no temporary beside the
-        # two.  The Born marginal sums the 10 rows' squares one row after
-        # another, so it holds the running sum and one row's squares
-        # (2 * 2^t2 floats each).
+        # amplitudes (2.5 MiB) once its block is read.  Its stage holds the
+        # 2^t2 control vector (0.25 MiB) and the fold's factors: the gathered
+        # sources (10 x 2P floats) and the uniform fill's class transforms
+        # as rows (G_q, i * G_q) (2P = 10 rows of 2^t2, 2.5 MiB), which a
+        # process's first stage builds and later stages find kept; a warm
+        # stage holds no temporary beside the control.  The Born marginal
+        # over ctrl_b streams the factors' products a chunk of control
+        # values at a time, so it holds the running sums of squares
+        # (2 * 2^t2 floats) and one chunk's products.
         params = ProtocolParams.derive(33, 2, Fraction(1, 4))
         block = 16 * 10 << params.t2
         kept = 2 * 16 * 5 << params.t2  # 16 has order 5 mod 33
@@ -189,6 +189,25 @@ class TestNodeBMemory:
                 assert stage_peak < block + block // 4
                 assert stage_peak < block + (16 << params.t2) + PEAK_SLACK
             assert marginal_peak < 2 * (16 << params.t2) + PEAK_SLACK, case
+
+    def test_node_b_never_builds_its_block(self):
+        # A warm node-B run at N=33 a=2 projects and teleports node A's small
+        # state, then streams its ctrl_b marginal from the fold's factors:
+        # it peaks below the one block (10 work rows of 2^t2) it never builds.
+        params = ProtocolParams.derive(33, 2, Fraction(1, 4))
+        after_a = protocol._a_stage(params)
+        m1 = int(np.argmax(protocol.statevec.register_probabilities(after_a, "ctrl_a")))
+        protocol._node_b(after_a, m1, params, ClassicalChannel(), np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            _, law = protocol._node_b(
+                after_a, m1, params, ClassicalChannel(), np.random.default_rng(2)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law is not None
+        assert peak < 16 * 10 << params.t2
 
 
 class TestWorkRegisterLeads:
@@ -1363,3 +1382,39 @@ class TestKeptTransforms:
         assert not any(thread.is_alive() for thread in threads)
         for out in outs:
             assert np.array_equal(out.rows, serial.rows) and np.array_equal(out.block, serial.block)
+
+
+@pytest.mark.blas
+class TestStreamedMarginal:
+    """A folding node-B stage keeps its fold's factors; its ctrl_b marginal,
+    streamed from them, has the bits of the marginal of its block, cold and
+    warm, and so has the marginal of a stage whose block was read first."""
+
+    @staticmethod
+    def assert_streams_the_block_bits(params: ProtocolParams) -> bool:
+        st = node_b_input(params)
+        folds = []
+        for case in ("cold", "warm"):
+            if case == "cold":
+                protocol.statevec._uniform_transforms.cache_clear()
+            stage = protocol._b_stage(st, params)  # the stage reads its input without writing it
+            folds.append(isinstance(stage._block, tuple))
+            got = protocol.statevec.register_probabilities(stage, "ctrl_b")
+            eager = protocol.statevec.StateVector(stage.layout, stage.block.copy(), stage.rows)
+            want = protocol.statevec.register_probabilities(eager, "ctrl_b")
+            assert got.tobytes() == want.tobytes(), case
+            read_first = protocol._b_stage(st, params)
+            read_first.block
+            got = protocol.statevec.register_probabilities(read_first, "ctrl_b")
+            assert got.tobytes() == want.tobytes(), case
+        assert folds[0] == folds[1]
+        return folds[0]
+
+    @pytest.mark.parametrize("inverse_epsilon", [4, 10])
+    @pytest.mark.parametrize("N, a", SMALL_CASES)
+    def test_small_cases(self, N, a, inverse_epsilon):
+        self.assert_streams_the_block_bits(ProtocolParams.derive(N, a, Fraction(1, inverse_epsilon)))
+
+    @pytest.mark.parametrize("N, a", [(33, 2), (35, 3), (65, 2)])
+    def test_shot_sizes(self, N, a):
+        assert self.assert_streams_the_block_bits(ProtocolParams.derive(N, a, Fraction(1, 4)))
